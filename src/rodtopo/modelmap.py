@@ -26,10 +26,7 @@ import numpy as np
 
 from .errors import ModelMapError
 from .intlin import IntMatrix, hermite_normal_form
-from .roddiagram import HALF_PLANE, RodDiagram, det2
-
-NEG_INF = float("-inf")
-POS_INF = float("inf")
+from .roddiagram import HALF_PLANE, NEG_INF, POS_INF, RodDiagram, det2
 
 
 # ----------------------------------------------------------------------
@@ -195,17 +192,22 @@ class ModelMap:
         chi = _smoothstep((np.hypot(rho, np.asarray(z) - self.z0) - R1) / (R2 - R1))
         return M + chi[..., None, None] * (self.far_frame - M)
 
-    def F(self, points):
-        """Matrix field at an (N, 2) array of (rho, z) points; (N, n, n)."""
+    def frame_factors(self, points):
+        """(M, M^-1, d) at an (N, 2) array of (rho, z) points, with
+        F = M^-T diag(d) M^-1 and d = (e^U, e^V, 1, ..., 1)."""
         pts = np.asarray(points, dtype=float)
         rho, z = pts[..., 0], pts[..., 1]
         U, V = self._UV(rho, z)
         M = self.frames(rho, z)
-        Minv = np.linalg.inv(M)
-        diag = np.ones(rho.shape + (self.n,))
-        diag[..., 0] = np.exp(U)
-        diag[..., 1] = np.exp(V)
-        return np.einsum("...ji,...j,...jk->...ik", Minv, diag, Minv)
+        d = np.ones(rho.shape + (self.n,))
+        d[..., 0] = np.exp(U)
+        d[..., 1] = np.exp(V)
+        return M, np.linalg.inv(M), d
+
+    def F(self, points):
+        """Matrix field at an (N, 2) array of (rho, z) points; (N, n, n)."""
+        _, Minv, d = self.frame_factors(points)
+        return _congruence(Minv, d)
 
     def omega(self, points):
         """Twist-potential field at an (N, 2) array of points; (N, n)."""
@@ -461,7 +463,11 @@ def _build_schedule(diagram, comps, slots, far_frame, width):
             for h in diagram.horizon_indices():
                 if rods[h].z[0] >= gap_lo - 1e-12 and rods[h].z[1] <= gap_hi + 1e-12:
                     hz = rods[h].z
-            assert hz is not None
+            if hz is None:
+                raise ModelMapError(
+                    f"no horizon rod fills the gap ({gap_lo}, {gap_hi}) "
+                    "between axis components"
+                )
             span = hz[1] - hz[0]
             chain[-1][1] = (hz[0] + 0.2 * span, hz[1] - 0.2 * span)
             chain[-1][2] = None
@@ -601,13 +607,89 @@ def _omega_zones(diagram, comps):
 # tension
 
 
-def _axis_divergence(v_rho_minus, v_rho_plus, v_rho_center, v_z_minus, v_z_plus, rho, h):
-    """div V = d/drho V_rho + V_rho / rho + d/dz V_z, centered differences."""
+STRIP_ROWS = 16  # rho rows of tension_field's output computed per strip
+
+
+def _congruence(X, d):
+    """X^T diag(d) X over stacks of matrices."""
+    return np.swapaxes(X, -1, -2) @ (d[..., None] * X)
+
+
+def _point_fields(m, points):
+    """Point stage of the tension kernel: F, F^-1, det F and omega at an
+    array of points.  F^-1 = M diag(1/d) M^T comes from the frame factors
+    F = M^-T diag(d) M^-1, so no second matrix inverse is needed."""
+    M, Minv, d = m.frame_factors(points)
+    F = _congruence(Minv, d)
+    Finv = _congruence(np.swapaxes(M, -1, -2), 1.0 / d)
+    return F, Finv, np.linalg.det(F), m.omega(points)
+
+
+def _divergence(v_rho, v_z, rho, h):
+    """div V = d/drho V_rho + V_rho / rho + d/dz V_z, centered differences.
+
+    v_rho carries one extra row on each side, v_z one extra column.
+    """
     return (
-        (v_rho_plus - v_rho_minus) / (2.0 * h)
-        + v_rho_center / rho
-        + (v_z_plus - v_z_minus) / (2.0 * h)
+        (v_rho[2:] - v_rho[:-2]) / (2.0 * h)
+        + v_rho[1:-1] / rho
+        + (v_z[:, 2:] - v_z[:, :-2]) / (2.0 * h)
     )
+
+
+def _tension_stencil(F, Finv, f, w, rho, h):
+    """Stencil stage of the tension kernel: (|tau|, |tau_F part|,
+    |tau_omega part|) from the point fields of a block whose first two
+    axes are grid rows (rho) and columns (z), spacing h.
+
+    The result covers the block minus a rim of two points; rho holds the
+    rho values of the result and broadcasts against its leading axes.
+    """
+    two_h = 2.0 * h
+    # fluxes H = F^-1 dF and K = F^-1 dw / det F, only where the divergence
+    # reads them: rho-fluxes one row past the result, z-fluxes one column
+    Fi_rho = Finv[1:-1, 2:-2]
+    Fi_z = Finv[2:-2, 1:-1]
+    H_rho = Fi_rho @ ((F[2:, 2:-2] - F[:-2, 2:-2]) / two_h)
+    H_z = Fi_z @ ((F[2:-2, 2:] - F[2:-2, :-2]) / two_h)
+    dw_rho = (w[2:, 2:-2] - w[:-2, 2:-2]) / two_h
+    dw_z = (w[2:-2, 2:] - w[2:-2, :-2]) / two_h
+    K_rho = np.einsum("...ij,...j->...i", Fi_rho, dw_rho) / f[1:-1, 2:-2, ..., None]
+    K_z = np.einsum("...ij,...j->...i", Fi_z, dw_z) / f[2:-2, 1:-1, ..., None]
+    divH = _divergence(H_rho, H_z, rho[..., None, None], h)
+    divK = _divergence(K_rho, K_z, rho[..., None], h)
+
+    dw_rho, dw_z = dw_rho[1:-1], dw_z[:, 1:-1]
+    grad2 = np.einsum("...i,...j->...ij", dw_rho, dw_rho) + np.einsum(
+        "...i,...j->...ij", dw_z, dw_z
+    )
+    f_in = f[2:-2, 2:-2]
+    G = (Finv[2:-2, 2:-2] @ grad2) / f_in[..., None, None]
+
+    A = divH + G
+    trA = np.trace(A, axis1=-2, axis2=-1)
+    trA2 = np.clip(np.trace(A @ A, axis1=-2, axis2=-1), 0.0, None)
+    omega_term = 0.5 * f_in * np.einsum("...i,...ij,...j->...", divK, F[2:-2, 2:-2], divK)
+    tau_f = np.sqrt(np.clip(0.25 * trA**2 + 0.25 * trA2, 0.0, None))
+    tau_w = np.sqrt(np.clip(omega_term, 0.0, None))
+    tau = np.sqrt(np.clip(0.25 * trA**2 + 0.25 * trA2 + omega_term, 0.0, None))
+    return tau, tau_f, tau_w
+
+
+def _tension_at(m, points, h):
+    """(|tau|, |tau_F part|, |tau_omega part|) arrays at an (N, 2) array of
+    points, each from the 5x5 patch of spacing h centered on it."""
+    pts = np.asarray(points, dtype=float)
+    # the axis set lies on rho = 0, so clearing the half-plane boundary by
+    # the stencil reach 2h also clears the axis set by at least 2h
+    if np.any(pts[:, 0] - 2.0 * h <= 0.0):
+        raise ValueError("stencil leaves the half plane; reduce h or move the point")
+    offsets = np.arange(-2, 3) * h
+    patches = np.empty((5, 5) + pts.shape)
+    patches[..., 0] = pts[:, 0] + offsets[:, None, None]
+    patches[..., 1] = pts[:, 1] + offsets[None, :, None]
+    parts = _tension_stencil(*_point_fields(m, patches), pts[:, 0], h)
+    return tuple(part[0, 0] for part in parts)
 
 
 def tension_parts(m, rho, z, h):
@@ -617,73 +699,7 @@ def tension_parts(m, rho, z, h):
     The stencil reaches 2h; the point must keep distance > 2h from the
     axis set and the half-plane boundary.
     """
-    rho = float(rho)
-    z = float(z)
-    # the axis set lies on rho = 0, so clearing the half-plane boundary by
-    # the stencil reach 2h also clears the axis set by at least 2h
-    if rho - 2.0 * h <= 0.0:
-        raise ValueError("stencil leaves the half plane; reduce h or move the point")
-
-    offs = {
-        (0, 0),
-        (1, 0),
-        (-1, 0),
-        (0, 1),
-        (0, -1),
-        (2, 0),
-        (-2, 0),
-        (0, 2),
-        (0, -2),
-    }
-    offs = sorted(offs)
-    pts = np.array([[rho + i * h, z + j * h] for i, j in offs])
-    F = m.F(pts)
-    w = m.omega(pts)
-    at = {o: k for k, o in enumerate(offs)}
-
-    def FA(i, j):
-        return F[at[(i, j)]]
-
-    def WA(i, j):
-        return w[at[(i, j)]]
-
-    Finv = {o: np.linalg.inv(F[at[o]]) for o in [(0, 0), (1, 0), (-1, 0), (0, 1), (0, -1)]}
-
-    def H_rho(i, j):
-        return Finv[(i, j)] @ (FA(i + 1, j) - FA(i - 1, j)) / (2.0 * h)
-
-    def H_z(i, j):
-        return Finv[(i, j)] @ (FA(i, j + 1) - FA(i, j - 1)) / (2.0 * h)
-
-    divH = _axis_divergence(
-        H_rho(-1, 0), H_rho(1, 0), H_rho(0, 0), H_z(0, -1), H_z(0, 1), rho, h
-    )
-
-    f0 = np.linalg.det(FA(0, 0))
-    dw_rho = (WA(1, 0) - WA(-1, 0)) / (2.0 * h)
-    dw_z = (WA(0, 1) - WA(0, -1)) / (2.0 * h)
-    grad2 = np.outer(dw_rho, dw_rho) + np.outer(dw_z, dw_z)
-    G = Finv[(0, 0)] @ grad2 / f0
-
-    def K_rho(i, j):
-        fij = np.linalg.det(FA(i, j))
-        return Finv[(i, j)] @ (WA(i + 1, j) - WA(i - 1, j)) / (2.0 * h) / fij
-
-    def K_z(i, j):
-        fij = np.linalg.det(FA(i, j))
-        return Finv[(i, j)] @ (WA(i, j + 1) - WA(i, j - 1)) / (2.0 * h) / fij
-
-    divK = _axis_divergence(
-        K_rho(-1, 0), K_rho(1, 0), K_rho(0, 0), K_z(0, -1), K_z(0, 1), rho, h
-    )
-
-    A = divH + G
-    term_trace = 0.25 * np.trace(A) ** 2
-    term_sq = 0.25 * max(np.trace(A @ A), 0.0)
-    term_omega = 0.5 * f0 * float(divK @ (FA(0, 0) @ divK))
-    tau_f = math.sqrt(max(term_trace + term_sq, 0.0))
-    tau_w = math.sqrt(max(term_omega, 0.0))
-    return math.sqrt(max(term_trace + term_sq + term_omega, 0.0)), tau_f, tau_w
+    return tuple(float(part[0]) for part in _tension_at(m, [(rho, z)], h))
 
 
 def tension_norm(m, rho, z, h):
@@ -696,69 +712,35 @@ def tension_field(m, h, rho_max, z_lo, z_hi, excision_factor=3.0, excision=None)
 
     Returns (rho_grid, z_grid, tau, tau_f, tau_omega, mask); tau is NaN
     outside the mask.  The grid starts at rho = h, and tau lives on the
-    interior points rho >= 3h.
+    interior points rho >= 3h.  The kernel runs on strips of STRIP_ROWS
+    result rows, so besides the returned arrays the memory in use is one
+    strip's; each strip carries its last four rows of point fields into
+    the next, so F is computed once per grid point.
     """
     if excision is None:
         excision = excision_factor * h
-    n = m.n
     n_rho = int(round(rho_max / h))
     n_z = int(round((z_hi - z_lo) / h)) + 1
     rho = (np.arange(n_rho) + 1.0) * h
     z = z_lo + np.arange(n_z) * h
-    R, Z = np.meshgrid(rho, z, indexing="ij")
-    pts = np.stack([R, Z], axis=-1)
-
-    F = m.F(pts)
-    w = m.omega(pts)
-    Finv = np.linalg.inv(F)
-    f = np.linalg.det(F)
-
-    dF_rho = (F[2:, 1:-1] - F[:-2, 1:-1]) / (2.0 * h)
-    dF_z = (F[1:-1, 2:] - F[1:-1, :-2]) / (2.0 * h)
-    Fi = Finv[1:-1, 1:-1]
-    H_rho = Fi @ dF_rho
-    H_z = Fi @ dF_z
-
-    dw_rho = (w[2:, 1:-1] - w[:-2, 1:-1]) / (2.0 * h)
-    dw_z = (w[1:-1, 2:] - w[1:-1, :-2]) / (2.0 * h)
-    K_rho = np.einsum("...ij,...j->...i", Fi, dw_rho) / f[1:-1, 1:-1, None]
-    K_z = np.einsum("...ij,...j->...i", Fi, dw_z) / f[1:-1, 1:-1, None]
-
-    Rin = R[1:-1, 1:-1]
-    divH = (
-        (H_rho[2:, 1:-1] - H_rho[:-2, 1:-1]) / (2.0 * h)
-        + H_rho[1:-1, 1:-1] / Rin[1:-1, 1:-1, None, None]
-        + (H_z[1:-1, 2:] - H_z[1:-1, :-2]) / (2.0 * h)
-    )
-    divK = (
-        (K_rho[2:, 1:-1] - K_rho[:-2, 1:-1]) / (2.0 * h)
-        + K_rho[1:-1, 1:-1] / Rin[1:-1, 1:-1, None]
-        + (K_z[1:-1, 2:] - K_z[1:-1, :-2]) / (2.0 * h)
-    )
-
-    grad2 = np.einsum("...i,...j->...ij", dw_rho, dw_rho) + np.einsum(
-        "...i,...j->...ij", dw_z, dw_z
-    )
-    G = (Fi @ grad2)[1:-1, 1:-1] / f[2:-2, 2:-2, None, None]
-
-    A = divH + G
-    trA = np.trace(A, axis1=-2, axis2=-1)
-    trA2 = np.clip(np.trace(A @ A, axis1=-2, axis2=-1), 0.0, None)
-    f_in = f[2:-2, 2:-2]
-    F_in = F[2:-2, 2:-2]
-    omega_term = 0.5 * f_in * np.einsum("...i,...ij,...j->...", divK, F_in, divK)
-    tau_f = np.sqrt(np.clip(0.25 * trA**2 + 0.25 * trA2, 0.0, None))
-    tau_w = np.sqrt(np.clip(omega_term, 0.0, None))
-    tau = np.sqrt(np.clip(0.25 * trA**2 + 0.25 * trA2 + omega_term, 0.0, None))
-
-    R_t = R[2:-2, 2:-2]
-    Z_t = Z[2:-2, 2:-2]
-    dist = m.distance_to_axis(np.stack([R_t, Z_t], axis=-1))
-    mask = dist > excision
-    tau = np.where(mask, tau, np.nan)
-    tau_f = np.where(mask, tau_f, np.nan)
-    tau_w = np.where(mask, tau_w, np.nan)
-    return R_t, Z_t, tau, tau_f, tau_w, mask
+    R_t, Z_t = np.meshgrid(rho[2:-2], z[2:-2], indexing="ij")
+    taus = tuple(np.empty(R_t.shape) for _ in range(3))
+    mask = np.empty(R_t.shape, dtype=bool)
+    fields = None
+    for a in range(0, R_t.shape[0], STRIP_ROWS):
+        b = min(a + STRIP_ROWS, R_t.shape[0])
+        # result rows a..b-1 read grid rows a..b+3; rows a..a+3 are carried
+        first = a if fields is None else a + 4
+        R, Z = np.meshgrid(rho[first : b + 4], z, indexing="ij")
+        new = _point_fields(m, np.stack([R, Z], axis=-1))
+        if fields is not None:
+            new = tuple(np.concatenate([old[-4:], part]) for old, part in zip(fields, new))
+        fields = new
+        keep = m.distance_to_axis(np.stack([R_t[a:b], Z_t[a:b]], axis=-1)) > excision
+        mask[a:b] = keep
+        for out, part in zip(taus, _tension_stencil(*fields, rho[a + 2 : b + 2, None], h)):
+            out[a:b] = np.where(keep, part, np.nan)
+    return (R_t, Z_t) + taus + (mask,)
 
 
 # ----------------------------------------------------------------------
@@ -863,6 +845,9 @@ def verify_tension(m: ModelMap, spec: GridSpec | None = None, **kwargs) -> Tensi
     clearance = max(spec.sup_clearance, excision)
     center_r1 = np.hypot(R1, Z1 - z0)
     dist1 = m.distance_to_axis(np.stack([R1, Z1], axis=-1))
+    if spec.refine:
+        center_r2 = np.hypot(R2, Z2 - z0)
+        dist2 = m.distance_to_axis(np.stack([R2, Z2], axis=-1))
     annuli_bounds = [
         (0.0, 0.75 * width),
         (0.75 * width, 1.5 * width),
@@ -882,8 +867,6 @@ def verify_tension(m: ModelMap, spec: GridSpec | None = None, **kwargs) -> Tensi
             "sup_coarse": sup1,
         }
         if spec.refine:
-            center_r2 = np.hypot(R2, Z2 - z0)
-            dist2 = m.distance_to_axis(np.stack([R2, Z2], axis=-1))
             sel2 = M2 & (center_r2 >= r_lo) & (center_r2 < r_hi) & (dist2 > clearance)
             sup2 = float(np.nanmax(np.where(sel2, T2, np.nan))) if sel2.any() else 0.0
             floor = spec.noise_floor
@@ -897,8 +880,11 @@ def verify_tension(m: ModelMap, spec: GridSpec | None = None, **kwargs) -> Tensi
             sup_ok = sup_ok and ok
         annuli.append(entry)
 
-    decay = _decay_fit(m, spec, width)
-    convergence = _convergence_probe(m, spec, lo, hi, width)
+    radii, angles, ray_points = _decay_rays(m, spec)
+    probes = _convergence_probes(m, spec, lo, hi, width)
+    tau_h = _tension_at(m, ray_points + probes, h)[0]
+    decay = _decay_fit(spec, radii, angles, tau_h[: len(ray_points)])
+    convergence = _convergence(m, spec, probes, tau_h[len(ray_points) :])
 
     decay_pass = bool(decay["pass"])
     passed = sup_ok and decay_pass
@@ -916,26 +902,30 @@ def verify_tension(m: ModelMap, spec: GridSpec | None = None, **kwargs) -> Tensi
     )
 
 
-def _decay_fit(m, spec, width):
-    R2_blend = m.blend_radii[1]
-    r_start = 1.5 * R2_blend
+def _decay_rays(m, spec):
+    """Radii, angles and (rho, z) points of the far-field decay rays; the
+    points run ray by ray, outwards along each ray."""
+    r_start = 1.5 * m.blend_radii[1]
     radii = r_start * np.power(10.0, np.linspace(0.0, 1.0, spec.decade_points))
     theta_lo = m.epsilon + spec.ray_margin
     theta_hi = math.pi - m.epsilon - spec.ray_margin
     angles = np.linspace(theta_lo, theta_hi, spec.rays)
+    points = [
+        (r * math.sin(theta), m.z0 + r * math.cos(theta)) for theta in angles for r in radii
+    ]
+    return radii, angles, points
+
+
+def _decay_fit(spec, radii, angles, taus):
+    """Log-log decay fit of |tau| along each ray; taus as from the points
+    of _decay_rays."""
     slopes = []
     max_tau = 0.0
     per_ray = []
-    for theta in angles:
-        taus = []
-        for r in radii:
-            rho = r * math.sin(theta)
-            z = m.z0 + r * math.cos(theta)
-            taus.append(tension_norm(m, rho, z, spec.h))
-        taus = np.array(taus)
-        max_tau = max(max_tau, float(taus.max()))
-        if np.all(taus > 0):
-            slope = float(np.polyfit(np.log(radii), np.log(taus), 1)[0])
+    for theta, ray_taus in zip(angles, np.reshape(taus, (len(angles), len(radii)))):
+        max_tau = max(max_tau, float(ray_taus.max()))
+        if np.all(ray_taus > 0):
+            slope = float(np.polyfit(np.log(radii), np.log(ray_taus), 1)[0])
             slopes.append(slope)
             per_ray.append({"theta": float(theta), "slope": slope})
         else:
@@ -963,30 +953,30 @@ def _decay_fit(m, spec, width):
     }
 
 
-def _convergence_probe(m, spec, lo, hi, width):
+def _convergence_probes(m, spec, lo, hi, width):
+    """Fixed probe points for the convergence order, skipping any whose
+    stencil at spacing h would leave the half plane."""
     probes = []
     for i in m.diagram.horizon_indices():
         z_lo, z_hi = m.diagram.rods[i].z
         probes.append((0.7 * (z_hi - z_lo) + 0.3, 0.5 * (z_lo + z_hi)))
     probes.append((0.5 * width + 0.5, 0.5 * (lo + hi)))
-    vals_h, vals_h2 = [], []
-    used = []
-    for rho, z in probes:
-        try:
-            vals_h.append(tension_norm(m, rho, z, spec.h))
-            vals_h2.append(tension_norm(m, rho, z, spec.h / 2.0))
-            used.append([rho, z])
-        except ValueError:
-            continue
-    if not vals_h:
+    return [(rho, z) for rho, z in probes if rho - 2.0 * spec.h > 0.0]
+
+
+def _convergence(m, spec, probes, vals_h):
+    """Residual convergence order at the probes, from |tau| at spacing h
+    (given) and h/2."""
+    if not probes:
         return {"points": [], "order": None}
-    sup_h = max(vals_h)
-    sup_h2 = max(vals_h2)
+    vals_h2 = _tension_at(m, probes, spec.h / 2.0)[0]
+    sup_h = float(vals_h.max())
+    sup_h2 = float(vals_h2.max())
     order = None
     if sup_h2 > 0 and sup_h > 0:
         order = float(math.log2(sup_h / sup_h2))
     return {
-        "points": used,
+        "points": [list(p) for p in probes],
         "sup_coarse": sup_h,
         "sup_fine": sup_h2,
         "order": order,
@@ -997,17 +987,21 @@ class TransformedMap:
     """Push a model map through F -> h F h^T, omega -> h omega.
 
     For |det h| = 1 the tension norm is pointwise invariant; the wrapper
-    exposes the same evaluation surface the tension routines use.
+    exposes the same evaluation surface the tension routines use.  The
+    frame factors transform as M -> h^-T M, so F keeps its factor form.
     """
 
     def __init__(self, base, h_matrix):
         self.base = base
         self.n = base.n
         self.h_matrix = np.asarray(h_matrix, dtype=float)
+        self._h_inv_t = np.linalg.inv(self.h_matrix).T
 
-    def F(self, points):
-        F = self.base.F(points)
-        return np.einsum("ij,...jk,lk->...il", self.h_matrix, F, self.h_matrix)
+    def frame_factors(self, points):
+        M, Minv, d = self.base.frame_factors(points)
+        return self._h_inv_t @ M, Minv @ self.h_matrix.T, d
+
+    F = ModelMap.F
 
     def omega(self, points):
         return np.einsum("ij,...j->...i", self.h_matrix, self.base.omega(points))

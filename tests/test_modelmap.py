@@ -1,14 +1,19 @@
+import ast
 import math
+import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from rodtopo import modelmap
 from rodtopo.errors import ModelMapError
 from rodtopo.roddiagram import Rod, RodDiagram
 from rodtopo.modelmap import (
     TransformedMap,
     build_model_map,
     potentials,
+    tension_field,
     tension_norm,
     tension_parts,
     verify_tension,
@@ -145,6 +150,13 @@ def test_omega_constant_on_tubes():
     assert np.allclose(w, [1.0, 0.5, 0.0])
 
 
+def test_modelmap_has_no_bare_asserts():
+    # python -O strips assert statements, so invariants must raise instead
+    tree = ast.parse(Path(modelmap.__file__).read_text(encoding="utf-8"))
+    lines = [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Assert)]
+    assert lines == []
+
+
 def test_missing_geometry_rejected():
     d = RodDiagram(
         3,
@@ -230,8 +242,6 @@ def test_det_growth_matches_kaluza_klein_scale():
 
 
 def test_grid_and_pointwise_tension_agree():
-    from rodtopo.modelmap import tension_field
-
     m = build_model_map(figure2_diagram())
     h = 0.1
     R, Z, T, _, _, M = tension_field(m, h, 3.0, 1.0, 3.0)
@@ -240,6 +250,35 @@ def test_grid_and_pointwise_tension_agree():
             continue
         pointwise = tension_norm(m, R[k, l], Z[k, l], h)
         assert pointwise == pytest.approx(T[k, l], rel=1e-9)
+
+
+def test_tension_field_independent_of_strip_height(monkeypatch):
+    m = build_model_map(figure2_diagram())
+    args = (m, 0.1, 3.0, -1.0, 6.0)
+    default = tension_field(*args)
+    rows = default[2].shape[0]
+    for strip_rows in (1, rows + 5):
+        monkeypatch.setattr(modelmap, "STRIP_ROWS", strip_rows)
+        for got, want in zip(tension_field(*args), default):
+            assert np.array_equal(got, want, equal_nan=True)
+
+
+def test_tension_field_memory_bounded_by_strip():
+    # beyond the arrays it returns, tension_field holds one strip, so its
+    # working memory must not grow with the number of rho rows
+    m = build_model_map(figure2_diagram())
+
+    def working_bytes(rho_max):
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            out = tension_field(m, 0.05, rho_max, -2.0, 10.0)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        return peak - sum(a.nbytes for a in out)
+
+    assert working_bytes(8.0) < 1.25 * working_bytes(4.0)
 
 
 def test_tension_invariant_under_unimodular_transform():
