@@ -15,6 +15,7 @@ entry dividing the next.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from itertools import combinations
 from math import gcd
@@ -26,30 +27,46 @@ class IntMatrix:
     __slots__ = ("rows", "cols", "_e")
 
     def __init__(self, entries):
-        rows = tuple(tuple(int(x) for x in row) for row in entries)
+        try:
+            # operator.index accepts exact integers only, never floats
+            rows = tuple(tuple(map(int, map(operator.index, row))) for row in entries)
+        except TypeError:
+            raise TypeError("entries must be integers") from None
         if not rows or not rows[0]:
             raise ValueError("matrix must have at least one row and one column")
         width = len(rows[0])
         if any(len(r) != width for r in rows):
             raise ValueError("ragged rows")
-        for row in rows:
-            for x in row:
-                if not isinstance(x, int):
-                    raise TypeError("entries must be integers")
         self.rows = len(rows)
         self.cols = width
         self._e = rows
 
     @classmethod
+    def _trusted(cls, rows):
+        """Wrap a nonempty tuple of equal-length tuples of ints without
+        re-checking them; only for results this module computed itself."""
+        matrix = object.__new__(cls)
+        matrix.rows = len(rows)
+        matrix.cols = len(rows[0])
+        matrix._e = rows
+        return matrix
+
+    @classmethod
     def from_columns(cls, columns):
-        cols = [tuple(int(x) for x in c) for c in columns]
+        cols = [tuple(c) for c in columns]
         if not cols:
             raise ValueError("need at least one column")
+        if any(len(c) != len(cols[0]) for c in cols):
+            raise ValueError("ragged columns")
         return cls(zip(*cols))
 
     @classmethod
     def identity(cls, n):
-        return cls([[1 if i == j else 0 for j in range(n)] for i in range(n)])
+        if n < 1:
+            raise ValueError("matrix must have at least one row and one column")
+        return cls._trusted(
+            tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
+        )
 
     @classmethod
     def zeros(cls, rows, cols):
@@ -72,15 +89,18 @@ class IntMatrix:
         return [list(r) for r in self._e]
 
     def transpose(self):
-        return IntMatrix(zip(*self._e))
+        return IntMatrix._trusted(tuple(zip(*self._e)))
 
     def __matmul__(self, other):
         if isinstance(other, IntMatrix):
             if self.cols != other.rows:
                 raise ValueError("shape mismatch")
-            ot = other.transpose()._e
-            return IntMatrix(
-                [[sum(a * b for a, b in zip(row, col)) for col in ot] for row in self._e]
+            ot = tuple(zip(*other._e))
+            return IntMatrix._trusted(
+                tuple(
+                    tuple(sum(a * b for a, b in zip(row, col)) for col in ot)
+                    for row in self._e
+                )
             )
         # matrix @ vector
         vec = tuple(int(x) for x in other)
@@ -89,7 +109,7 @@ class IntMatrix:
         return tuple(sum(a * b for a, b in zip(row, vec)) for row in self._e)
 
     def __neg__(self):
-        return IntMatrix([[-x for x in row] for row in self._e])
+        return IntMatrix._trusted(tuple(tuple(-x for x in row) for row in self._e))
 
     def __eq__(self, other):
         return isinstance(other, IntMatrix) and self._e == other._e
@@ -233,7 +253,11 @@ def hermite_normal_form(A: IntMatrix) -> HermiteResult:
                 q[j] = [u - f * v for u, v in zip(q[j], q[pr])]
         pivots.append((pr, col))
         pr += 1
-    result = HermiteResult(IntMatrix(h), IntMatrix(q), tuple(pivots))
+    result = HermiteResult(
+        IntMatrix._trusted(tuple(map(tuple, h))),
+        IntMatrix._trusted(tuple(map(tuple, q))),
+        tuple(pivots),
+    )
     _assert_hermite(result, A)
     return result
 
@@ -340,7 +364,7 @@ def smith_normal_form(A: IntMatrix) -> SmithResult:
             u[t] = [-x for x in u[t]]
         t += 1
 
-    S, U, V = IntMatrix(a), IntMatrix(u), IntMatrix(v)
+    S, U, V = (IntMatrix._trusted(tuple(map(tuple, x))) for x in (a, u, v))
     divisors = tuple(a[i][i] for i in range(size))
     result = SmithResult(S, U, V, divisors)
     _assert_smith(result, A)

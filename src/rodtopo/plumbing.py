@@ -31,6 +31,7 @@ from .roddiagram import (
     asymptotic_end,
     det2,
     _as_vector,
+    _torus_name,
 )
 
 
@@ -151,9 +152,11 @@ def triple_to_bundle(v1, v2, v3) -> Bundle:
     cols = H.columns()
     e1 = tuple(1 if i == 0 else 0 for i in range(n))
     e2 = tuple(1 if i == 1 else 0 for i in range(n))
-    assert cols[0] == e1 and cols[1] == e2, "admissible pair must reduce to e1, e2"
+    if cols[0] != e1 or cols[1] != e2:
+        raise PlumbingRelationError("admissible pair must reduce to e1, e2")
     q, r, p = cols[2][0], cols[2][1], cols[2][2]
-    assert all(x == 0 for x in cols[2][3:]), "third Hermite column must live in Z^3"
+    if any(x != 0 for x in cols[2][3:]):
+        raise PlumbingRelationError("third Hermite column must live in Z^3")
     if p == 0 and q == -1:
         # v3 and -v3 present the same rod; take the representative with q = +1
         q, r = 1, -r
@@ -206,7 +209,7 @@ def decompose_component(structures) -> ToricPlumbing:
 
     Structures are replaced by their negatives where needed so that every
     linearly dependent triple takes its canonical q = +1 form, then the
-    whole run is put into Hermite normal form.  The recursion
+    whole run is put into Hermite normal form once.  The recursion
     w_{i+2} = q_i w_i + r_i w_{i+1} + p_i p_ then holds exactly.
     """
     vs = [list(_as_vector(v)) for v in structures]
@@ -219,17 +222,22 @@ def decompose_component(structures) -> ToricPlumbing:
         _require_admissible(tuple(a), tuple(b), "a")
 
     l = len(vs) - 2
+    # The run's Hermite form is Q @ V with Q unimodular, so the columns of
+    # V obey the same linear relations as the reduced columns: a triple's
+    # dependence and its coefficient a can be read off the structures.
     for i in range(l):
-        W = hermite_normal_form(IntMatrix.from_columns(vs)).H.columns()
-        w1, w2, w3 = W[i], W[i + 1], W[i + 2]
-        if determinant_divisor(IntMatrix.from_columns([w1, w2, w3]), 3) == 0:
-            # dependent triple: w3 = a*w1 + b*w2 with a = +-1; flip the input
+        v1, v2, v3 = vs[i], vs[i + 1], vs[i + 2]
+        if determinant_divisor(IntMatrix.from_columns([v1, v2, v3]), 3) == 0:
+            # dependent triple: v3 = a*v1 + b*v2 with a = +-1; flip the input
             # structure so the recursion coefficient comes out +1
-            pair_q = hermite_normal_form(IntMatrix.from_columns([w1, w2])).Q
-            a = (pair_q @ w3)[0]
-            assert a in (1, -1), "admissible dependent triple must have unit coefficient"
+            pair_q = hermite_normal_form(IntMatrix.from_columns([v1, v2])).Q
+            a = (pair_q @ v3)[0]
+            if a not in (1, -1):
+                raise PlumbingRelationError(
+                    "admissible dependent triple must have unit coefficient"
+                )
             if a == -1:
-                vs[i + 2] = [-x for x in vs[i + 2]]
+                vs[i + 2] = [-x for x in v3]
 
     W = hermite_normal_form(IntMatrix.from_columns(vs)).H.columns()
     bundles = []
@@ -243,11 +251,16 @@ def decompose_component(structures) -> ToricPlumbing:
             vectors.append(vec)
         else:
             expected = _first_plumbing_vector(p, n)
-            assert vec == expected, "first plumbing vector must be e3 or 0"
+            if vec != expected:
+                raise PlumbingRelationError("first plumbing vector must be e3 or 0")
     result = ToricPlumbing(tuple(bundles), tuple(vectors), tuple(W))
     diag = verify_plumbing_relations(result.bundles, result.plumbing_vectors)
-    assert diag.ok, f"decomposition produced invalid relations: {diag.first_failure}"
-    assert diag.rods == result.rods_hnf
+    if not diag.ok:
+        raise PlumbingRelationError(
+            f"decomposition produced invalid relations: {diag.first_failure}"
+        )
+    if diag.rods != result.rods_hnf:
+        raise PlumbingRelationError("recursion does not regenerate the Hermite-form rods")
     return result
 
 
@@ -358,19 +371,23 @@ def verify_plumbing_relations(bundles, plumbing_vectors) -> PlumbingDiagnostics:
             )
         )
 
+    # last_used[k - 1]: the last coordinate used by p_1..p_{k-1}, -1 while
+    # they all vanish
+    last_used = []
+    last = -1
+    for vec in vecs:
+        last_used.append(last)
+        for j, x in enumerate(vec):
+            if x != 0:
+                last = max(last, j)
+
     # vanishing rule: a vector may reach at most one coordinate past the
     # last one used by the earlier nonzero vectors
     for kidx in range(2, l + 1):
         vk = vecs[kidx - 1]
-        used = [
-            j
-            for i in range(1, kidx)
-            for j, x in enumerate(vecs[i - 1])
-            if x != 0
-        ]
-        if not used:
+        if last_used[kidx - 1] < 0:
             continue
-        m = max(used) + 2  # 1-based position one past the last used entry
+        m = last_used[kidx - 1] + 2  # 1-based position one past the last used entry
         ok = all(vk[j] == 0 for j in range(m, n))
         checks.append(
             RelationCheck(
@@ -390,11 +407,7 @@ def verify_plumbing_relations(bundles, plumbing_vectors) -> PlumbingDiagnostics:
         if not nz:
             continue
         mk = nz[-1]
-        edge = 1
-        for i in range(1, kidx):
-            for j, x in enumerate(vecs[i - 1]):
-                if x != 0:
-                    edge = max(edge, j)
+        edge = max(1, last_used[kidx - 1])
         if mk != edge + 1:
             continue
         wk2 = rods[kidx + 1]
@@ -455,9 +468,9 @@ class DocPiece:
             bases = ", ".join(b.base_display() for b in self.plumbing.bundles)
             return f"toric plumbing of [{bases}]"
         if self.kind == "corner_ball":
-            return f"B^4 x {_torus(self.torus_factor)}" if self.torus_factor else "B^4"
+            return f"B^4 x {_torus_name(self.torus_factor)}" if self.torus_factor else "B^4"
         if self.kind == "cylinder":
-            return f"[0,1] x D^2 x {_torus(self.torus_factor)}"
+            return f"[0,1] x D^2 x {_torus_name(self.torus_factor)}"
         return f"R+ x {self.end.display()}"
 
     def to_json_dict(self):
@@ -471,10 +484,6 @@ class DocPiece:
         if self.end is not None:
             out["cross_section"] = self.end.to_json_dict()
         return out
-
-
-def _torus(k):
-    return "S^1" if k == 1 else f"T^{k}"
 
 
 @dataclass(frozen=True)

@@ -471,7 +471,10 @@ def cross_section_topology(v, w, n: int) -> CrossSectionTopology:
     H = hermite_normal_form(IntMatrix.from_columns([v, w])).H
     q = H[0, 1]
     p = H[1, 1]
-    assert p == d, "Hermite pivot must agree with the determinant divisor"
+    if p != d:
+        raise DiagramValidationError(
+            "Hermite pivot must agree with the determinant divisor"
+        )
     return CrossSectionTopology.lens(p, q, n - 2)
 
 
@@ -541,7 +544,10 @@ def normalize_compatibility(v1, v2, v3) -> CompatibilityNormalization:
     p, q = v2
     A = IntMatrix([(q, -p), (-n_, m)])
     triple = tuple(A @ v for v in (v1, v2, v3))
-    assert triple[0] == (1, 0) and triple[1] == (0, 1)
+    if triple[0] != (1, 0) or triple[1] != (0, 1):
+        raise InadmissibleCornerError(
+            "normalization must send the first two structures to e1, e2"
+        )
     return CompatibilityNormalization(A, triple, tuple(flips))
 
 

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from math import gcd
 from typing import Optional
 
-from .errors import ClassifyError, CompactifyError
+from .errors import ClassifyError, CompactifyError, RodTopoError
 from .intlin import (
     IntMatrix,
     hermite_normal_form,
@@ -42,11 +42,13 @@ class AbelianGroup:
     torsion: tuple  # entries > 1, each dividing the next
 
     def __post_init__(self):
-        assert self.free_rank >= 0
+        if self.free_rank < 0:
+            raise RodTopoError(f"negative free rank {self.free_rank}")
         for a, b in zip(self.torsion, self.torsion[1:]):
-            assert a > 1 and b % a == 0
-        if self.torsion:
-            assert self.torsion[0] > 1
+            if not (a > 1 and b % a == 0):
+                raise RodTopoError(f"torsion {self.torsion} is not a divisibility chain")
+        if self.torsion and self.torsion[0] <= 1:
+            raise RodTopoError(f"torsion {self.torsion} has a trivial factor")
 
     @property
     def trivial(self):
@@ -125,9 +127,11 @@ def fillin_path(v, w):
         u = qinv @ tuple(1 if i == 1 else 0 for i in range(n))
         return [v, u, w]
     q, p = col2[0], col2[1]
-    assert p >= 1 and all(x == 0 for x in col2[2:])
+    if p < 1 or any(x != 0 for x in col2[2:]):
+        raise CompactifyError(f"second Hermite column {col2} is not a plane vector")
     if q == 0:
-        assert p == 1, "primitive second structure forces p = 1 when q = 0"
+        if p != 1:
+            raise CompactifyError("primitive second structure forces p = 1 when q = 0")
         return [v, w]
     plane_chain = [(1, 0), (0, 1)]
     h_prev, h_cur = 0, 1  # numerators h_{-2}, h_{-1}
@@ -136,12 +140,14 @@ def fillin_path(v, w):
         h_prev, h_cur = h_cur, a * h_cur + h_prev
         k_prev, k_cur = k_cur, a * k_cur + k_prev
         plane_chain.append((k_cur, h_cur))
-    assert plane_chain[-1] == (q, p)
+    if plane_chain[-1] != (q, p):
+        raise CompactifyError(f"convergents end at {plane_chain[-1]}, not at {(q, p)}")
     chain = []
     for x, y in plane_chain:
         lifted = tuple(x if i == 0 else (y if i == 1 else 0) for i in range(n))
         chain.append(qinv @ lifted)
-    assert chain[0] == v and chain[-1] == w
+    if chain[0] != v or chain[-1] != w:
+        raise CompactifyError("fill-in chain does not join the two structures")
     return chain
 
 
@@ -353,7 +359,8 @@ def betti2(diagram: RodDiagram) -> int:
         raise ClassifyError(f"second Betti number chart needs n in 2..4, got {diagram.n}")
     corners = len(diagram.corners())
     k = corners - diagram.n
-    assert k >= 0, "simply connected diagram cannot have fewer corners than n"
+    if k < 0:
+        raise ClassifyError("simply connected diagram cannot have fewer corners than n")
     return k
 
 

@@ -225,3 +225,30 @@ def test_smith_divisors_match_sympy_invariant_factors():
         theirs = [abs(int(x)) for x in invariant_factors(sympy.Matrix(A.to_lists()))]
         theirs = [t for t in theirs if t != 0]
         assert mine == theirs
+
+
+def test_public_constructor_rejects_non_integers_and_ragged_rows():
+    with pytest.raises(TypeError):
+        IntMatrix([[1, 2.0]])
+    with pytest.raises(TypeError):
+        IntMatrix.from_columns([(1, 0), (0.5, 1)])
+    with pytest.raises(ValueError):
+        IntMatrix([[1, 2], [3]])
+    with pytest.raises(ValueError):
+        IntMatrix.from_columns([(1, 0), (1,)])
+    assert IntMatrix([[True, 0]]) == IntMatrix([[1, 0]])
+
+
+def test_internal_results_equal_validated_matrices():
+    rng = random.Random(112)
+    for _ in range(50):
+        A = rand_matrix(rng, rng.randint(1, 4), rng.randint(1, 4))
+        h, s = hermite_normal_form(A), smith_normal_form(A)
+        results = [h.H, h.Q, s.S, s.U, s.V, A.transpose(), -A, A @ A.transpose()]
+        results.append(IntMatrix.identity(A.rows))
+        for M in results:
+            validated = IntMatrix(M.to_lists())
+            assert M == validated
+            assert hash(M) == hash(validated)
+            assert (M.rows, M.cols) == (validated.rows, validated.cols)
+            assert all(type(x) is int for row in M.to_lists() for x in row)

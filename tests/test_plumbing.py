@@ -2,10 +2,12 @@ import random
 
 import pytest
 
+from rodtopo import plumbing
 from rodtopo.errors import InadmissibleCornerError, PlumbingRelationError
 from rodtopo.intlin import IntMatrix, determinant_divisor, hermite_normal_form
 from rodtopo.plumbing import (
     Bundle,
+    ToricPlumbing,
     decompose_component,
     doc_decomposition,
     plumbing_to_rods,
@@ -15,7 +17,12 @@ from rodtopo.plumbing import (
 )
 from rodtopo.roddiagram import Rod, RodDiagram
 
-from helpers import rand_admissible_chain, rand_unimodular
+from helpers import (
+    rand_admissible_chain,
+    rand_admissible_next,
+    rand_primitive,
+    rand_unimodular,
+)
 
 
 L52_E3 = Bundle.from_qrp(2, 3, 5, 0)  # over L(5,2), euler 3
@@ -134,6 +141,81 @@ def test_decomposition_coordinate_independent():
         tp2 = decompose_component([Q @ v for v in chain])
         assert tp1.bundles == tp2.bundles
         assert tp1.plumbing_vectors == tp2.plumbing_vectors
+
+
+def _reference_decompose(structures):
+    """decompose_component with its former per-triple sign fix: the whole
+    run's Hermite form, then Det_3 of the reduced triple, then the pair's
+    transformation matrix.  Returns the plumbing and the flipped indices."""
+    vs = [list(v) for v in structures]
+    flipped = []
+    for i in range(len(vs) - 2):
+        W = hermite_normal_form(IntMatrix.from_columns(vs)).H.columns()
+        w1, w2, w3 = W[i], W[i + 1], W[i + 2]
+        if determinant_divisor(IntMatrix.from_columns([w1, w2, w3]), 3) == 0:
+            a = (hermite_normal_form(IntMatrix.from_columns([w1, w2])).Q @ w3)[0]
+            assert a in (1, -1)
+            if a == -1:
+                vs[i + 2] = [-x for x in vs[i + 2]]
+                flipped.append(i + 2)
+    W = hermite_normal_form(IntMatrix.from_columns(vs)).H.columns()
+    bundles, vectors = [], []
+    for i in range(len(vs) - 2):
+        bundle = triple_to_bundle(W[i], W[i + 1], W[i + 2])
+        bundles.append(bundle)
+        if i > 0:
+            vectors.append(plumbing_vector(W[i], W[i + 1], W[i + 2], *bundle.qrp))
+    return ToricPlumbing(tuple(bundles), tuple(vectors), tuple(W)), flipped
+
+
+def _chain_with_dependent_triples(rng, n, length):
+    """Admissible chain where most triples are dependent,
+    v_{i+2} = +-v_i + b v_{i+1}, with the sign of every vector scrambled."""
+    chain = [rand_primitive(rng, n)]
+    chain.append(rand_admissible_next(rng, chain[0]))
+    while len(chain) < length:
+        if rng.random() < 0.7:
+            a, b = rng.choice((1, -1)), rng.randint(-2, 2)
+            chain.append(tuple(a * x + b * y for x, y in zip(chain[-2], chain[-1])))
+        else:
+            chain.append(rand_admissible_next(rng, chain[-1]))
+    signs = [rng.choice((1, -1)) for _ in chain]
+    return [tuple(s * x for x in v) for s, v in zip(signs, chain)]
+
+
+def test_one_pass_sign_fix_matches_per_triple_reference():
+    rng = random.Random(49)
+    runs_with_flips = cascades = 0
+    for _ in range(200):
+        chain = _chain_with_dependent_triples(rng, rng.randint(3, 4), rng.randint(3, 12))
+        expected, flipped = _reference_decompose(chain)
+        assert decompose_component(chain) == expected
+        runs_with_flips += bool(flipped)
+        cascades += any(j + 1 in flipped for j in flipped)
+    # the a = -1 branch, and flips following flips, are both exercised
+    assert runs_with_flips >= 100
+    assert cascades >= 50
+
+
+def test_decompose_computes_two_wide_hermite_forms(monkeypatch):
+    widths = []
+
+    def counting(A):
+        widths.append(A.cols)
+        return hermite_normal_form(A)
+
+    monkeypatch.setattr(plumbing, "hermite_normal_form", counting)
+    rng = random.Random(50)
+    totals = {}
+    for length in (20, 40):
+        totals[length] = 0
+        for _ in range(4):
+            widths.clear()
+            decompose_component(rand_admissible_chain(rng, 4, length))
+            # the run's own form, and the check of the regenerated rods
+            assert sum(w > 3 for w in widths) <= 2
+            totals[length] += len(widths)
+    assert totals[40] <= 2.1 * totals[20]
 
 
 def test_det3_identity_for_nonzero_vectors():

@@ -1,0 +1,51 @@
+import ast
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parent.parent
+PACKAGE = ROOT / "src" / "rodtopo"
+
+
+def test_library_has_no_bare_asserts():
+    # python -O strips assert statements, so invariants must raise instead
+    found = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        found += [
+            f"{path.name}:{node.lineno}"
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Assert)
+        ]
+    assert found == []
+
+
+def _cli(args, optimize):
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    flags = ["-O"] if optimize else []
+    return subprocess.run(
+        [sys.executable, *flags, "-m", "rodtopo.cli", *args],
+        cwd=ROOT,
+        env=env,
+        capture_output=True,
+        timeout=120,
+    )
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["decompose", "diagrams/plumbed-doc.json", "--format", "json"],
+        ["analyze", "diagrams/counterexample.json"],
+    ],
+)
+def test_cli_output_identical_under_optimize(args):
+    plain = _cli(args, optimize=False)
+    optimized = _cli(args, optimize=True)
+    assert plain.returncode == 0, plain.stderr
+    assert optimized.returncode == plain.returncode
+    assert optimized.stdout == plain.stdout
+    assert plain.stdout
