@@ -21,17 +21,22 @@ from itertools import combinations
 from math import gcd
 
 
+def _int_vector(values):
+    """Tuple of plain ints; operator.index accepts exact integers only, so
+    a float or a string raises TypeError instead of being truncated."""
+    try:
+        return tuple(map(int, map(operator.index, values)))
+    except TypeError:
+        raise TypeError("entries must be integers") from None
+
+
 class IntMatrix:
     """Immutable integer matrix stored as a tuple of row tuples."""
 
     __slots__ = ("rows", "cols", "_e")
 
     def __init__(self, entries):
-        try:
-            # operator.index accepts exact integers only, never floats
-            rows = tuple(tuple(map(int, map(operator.index, row))) for row in entries)
-        except TypeError:
-            raise TypeError("entries must be integers") from None
+        rows = tuple(map(_int_vector, entries))
         if not rows or not rows[0]:
             raise ValueError("matrix must have at least one row and one column")
         width = len(rows[0])
@@ -103,7 +108,7 @@ class IntMatrix:
                 )
             )
         # matrix @ vector
-        vec = tuple(int(x) for x in other)
+        vec = _int_vector(other)
         if self.cols != len(vec):
             raise ValueError("shape mismatch")
         return tuple(sum(a * b for a, b in zip(row, vec)) for row in self._e)

@@ -129,7 +129,7 @@ class FrameSegment:
         """Frame matrices at the given z values (array), shape (N, n, n)."""
         z = np.asarray(z, dtype=float)
         if self.constant:
-            return np.broadcast_to(self.M0, z.shape + self.M0.shape).copy()
+            return np.broadcast_to(self.M0, z.shape + self.M0.shape)
         t = (z - self.z_lo) / (self.z_hi - self.z_lo)
         s = _smoothstep(t)
         return self.M0 + s[..., None, None] * (self.M1 - self.M0)
@@ -182,27 +182,43 @@ class ModelMap:
             out[mask] = self.segments[seg_id].eval(z[mask])
         return out
 
-    def frames(self, rho, z):
-        """Full frame field: the z-curve blended radially into the far
-        frame, so every transition stays inside a bounded region.  Both
-        frames carry the semi-infinite rod structures in their columns, so
-        the blend respects the kernel directions along the end rods."""
-        M = self.axis_frames(z)
+    def _blend_weight(self, rho, z):
+        """Radial blend weight chi: 0 within R1 of the far-field center,
+        1 beyond R2."""
         R1, R2 = self.blend_radii
-        chi = _smoothstep((np.hypot(rho, np.asarray(z) - self.z0) - R1) / (R2 - R1))
-        return M + chi[..., None, None] * (self.far_frame - M)
+        return _smoothstep((np.hypot(rho, z - self.z0) - R1) / (R2 - R1))
 
     def frame_factors(self, points):
         """(M, M^-1, d) at an (N, 2) array of (rho, z) points, with
-        F = M^-T diag(d) M^-1 and d = (e^U, e^V, 1, ..., 1)."""
+        F = M^-T diag(d) M^-1 and d = (e^U, e^V, 1, ..., 1).
+
+        The frame field is the z-curve blended radially into the far
+        frame, M = A(z) + chi (far - A(z)), so every transition stays
+        inside a bounded region.  Both frames carry the semi-infinite rod
+        structures in their columns, so the blend respects the kernel
+        directions along the end rods.  A and its inverse are evaluated
+        once per distinct z; only points with chi > 0 get their own
+        blended frame and inverse (where chi = 0 the blend is exactly A).
+        """
         pts = np.asarray(points, dtype=float)
         rho, z = pts[..., 0], pts[..., 1]
         U, V = self._UV(rho, z)
-        M = self.frames(rho, z)
+        z_axis, at = np.unique(z, return_inverse=True)
+        at = at.reshape(z.shape)
+        A = self.axis_frames(z_axis)
+        M = A[at]
+        Minv = np.linalg.inv(A)[at]
+        chi = self._blend_weight(rho, z)
+        blend = chi > 0.0
+        if blend.any():
+            Mb = M[blend]
+            Mb += chi[blend][:, None, None] * (self.far_frame - Mb)
+            M[blend] = Mb
+            Minv[blend] = np.linalg.inv(Mb)
         d = np.ones(rho.shape + (self.n,))
         d[..., 0] = np.exp(U)
         d[..., 1] = np.exp(V)
-        return M, np.linalg.inv(M), d
+        return M, Minv, d
 
     def F(self, points):
         """Matrix field at an (N, 2) array of (rho, z) points; (N, n, n)."""
@@ -227,15 +243,18 @@ class ModelMap:
             else:
                 s = _smoothstep((z[mask] - z_lo) / (z_hi - z_lo))
                 near[mask] = c0 + s[:, None] * (c1 - c0)
-        c_north, c_south = map(np.asarray, self.omega_far)
-        r = np.hypot(rho, z - self.z0)
-        theta = np.arctan2(rho, z - self.z0)  # 0 at the north axis
-        span = math.pi - 2.0 * self.epsilon
-        s_theta = _smoothstep((theta - self.epsilon) / span)
-        far = c_north + s_theta[..., None] * (c_south - c_north)
-        R1, R2 = self.blend_radii
-        chi = _smoothstep((r - R1) / (R2 - R1))
-        return (1.0 - chi[..., None]) * near + chi[..., None] * far
+        # the far-field angular profile only enters where chi > 0
+        chi = self._blend_weight(rho, z)
+        blend = chi > 0.0
+        if blend.any():
+            c_north, c_south = map(np.asarray, self.omega_far)
+            theta = np.arctan2(rho[blend], z[blend] - self.z0)  # 0 at the north axis
+            span = math.pi - 2.0 * self.epsilon
+            s_theta = _smoothstep((theta - self.epsilon) / span)
+            far = c_north + s_theta[:, None] * (c_south - c_north)
+            c = chi[blend][:, None]
+            near[blend] = (1.0 - c) * near[blend] + c * far
+        return near
 
     def det_f(self, points):
         return np.linalg.det(self.F(points))
@@ -285,6 +304,8 @@ def build_model_map(
     then blows up near the axis inside that transition).
     """
     _check_model_input(diagram)
+    if not 0.0 <= epsilon < 0.5 * math.pi:
+        raise ModelMapError(f"epsilon = {epsilon} must lie in [0, pi/2)")
     n = diagram.n
 
     comps = diagram.axis_components()
@@ -819,6 +840,7 @@ def verify_tension(m: ModelMap, spec: GridSpec | None = None, **kwargs) -> Tensi
         spec = GridSpec(**kwargs)
     elif kwargs:
         raise TypeError("pass either a GridSpec or keyword options, not both")
+    _check_spec(m, spec)
     h = spec.h
     lo, hi = _finite_extent(m)
     width = max(hi - lo, 1.0)
@@ -836,6 +858,11 @@ def verify_tension(m: ModelMap, spec: GridSpec | None = None, **kwargs) -> Tensi
         )
 
     R1, Z1, T1, TF1, TW1, M1 = field_at(h)
+    if not M1.any():
+        raise ModelMapError(
+            f"the grid at h = {h} has no interior point outside the "
+            f"excision radius {excision}"
+        )
     if spec.refine:
         R2, Z2, T2, _, _, M2 = field_at(h / 2.0)
 
@@ -900,6 +927,21 @@ def verify_tension(m: ModelMap, spec: GridSpec | None = None, **kwargs) -> Tensi
         passed=passed,
         field=(R1, Z1, T1, TF1, TW1),
     )
+
+
+def _check_spec(m, spec):
+    """Reject settings under which the verifier would judge empty data."""
+    if not (math.isfinite(spec.h) and spec.h > 0.0):
+        raise ModelMapError(f"grid spacing h = {spec.h} must be finite and > 0")
+    if spec.rays < 1:
+        raise ModelMapError(f"rays = {spec.rays} must be at least 1")
+    if spec.decade_points < 2:
+        raise ModelMapError(f"decade_points = {spec.decade_points} must be at least 2")
+    if m.epsilon + spec.ray_margin >= 0.5 * math.pi:
+        raise ModelMapError(
+            f"epsilon + ray_margin = {m.epsilon + spec.ray_margin} leaves no "
+            "decay rays inside the omega wedge (must be < pi/2)"
+        )
 
 
 def _decay_rays(m, spec):

@@ -20,6 +20,7 @@ from .intlin import (
     IntMatrix,
     determinant_divisor,
     hermite_normal_form,
+    _int_vector,
     is_primitive_vector,
 )
 
@@ -40,7 +41,7 @@ class RodStructure:
 
     @classmethod
     def from_raw(cls, components):
-        raw = tuple(int(x) for x in components)
+        raw = _int_vector(components)
         if not is_primitive_vector(raw):
             raise ValueError(f"structure {raw} is not primitive")
         return cls(_normalize_sign(raw), raw)
@@ -69,7 +70,7 @@ def _as_vector(v):
     """Accept a RodStructure or a plain integer sequence."""
     if isinstance(v, RodStructure):
         return v.v
-    return tuple(int(x) for x in v)
+    return _int_vector(v)
 
 
 @dataclass(frozen=True)

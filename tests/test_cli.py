@@ -176,23 +176,56 @@ def test_model_verify_missing_geometry(capsys, counterexample_path):
     assert "geometry" in capsys.readouterr().err
 
 
-def test_model_verify_runs(capsys, tmp_path):
-    d = {
-        "n": 3,
-        "shape": "half_plane",
-        "rods": [
-            {"kind": "axis", "v": [1, 0, 0], "z": ["-inf", 0], "potential": [0, 0, 0]},
-            {"kind": "horizon", "z": [0, 1]},
-            {"kind": "axis", "v": [1, 0, 0], "z": [1, "+inf"], "potential": [0, 0, 0]},
-        ],
-    }
+NO_CORNER = {
+    "n": 3,
+    "shape": "half_plane",
+    "rods": [
+        {"kind": "axis", "v": [1, 0, 0], "z": ["-inf", 0], "potential": [0, 0, 0]},
+        {"kind": "horizon", "z": [0, 1]},
+        {"kind": "axis", "v": [1, 0, 0], "z": [1, "+inf"], "potential": [0, 0, 0]},
+    ],
+}
+
+
+@pytest.fixture
+def no_corner_path(tmp_path):
     p = tmp_path / "nc.json"
-    p.write_text(json.dumps(d))
+    p.write_text(json.dumps(NO_CORNER))
+    return str(p)
+
+
+def test_model_verify_runs(capsys, tmp_path, no_corner_path):
     csv = tmp_path / "tau.csv"
     code, out = run_json(
-        capsys, "model-verify", str(p), "--grid-h", "0.2", "--rays", "3",
+        capsys, "model-verify", no_corner_path, "--grid-h", "0.2", "--rays", "3",
         "--dump-csv", str(csv),
     )
     assert code in (0, 1)  # pass/fail is the report's verdict
     assert out["decay"]["pass"] is True
     assert csv.exists()
+
+
+@pytest.mark.parametrize(
+    "args, setting",
+    [
+        (["--grid-h", "0"], "h = 0.0"),
+        (["--grid-h", "-0.1"], "h = -0.1"),
+        (["--grid-h", "nan"], "h = nan"),
+        (["--grid-h", "inf"], "h = inf"),
+        (["--grid-h", "5"], "h = 5.0"),  # grid without an interior point
+        (["--excision-factor", "1000"], "excision radius"),
+        (["--rays", "0"], "rays = 0"),
+        (["--epsilon", "1.6"], "epsilon = 1.6"),
+        (["--epsilon", "-0.1"], "epsilon = -0.1"),
+        (["--epsilon", "1.4"], "epsilon + ray_margin"),  # empty ray wedge
+    ],
+)
+def test_model_verify_rejects_invalid_settings(capsys, no_corner_path, args, setting):
+    # each of these once crashed or passed on an empty grid or ray set
+    assert main(["model-verify", no_corner_path, *args, "--format", "json"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1
+    assert lines[0].startswith("error: ")
+    assert setting in lines[0]

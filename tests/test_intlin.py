@@ -237,6 +237,8 @@ def test_public_constructor_rejects_non_integers_and_ragged_rows():
     with pytest.raises(ValueError):
         IntMatrix.from_columns([(1, 0), (1,)])
     assert IntMatrix([[True, 0]]) == IntMatrix([[1, 0]])
+    with pytest.raises(TypeError, match="entries must be integers"):
+        IntMatrix.identity(2) @ (1.5, 0)
 
 
 def test_internal_results_equal_validated_matrices():

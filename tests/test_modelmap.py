@@ -254,6 +254,66 @@ def test_tension_field_independent_of_strip_height(monkeypatch):
             assert np.array_equal(got, want, equal_nan=True)
 
 
+@pytest.mark.parametrize(
+    "diagram, transitions", [(figure2_diagram(), True), (no_corner_diagram(), False)]
+)
+def test_frame_factors_match_per_point_reference(diagram, transitions):
+    m = build_model_map(diagram)
+    R1, R2 = m.blend_radii
+    z_samples = [
+        seg.z_hi - 1.0 if seg.z_lo == -INF
+        else seg.z_lo + 1.0 if seg.z_hi == INF
+        else 0.5 * (seg.z_lo + seg.z_hi)
+        for seg in m.segments
+    ]
+    rho_samples = [0.5, 2.0, 0.5 * (R1 + R2), R2 + 5.0]
+    pts = np.array([(rho, z) for rho in rho_samples for z in z_samples])
+    M, Minv, d = m.frame_factors(pts)
+
+    chis = []
+    for k, (rho, z) in enumerate(pts):
+        A = m.axis_frames(np.array([z]))[0]
+        chi = modelmap._smoothstep((math.hypot(rho, z - m.z0) - R1) / (R2 - R1))
+        M_ref = A + chi * (m.far_frame - A)
+        U, V = m._UV(np.array([rho]), np.array([z]))
+        d_ref = np.ones(m.n)
+        d_ref[0], d_ref[1] = np.exp(U[0]), np.exp(V[0])
+        assert np.array_equal(M[k], M_ref)
+        assert np.array_equal(Minv[k], np.linalg.inv(M_ref))
+        assert np.array_equal(d[k], d_ref)
+        chis.append(chi)
+    # the batch covers plateaus, transition windows (figure 2 only), the
+    # blend annulus and the far region
+    assert any(not seg.constant for seg in m.segments) == transitions
+    assert {chi == 0.0 for chi in chis} == {True, False}
+    assert any(0.0 < chi < 1.0 for chi in chis) and 1.0 in chis
+
+
+def test_tension_field_inverts_frames_once_per_z(monkeypatch):
+    # the frame curve depends on z alone inside the radial blend, so one
+    # tension_field call inverts it once per distinct z and strip, and
+    # inverts per point only where the blend weight is positive
+    m = build_model_map(figure2_diagram())
+    h, rho_max, z_lo, z_hi = 0.5, 30.0, -25.0, 35.0
+    inverted = []
+    real_inv = np.linalg.inv
+
+    def counting_inv(a):
+        inverted.append(int(np.prod(np.shape(a)[:-2])))
+        return real_inv(a)
+
+    monkeypatch.setattr(np.linalg, "inv", counting_inv)
+    T = tension_field(m, h, rho_max, z_lo, z_hi)[2]
+    monkeypatch.undo()
+
+    rho = (np.arange(int(round(rho_max / h))) + 1.0) * h
+    z = z_lo + np.arange(int(round((z_hi - z_lo) / h)) + 1) * h
+    strips = -(-T.shape[0] // modelmap.STRIP_ROWS)
+    blended = np.count_nonzero(np.hypot(rho[:, None], z[None, :] - m.z0) > m.blend_radii[0])
+    assert 0 < blended < rho.size * z.size
+    assert sum(inverted) <= z.size * strips + blended
+
+
 def test_tension_field_memory_bounded_by_strip():
     # beyond the arrays it returns, tension_field holds one strip, so its
     # working memory must not grow with the number of rho rows
@@ -399,6 +459,16 @@ def test_no_horizon_parity_conflict_reported():
     )
     with pytest.raises(ModelMapError):
         build_model_map(d)
+
+
+@pytest.mark.parametrize(
+    "options, setting",
+    [({"decade_points": 1}, "decade_points"), ({"ray_margin": 1.4}, "ray_margin")],
+)
+def test_verify_tension_rejects_empty_decay_data(options, setting):
+    m = build_model_map(no_corner_diagram())
+    with pytest.raises(ModelMapError, match=setting):
+        verify_tension(m, h=0.2, **options)
 
 
 def test_verify_tension_harmonic_configuration():

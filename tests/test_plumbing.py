@@ -90,6 +90,12 @@ def test_decompose_figure4_component():
     assert tp.plumbing_vectors == ((1, 0, 2),)
 
 
+def test_decompose_rejects_float_entries():
+    # int() used to truncate 1.9 to 1 and decompose (1, 0, 0) in silence
+    with pytest.raises(TypeError, match="entries must be integers"):
+        decompose_component([(1.9, 0, 0), (0, 1, 0), (2, 1, 5)])
+
+
 def test_decompose_trivial_s3_chain_e4():
     tp = decompose_component(
         [(1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1)]
