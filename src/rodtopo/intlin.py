@@ -407,12 +407,10 @@ def determinant_divisor(A: IntMatrix, k: int) -> int:
     if not 1 <= k <= min(A.rows, A.cols):
         raise ValueError(f"k = {k} out of range for a {A.rows} x {A.cols} matrix")
     g = 0
-    rows = list(range(A.rows))
-    cols = list(range(A.cols))
-    for ri in combinations(rows, k):
-        for ci in combinations(cols, k):
-            sub = [[A[i, j] for j in ci] for i in ri]
-            g = gcd(g, _bareiss_det(sub))
+    col_sets = list(combinations(range(A.cols), k))
+    for rows in combinations(A._e, k):
+        for ci in col_sets:
+            g = gcd(g, _bareiss_det([[row[j] for j in ci] for row in rows]))
             if g == 1:
                 return 1
     return g
@@ -420,10 +418,7 @@ def determinant_divisor(A: IntMatrix, k: int) -> int:
 
 def is_primitive_vector(v) -> bool:
     """True iff the gcd of the components is 1."""
-    g = 0
-    for x in v:
-        g = gcd(g, int(x))
-    return g == 1
+    return gcd(*_int_vector(v)) == 1
 
 
 def is_primitive_set(vectors) -> bool:
@@ -432,7 +427,7 @@ def is_primitive_set(vectors) -> bool:
     Equivalent to Det_k = 1 for the matrix with the vectors as columns,
     and to the upper k x k block of its Hermite form being the identity.
     """
-    vectors = [tuple(int(x) for x in v) for v in vectors]
+    vectors = [_int_vector(v) for v in vectors]
     if not vectors:
         return True
     n = len(vectors[0])
@@ -444,7 +439,7 @@ def is_primitive_set(vectors) -> bool:
 
 def lattice_contains(A: IntMatrix, x) -> bool:
     """Membership of x in the integer column span of A, via the Smith form."""
-    x = tuple(int(t) for t in x)
+    x = _int_vector(x)
     if len(x) != A.rows:
         raise ValueError("vector length must match the row count")
     snf = smith_normal_form(A)

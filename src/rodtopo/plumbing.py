@@ -178,8 +178,14 @@ def plumbing_vector(w_i, w_i1, w_i2, q: int, r: int, p: int):
     the bundle datum does not belong to the given triple.
     """
     w_i, w_i1, w_i2 = _as_vector(w_i), _as_vector(w_i1), _as_vector(w_i2)
+    return _plumbing_vector_det3(w_i, w_i1, w_i2, q, r, p)[0]
+
+
+def _plumbing_vector_det3(w_i, w_i1, w_i2, q, r, p):
+    """plumbing_vector on integer tuples; also returns Det_3(w_i, w_i1,
+    vec), or None for the zero vector of p = 0."""
     if p == 0:
-        return tuple(0 for _ in w_i)
+        return tuple(0 for _ in w_i), None
     rest = vec_sub(w_i2, vec_add(vec_scale(q, w_i), vec_scale(r, w_i1)))
     if any(x % p != 0 for x in rest):
         raise PlumbingRelationError(
@@ -194,7 +200,7 @@ def plumbing_vector(w_i, w_i1, w_i2, q: int, r: int, p: int):
         raise PlumbingRelationError(
             f"triple (w_i, w_i+1, plumbing vector) has Det_3 = {d3}, expected 1"
         )
-    return vec
+    return vec, d3
 
 
 def _first_plumbing_vector(p1: int, n: int):
@@ -210,7 +216,9 @@ def decompose_component(structures) -> ToricPlumbing:
     Structures are replaced by their negatives where needed so that every
     linearly dependent triple takes its canonical q = +1 form, then the
     whole run is put into Hermite normal form once.  The recursion
-    w_{i+2} = q_i w_i + r_i w_{i+1} + p_i p_ then holds exactly.
+    w_{i+2} = q_i w_i + r_i w_{i+1} + p_i p_ then holds exactly, and its
+    relations are checked against the bundles and Det_3 values already
+    read off each triple of that form.
     """
     vs = [list(_as_vector(v)) for v in structures]
     if len(vs) < 3:
@@ -242,11 +250,13 @@ def decompose_component(structures) -> ToricPlumbing:
     W = hermite_normal_form(IntMatrix.from_columns(vs)).H.columns()
     bundles = []
     vectors = []
+    det3s = []
     for i in range(l):
         bundle = triple_to_bundle(W[i], W[i + 1], W[i + 2])
         q, r, p = bundle.qrp
-        vec = plumbing_vector(W[i], W[i + 1], W[i + 2], q, r, p)
+        vec, d3 = _plumbing_vector_det3(W[i], W[i + 1], W[i + 2], q, r, p)
         bundles.append(bundle)
+        det3s.append(d3)
         if i > 0:
             vectors.append(vec)
         else:
@@ -254,7 +264,13 @@ def decompose_component(structures) -> ToricPlumbing:
             if vec != expected:
                 raise PlumbingRelationError("first plumbing vector must be e3 or 0")
     result = ToricPlumbing(tuple(bundles), tuple(vectors), tuple(W))
-    diag = verify_plumbing_relations(result.bundles, result.plumbing_vectors)
+    rods, vecs = _run_recursion(result.bundles, result.plumbing_vectors)
+    if rods == result.rods_hnf:
+        # W is the checked output of hermite_normal_form, and its bundles and
+        # Det_3 values were read off it above: check against those facts
+        diag = _relation_diagnostics(result.bundles, rods, vecs, bundles, det3s, True)
+    else:
+        diag = verify_plumbing_relations(result.bundles, result.plumbing_vectors)
     if not diag.ok:
         raise PlumbingRelationError(
             f"decomposition produced invalid relations: {diag.first_failure}"
@@ -320,6 +336,26 @@ def verify_plumbing_relations(bundles, plumbing_vectors) -> PlumbingDiagnostics:
     just the first failure.
     """
     rods, vecs = _run_recursion(bundles, plumbing_vectors)
+    mat = IntMatrix.from_columns(rods)
+    in_hermite_form = hermite_normal_form(mat).H == mat
+    # both generators run inside the checks, in the order the checks are
+    # made; the roundtrip stops reading at the first triple that fails
+    det3s = (
+        None
+        if all(x == 0 for x in vec)
+        else determinant_divisor(IntMatrix.from_columns([rods[i], rods[i + 1], vec]), 3)
+        for i, vec in enumerate(vecs)
+    )
+    read_back = (triple_to_bundle(*rods[i : i + 3]) for i in range(len(vecs)))
+    return _relation_diagnostics(bundles, rods, vecs, read_back, det3s, in_hermite_form)
+
+
+def _relation_diagnostics(bundles, rods, vecs, read_back, det3s, in_hermite_form):
+    """The diagnostics of verify_plumbing_relations, built from the
+    recursion's rods and vectors and three facts about them: the bundles
+    read back off each rod triple, Det_3(w_i, w_{i+1}, p_i) for each
+    nonzero vector (None for a zero one), and whether the rods are in
+    Hermite form."""
     n = len(rods[0])
     l = len(bundles)
     checks = []
@@ -357,11 +393,9 @@ def verify_plumbing_relations(bundles, plumbing_vectors) -> PlumbingDiagnostics:
             )
         )
 
-    for i in range(1, l + 1):
-        vec = vecs[i - 1]
-        if all(x == 0 for x in vec):
+    for i, d3 in enumerate(det3s, start=1):
+        if d3 is None:
             continue
-        d3 = determinant_divisor(IntMatrix.from_columns([rods[i - 1], rods[i], vec]), 3)
         checks.append(
             RelationCheck(
                 "triple_primitive",
@@ -422,12 +456,11 @@ def verify_plumbing_relations(bundles, plumbing_vectors) -> PlumbingDiagnostics:
             )
         )
 
-    mat = IntMatrix.from_columns(rods)
     checks.append(
         RelationCheck(
             "hermite_form",
             -1,
-            hermite_normal_form(mat).H == mat,
+            in_hermite_form,
             "generated rod structures must already be in Hermite normal form",
         )
     )
@@ -437,8 +470,7 @@ def verify_plumbing_relations(bundles, plumbing_vectors) -> PlumbingDiagnostics:
     roundtrip_ok = True
     detail = ""
     try:
-        for i in range(l):
-            back = triple_to_bundle(rods[i], rods[i + 1], rods[i + 2])
+        for i, back in enumerate(read_back):
             if back != bundles[i]:
                 roundtrip_ok = False
                 detail = f"triple {i + 1} reads back as {back.to_json_dict()}"

@@ -445,7 +445,12 @@ def serialize(diagram: RodDiagram) -> str:
 
 
 def det2(v, w) -> int:
-    return determinant_divisor(IntMatrix.from_columns([_as_vector(v), _as_vector(w)]), 2)
+    v, w = _as_vector(v), _as_vector(w)
+    if len(v) != len(w):
+        raise ValueError("ragged columns")
+    if not v:
+        raise ValueError("matrix must have at least one row and one column")
+    return determinant_divisor(IntMatrix._trusted(tuple(zip(v, w))), 2)
 
 
 def classify_corner(v, w) -> CornerClass:

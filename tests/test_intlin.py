@@ -1,4 +1,6 @@
 import random
+from itertools import combinations
+from math import gcd
 
 import pytest
 
@@ -125,6 +127,39 @@ def test_determinant_divisor_against_minor_gcd_oracle():
             assert determinant_divisor(A, k) == minor_gcd(A, k)
 
 
+def _brute_force_divisor(A, k):
+    rows = A.to_lists()
+    g = 0
+    for ri in combinations(range(A.rows), k):
+        for ci in combinations(range(A.cols), k):
+            g = gcd(g, IntMatrix([[rows[i][j] for j in ci] for i in ri]).det())
+    return g
+
+
+def test_determinant_divisor_against_brute_force_minors():
+    rng = random.Random(113)
+    shapes = [(r, c) for r in range(1, 6) for c in range(1, 6)]
+    kinds = {"zero": 0, "rank_deficient": 0}
+    for trial in range(400):
+        # every shape in turn; every fifth round of shapes zero, the next
+        # one rank-deficient
+        m, n = shapes[trial % len(shapes)]
+        kind = trial // len(shapes) % 5
+        entries = [[rng.randint(-4, 4) for _ in range(n)] for _ in range(m)]
+        if kind == 0:
+            entries = [[0] * n for _ in range(m)]
+            kinds["zero"] += 1
+        elif kind == 1 and m > 1:
+            # last row a combination of the others, so Det_m vanishes
+            a = [rng.randint(-2, 2) for _ in range(m - 1)]
+            entries[-1] = [sum(c * row[j] for c, row in zip(a, entries)) for j in range(n)]
+            kinds["rank_deficient"] += 1
+        A = IntMatrix(entries)
+        for k in range(1, min(m, n) + 1):
+            assert determinant_divisor(A, k) == _brute_force_divisor(A, k)
+    assert min(kinds.values()) >= 60
+
+
 def test_determinant_divisor_invariance():
     rng = random.Random(107)
     for _ in range(150):
@@ -194,6 +229,22 @@ def test_large_entry_growth_is_exact():
     assert h.Q @ A == h.H
     s = smith_normal_form(A)
     assert s.U @ A @ s.V == s.S
+
+
+def test_primitive_vector_rejects_floats():
+    # int() used to truncate 1.5 to 1, which made this vector primitive
+    with pytest.raises(TypeError, match="entries must be integers"):
+        is_primitive_vector((1.5, 2))
+
+
+def test_primitive_set_rejects_floats():
+    with pytest.raises(TypeError, match="entries must be integers"):
+        is_primitive_set([(1.5, 0), (0, 1)])
+
+
+def test_lattice_contains_rejects_floats():
+    with pytest.raises(TypeError, match="entries must be integers"):
+        lattice_contains(IntMatrix([[2, 0], [0, 1]]), (2.7, 0))
 
 
 def test_lattice_contains():

@@ -203,25 +203,75 @@ def test_one_pass_sign_fix_matches_per_triple_reference():
     assert cascades >= 50
 
 
-def test_decompose_computes_two_wide_hermite_forms(monkeypatch):
+def test_decompose_reads_each_triple_once(monkeypatch):
     widths = []
+    det3_calls = []
 
-    def counting(A):
+    def counting_hermite(A):
         widths.append(A.cols)
         return hermite_normal_form(A)
 
-    monkeypatch.setattr(plumbing, "hermite_normal_form", counting)
+    def counting_divisor(A, k):
+        det3_calls.append(k)
+        return determinant_divisor(A, k)
+
+    monkeypatch.setattr(plumbing, "hermite_normal_form", counting_hermite)
+    monkeypatch.setattr(plumbing, "determinant_divisor", counting_divisor)
     rng = random.Random(50)
-    totals = {}
     for length in (20, 40):
-        totals[length] = 0
         for _ in range(4):
             widths.clear()
+            det3_calls.clear()
             decompose_component(rand_admissible_chain(rng, 4, length))
-            # the run's own form, and the check of the regenerated rods
-            assert sum(w > 3 for w in widths) <= 2
-            totals[length] += len(widths)
-    assert totals[40] <= 2.1 * totals[20]
+            l = length - 2
+            # the run's own form, and one 3-column form per triple
+            assert sum(w > 3 for w in widths) == 1
+            assert widths.count(3) == l
+            # the sign fix, and one plumbing vector per triple
+            assert det3_calls.count(3) <= 2 * l
+
+
+def test_decompose_checks_agree_with_full_verification(monkeypatch):
+    built = []
+    relation_diagnostics = plumbing._relation_diagnostics
+
+    def recording(*args):
+        built.append(relation_diagnostics(*args))
+        return built[-1]
+
+    monkeypatch.setattr(plumbing, "_relation_diagnostics", recording)
+    rng = random.Random(51)
+    for _ in range(200):
+        n = rng.randint(3, 5)
+        chain = rand_admissible_chain(rng, n, rng.randint(3, 10))
+        built.clear()
+        tp = decompose_component(chain)
+        # the decomposition built its diagnostics once, from its own facts
+        assert len(built) == 1
+        diag = verify_plumbing_relations(tp.bundles, tp.plumbing_vectors)
+        assert diag.ok
+        assert diag.rods == tp.rods_hnf
+        assert diag == built[0]
+
+
+def test_decompose_verifies_in_full_when_rods_are_not_regenerated(monkeypatch):
+    run_recursion = plumbing._run_recursion
+    verified = []
+
+    def off_by_one(bundles, vectors):
+        rods, vecs = run_recursion(bundles, vectors)
+        last = tuple(x + (j == 0) for j, x in enumerate(rods[-1]))
+        return rods[:-1] + (last,), vecs
+
+    def counting_verify(bundles, vectors):
+        verified.append(len(bundles))
+        return verify_plumbing_relations(bundles, vectors)
+
+    monkeypatch.setattr(plumbing, "_run_recursion", off_by_one)
+    monkeypatch.setattr(plumbing, "verify_plumbing_relations", counting_verify)
+    with pytest.raises(PlumbingRelationError):
+        decompose_component([(1, 0, 0), (0, 1, 0), (2, 1, 5), (2, 1, 4)])
+    assert verified == [2]
 
 
 def test_det3_identity_for_nonzero_vectors():

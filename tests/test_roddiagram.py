@@ -12,6 +12,7 @@ from rodtopo.roddiagram import (
     classify_corner,
     compatibility_inequality,
     cross_section_topology,
+    det2,
     diagram_equivalent,
     normalize_compatibility,
     parse,
@@ -212,6 +213,17 @@ def test_adjacent_horizons_rejected():
 
 # ----------------------------------------------------------------------
 # corner classification
+
+
+def test_det2_rejects_ragged_empty_and_float_input():
+    with pytest.raises(ValueError, match="ragged columns"):
+        det2((1, 0, 0), (0, 1))
+    with pytest.raises(ValueError, match="at least one row"):
+        det2((), ())
+    with pytest.raises(TypeError, match="entries must be integers"):
+        det2((1.5, 0, 0), (0, 1, 0))
+    with pytest.raises(ValueError, match="out of range"):
+        det2((1,), (2,))
 
 
 def test_classify_corner_examples():
