@@ -136,24 +136,14 @@ class IntMatrix:
         return self.rows == self.cols and self.det() in (1, -1)
 
     def inverse_unimodular(self):
-        """Exact inverse; requires det = +-1 so the inverse is integral."""
-        d = self.det()
-        if d not in (1, -1):
+        """Exact inverse; requires det = +-1 so the inverse is integral.
+
+        The Hermite form of a unimodular matrix is the identity, so its
+        transformation matrix Q (Q @ A == I) is the inverse.
+        """
+        if not self.is_unimodular():
             raise ValueError("matrix is not unimodular")
-        n = self.rows
-        adj = [[0] * n for _ in range(n)]
-        for i in range(n):
-            for j in range(n):
-                minor = [
-                    [self._e[r][c] for c in range(n) if c != j]
-                    for r in range(n)
-                    if r != i
-                ]
-                cof = _bareiss_det([row[:] for row in minor]) if n > 1 else 1
-                adj[j][i] = (-1) ** (i + j) * cof
-        if d == -1:
-            adj = [[-x for x in row] for row in adj]
-        return IntMatrix(adj)
+        return hermite_normal_form(self).Q
 
 
 def _bareiss_det(a):
@@ -465,7 +455,3 @@ def vec_sub(u, v):
 
 def vec_scale(c, v):
     return tuple(c * a for a in v)
-
-
-def vec_neg(v):
-    return tuple(-a for a in v)

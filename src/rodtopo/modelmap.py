@@ -774,7 +774,6 @@ class GridSpec:
     rays: int = 7
     decade_points: int = 24
     ray_margin: float = 0.25  # radians kept inside the omega wedge
-    refine: bool = True
     excision_factor: float = 3.0
     sup_clearance: float = 0.75  # axis clearance of the sup-stability compacts
     slope_limit: float = -2.3
@@ -852,29 +851,25 @@ def verify_tension(m: ModelMap, spec: GridSpec | None = None, **kwargs) -> Tensi
     z_hi = hi + 1.8 * width
     excision = spec.excision_factor * h
 
-    def field_at(step):
-        return tension_field(
-            m, step, rho_max, z_lo, z_hi, excision=excision
-        )
-
-    R1, Z1, T1, TF1, TW1, M1 = field_at(h)
+    R1, Z1, T1, TF1, TW1, M1 = tension_field(
+        m, h, rho_max, z_lo, z_hi, excision=excision
+    )
     if not M1.any():
         raise ModelMapError(
             f"the grid at h = {h} has no interior point outside the "
             f"excision radius {excision}"
         )
-    if spec.refine:
-        R2, Z2, T2, _, _, M2 = field_at(h / 2.0)
-
     # sup stability is judged on compact sets: fixed axis clearance, so
     # the finite-difference noise of the log-singular entries (which grows
-    # near the excision edge as h shrinks) stays out of the comparison
+    # near the excision edge as h shrinks) stays out of the comparison;
+    # the h/2 field is only compared there, so its mask is that compact
     clearance = max(spec.sup_clearance, excision)
+    R2, Z2, T2, _, _, M2 = tension_field(
+        m, h / 2.0, rho_max, z_lo, z_hi, excision=clearance
+    )
     center_r1 = np.hypot(R1, Z1 - z0)
     dist1 = m.distance_to_axis(np.stack([R1, Z1], axis=-1))
-    if spec.refine:
-        center_r2 = np.hypot(R2, Z2 - z0)
-        dist2 = m.distance_to_axis(np.stack([R2, Z2], axis=-1))
+    center_r2 = np.hypot(R2, Z2 - z0)
     annuli_bounds = [
         (0.0, 0.75 * width),
         (0.75 * width, 1.5 * width),
@@ -887,25 +882,26 @@ def verify_tension(m: ModelMap, spec: GridSpec | None = None, **kwargs) -> Tensi
         sup_ex = float(np.nanmax(np.where(ring1, T1, np.nan))) if ring1.any() else 0.0
         sel1 = ring1 & (dist1 > clearance)
         sup1 = float(np.nanmax(np.where(sel1, T1, np.nan))) if sel1.any() else 0.0
-        entry = {
-            "r_lo": r_lo,
-            "r_hi": r_hi,
-            "sup_excision": sup_ex,
-            "sup_coarse": sup1,
-        }
-        if spec.refine:
-            sel2 = M2 & (center_r2 >= r_lo) & (center_r2 < r_hi) & (dist2 > clearance)
-            sup2 = float(np.nanmax(np.where(sel2, T2, np.nan))) if sel2.any() else 0.0
-            floor = spec.noise_floor
-            if sup1 < floor and sup2 < floor:
-                ratio = 1.0
-            else:
-                ratio = max(sup1, sup2) / max(min(sup1, sup2), floor)
-            entry.update({"sup_fine": sup2, "ratio": ratio})
-            ok = ratio < spec.sup_ratio_limit or max(sup1, sup2) < floor
-            entry["pass"] = ok
-            sup_ok = sup_ok and ok
-        annuli.append(entry)
+        sel2 = M2 & (center_r2 >= r_lo) & (center_r2 < r_hi)
+        sup2 = float(np.nanmax(np.where(sel2, T2, np.nan))) if sel2.any() else 0.0
+        floor = spec.noise_floor
+        if sup1 < floor and sup2 < floor:
+            ratio = 1.0
+        else:
+            ratio = max(sup1, sup2) / max(min(sup1, sup2), floor)
+        ok = ratio < spec.sup_ratio_limit or max(sup1, sup2) < floor
+        annuli.append(
+            {
+                "r_lo": r_lo,
+                "r_hi": r_hi,
+                "sup_excision": sup_ex,
+                "sup_coarse": sup1,
+                "sup_fine": sup2,
+                "ratio": ratio,
+                "pass": ok,
+            }
+        )
+        sup_ok = sup_ok and ok
 
     radii, angles, ray_points = _decay_rays(m, spec)
     probes = _convergence_probes(m, spec, lo, hi, width)

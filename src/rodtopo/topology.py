@@ -113,18 +113,19 @@ def fillin_path(v, w):
     """Chain v = u_1, ..., u_k = w of primitive vectors with consecutive
     second determinant divisors equal to 1.
 
-    The pair is transformed so v becomes e1 and w becomes (q, p, 0, ...);
-    the chain is then built from the continued-fraction convergents of p/q
-    and mapped back.  Parallel inputs get one intermediate vector.
+    The Hermite transformation Q of [v w] sends v to e1 and w to
+    (q, p, 0, ...); the chain is built from the continued-fraction
+    convergents of p/q in that plane and mapped back through Q^-1 e1 = v
+    and Q^-1 e2 = (w - q v) / p, read off v and w without inverting Q.
+    Parallel inputs get one intermediate vector.
     """
     v, w = _as_vector(v), _as_vector(w)
     n = len(v)
     res = hermite_normal_form(IntMatrix.from_columns([v, w]))
-    qinv = res.Q.inverse_unimodular()
     col2 = res.H.column(1)
     if all(x == 0 for x in col2[1:]):
         # parallel structures: route through a basis-completing vector
-        u = qinv @ tuple(1 if i == 1 else 0 for i in range(n))
+        u = res.Q.inverse_unimodular() @ tuple(1 if i == 1 else 0 for i in range(n))
         return [v, u, w]
     q, p = col2[0], col2[1]
     if p < 1 or any(x != 0 for x in col2[2:]):
@@ -142,10 +143,12 @@ def fillin_path(v, w):
         plane_chain.append((k_cur, h_cur))
     if plane_chain[-1] != (q, p):
         raise CompactifyError(f"convergents end at {plane_chain[-1]}, not at {(q, p)}")
-    chain = []
-    for x, y in plane_chain:
-        lifted = tuple(x if i == 0 else (y if i == 1 else 0) for i in range(n))
-        chain.append(qinv @ lifted)
+    # Q v = g e1 with g = gcd(v), so Q^-1 e1 = v / g exactly; a
+    # non-primitive v (g > 1) then fails the join check below
+    g = res.H[0, 0]
+    t = tuple(a // g for a in v)
+    u = tuple((b - q * a) // p for a, b in zip(t, w))
+    chain = [tuple(x * a + y * b for a, b in zip(t, u)) for x, y in plane_chain]
     if chain[0] != v or chain[-1] != w:
         raise CompactifyError("fill-in chain does not join the two structures")
     return chain

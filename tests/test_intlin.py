@@ -262,7 +262,16 @@ def test_inverse_unimodular():
     for _ in range(50):
         n = rng.randint(1, 4)
         B = rand_unimodular(rng, n)
-        assert B @ B.inverse_unimodular() == IntMatrix.identity(n)
+        B_inv = B.inverse_unimodular()
+        assert B @ B_inv == IntMatrix.identity(n)
+        assert B_inv @ B == IntMatrix.identity(n)
+    singular = IntMatrix([(1, 2), (2, 4)])
+    det_two = IntMatrix([(2, 0), (0, 1)])
+    det_minus_two = IntMatrix([(0, 1), (2, 0)])
+    non_square = IntMatrix([(1, 0, 0), (0, 1, 0)])
+    for A in (singular, det_two, det_minus_two, non_square):
+        with pytest.raises(ValueError):
+            A.inverse_unimodular()
 
 
 def test_smith_divisors_match_sympy_invariant_factors():

@@ -497,7 +497,7 @@ def test_s2_end_variant():
 
 def test_csv_dump(tmp_path):
     m = build_model_map(no_corner_diagram())
-    rep = verify_tension(m, h=0.2, refine=False, decade_points=6, rays=3)
+    rep = verify_tension(m, h=0.2, decade_points=6, rays=3)
     path = tmp_path / "field.csv"
     rep.dump_csv(path)
     lines = path.read_text().splitlines()

@@ -1,10 +1,16 @@
 import random
+from pathlib import Path
 
 import pytest
 
 from rodtopo.errors import ClassifyError
-from rodtopo.intlin import IntMatrix, determinant_divisor, is_primitive_vector
-from rodtopo.roddiagram import Rod, RodDiagram, det2
+from rodtopo.intlin import (
+    IntMatrix,
+    determinant_divisor,
+    hermite_normal_form,
+    is_primitive_vector,
+)
+from rodtopo.roddiagram import Rod, RodDiagram, det2, parse
 from rodtopo.topology import (
     AbelianGroup,
     betti2,
@@ -17,6 +23,8 @@ from rodtopo.topology import (
 )
 
 from helpers import rand_primitive, rand_unimodular
+
+DIAGRAMS = Path(__file__).resolve().parent.parent / "diagrams"
 
 
 def counterexample():
@@ -157,6 +165,61 @@ def test_fillin_random_chains():
             assert is_primitive_vector(u)
         for a, b in zip(chain, chain[1:]):
             assert det2(a, b) == 1
+
+
+def test_fillin_and_compactify_invert_no_matrix(monkeypatch):
+    # a fill-in chain spans Q^-1 e1 and Q^-1 e2, which fillin_path reads
+    # off v and w; only parallel pairs need a column of Q^-1, and
+    # compactify merges those instead of filling them in
+    rng = random.Random(24)
+    diagrams = [_random_admissible_half_plane(rng) for _ in range(100)]
+    diagrams += [parse(p.read_text()) for p in sorted(DIAGRAMS.glob("*.json"))]
+
+    def refuse(self):
+        raise AssertionError("inverse_unimodular called")
+
+    monkeypatch.setattr(IntMatrix, "inverse_unimodular", refuse)
+    for n in range(2, 7):
+        for _ in range(60):
+            v, w = rand_primitive(rng, n), rand_primitive(rng, n)
+            if det2(v, w) != 0:
+                chain = fillin_path(v, w)
+                assert chain[0] == v and chain[-1] == w
+    for d in diagrams:
+        assert is_simply_connected(compactify(d).diagram)
+
+
+def test_fillin_matches_inverse_of_hermite_transformation():
+    # reference: the chain is Q^-1 applied to the continued-fraction plane
+    # chain of p/q, where Q [v w] = [e1 (q, p, 0, ...)]
+    sympy = pytest.importorskip("sympy")
+    from sympy.ntheory.continued_fraction import (
+        continued_fraction_convergents,
+        continued_fraction_iterator,
+    )
+
+    rng = random.Random(25)
+    for _ in range(500):
+        n = rng.randint(2, 6)
+        v = rand_primitive(rng, n)
+        w = v if rng.random() < 0.1 else rand_primitive(rng, n)
+        res = hermite_normal_form(IntMatrix.from_columns([v, w]))
+        q_inv = sympy.Matrix(res.Q.to_lists()).inv()
+        q, p = res.H[0, 1], res.H[1, 1]
+        if p == 0:
+            plane = [(1, 0), (0, 1), (q, 0)]
+        elif q == 0:
+            plane = [(1, 0), (0, 1)]
+        else:
+            convergents = continued_fraction_convergents(
+                continued_fraction_iterator(sympy.Rational(p, q))
+            )
+            plane = [(1, 0), (0, 1)] + [(c.q, c.p) for c in convergents]
+        expected = [
+            tuple(int(entry) for entry in q_inv * sympy.Matrix([x, y] + [0] * (n - 2)))
+            for x, y in plane
+        ]
+        assert fillin_path(v, w) == expected
 
 
 # ----------------------------------------------------------------------
