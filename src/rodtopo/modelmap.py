@@ -20,7 +20,7 @@ twist-potential interpolation at infinity, which decays like r^(-5/2).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -188,6 +188,13 @@ class ModelMap:
         R1, R2 = self.blend_radii
         return _smoothstep((np.hypot(rho, z - self.z0) - R1) / (R2 - R1))
 
+    def _coords(self, points):
+        """rho, z, the distinct z with each point's index into them, and chi."""
+        pts = np.asarray(points, dtype=float)
+        rho, z = pts[..., 0], pts[..., 1]
+        z_axis, at = np.unique(z, return_inverse=True)
+        return rho, z, z_axis, at.reshape(z.shape), self._blend_weight(rho, z)
+
     def frame_factors(self, points):
         """(M, M^-1, d) at an (N, 2) array of (rho, z) points, with
         F = M^-T diag(d) M^-1 and d = (e^U, e^V, 1, ..., 1).
@@ -200,15 +207,13 @@ class ModelMap:
         once per distinct z; only points with chi > 0 get their own
         blended frame and inverse (where chi = 0 the blend is exactly A).
         """
-        pts = np.asarray(points, dtype=float)
-        rho, z = pts[..., 0], pts[..., 1]
+        return self._frames(*self._coords(points))
+
+    def _frames(self, rho, z, z_axis, at, chi):
         U, V = self._UV(rho, z)
-        z_axis, at = np.unique(z, return_inverse=True)
-        at = at.reshape(z.shape)
         A = self.axis_frames(z_axis)
         M = A[at]
         Minv = np.linalg.inv(A)[at]
-        chi = self._blend_weight(rho, z)
         blend = chi > 0.0
         if blend.any():
             Mb = M[blend]
@@ -226,25 +231,24 @@ class ModelMap:
         return _congruence(Minv, d)
 
     def omega(self, points):
-        """Twist-potential field at an (N, 2) array of points; (N, n)."""
-        pts = np.asarray(points, dtype=float)
-        rho, z = pts[..., 0], pts[..., 1]
-        near = np.empty(rho.shape + (self.n,))
+        """Twist-potential field at an (N, 2) array of points; (N, n).  The zone
+        profile runs once per distinct z, the far profile only where chi > 0."""
+        return self._omega(*self._coords(points))
+
+    def _omega(self, rho, z, z_axis, at, chi):
+        profile = np.empty(z_axis.shape + (self.n,))
         zones_lo = np.array([seg[0] for seg in self.omega_profile])
-        idx = np.searchsorted(zones_lo, z, side="right") - 1
+        idx = np.searchsorted(zones_lo, z_axis, side="right") - 1
         idx = np.clip(idx, 0, len(self.omega_profile) - 1)
         for zone_id in np.unique(idx):
             mask = idx == zone_id
             z_lo, z_hi, c0, c1 = self.omega_profile[zone_id]
-            c0 = np.asarray(c0)
-            c1 = np.asarray(c1)
             if np.array_equal(c0, c1):
-                near[mask] = c0
+                profile[mask] = c0
             else:
-                s = _smoothstep((z[mask] - z_lo) / (z_hi - z_lo))
-                near[mask] = c0 + s[:, None] * (c1 - c0)
-        # the far-field angular profile only enters where chi > 0
-        chi = self._blend_weight(rho, z)
+                s = _smoothstep((z_axis[mask] - z_lo) / (z_hi - z_lo))
+                profile[mask] = c0 + s[:, None] * (c1 - c0)
+        near = profile[at]
         blend = chi > 0.0
         if blend.any():
             c_north, c_south = map(np.asarray, self.omega_far)
@@ -256,9 +260,6 @@ class ModelMap:
             near[blend] = (1.0 - c) * near[blend] + c * far
         return near
 
-    def det_f(self, points):
-        return np.linalg.det(self.F(points))
-
     def distance_to_axis(self, points):
         pts = np.asarray(points, dtype=float)
         rho, z = pts[..., 0], pts[..., 1]
@@ -267,23 +268,6 @@ class ModelMap:
             dz = np.maximum(np.maximum(z_lo - z, z - z_hi), 0.0)
             np.minimum(best, np.hypot(rho, dz), out=best)
         return best
-
-    def to_json_dict(self):
-        return {
-            "n": self.n,
-            "slots": {str(k): v for k, v in sorted(self.slots.items())},
-            "far_center": self.z0,
-            "blend_radii": list(self.blend_radii),
-            "epsilon": self.epsilon,
-            "transitions": [
-                {
-                    "z": [seg.z_lo, seg.z_hi],
-                    "held_column": seg.held_col,
-                }
-                for seg in self.segments
-                if not seg.constant
-            ],
-        }
 
 
 # ----------------------------------------------------------------------
@@ -639,11 +623,13 @@ def _congruence(X, d):
 def _point_fields(m, points):
     """Point stage of the tension kernel: F, F^-1, det F and omega at an
     array of points.  F^-1 = M diag(1/d) M^T comes from the frame factors
-    F = M^-T diag(d) M^-1, so no second matrix inverse is needed."""
-    M, Minv, d = m.frame_factors(points)
+    F = M^-T diag(d) M^-1, so no second matrix inverse is needed; chi and
+    the distinct z values are found once for both F and omega."""
+    coords = m._coords(points)
+    M, Minv, d = m._frames(*coords)
     F = _congruence(Minv, d)
     Finv = _congruence(np.swapaxes(M, -1, -2), 1.0 / d)
-    return F, Finv, np.linalg.det(F), m.omega(points)
+    return F, Finv, np.linalg.det(F), m._omega(*coords)
 
 
 def _divergence(v_rho, v_z, rho, h):
@@ -713,43 +699,32 @@ def _tension_at(m, points, h):
     return tuple(part[0, 0] for part in parts)
 
 
-def tension_parts(m, rho, z, h):
-    """(|tau|, |tau_F part|, |tau_omega part|) at one point by centered
-    finite differences with spacing h.
+def tension_norm(m, rho, z, h):
+    """|tau| at one point by centered finite differences with spacing h.
 
     The stencil reaches 2h; the point must keep distance > 2h from the
     axis set and the half-plane boundary.
     """
-    return tuple(float(part[0]) for part in _tension_at(m, [(rho, z)], h))
+    return float(_tension_at(m, [(rho, z)], h)[0][0])
 
 
-def tension_norm(m, rho, z, h):
-    """|tau| at one point; see tension_parts."""
-    return tension_parts(m, rho, z, h)[0]
+def _grid_axes(h, rho_max, z_lo, z_hi):
+    rho = (np.arange(int(round(rho_max / h))) + 1.0) * h
+    return rho, z_lo + np.arange(int(round((z_hi - z_lo) / h)) + 1) * h
 
 
-def tension_field(m, h, rho_max, z_lo, z_hi, excision_factor=3.0, excision=None):
-    """|tau| on a uniform grid, with points near the axis set excised.
-
-    Returns (rho_grid, z_grid, tau, tau_f, tau_omega, mask); tau is NaN
-    outside the mask.  The grid starts at rho = h, and tau lives on the
-    interior points rho >= 3h.  The kernel runs on strips of STRIP_ROWS
-    result rows, so besides the returned arrays the memory in use is one
-    strip's; each strip carries its last four rows of point fields into
-    the next, so F is computed once per grid point.
-    """
-    if excision is None:
-        excision = excision_factor * h
-    n_rho = int(round(rho_max / h))
-    n_z = int(round((z_hi - z_lo) / h)) + 1
-    rho = (np.arange(n_rho) + 1.0) * h
-    z = z_lo + np.arange(n_z) * h
-    R_t, Z_t = np.meshgrid(rho[2:-2], z[2:-2], indexing="ij")
-    taus = tuple(np.empty(R_t.shape) for _ in range(3))
-    mask = np.empty(R_t.shape, dtype=bool)
+def _tension_strips(m, h, rho_max, z_lo, z_hi, excision):
+    """The tension kernel on tension_field's grid, STRIP_ROWS result rows
+    at a time: yields (rows, rho, z, dist, mask, (tau, tau_f, tau_omega))
+    per strip, with the slice of result rows, the distance to the axis
+    set, mask = dist > excision and the parts NaN outside the mask.  Each
+    strip carries its last four rows of point fields into the next, so F
+    is computed once per grid point."""
+    rho, z = _grid_axes(h, rho_max, z_lo, z_hi)
+    rows = len(rho[2:-2])
     fields = None
-    for a in range(0, R_t.shape[0], STRIP_ROWS):
-        b = min(a + STRIP_ROWS, R_t.shape[0])
+    for a in range(0, rows, STRIP_ROWS):
+        b = min(a + STRIP_ROWS, rows)
         # result rows a..b-1 read grid rows a..b+3; rows a..a+3 are carried
         first = a if fields is None else a + 4
         R, Z = np.meshgrid(rho[first : b + 4], z, indexing="ij")
@@ -757,10 +732,31 @@ def tension_field(m, h, rho_max, z_lo, z_hi, excision_factor=3.0, excision=None)
         if fields is not None:
             new = tuple(np.concatenate([old[-4:], part]) for old, part in zip(fields, new))
         fields = new
-        keep = m.distance_to_axis(np.stack([R_t[a:b], Z_t[a:b]], axis=-1)) > excision
-        mask[a:b] = keep
-        for out, part in zip(taus, _tension_stencil(*fields, rho[a + 2 : b + 2, None], h)):
-            out[a:b] = np.where(keep, part, np.nan)
+        R, Z = np.meshgrid(rho[a + 2 : b + 2], z[2:-2], indexing="ij")
+        dist = m.distance_to_axis(np.stack([R, Z], axis=-1))
+        keep = dist > excision
+        parts = _tension_stencil(*fields, rho[a + 2 : b + 2, None], h)
+        yield slice(a, b), R, Z, dist, keep, tuple(np.where(keep, t, np.nan) for t in parts)
+
+
+def tension_field(m, h, rho_max, z_lo, z_hi, excision_factor=3.0, excision=None):
+    """|tau| on a uniform grid, with points near the axis set excised.
+
+    Returns (rho_grid, z_grid, tau, tau_f, tau_omega, mask); tau is NaN
+    outside the mask.  The grid starts at rho = h, and tau lives on the
+    interior points rho >= 3h.  Besides the returned arrays the memory in
+    use is one strip's (see _tension_strips).
+    """
+    if excision is None:
+        excision = excision_factor * h
+    rho, z = _grid_axes(h, rho_max, z_lo, z_hi)
+    R_t, Z_t = np.meshgrid(rho[2:-2], z[2:-2], indexing="ij")
+    taus = tuple(np.empty(R_t.shape) for _ in range(3))
+    mask = np.empty(R_t.shape, dtype=bool)
+    for rows, _, _, _, keep, parts in _tension_strips(m, h, rho_max, z_lo, z_hi, excision):
+        mask[rows] = keep
+        for out, part in zip(taus, parts):
+            out[rows] = part
     return (R_t, Z_t) + taus + (mask,)
 
 
@@ -792,30 +788,24 @@ class TensionReport:
     sup_bounded_pass: bool
     decay_pass: bool
     passed: bool
-    field: tuple = field(repr=False, default=())  # (rho, z, tau, tau_f, tau_w)
+    model: ModelMap = field(repr=False, compare=False, default=None)
 
     def to_json_dict(self):
-        return {
-            "h": self.h,
-            "excision_radius": self.excision_radius,
-            "domain": self.domain,
-            "annuli": self.annuli,
-            "decay": self.decay,
-            "convergence": self.convergence,
-            "sup_bounded_pass": self.sup_bounded_pass,
-            "decay_pass": self.decay_pass,
-            "passed": self.passed,
-        }
+        return {f.name: getattr(self, f.name) for f in fields(self) if f.name != "model"}
 
     def dump_csv(self, path):
-        rho, z, tau, tau_f, tau_w = self.field
+        """Write the spacing-h field outside the excision radius, strip by strip."""
+        d = self.domain
+        strips = _tension_strips(
+            self.model, self.h, d["rho_max"], d["z_lo"], d["z_hi"], self.excision_radius
+        )
         with open(path, "w") as fh:
             fh.write("rho,z,tau,tau_f,tau_omega\n")
-            it = np.nditer([rho, z, tau, tau_f, tau_w])
-            for r, zz, t, tf, tw in it:
-                if np.isnan(t):
-                    continue
-                fh.write(f"{float(r):.9g},{float(zz):.9g},{float(t):.12g},{float(tf):.12g},{float(tw):.12g}\n")
+            for _, rho, z, _, _, parts in strips:
+                for r, zz, t, tf, tw in np.nditer([rho, z, *parts]):
+                    if np.isnan(t):
+                        continue
+                    fh.write(f"{float(r):.9g},{float(zz):.9g},{float(t):.12g},{float(tf):.12g},{float(tw):.12g}\n")
 
 
 def _finite_extent(m):
@@ -843,7 +833,6 @@ def verify_tension(m: ModelMap, spec: GridSpec | None = None, **kwargs) -> Tensi
     h = spec.h
     lo, hi = _finite_extent(m)
     width = max(hi - lo, 1.0)
-    z0 = m.z0
 
     # cover all frame transitions (they reach 1.6 widths past the poles)
     rho_max = width + 2.0
@@ -851,39 +840,26 @@ def verify_tension(m: ModelMap, spec: GridSpec | None = None, **kwargs) -> Tensi
     z_hi = hi + 1.8 * width
     excision = spec.excision_factor * h
 
-    R1, Z1, T1, TF1, TW1, M1 = tension_field(
-        m, h, rho_max, z_lo, z_hi, excision=excision
-    )
-    if not M1.any():
-        raise ModelMapError(
-            f"the grid at h = {h} has no interior point outside the "
-            f"excision radius {excision}"
-        )
-    # sup stability is judged on compact sets: fixed axis clearance, so
-    # the finite-difference noise of the log-singular entries (which grows
-    # near the excision edge as h shrinks) stays out of the comparison;
-    # the h/2 field is only compared there, so its mask is that compact
-    clearance = max(spec.sup_clearance, excision)
-    R2, Z2, T2, _, _, M2 = tension_field(
-        m, h / 2.0, rho_max, z_lo, z_hi, excision=clearance
-    )
-    center_r1 = np.hypot(R1, Z1 - z0)
-    dist1 = m.distance_to_axis(np.stack([R1, Z1], axis=-1))
-    center_r2 = np.hypot(R2, Z2 - z0)
     annuli_bounds = [
         (0.0, 0.75 * width),
         (0.75 * width, 1.5 * width),
         (1.5 * width, 1.8 * width + rho_max),
     ]
+    # sup stability is judged on compact sets: fixed axis clearance, so
+    # the finite-difference noise of the log-singular entries (which grows
+    # near the excision edge as h shrinks) stays out of the comparison;
+    # the h/2 field is only compared there, so its mask is that compact
+    clearance = max(spec.sup_clearance, excision)
+    grid = (rho_max, z_lo, z_hi)
+    (sups_ex, sups1), kept = _annulus_sups(m, h, grid, annuli_bounds, (excision, clearance))
+    if not kept:
+        raise ModelMapError(
+            f"the grid at h = {h} has no interior point outside the "
+            f"excision radius {excision}"
+        )
+    (sups2,), _ = _annulus_sups(m, h / 2.0, grid, annuli_bounds, (clearance,))
     annuli = []
-    sup_ok = True
-    for r_lo, r_hi in annuli_bounds:
-        ring1 = M1 & (center_r1 >= r_lo) & (center_r1 < r_hi)
-        sup_ex = float(np.nanmax(np.where(ring1, T1, np.nan))) if ring1.any() else 0.0
-        sel1 = ring1 & (dist1 > clearance)
-        sup1 = float(np.nanmax(np.where(sel1, T1, np.nan))) if sel1.any() else 0.0
-        sel2 = M2 & (center_r2 >= r_lo) & (center_r2 < r_hi)
-        sup2 = float(np.nanmax(np.where(sel2, T2, np.nan))) if sel2.any() else 0.0
+    for (r_lo, r_hi), sup_ex, sup1, sup2 in zip(annuli_bounds, sups_ex, sups1, sups2):
         floor = spec.noise_floor
         if sup1 < floor and sup2 < floor:
             ratio = 1.0
@@ -901,7 +877,7 @@ def verify_tension(m: ModelMap, spec: GridSpec | None = None, **kwargs) -> Tensi
                 "pass": ok,
             }
         )
-        sup_ok = sup_ok and ok
+    sup_ok = all(a["pass"] for a in annuli)
 
     radii, angles, ray_points = _decay_rays(m, spec)
     probes = _convergence_probes(m, spec, lo, hi, width)
@@ -921,8 +897,29 @@ def verify_tension(m: ModelMap, spec: GridSpec | None = None, **kwargs) -> Tensi
         sup_bounded_pass=sup_ok,
         decay_pass=decay_pass,
         passed=passed,
-        field=(R1, Z1, T1, TF1, TW1),
+        model=m,
     )
+
+
+def _annulus_sups(m, h, grid, bounds, clearances):
+    """Per clearance and annulus (radii about the far-field center), the
+    sup of |tau| at spacing h over the grid points farther than that
+    clearance from the axis set, 0.0 if there are none; and whether the
+    grid has any point outside the first (smallest) clearance, which is
+    the field's excision radius.  The field is reduced strip by strip."""
+    tops = [[[] for _ in bounds] for _ in clearances]
+    kept = False
+    for _, rho, z, dist, keep, (tau, _, _) in _tension_strips(m, h, *grid, clearances[0]):
+        kept = kept or bool(keep.any())
+        radius = np.hypot(rho, z - m.z0)
+        for j, (r_lo, r_hi) in enumerate(bounds):
+            ring = (radius >= r_lo) & (radius < r_hi)
+            for i, c in enumerate(clearances):
+                values = tau[ring & (dist > c)]
+                if values.size:
+                    tops[i][j].append(np.fmax.reduce(values))  # skips NaN, like nanmax
+    # max is exact and order-free, so the sup of the strip sups is the sup
+    return [[float(np.nanmax(t)) if t else 0.0 for t in row] for row in tops], kept
 
 
 def _check_spec(m, spec):
@@ -1035,14 +1032,17 @@ class TransformedMap:
         self.h_matrix = np.asarray(h_matrix, dtype=float)
         self._h_inv_t = np.linalg.inv(self.h_matrix).T
 
-    def frame_factors(self, points):
-        M, Minv, d = self.base.frame_factors(points)
+    def _coords(self, points):
+        return self.base._coords(points)
+
+    def _frames(self, *coords):
+        M, Minv, d = self.base._frames(*coords)
         return self._h_inv_t @ M, Minv @ self.h_matrix.T, d
 
-    F = ModelMap.F
+    def _omega(self, *coords):
+        return np.einsum("ij,...j->...i", self.h_matrix, self.base._omega(*coords))
 
-    def omega(self, points):
-        return np.einsum("ij,...j->...i", self.h_matrix, self.base.omega(points))
+    frame_factors, F, omega = ModelMap.frame_factors, ModelMap.F, ModelMap.omega
 
     def distance_to_axis(self, points):
         return self.base.distance_to_axis(points)

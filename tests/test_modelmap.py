@@ -1,23 +1,26 @@
+import io
 import math
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from rodtopo import modelmap
 from rodtopo.errors import ModelMapError
-from rodtopo.roddiagram import Rod, RodDiagram
+from rodtopo.roddiagram import Rod, RodDiagram, parse
 from rodtopo.modelmap import (
+    GridSpec,
     TransformedMap,
     build_model_map,
     potentials,
     tension_field,
     tension_norm,
-    tension_parts,
     verify_tension,
 )
 
 INF = float("inf")
+PAPER_DIAGRAM = Path(__file__).resolve().parent.parent / "diagrams" / "two-horizon-one-corner.json"
 
 
 def figure2_diagram():
@@ -47,6 +50,133 @@ def no_corner_diagram(c=(0.0, 0.0, 0.0)):
             Rod.axis((1, 0, 0), z=(1.0, INF), potential=c),
         ],
     )
+
+
+def rank_two_counterexample():
+    """The 5-dimensional static counterexample with geometry attached."""
+    return RodDiagram(
+        2,
+        "half_plane",
+        [
+            Rod.axis((1, 0), z=(-INF, 0.0), potential=(0.0, 0.0)),
+            Rod.horizon(z=(0.0, 1.5)),
+            Rod.axis((0, 1), z=(1.5, 3.0), potential=(0.25, 0.0)),
+            Rod.horizon(z=(3.0, 4.5)),
+            Rod.axis((1, 0), z=(4.5, INF), potential=(1.0, 0.0)),
+        ],
+    )
+
+
+# ----------------------------------------------------------------------
+# reference formulas the optimized library paths are compared against
+
+
+def tension_parts(m, rho, z, h):
+    """(|tau|, |tau_F part|, |tau_omega part|) at one point."""
+    return tuple(float(part[0]) for part in modelmap._tension_at(m, [(rho, z)], h))
+
+
+def det_f(m, points):
+    return np.linalg.det(m.F(points))
+
+
+def reference_frame_factors(m, points):
+    """Frame factors that find chi and the distinct z values themselves
+    (one frame per distinct z, one blended frame per point with chi > 0)."""
+    pts = np.asarray(points, dtype=float)
+    rho, z = pts[..., 0], pts[..., 1]
+    U, V = m._UV(rho, z)
+    z_axis, at = np.unique(z, return_inverse=True)
+    at = at.reshape(z.shape)
+    A = m.axis_frames(z_axis)
+    M = A[at]
+    Minv = np.linalg.inv(A)[at]
+    chi = m._blend_weight(rho, z)
+    blend = chi > 0.0
+    if blend.any():
+        Mb = M[blend]
+        Mb += chi[blend][:, None, None] * (m.far_frame - Mb)
+        M[blend] = Mb
+        Minv[blend] = np.linalg.inv(Mb)
+    d = np.ones(rho.shape + (m.n,))
+    d[..., 0] = np.exp(U)
+    d[..., 1] = np.exp(V)
+    return M, Minv, d
+
+
+def reference_omega(m, points):
+    """Twist potentials with the zone of every point looked up on its own."""
+    pts = np.asarray(points, dtype=float)
+    rho, z = pts[..., 0], pts[..., 1]
+    near = np.empty(rho.shape + (m.n,))
+    zones_lo = np.array([seg[0] for seg in m.omega_profile])
+    idx = np.clip(np.searchsorted(zones_lo, z, side="right") - 1, 0, len(m.omega_profile) - 1)
+    for zone_id in np.unique(idx):
+        mask = idx == zone_id
+        z_lo, z_hi, c0, c1 = m.omega_profile[zone_id]
+        c0, c1 = np.asarray(c0), np.asarray(c1)
+        if np.array_equal(c0, c1):
+            near[mask] = c0
+        else:
+            s = modelmap._smoothstep((z[mask] - z_lo) / (z_hi - z_lo))
+            near[mask] = c0 + s[:, None] * (c1 - c0)
+    chi = m._blend_weight(rho, z)
+    blend = chi > 0.0
+    if blend.any():
+        c_north, c_south = map(np.asarray, m.omega_far)
+        theta = np.arctan2(rho[blend], z[blend] - m.z0)
+        s_theta = modelmap._smoothstep((theta - m.epsilon) / (math.pi - 2.0 * m.epsilon))
+        far = c_north + s_theta[:, None] * (c_south - c_north)
+        c = chi[blend][:, None]
+        near[blend] = (1.0 - c) * near[blend] + c * far
+    return near
+
+
+def reference_point_fields(m, points):
+    """Point stage built from the two reference formulas, each with its
+    own chi."""
+    M, Minv, d = reference_frame_factors(m, points)
+    F = modelmap._congruence(Minv, d)
+    Finv = modelmap._congruence(np.swapaxes(M, -1, -2), 1.0 / d)
+    return F, Finv, np.linalg.det(F), reference_omega(m, points)
+
+
+def reference_annuli(m, spec):
+    """Annulus records of verify_tension from both fields held whole:
+    nanmax of tension_field at h and h/2 over full-grid ring masks."""
+    lo, hi = modelmap._finite_extent(m)
+    width = max(hi - lo, 1.0)
+    rho_max, z_lo, z_hi = width + 2.0, lo - 1.8 * width, hi + 1.8 * width
+    excision = spec.excision_factor * spec.h
+    clearance = max(spec.sup_clearance, excision)
+    R1, Z1, T1, _, _, M1 = tension_field(m, spec.h, rho_max, z_lo, z_hi, excision=excision)
+    R2, Z2, T2, _, _, M2 = tension_field(m, spec.h / 2.0, rho_max, z_lo, z_hi, excision=clearance)
+    center_r1 = np.hypot(R1, Z1 - m.z0)
+    dist1 = m.distance_to_axis(np.stack([R1, Z1], axis=-1))
+    center_r2 = np.hypot(R2, Z2 - m.z0)
+    annuli = []
+    for r_lo, r_hi in [
+        (0.0, 0.75 * width),
+        (0.75 * width, 1.5 * width),
+        (1.5 * width, 1.8 * width + rho_max),
+    ]:
+        ring1 = M1 & (center_r1 >= r_lo) & (center_r1 < r_hi)
+        sup_ex = float(np.nanmax(np.where(ring1, T1, np.nan))) if ring1.any() else 0.0
+        sel1 = ring1 & (dist1 > clearance)
+        sup1 = float(np.nanmax(np.where(sel1, T1, np.nan))) if sel1.any() else 0.0
+        sel2 = M2 & (center_r2 >= r_lo) & (center_r2 < r_hi)
+        sup2 = float(np.nanmax(np.where(sel2, T2, np.nan))) if sel2.any() else 0.0
+        floor = spec.noise_floor
+        if sup1 < floor and sup2 < floor:
+            ratio = 1.0
+        else:
+            ratio = max(sup1, sup2) / max(min(sup1, sup2), floor)
+        ok = ratio < spec.sup_ratio_limit or max(sup1, sup2) < floor
+        annuli.append(
+            {"r_lo": r_lo, "r_hi": r_hi, "sup_excision": sup_ex, "sup_coarse": sup1,
+             "sup_fine": sup2, "ratio": ratio, "pass": ok}
+        )
+    return annuli
 
 
 # ----------------------------------------------------------------------
@@ -227,7 +357,7 @@ def test_det_growth_matches_kaluza_klein_scale():
     m = build_model_map(figure2_diagram())
     rs = np.array([60.0, 120.0, 240.0, 480.0])
     pts = np.column_stack([rs, np.full_like(rs, m.z0)])  # equatorial ray
-    f = m.det_f(pts)
+    f = det_f(m, pts)
     slope = np.polyfit(np.log(rs), np.log(f), 1)[0]
     assert abs(slope - 2.0) < 0.1
 
@@ -269,6 +399,7 @@ def test_frame_factors_match_per_point_reference(diagram, transitions):
     rho_samples = [0.5, 2.0, 0.5 * (R1 + R2), R2 + 5.0]
     pts = np.array([(rho, z) for rho in rho_samples for z in z_samples])
     M, Minv, d = m.frame_factors(pts)
+    assert np.array_equal(m.omega(pts), reference_omega(m, pts))
 
     chis = []
     for k, (rho, z) in enumerate(pts):
@@ -287,6 +418,36 @@ def test_frame_factors_match_per_point_reference(diagram, transitions):
     assert any(not seg.constant for seg in m.segments) == transitions
     assert {chi == 0.0 for chi in chis} == {True, False}
     assert any(0.0 < chi < 1.0 for chi in chis) and 1.0 in chis
+
+
+@pytest.mark.parametrize("diagram", [figure2_diagram(), no_corner_diagram()])
+def test_tension_field_matches_reference_point_stage(monkeypatch, diagram):
+    # the grid covers plateaus, transition windows, the blend annulus and
+    # the far region; sharing chi and the distinct z values between the
+    # frame factors and omega must not move tau by one bit
+    m = build_model_map(diagram)
+    args = (m, 0.5, 30.0, -25.0, 35.0)
+    got = tension_field(*args)
+    monkeypatch.setattr(modelmap, "_point_fields", reference_point_fields)
+    for a, b in zip(got, tension_field(*args)):
+        assert np.array_equal(a, b, equal_nan=True)
+
+
+def test_point_stage_computes_blend_weight_once(monkeypatch):
+    m = build_model_map(figure2_diagram())
+    calls = []
+    real = modelmap.ModelMap._blend_weight
+
+    def counting(self, rho, z):
+        calls.append(rho.shape)
+        return real(self, rho, z)
+
+    monkeypatch.setattr(modelmap.ModelMap, "_blend_weight", counting)
+    pts = np.stack(np.meshgrid([0.5, 20.0, 40.0], [-9.0, 3.0, 30.0], indexing="ij"), axis=-1)
+    modelmap._point_fields(m, pts)
+    assert calls == [(3, 3)]
+    modelmap._point_fields(TransformedMap(m, np.eye(3)), pts)
+    assert len(calls) == 2
 
 
 def test_tension_field_inverts_frames_once_per_z(monkeypatch):
@@ -398,17 +559,7 @@ def test_multi_corner_component_block_assembly():
 def test_rank_two_counterexample_geometry():
     # the 5-dimensional static counterexample with geometry attached:
     # parallel ends, so the slot-0 potential carries all three rods
-    d = RodDiagram(
-        2,
-        "half_plane",
-        [
-            Rod.axis((1, 0), z=(-INF, 0.0), potential=(0.0, 0.0)),
-            Rod.horizon(z=(0.0, 1.5)),
-            Rod.axis((0, 1), z=(1.5, 3.0), potential=(0.25, 0.0)),
-            Rod.horizon(z=(3.0, 4.5)),
-            Rod.axis((1, 0), z=(4.5, INF), potential=(1.0, 0.0)),
-        ],
-    )
+    d = rank_two_counterexample()
     m = build_model_map(d)
     for idx, zm in [(0, -1.0), (2, 2.25), (4, 6.0)]:
         F = m.F(np.array([[1e-6, zm]]))[0]
@@ -490,7 +641,7 @@ def test_s2_end_variant():
     m = build_model_map(no_corner_diagram())
     rs = np.array([50.0, 100.0, 200.0])
     pts = np.column_stack([rs, np.full_like(rs, m.z0)])
-    f = m.det_f(pts)
+    f = det_f(m, pts)
     slope = np.polyfit(np.log(rs), np.log(f), 1)[0]
     assert abs(slope - 2.0) < 0.1
 
@@ -503,3 +654,69 @@ def test_csv_dump(tmp_path):
     lines = path.read_text().splitlines()
     assert lines[0] == "rho,z,tau,tau_f,tau_omega"
     assert len(lines) > 100
+
+
+def test_csv_dump_matches_tension_field(tmp_path):
+    m = build_model_map(figure2_diagram())
+    rep = verify_tension(m, h=0.25, decade_points=6, rays=3)
+    path = tmp_path / "field.csv"
+    rep.dump_csv(path)
+    d = rep.domain
+    field = tension_field(
+        m, rep.h, d["rho_max"], d["z_lo"], d["z_hi"], excision=rep.excision_radius
+    )
+    want = io.StringIO()
+    want.write("rho,z,tau,tau_f,tau_omega\n")
+    for r, zz, t, tf, tw in np.nditer(field[:5]):
+        if np.isnan(t):
+            continue
+        want.write(
+            f"{float(r):.9g},{float(zz):.9g},{float(t):.12g},{float(tf):.12g},{float(tw):.12g}\n"
+        )
+    assert path.read_text() == want.getvalue()
+
+
+@pytest.mark.parametrize(
+    "diagram",
+    [parse(PAPER_DIAGRAM.read_text()), no_corner_diagram(), rank_two_counterexample()],
+    ids=["paper", "no-corner", "rank-two"],
+)
+def test_streamed_annuli_match_full_grid_reference(monkeypatch, diagram):
+    m = build_model_map(diagram)
+    spec = GridSpec(h=0.2, decade_points=6, rays=3)
+    want = reference_annuli(m, spec)
+    # 10**4 rows is more than either grid has
+    for strip_rows in (modelmap.STRIP_ROWS, 1, 10**4):
+        monkeypatch.setattr(modelmap, "STRIP_ROWS", strip_rows)
+        assert verify_tension(m, spec).annuli == want
+
+
+def test_verify_tension_memory_bounded_by_strip():
+    # the verifier reduces each strip to annulus sups and holds no
+    # grid-sized array: doubling every finite z doubles the columns of a
+    # strip (and quadruples the grid), so the peak must grow about 2x, not 4x
+    def doubled(z):
+        return tuple(2.0 * t if math.isfinite(t) else t for t in z)
+
+    base = figure2_diagram()
+    stretched = RodDiagram(
+        base.n,
+        "half_plane",
+        [
+            Rod.axis(r.structure.v, z=doubled(r.z), potential=r.potential) if r.is_axis
+            else Rod.horizon(z=doubled(r.z))
+            for r in base.rods
+        ],
+    )
+
+    def peak_bytes(diagram):
+        m = build_model_map(diagram)
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            verify_tension(m, h=0.1, decade_points=6, rays=3)
+            return tracemalloc.get_traced_memory()[1] - start
+        finally:
+            tracemalloc.stop()
+
+    assert peak_bytes(stretched) < 2.3 * peak_bytes(base)
