@@ -103,7 +103,7 @@ class IntMatrix:
             ot = tuple(zip(*other._e))
             return IntMatrix._trusted(
                 tuple(
-                    tuple(sum(a * b for a, b in zip(row, col)) for col in ot)
+                    tuple(sum(map(operator.mul, row, col)) for col in ot)
                     for row in self._e
                 )
             )
@@ -111,7 +111,7 @@ class IntMatrix:
         vec = _int_vector(other)
         if self.cols != len(vec):
             raise ValueError("shape mismatch")
-        return tuple(sum(a * b for a, b in zip(row, vec)) for row in self._e)
+        return tuple(sum(map(operator.mul, row, vec)) for row in self._e)
 
     def __neg__(self):
         return IntMatrix._trusted(tuple(tuple(-x for x in row) for row in self._e))
@@ -397,13 +397,37 @@ def determinant_divisor(A: IntMatrix, k: int) -> int:
     if not 1 <= k <= min(A.rows, A.cols):
         raise ValueError(f"k = {k} out of range for a {A.rows} x {A.cols} matrix")
     g = 0
-    col_sets = list(combinations(range(A.cols), k))
-    for rows in combinations(A._e, k):
-        for ci in col_sets:
-            g = gcd(g, _bareiss_det([[row[j] for j in ci] for row in rows]))
-            if g == 1:
-                return 1
+    for minor in _minors(A._e, k, A.cols):
+        g = gcd(g, minor)
+        if g == 1:
+            return 1
     return g
+
+
+def _minors(rows, k, width):
+    """Every k x k minor of the row tuples, row sets outer and column sets
+    inner, both in combinations order.  Minors up to 3 x 3 are expanded by
+    cofactors; larger ones go through Bareiss elimination."""
+    col_sets = list(combinations(range(width), k))
+    if k == 1:
+        for row in rows:
+            yield from row
+    elif k == 2:
+        for a, b in combinations(rows, 2):
+            for i, j in col_sets:
+                yield a[i] * b[j] - a[j] * b[i]
+    elif k == 3:
+        for a, b, c in combinations(rows, 3):
+            for i, j, l in col_sets:
+                yield (
+                    a[i] * (b[j] * c[l] - b[l] * c[j])
+                    - a[j] * (b[i] * c[l] - b[l] * c[i])
+                    + a[l] * (b[i] * c[j] - b[j] * c[i])
+                )
+    else:
+        for rs in combinations(rows, k):
+            for ci in col_sets:
+                yield _bareiss_det([[row[j] for j in ci] for row in rs])
 
 
 def is_primitive_vector(v) -> bool:

@@ -777,6 +777,9 @@ class GridSpec:
     noise_floor: float = 1e-11
 
 
+_CSV_ROW = "%.9g,%.9g,%.12g,%.12g,%.12g\n"  # rho, z, tau, tau_f, tau_omega
+
+
 @dataclass
 class TensionReport:
     h: float
@@ -802,10 +805,9 @@ class TensionReport:
         with open(path, "w") as fh:
             fh.write("rho,z,tau,tau_f,tau_omega\n")
             for _, rho, z, _, _, parts in strips:
-                for r, zz, t, tf, tw in np.nditer([rho, z, *parts]):
-                    if np.isnan(t):
-                        continue
-                    fh.write(f"{float(r):.9g},{float(zz):.9g},{float(t):.12g},{float(tf):.12g},{float(tw):.12g}\n")
+                keep = ~np.isnan(parts[0])
+                columns = [a[keep].tolist() for a in (rho, z, *parts)]
+                fh.writelines(map(_CSV_ROW.__mod__, zip(*columns)))
 
 
 def _finite_extent(m):

@@ -148,6 +148,13 @@ def triple_to_bundle(v1, v2, v3) -> Bundle:
         raise ValueError("bundle extraction needs structures in Z^n with n >= 3")
     _require_admissible(v1, v2, "first")
     _require_admissible(v2, v3, "second")
+    return _admissible_triple_bundle(v1, v2, v3)
+
+
+def _admissible_triple_bundle(v1, v2, v3):
+    """triple_to_bundle on integer tuples whose two pairs are known to
+    have Det_2 = 1."""
+    n = len(v1)
     H = hermite_normal_form(IntMatrix.from_columns([v1, v2, v3])).H
     cols = H.columns()
     e1 = tuple(1 if i == 0 else 0 for i in range(n))
@@ -169,6 +176,7 @@ def _require_admissible(v, w, which):
         raise InadmissibleCornerError(
             f"{which} corner is inadmissible (Det_2 = {d})", d
         )
+    return d
 
 
 def plumbing_vector(w_i, w_i1, w_i2, q: int, r: int, p: int):
@@ -226,8 +234,9 @@ def decompose_component(structures) -> ToricPlumbing:
     n = len(vs[0])
     if n < 3:
         raise ValueError("toric plumbing needs n >= 3")
-    for a, b in zip(vs, vs[1:]):
-        _require_admissible(tuple(a), tuple(b), "a")
+    # Det_2 is invariant under the unimodular Q of the run's Hermite form
+    # and under a sign flip, so these values hold for every pair of W too
+    det2s = [_require_admissible(tuple(a), tuple(b), "a") for a, b in zip(vs, vs[1:])]
 
     l = len(vs) - 2
     # The run's Hermite form is Q @ V with Q unimodular, so the columns of
@@ -252,7 +261,7 @@ def decompose_component(structures) -> ToricPlumbing:
     vectors = []
     det3s = []
     for i in range(l):
-        bundle = triple_to_bundle(W[i], W[i + 1], W[i + 2])
+        bundle = _admissible_triple_bundle(W[i], W[i + 1], W[i + 2])
         q, r, p = bundle.qrp
         vec, d3 = _plumbing_vector_det3(W[i], W[i + 1], W[i + 2], q, r, p)
         bundles.append(bundle)
@@ -266,9 +275,11 @@ def decompose_component(structures) -> ToricPlumbing:
     result = ToricPlumbing(tuple(bundles), tuple(vectors), tuple(W))
     rods, vecs = _run_recursion(result.bundles, result.plumbing_vectors)
     if rods == result.rods_hnf:
-        # W is the checked output of hermite_normal_form, and its bundles and
-        # Det_3 values were read off it above: check against those facts
-        diag = _relation_diagnostics(result.bundles, rods, vecs, bundles, det3s, True)
+        # W is the checked output of hermite_normal_form, and its bundles,
+        # Det_2 and Det_3 values were found above: check against those facts
+        diag = _relation_diagnostics(
+            result.bundles, rods, vecs, det2s[1:], bundles, det3s, True
+        )
     else:
         diag = verify_plumbing_relations(result.bundles, result.plumbing_vectors)
     if not diag.ok:
@@ -338,8 +349,9 @@ def verify_plumbing_relations(bundles, plumbing_vectors) -> PlumbingDiagnostics:
     rods, vecs = _run_recursion(bundles, plumbing_vectors)
     mat = IntMatrix.from_columns(rods)
     in_hermite_form = hermite_normal_form(mat).H == mat
-    # both generators run inside the checks, in the order the checks are
+    # the generators run inside the checks, in the order the checks are
     # made; the roundtrip stops reading at the first triple that fails
+    det2s = (det2(rods[i], rods[i + 1]) for i in range(1, len(bundles) + 1))
     det3s = (
         None
         if all(x == 0 for x in vec)
@@ -347,15 +359,17 @@ def verify_plumbing_relations(bundles, plumbing_vectors) -> PlumbingDiagnostics:
         for i, vec in enumerate(vecs)
     )
     read_back = (triple_to_bundle(*rods[i : i + 3]) for i in range(len(vecs)))
-    return _relation_diagnostics(bundles, rods, vecs, read_back, det3s, in_hermite_form)
+    return _relation_diagnostics(
+        bundles, rods, vecs, det2s, read_back, det3s, in_hermite_form
+    )
 
 
-def _relation_diagnostics(bundles, rods, vecs, read_back, det3s, in_hermite_form):
+def _relation_diagnostics(bundles, rods, vecs, det2s, read_back, det3s, in_hermite_form):
     """The diagnostics of verify_plumbing_relations, built from the
-    recursion's rods and vectors and three facts about them: the bundles
-    read back off each rod triple, Det_3(w_i, w_{i+1}, p_i) for each
-    nonzero vector (None for a zero one), and whether the rods are in
-    Hermite form."""
+    recursion's rods and vectors and four facts about them:
+    Det_2(w_{i+1}, w_{i+2}) for i = 1..l, the bundles read back off each
+    rod triple, Det_3(w_i, w_{i+1}, p_i) for each nonzero vector (None for
+    a zero one), and whether the rods are in Hermite form."""
     n = len(rods[0])
     l = len(bundles)
     checks = []
@@ -382,8 +396,7 @@ def _relation_diagnostics(bundles, rods, vecs, read_back, det3s, in_hermite_form
                 )
             )
 
-    for i in range(1, l + 1):
-        d = det2(rods[i], rods[i + 1])
+    for i, d in enumerate(det2s, start=1):
         checks.append(
             RelationCheck(
                 "pair_admissible",

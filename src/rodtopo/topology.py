@@ -17,6 +17,7 @@ from typing import Optional
 from .errors import ClassifyError, CompactifyError, RodTopoError
 from .intlin import (
     IntMatrix,
+    determinant_divisor,
     hermite_normal_form,
     lattice_contains,
     smith_normal_form,
@@ -83,6 +84,25 @@ def fundamental_group(diagram: RodDiagram) -> AbelianGroup:
 
 
 def is_simply_connected(diagram: RodDiagram) -> bool:
+    """True iff Z^n / span_Z of the rod structures is trivial, that is, iff
+    Det_n of the structure matrix is 1.
+
+    Det_n divides every n x n minor, so windows of n cyclically consecutive
+    structures whose determinants reach gcd 1 certify simple connectivity
+    without a normal form.  Otherwise the Smith form decides.
+    """
+    vs = [s.v for s in diagram.structures()]
+    n, k = diagram.n, len(vs)
+    if k >= n:
+        ring = vs + vs[: n - 1]
+        g = 0
+        # a walk of exactly n structures has one window up to rotation
+        for i in range(k if k > n else 1):
+            # the window's structures as rows: det A^T = det A
+            window = IntMatrix._trusted(tuple(ring[i : i + n]))
+            g = gcd(g, determinant_divisor(window, n))
+            if g == 1:
+                return True
     return fundamental_group(diagram).trivial
 
 

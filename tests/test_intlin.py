@@ -138,11 +138,11 @@ def _brute_force_divisor(A, k):
 
 def test_determinant_divisor_against_brute_force_minors():
     rng = random.Random(113)
-    shapes = [(r, c) for r in range(1, 6) for c in range(1, 6)]
-    kinds = {"zero": 0, "rank_deficient": 0}
+    shapes = [(r, c) for r in range(1, 6) for c in range(1, 6)] + [(2, 9), (3, 8)]
+    kinds = {"zero": 0, "rank_deficient": 0, "large": 0}
     for trial in range(400):
         # every shape in turn; every fifth round of shapes zero, the next
-        # one rank-deficient
+        # one rank-deficient, the next one with entries near +-10**20
         m, n = shapes[trial % len(shapes)]
         kind = trial // len(shapes) % 5
         entries = [[rng.randint(-4, 4) for _ in range(n)] for _ in range(m)]
@@ -154,6 +154,11 @@ def test_determinant_divisor_against_brute_force_minors():
             a = [rng.randint(-2, 2) for _ in range(m - 1)]
             entries[-1] = [sum(c * row[j] for c, row in zip(a, entries)) for j in range(n)]
             kinds["rank_deficient"] += 1
+        elif kind == 2:
+            # even entries: 2**k divides every k x k minor, so no early exit
+            # at gcd 1 skips one
+            entries = [[rng.choice((-1, 1)) * 10**20 + 2 * x for x in row] for row in entries]
+            kinds["large"] += 1
         A = IntMatrix(entries)
         for k in range(1, min(m, n) + 1):
             assert determinant_divisor(A, k) == _brute_force_divisor(A, k)

@@ -15,7 +15,7 @@ from rodtopo.plumbing import (
     triple_to_bundle,
     verify_plumbing_relations,
 )
-from rodtopo.roddiagram import Rod, RodDiagram
+from rodtopo.roddiagram import Rod, RodDiagram, det2
 
 from helpers import (
     rand_admissible_chain,
@@ -229,6 +229,24 @@ def test_decompose_reads_each_triple_once(monkeypatch):
             assert widths.count(3) == l
             # the sign fix, and one plumbing vector per triple
             assert det3_calls.count(3) <= 2 * l
+
+
+def test_decompose_takes_each_det2_once(monkeypatch):
+    calls = []
+
+    def counting_det2(v, w):
+        calls.append((v, w))
+        return det2(v, w)
+
+    monkeypatch.setattr(plumbing, "det2", counting_det2)
+    rng = random.Random(52)
+    for length in (3, 10, 40):
+        chain = rand_admissible_chain(rng, 4, length)
+        calls.clear()
+        decompose_component(chain)
+        # one per input pair; Det_2 is the same on every pair of the
+        # run's Hermite form
+        assert len(calls) == length - 1
 
 
 def test_decompose_checks_agree_with_full_verification(monkeypatch):

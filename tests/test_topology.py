@@ -3,12 +3,16 @@ from pathlib import Path
 
 import pytest
 
+from rodtopo import topology
 from rodtopo.errors import ClassifyError
 from rodtopo.intlin import (
     IntMatrix,
     determinant_divisor,
     hermite_normal_form,
     is_primitive_vector,
+    smith_normal_form,
+    vec_add,
+    vec_scale,
 )
 from rodtopo.roddiagram import Rod, RodDiagram, det2, parse
 from rodtopo.topology import (
@@ -22,7 +26,7 @@ from rodtopo.topology import (
     is_simply_connected,
 )
 
-from helpers import rand_primitive, rand_unimodular
+from helpers import normalize_sign, rand_primitive, rand_unimodular
 
 DIAGRAMS = Path(__file__).resolve().parent.parent / "diagrams"
 
@@ -326,6 +330,80 @@ def _random_admissible_half_plane(rng, nmax=4):
     if not rods[-1].is_axis:
         rods.append(Rod.axis(rand_primitive(rng, n)))
     return RodDiagram(n, "half_plane", rods)
+
+
+def _disk(n, vectors):
+    return RodDiagram(n, "disk", [Rod.axis(v) for v in vectors])
+
+
+def _index_two_vector(rng, n):
+    # primitive, with an even coordinate sum
+    while True:
+        v = rand_primitive(rng, n, -3, 3)
+        if sum(v) % 2 == 0:
+            return v
+
+
+def _index_two_disk(rng, n, k):
+    vs = [_index_two_vector(rng, n)]
+    while len(vs) < k:
+        v = _index_two_vector(rng, n)
+        if normalize_sign(v) != normalize_sign(vs[-1]) and (
+            len(vs) < k - 1 or normalize_sign(v) != normalize_sign(vs[0])
+        ):
+            vs.append(v)
+    return _disk(n, vs)
+
+
+def test_is_simply_connected_matches_smith():
+    rng = random.Random(71)
+    diagrams = []
+    for _ in range(150):
+        d = _random_admissible_half_plane(rng, nmax=4)
+        diagrams += [d, compactify(d).diagram]
+    for n in (2, 3, 4):
+        e = [tuple(int(i == j) for j in range(n)) for i in range(n)]
+        diagrams += [
+            _index_two_disk(rng, n, rng.randint(n, 8)),
+            # rank 2, so rank-deficient for n > 2, with k > n for n = 3
+            _disk(n, [e[0], e[1], vec_add(e[0], e[1]), vec_add(e[0], vec_scale(2, e[1]))]),
+            # fewer than n structures
+            _disk(n, e[:-1]),
+            # exactly n structures: a basis, then an index-2 sublattice
+            _disk(n, e),
+            _disk(n, e[:-1] + [vec_add(e[0], vec_scale(2, e[-1]))]),
+        ]
+    outcomes = [is_simply_connected(d) for d in diagrams]
+    assert outcomes == [fundamental_group(d).trivial for d in diagrams]
+    assert 100 <= sum(outcomes) <= len(outcomes) - 100
+
+
+def test_is_simply_connected_needs_no_smith_form_on_compactified_diagrams(monkeypatch):
+    diagrams = [parse(path.read_text()) for path in sorted(DIAGRAMS.glob("*.json"))]
+    plans = [compactify(d) for d in diagrams if d.shape == "half_plane"]
+    dets = []
+    smiths = []
+
+    def counting_det(A, k):
+        dets.append(k)
+        return determinant_divisor(A, k)
+
+    def counting_smith(A):
+        smiths.append(A.cols)
+        return smith_normal_form(A)
+
+    monkeypatch.setattr(topology, "determinant_divisor", counting_det)
+    monkeypatch.setattr(topology, "smith_normal_form", counting_smith)
+    assert len(plans) == 3
+    assert all(is_simply_connected(plan.diagram) for plan in plans)
+    assert smiths == []
+
+    # an index-2 sublattice defeats every window, so Smith decides, once
+    d = _index_two_disk(random.Random(72), 4, 30)
+    dets.clear()
+    assert not is_simply_connected(d)
+    assert len(dets) <= 30
+    assert smiths == [30]
 
 
 # ----------------------------------------------------------------------
