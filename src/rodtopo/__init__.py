@@ -61,7 +61,6 @@ from .topology import (
     is_simply_connected,
 )
 from .modelmap import (
-    GridSpec,
     ModelMap,
     TensionReport,
     build_model_map,

@@ -14,11 +14,11 @@ import sys
 
 from . import roddiagram
 from .errors import RodTopoError
-from .intlin import IntMatrix, determinant_divisor, hermite_normal_form, smith_normal_form
+from .intlin import determinant_divisor, hermite_normal_form, smith_normal_form
 from .modelmap import build_model_map, verify_tension
 from .plumbing import doc_decomposition
 from .roddiagram import parse
-from .topology import classify, compactify, end_pi1, fundamental_group, is_simply_connected
+from .topology import _end_group, classify, compactify, fundamental_group, is_simply_connected
 
 
 def _fail(message, code):
@@ -50,10 +50,6 @@ def _emit(args, payload, text_lines):
         sys.stdout.write(out)
 
 
-def _matrix_rows(M: IntMatrix):
-    return [list(r) for r in M.to_lists()]
-
-
 def _diagram_text(diagram):
     lines = [f"n = {diagram.n}, shape = {diagram.shape}"]
     for i, rod in enumerate(diagram.rods):
@@ -83,8 +79,8 @@ def _cmd_hnf(args):
     diagram = parse(_load(args.input))
     res = hermite_normal_form(diagram.structure_matrix())
     payload = {
-        "H": _matrix_rows(res.H),
-        "Q": _matrix_rows(res.Q),
+        "H": res.H.to_lists(),
+        "Q": res.Q.to_lists(),
         "pivots": [list(p) for p in res.pivots],
     }
     lines = ["H (columns are the transformed structures):"]
@@ -99,9 +95,9 @@ def _cmd_snf(args):
     diagram = parse(_load(args.input))
     res = smith_normal_form(diagram.structure_matrix())
     payload = {
-        "S": _matrix_rows(res.S),
-        "U": _matrix_rows(res.U),
-        "V": _matrix_rows(res.V),
+        "S": res.S.to_lists(),
+        "U": res.U.to_lists(),
+        "V": res.V.to_lists(),
         "divisors": list(res.divisors),
     }
     lines = [f"elementary divisors: {list(res.divisors)}"]
@@ -147,10 +143,11 @@ def _cmd_analyze(args):
         lines.append(f"horizon {h['rod']}: cross-section {h['cross_section']['display']}")
     if diagram.shape == roddiagram.HALF_PLANE:
         end = roddiagram.asymptotic_end(diagram)
+        end_group = _end_group(end)
         payload["end"] = end.to_json_dict()
-        payload["end_pi1"] = end_pi1(diagram).to_json_dict()
+        payload["end_pi1"] = end_group.to_json_dict()
         lines.append(f"asymptotic end: R+ x {end.display()}")
-        lines.append(f"end pi_1 = {end_pi1(diagram).display()}")
+        lines.append(f"end pi_1 = {end_group.display()}")
     lines.append(f"pi_1 = {pi1.display()}")
     _emit(args, payload, lines)
     return 0
@@ -177,11 +174,8 @@ def _cmd_pi1(args):
 def _cmd_fillin(args):
     diagram = parse(_load(args.input))
     plan = compactify(diagram)
-    payload = {
-        "horizon_fills": [f.to_json_dict() for f in plan.horizon_fills],
-        "end_cap": plan.end_cap.to_json_dict(),
-        "augmentation_waypoints": [list(w) for w in plan.waypoints],
-    }
+    payload = plan.to_json_dict()
+    del payload["diagram"]
     lines = []
     for f in plan.horizon_fills:
         lines.append(f"horizon {f.rod_index}: {f.kind} {[list(u) for u in f.inserted]}")

@@ -456,11 +456,16 @@ def lattice_contains(A: IntMatrix, x) -> bool:
     x = _int_vector(x)
     if len(x) != A.rows:
         raise ValueError("vector length must match the row count")
-    snf = smith_normal_form(A)
-    y = snf.U @ x
-    size = min(A.rows, A.cols)
-    for i, yi in enumerate(y):
-        s = snf.divisors[i] if i < size else 0
+    return _smith_span_contains(smith_normal_form(A), x)
+
+
+def _smith_span_contains(snf: SmithResult, x) -> bool:
+    """Membership of the integer vector x in the column span of the matrix
+    whose Smith form is snf: each entry of U x must be a multiple of its
+    divisor, and zero past the divisors."""
+    divisors = snf.divisors
+    for i, yi in enumerate(snf.U @ x):
+        s = divisors[i] if i < len(divisors) else 0
         if s == 0:
             if yi != 0:
                 return False

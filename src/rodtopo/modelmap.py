@@ -60,13 +60,12 @@ def _u_pot(a, rho, z):
 
 
 def _v_pot(a, rho, z):
-    """log(r_a + (z - a)), cancellation-free for z < a."""
-    dz = z - a
-    r = np.hypot(rho, dz)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        direct = np.log(r + dz)
-        safe = 2.0 * np.log(rho) - np.log(r - dz)
-    return np.where(dz <= 0, safe, direct)
+    """log(r_a + (z - a)), cancellation-free for z < a: u_a mirrored in z.
+
+    The mirror is exact: hypot and the branch test are sign-symmetric and
+    fl(a - z) = -fl(z - a).
+    """
+    return _u_pot(-a, rho, -z)
 
 
 def _smoothstep(t):
@@ -115,6 +114,10 @@ def _frame(slot_cols, n):
 
 @dataclass
 class FrameSegment:
+    """One piece of a piecewise z-profile on [z_lo, z_hi): a plateau, or a
+    smoothstep ramp from M0 to M1.  The frame curve's pieces hold
+    matrices, the twist-potential profile's pieces hold vectors."""
+
     z_lo: float
     z_hi: float
     M0: np.ndarray
@@ -126,13 +129,44 @@ class FrameSegment:
         return self.M0 is self.M1 or np.array_equal(self.M0, self.M1)
 
     def eval(self, z):
-        """Frame matrices at the given z values (array), shape (N, n, n)."""
+        """Values at the given z values (array), shape z.shape + M0.shape."""
         z = np.asarray(z, dtype=float)
         if self.constant:
             return np.broadcast_to(self.M0, z.shape + self.M0.shape)
         t = (z - self.z_lo) / (self.z_hi - self.z_lo)
         s = _smoothstep(t)
-        return self.M0 + s[..., None, None] * (self.M1 - self.M0)
+        return self.M0 + s.reshape(s.shape + (1,) * self.M0.ndim) * (self.M1 - self.M0)
+
+
+def _profile_pieces(values, windows, held=None):
+    """Piecewise z-profile: plateaus of the given values, south to north,
+    joined by smoothstep ramps over the given (z_lo, z_hi) windows; ramp k
+    runs from values[k] to values[k + 1] and holds column held[k]."""
+    held = held or [None] * len(windows)
+    pieces = []
+    cursor = NEG_INF
+    for k, (z_lo, z_hi) in enumerate(windows):
+        if z_lo < cursor - 1e-12:
+            raise ModelMapError(
+                "frame transition windows overlap; rod intervals are too "
+                "short for the transition layout"
+            )
+        pieces.append(FrameSegment(cursor, z_lo, values[k], values[k]))
+        pieces.append(FrameSegment(z_lo, z_hi, values[k], values[k + 1], held[k]))
+        cursor = z_hi
+    pieces.append(FrameSegment(cursor, POS_INF, values[-1], values[-1]))
+    return pieces
+
+
+def _profile_at(pieces, z):
+    """A piecewise z-profile at the z values (array); each piece serves the
+    z in its half-open [z_lo, z_hi) and is evaluated once; NaN elsewhere."""
+    out = np.full(z.shape + pieces[0].M0.shape, np.nan)
+    for piece in pieces:
+        hit = (z >= piece.z_lo) & (z < piece.z_hi)
+        if hit.any():
+            out[hit] = piece.eval(z[hit])
+    return out
 
 
 # ----------------------------------------------------------------------
@@ -146,11 +180,10 @@ class ModelMap:
     slots: dict  # rod index -> 0 or 1
     u_terms: list  # ("u", a) | ("v", a) | ("ud", a, b)
     v_terms: list
-    segments: list  # FrameSegment partition of the z axis
-    breaks: np.ndarray  # segment upper endpoints for searchsorted
+    segments: list  # frame curve M(z): FrameSegment partition of the z axis
     far_frame: np.ndarray  # frame of the asymptotic region
     z0: float  # far-field center
-    omega_profile: list  # (z_lo, z_hi, c0, c1): constants + horizon blends
+    omega_profile: list  # near-field omega(z): FrameSegment partition of the z axis
     omega_far: tuple  # (c_north, c_south)
     epsilon: float
     blend_radii: tuple  # (R1, R2)
@@ -173,14 +206,7 @@ class ModelMap:
 
     def axis_frames(self, z):
         """Frame curve M(z) used near the axis, before the radial blend."""
-        z = np.asarray(z, dtype=float)
-        idx = np.searchsorted(self.breaks, z, side="right")
-        idx = np.minimum(idx, len(self.segments) - 1)
-        out = np.empty(z.shape + (self.n, self.n))
-        for seg_id in np.unique(idx):
-            mask = idx == seg_id
-            out[mask] = self.segments[seg_id].eval(z[mask])
-        return out
+        return _profile_at(self.segments, np.asarray(z, dtype=float))
 
     def _blend_weight(self, rho, z):
         """Radial blend weight chi: 0 within R1 of the far-field center,
@@ -236,19 +262,7 @@ class ModelMap:
         return self._omega(*self._coords(points))
 
     def _omega(self, rho, z, z_axis, at, chi):
-        profile = np.empty(z_axis.shape + (self.n,))
-        zones_lo = np.array([seg[0] for seg in self.omega_profile])
-        idx = np.searchsorted(zones_lo, z_axis, side="right") - 1
-        idx = np.clip(idx, 0, len(self.omega_profile) - 1)
-        for zone_id in np.unique(idx):
-            mask = idx == zone_id
-            z_lo, z_hi, c0, c1 = self.omega_profile[zone_id]
-            if np.array_equal(c0, c1):
-                profile[mask] = c0
-            else:
-                s = _smoothstep((z_axis[mask] - z_lo) / (z_hi - z_lo))
-                profile[mask] = c0 + s[:, None] * (c1 - c0)
-        near = profile[at]
+        near = _profile_at(self.omega_profile, z_axis)[at]
         blend = chi > 0.0
         if blend.any():
             c_north, c_south = map(np.asarray, self.omega_far)
@@ -327,7 +341,7 @@ def build_model_map(
     if corrupt_transition:
         _corrupt_first_transition(segments, n)
 
-    omega_profile, c_north, c_south = _omega_zones(diagram, comps)
+    omega_profile, c_north, c_south = _omega_pieces(diagram, comps)
 
     z_half = 0.5 * (z_max - z_min)
     R1 = z_half + 2.5 * width
@@ -335,7 +349,6 @@ def build_model_map(
 
     axis_segments = [rods[i].z for i in diagram.axis_indices()]
 
-    breaks = np.array([seg.z_hi for seg in segments])
     m = ModelMap(
         n=n,
         diagram=diagram,
@@ -343,7 +356,6 @@ def build_model_map(
         u_terms=u_terms,
         v_terms=v_terms,
         segments=segments,
-        breaks=breaks,
         far_frame=far_frame,
         z0=z0,
         omega_profile=omega_profile,
@@ -437,29 +449,25 @@ def _comp_frames(diagram, comp, slots):
 
 
 def _build_schedule(diagram, comps, slots, far_frame, width):
-    """Piecewise frame curve: plateaus joined by smoothstep transitions."""
+    """Piecewise frame curve: plateaus joined by smoothstep transitions.
+
+    The frames run south to north, from the far frame back to it; between
+    consecutive frames lie a transition window and the column that the
+    transition holds (None across a horizon).
+    """
     rods = diagram.rods
-    n = diagram.n
     last = len(rods) - 1
-
-    # (frame, transition window to the NEXT frame, held column) chain
-    chain = [[far_frame, None, None]]
-
-    south_rod = rods[0]
-    b0 = south_rod.z[1]
-    chain[0][1] = (b0 - 1.6 * width, b0 - 0.6 * width)
-    chain[0][2] = slots[0]
-
+    b0 = rods[0].z[1]
+    frames = [far_frame]
+    windows = [(b0 - 1.6 * width, b0 - 0.6 * width)]
+    held = [slots[0]]
     for ci, comp in enumerate(comps):
-        frames = _comp_frames(diagram, comp, slots)
-        for k, frame in enumerate(frames):
-            chain.append([frame, None, None])
-            if k + 1 < len(frames):
-                rod = rods[comp[k + 1]]  # transition runs along this rod
-                z_lo, z_hi = rod.z
-                span = z_hi - z_lo
-                chain[-1][1] = (z_lo + 0.3 * span, z_hi - 0.3 * span)
-                chain[-1][2] = slots[comp[k + 1]]
+        frames += _comp_frames(diagram, comp, slots)
+        for i in comp[1:-1]:  # transitions inside a component run along its inner rods
+            z_lo, z_hi = rods[i].z
+            span = z_hi - z_lo
+            windows.append((z_lo + 0.3 * span, z_hi - 0.3 * span))
+            held.append(slots[i])
         if ci + 1 < len(comps):
             gap_lo = rods[comp[-1]].z[1]
             gap_hi = rods[comps[ci + 1][0]].z[0]
@@ -474,41 +482,40 @@ def _build_schedule(diagram, comps, slots, far_frame, width):
                     "between axis components"
                 )
             span = hz[1] - hz[0]
-            chain[-1][1] = (hz[0] + 0.2 * span, hz[1] - 0.2 * span)
-            chain[-1][2] = None
+            windows.append((hz[0] + 0.2 * span, hz[1] - 0.2 * span))
+            held.append(None)
 
     a_last = rods[last].z[0]
-    chain[-1][1] = (a_last + 0.6 * width, a_last + 1.6 * width)
-    chain[-1][2] = slots[last]
-    chain.append([far_frame.copy(), None, None])
+    windows.append((a_last + 0.6 * width, a_last + 1.6 * width))
+    held.append(slots[last])
+    frames.append(far_frame.copy())
 
-    _normalize_chain(chain, n)
-    return _chain_to_segments(chain)
+    _normalize_chain(frames, held, diagram.n)
+    return _profile_pieces(frames, windows, held)
 
 
-def _normalize_chain(chain, n):
-    """Fix held-column signs and determinant signs along the chain.
+def _normalize_chain(frames, held, n):
+    """Fix held-column signs and determinant signs along the frames.
 
     Walking north, each frame may be adjusted by column negations: the
-    held column must match the previous frame exactly, and determinants
-    must keep one sign so the interpolated frames stay invertible.  The
-    final frame is the far frame again and cannot be adjusted; an
-    unresolvable sign at that point is reported.
+    column held[k - 1] must match the previous frame exactly, and
+    determinants must keep one sign so the interpolated frames stay
+    invertible.  The final frame is the far frame again and cannot be
+    adjusted; an unresolvable sign at that point is reported.
     """
-    target = math.copysign(1.0, np.linalg.det(chain[0][0]))
-    for k in range(1, len(chain)):
-        prev_frame, window, held = chain[k - 1]
-        cur = chain[k][0]
-        is_last = k == len(chain) - 1
-        if held is not None:
-            a, b = prev_frame[:, held], cur[:, held]
+    target = math.copysign(1.0, np.linalg.det(frames[0]))
+    for k in range(1, len(frames)):
+        prev_frame, cur, col = frames[k - 1], frames[k], held[k - 1]
+        is_last = k == len(frames) - 1
+        if col is not None:
+            a, b = prev_frame[:, col], cur[:, col]
             if np.allclose(a, -b):
                 if is_last:
                     raise ModelMapError(
                         "frame sign obstruction at the asymptotic end; "
                         "apply a unimodular change of coordinates first"
                     )
-                cur[:, held] = -cur[:, held]
+                cur[:, col] = -cur[:, col]
             elif not np.allclose(a, b):
                 raise ModelMapError("held column mismatch between frames")
         if math.copysign(1.0, np.linalg.det(cur)) != target:
@@ -519,8 +526,8 @@ def _normalize_chain(chain, n):
                 )
             # prefer a column held by neither adjacent transition; flipping
             # a column held by the next one just propagates northwards
-            next_held = chain[k][2]
-            candidates = [c for c in range(n - 1, -1, -1) if c != held]
+            next_held = held[k] if k < len(held) else None
+            candidates = [c for c in range(n - 1, -1, -1) if c != col]
             flip = next((c for c in candidates if c != next_held), candidates[0])
             cur[:, flip] = -cur[:, flip]
         _check_transition_path(prev_frame, cur, n)
@@ -541,25 +548,6 @@ def _check_transition_path(M0, M1, n, samples=101):
         )
 
 
-def _chain_to_segments(chain):
-    segments = []
-    cursor = NEG_INF
-    for k, (frame, window, held) in enumerate(chain):
-        if window is None:  # last plateau
-            segments.append(FrameSegment(cursor, POS_INF, frame, frame))
-            break
-        z_lo, z_hi = window
-        if z_lo < cursor - 1e-12:
-            raise ModelMapError(
-                "frame transition windows overlap; rod intervals are too "
-                "short for the transition layout"
-            )
-        segments.append(FrameSegment(cursor, z_lo, frame, frame))
-        segments.append(FrameSegment(z_lo, z_hi, frame, chain[k + 1][0], held))
-        cursor = z_hi
-    return segments
-
-
 def _corrupt_first_transition(segments, n):
     for seg in segments:
         if not seg.constant and seg.held_col is not None:
@@ -574,13 +562,10 @@ def _corrupt_first_transition(segments, n):
     raise ModelMapError("no held-column transition available to corrupt")
 
 
-def _omega_zones(diagram, comps):
+def _omega_pieces(diagram, comps):
     """Piecewise z-profile of the near-field twist potentials: constant on
-    each axis component, smoothstep blends across the horizon gaps.
-
-    Returns ([(z_lo, z_hi, c0, c1)], c_north, c_south); each zone is
-    active on [z_lo, next zone's z_lo), constants have c0 = c1, blends
-    interpolate over their own (z_lo, z_hi).
+    each axis component, smoothstep ramps over the middle half of each
+    horizon gap.  Returns (pieces, c_north, c_south).
     """
     rods = diagram.rods
     consts = []
@@ -592,20 +577,13 @@ def _omega_zones(diagram, comps):
                     f"potential constants vary inside the axis component at rod {i}"
                 )
         consts.append(np.array(c, dtype=float))
-    zones = []
-    cursor = NEG_INF
-    for ci, comp in enumerate(comps):
-        if ci + 1 == len(comps):
-            zones.append((cursor, POS_INF, consts[ci], consts[ci]))
-            break
+    windows = []
+    for comp, north in zip(comps, comps[1:]):
         gap_lo = rods[comp[-1]].z[1]
-        gap_hi = rods[comps[ci + 1][0]].z[0]
+        gap_hi = rods[north[0]].z[0]
         span = gap_hi - gap_lo
-        b_lo, b_hi = gap_lo + 0.25 * span, gap_hi - 0.25 * span
-        zones.append((cursor, b_lo, consts[ci], consts[ci]))
-        zones.append((b_lo, b_hi, consts[ci], consts[ci + 1]))
-        cursor = b_hi
-    return zones, consts[-1], consts[0]
+        windows.append((gap_lo + 0.25 * span, gap_hi - 0.25 * span))
+    return _profile_pieces(consts, windows), consts[-1], consts[0]
 
 
 # ----------------------------------------------------------------------
@@ -739,8 +717,9 @@ def _tension_strips(m, h, rho_max, z_lo, z_hi, excision):
         yield slice(a, b), R, Z, dist, keep, tuple(np.where(keep, t, np.nan) for t in parts)
 
 
-def tension_field(m, h, rho_max, z_lo, z_hi, excision_factor=3.0, excision=None):
-    """|tau| on a uniform grid, with points near the axis set excised.
+def tension_field(m, h, rho_max, z_lo, z_hi, excision=None):
+    """|tau| on a uniform grid, with points within the excision radius
+    (default 3h) of the axis set excised.
 
     Returns (rho_grid, z_grid, tau, tau_f, tau_omega, mask); tau is NaN
     outside the mask.  The grid starts at rho = h, and tau lives on the
@@ -748,7 +727,7 @@ def tension_field(m, h, rho_max, z_lo, z_hi, excision_factor=3.0, excision=None)
     use is one strip's (see _tension_strips).
     """
     if excision is None:
-        excision = excision_factor * h
+        excision = 3.0 * h
     rho, z = _grid_axes(h, rho_max, z_lo, z_hi)
     R_t, Z_t = np.meshgrid(rho[2:-2], z[2:-2], indexing="ij")
     taus = tuple(np.empty(R_t.shape) for _ in range(3))
@@ -766,15 +745,20 @@ def tension_field(m, h, rho_max, z_lo, z_hi, excision_factor=3.0, excision=None)
 
 @dataclass
 class GridSpec:
+    """The verifier's settings (the keyword arguments of verify_tension)."""
+
     h: float = 0.05
     rays: int = 7
     decade_points: int = 24
-    ray_margin: float = 0.25  # radians kept inside the omega wedge
     excision_factor: float = 3.0
-    sup_clearance: float = 0.75  # axis clearance of the sup-stability compacts
-    slope_limit: float = -2.3
-    sup_ratio_limit: float = 1.1
-    noise_floor: float = 1e-11
+
+
+# verdict thresholds
+RAY_MARGIN = 0.25  # radians kept inside the omega wedge
+SUP_CLEARANCE = 0.75  # axis clearance of the sup-stability compacts
+SLOPE_LIMIT = -2.3
+SUP_RATIO_LIMIT = 1.1
+NOISE_FLOOR = 1e-11
 
 
 _CSV_ROW = "%.9g,%.9g,%.12g,%.12g,%.12g\n"  # rho, z, tau, tau_f, tau_omega
@@ -818,19 +802,16 @@ def _finite_extent(m):
     return lo, hi
 
 
-def verify_tension(m: ModelMap, spec: GridSpec | None = None, **kwargs) -> TensionReport:
+def verify_tension(m: ModelMap, **settings) -> TensionReport:
     """Numerical verification of boundedness and decay of the tension.
 
     Reports the sup of |tau| on compact annuli at spacing h and h/2 (the
-    ratio must stay below the stability limit), a log-log decay fit along
-    far-field rays over one decade (slope at most the limit, unless the
-    far tension sits below the noise floor), and the residual convergence
-    order at fixed probe points.
+    ratio must stay below SUP_RATIO_LIMIT), a log-log decay fit along
+    far-field rays over one decade (slope at most SLOPE_LIMIT, unless the
+    far tension sits below NOISE_FLOOR), and the residual convergence
+    order at fixed probe points.  The settings are the fields of GridSpec.
     """
-    if spec is None:
-        spec = GridSpec(**kwargs)
-    elif kwargs:
-        raise TypeError("pass either a GridSpec or keyword options, not both")
+    spec = GridSpec(**settings)
     _check_spec(m, spec)
     h = spec.h
     lo, hi = _finite_extent(m)
@@ -851,7 +832,7 @@ def verify_tension(m: ModelMap, spec: GridSpec | None = None, **kwargs) -> Tensi
     # the finite-difference noise of the log-singular entries (which grows
     # near the excision edge as h shrinks) stays out of the comparison;
     # the h/2 field is only compared there, so its mask is that compact
-    clearance = max(spec.sup_clearance, excision)
+    clearance = max(SUP_CLEARANCE, excision)
     grid = (rho_max, z_lo, z_hi)
     (sups_ex, sups1), kept = _annulus_sups(m, h, grid, annuli_bounds, (excision, clearance))
     if not kept:
@@ -862,12 +843,11 @@ def verify_tension(m: ModelMap, spec: GridSpec | None = None, **kwargs) -> Tensi
     (sups2,), _ = _annulus_sups(m, h / 2.0, grid, annuli_bounds, (clearance,))
     annuli = []
     for (r_lo, r_hi), sup_ex, sup1, sup2 in zip(annuli_bounds, sups_ex, sups1, sups2):
-        floor = spec.noise_floor
-        if sup1 < floor and sup2 < floor:
+        if sup1 < NOISE_FLOOR and sup2 < NOISE_FLOOR:
             ratio = 1.0
         else:
-            ratio = max(sup1, sup2) / max(min(sup1, sup2), floor)
-        ok = ratio < spec.sup_ratio_limit or max(sup1, sup2) < floor
+            ratio = max(sup1, sup2) / max(min(sup1, sup2), NOISE_FLOOR)
+        ok = ratio < SUP_RATIO_LIMIT or max(sup1, sup2) < NOISE_FLOOR
         annuli.append(
             {
                 "r_lo": r_lo,
@@ -884,7 +864,7 @@ def verify_tension(m: ModelMap, spec: GridSpec | None = None, **kwargs) -> Tensi
     radii, angles, ray_points = _decay_rays(m, spec)
     probes = _convergence_probes(m, spec, lo, hi, width)
     tau_h = _tension_at(m, ray_points + probes, h)[0]
-    decay = _decay_fit(spec, radii, angles, tau_h[: len(ray_points)])
+    decay = _decay_fit(radii, angles, tau_h[: len(ray_points)])
     convergence = _convergence(m, spec, probes, tau_h[len(ray_points) :])
 
     decay_pass = bool(decay["pass"])
@@ -932,9 +912,9 @@ def _check_spec(m, spec):
         raise ModelMapError(f"rays = {spec.rays} must be at least 1")
     if spec.decade_points < 2:
         raise ModelMapError(f"decade_points = {spec.decade_points} must be at least 2")
-    if m.epsilon + spec.ray_margin >= 0.5 * math.pi:
+    if m.epsilon + RAY_MARGIN >= 0.5 * math.pi:
         raise ModelMapError(
-            f"epsilon + ray_margin = {m.epsilon + spec.ray_margin} leaves no "
+            f"epsilon + ray_margin = {m.epsilon + RAY_MARGIN} leaves no "
             "decay rays inside the omega wedge (must be < pi/2)"
         )
 
@@ -944,8 +924,8 @@ def _decay_rays(m, spec):
     points run ray by ray, outwards along each ray."""
     r_start = 1.5 * m.blend_radii[1]
     radii = r_start * np.power(10.0, np.linspace(0.0, 1.0, spec.decade_points))
-    theta_lo = m.epsilon + spec.ray_margin
-    theta_hi = math.pi - m.epsilon - spec.ray_margin
+    theta_lo = m.epsilon + RAY_MARGIN
+    theta_hi = math.pi - m.epsilon - RAY_MARGIN
     angles = np.linspace(theta_lo, theta_hi, spec.rays)
     points = [
         (r * math.sin(theta), m.z0 + r * math.cos(theta)) for theta in angles for r in radii
@@ -953,7 +933,7 @@ def _decay_rays(m, spec):
     return radii, angles, points
 
 
-def _decay_fit(spec, radii, angles, taus):
+def _decay_fit(radii, angles, taus):
     """Log-log decay fit of |tau| along each ray; taus as from the points
     of _decay_rays."""
     slopes = []
@@ -967,7 +947,7 @@ def _decay_fit(spec, radii, angles, taus):
             per_ray.append({"theta": float(theta), "slope": slope})
         else:
             per_ray.append({"theta": float(theta), "slope": None})
-    below_noise = max_tau < spec.noise_floor
+    below_noise = max_tau < NOISE_FLOOR
     if below_noise:
         ok = True
         mean = None
@@ -975,7 +955,7 @@ def _decay_fit(spec, radii, angles, taus):
     elif slopes:
         mean = float(np.mean(slopes))
         band = float(np.std(slopes))
-        ok = mean <= spec.slope_limit
+        ok = mean <= SLOPE_LIMIT
     else:
         mean, band, ok = None, None, False
     return {
@@ -985,7 +965,7 @@ def _decay_fit(spec, radii, angles, taus):
         "slope_band": band,
         "max_tau": max_tau,
         "below_noise_floor": below_noise,
-        "slope_limit": spec.slope_limit,
+        "slope_limit": SLOPE_LIMIT,
         "pass": ok,
     }
 

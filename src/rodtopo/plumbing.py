@@ -274,20 +274,15 @@ def decompose_component(structures) -> ToricPlumbing:
                 raise PlumbingRelationError("first plumbing vector must be e3 or 0")
     result = ToricPlumbing(tuple(bundles), tuple(vectors), tuple(W))
     rods, vecs = _run_recursion(result.bundles, result.plumbing_vectors)
-    if rods == result.rods_hnf:
-        # W is the checked output of hermite_normal_form, and its bundles,
-        # Det_2 and Det_3 values were found above: check against those facts
-        diag = _relation_diagnostics(
-            result.bundles, rods, vecs, det2s[1:], bundles, det3s, True
-        )
-    else:
-        diag = verify_plumbing_relations(result.bundles, result.plumbing_vectors)
+    if rods != result.rods_hnf:
+        raise PlumbingRelationError("recursion does not regenerate the Hermite-form rods")
+    # W is the checked output of hermite_normal_form, and its bundles,
+    # Det_2 and Det_3 values were found above: check against those facts
+    diag = _relation_diagnostics(result.bundles, rods, vecs, det2s[1:], bundles, det3s, True)
     if not diag.ok:
         raise PlumbingRelationError(
             f"decomposition produced invalid relations: {diag.first_failure}"
         )
-    if diag.rods != result.rods_hnf:
-        raise PlumbingRelationError("recursion does not regenerate the Hermite-form rods")
     return result
 
 

@@ -19,8 +19,8 @@ from .intlin import (
     IntMatrix,
     determinant_divisor,
     hermite_normal_form,
-    lattice_contains,
     smith_normal_form,
+    _smith_span_contains,
 )
 from .roddiagram import (
     DISK,
@@ -108,7 +108,11 @@ def is_simply_connected(diagram: RodDiagram) -> bool:
 
 def end_pi1(diagram: RodDiagram) -> AbelianGroup:
     """pi_1 of the asymptotic end cross-section times its torus factor."""
-    cs = asymptotic_end(diagram)
+    return _end_group(asymptotic_end(diagram))
+
+
+def _end_group(cs: CrossSectionTopology) -> AbelianGroup:
+    """pi_1 of an end cross-section times its torus factor."""
     if cs.family == "S3":
         return AbelianGroup(cs.torus_factor, ())
     if cs.family == "S1xS2":
@@ -319,11 +323,11 @@ def _build_disk(n, structures):
 
 
 def _missing_basis_vectors(n, structures):
-    span = IntMatrix.from_columns(structures)
+    snf = smith_normal_form(IntMatrix.from_columns(structures))
     missing = []
     for i in range(n):
         e = tuple(1 if j == i else 0 for j in range(n))
-        if not lattice_contains(span, e):
+        if not _smith_span_contains(snf, e):
             missing.append(e)
     return tuple(missing)
 

@@ -10,7 +10,6 @@ from rodtopo import modelmap
 from rodtopo.errors import ModelMapError
 from rodtopo.roddiagram import Rod, RodDiagram, parse
 from rodtopo.modelmap import (
-    GridSpec,
     TransformedMap,
     build_model_map,
     potentials,
@@ -104,22 +103,22 @@ def reference_frame_factors(m, points):
     return M, Minv, d
 
 
+def reference_piece_value(pieces, z):
+    """A z-profile at one z: the single piece whose half-open [z_lo, z_hi)
+    holds z, and the ramp formula applied to it."""
+    (piece,) = [p for p in pieces if p.z_lo <= z < p.z_hi]
+    if np.array_equal(piece.M0, piece.M1):
+        return piece.M0
+    s = modelmap._smoothstep((z - piece.z_lo) / (piece.z_hi - piece.z_lo))
+    return piece.M0 + s * (piece.M1 - piece.M0)
+
+
 def reference_omega(m, points):
-    """Twist potentials with the zone of every point looked up on its own."""
+    """Twist potentials with the piece of every point looked up on its own."""
     pts = np.asarray(points, dtype=float)
     rho, z = pts[..., 0], pts[..., 1]
-    near = np.empty(rho.shape + (m.n,))
-    zones_lo = np.array([seg[0] for seg in m.omega_profile])
-    idx = np.clip(np.searchsorted(zones_lo, z, side="right") - 1, 0, len(m.omega_profile) - 1)
-    for zone_id in np.unique(idx):
-        mask = idx == zone_id
-        z_lo, z_hi, c0, c1 = m.omega_profile[zone_id]
-        c0, c1 = np.asarray(c0), np.asarray(c1)
-        if np.array_equal(c0, c1):
-            near[mask] = c0
-        else:
-            s = modelmap._smoothstep((z[mask] - z_lo) / (z_hi - z_lo))
-            near[mask] = c0 + s[:, None] * (c1 - c0)
+    near = np.array([reference_piece_value(m.omega_profile, zz) for zz in z.ravel()])
+    near = near.reshape(rho.shape + (m.n,))
     chi = m._blend_weight(rho, z)
     blend = chi > 0.0
     if blend.any():
@@ -141,16 +140,17 @@ def reference_point_fields(m, points):
     return F, Finv, np.linalg.det(F), reference_omega(m, points)
 
 
-def reference_annuli(m, spec):
-    """Annulus records of verify_tension from both fields held whole:
-    nanmax of tension_field at h and h/2 over full-grid ring masks."""
+def reference_annuli(m, h):
+    """Annulus records of verify_tension (default excision factor) from both
+    fields held whole: nanmax of tension_field at h and h/2 over full-grid
+    ring masks."""
     lo, hi = modelmap._finite_extent(m)
     width = max(hi - lo, 1.0)
     rho_max, z_lo, z_hi = width + 2.0, lo - 1.8 * width, hi + 1.8 * width
-    excision = spec.excision_factor * spec.h
-    clearance = max(spec.sup_clearance, excision)
-    R1, Z1, T1, _, _, M1 = tension_field(m, spec.h, rho_max, z_lo, z_hi, excision=excision)
-    R2, Z2, T2, _, _, M2 = tension_field(m, spec.h / 2.0, rho_max, z_lo, z_hi, excision=clearance)
+    excision = 3.0 * h
+    clearance = max(modelmap.SUP_CLEARANCE, excision)
+    R1, Z1, T1, _, _, M1 = tension_field(m, h, rho_max, z_lo, z_hi, excision=excision)
+    R2, Z2, T2, _, _, M2 = tension_field(m, h / 2.0, rho_max, z_lo, z_hi, excision=clearance)
     center_r1 = np.hypot(R1, Z1 - m.z0)
     dist1 = m.distance_to_axis(np.stack([R1, Z1], axis=-1))
     center_r2 = np.hypot(R2, Z2 - m.z0)
@@ -166,12 +166,12 @@ def reference_annuli(m, spec):
         sup1 = float(np.nanmax(np.where(sel1, T1, np.nan))) if sel1.any() else 0.0
         sel2 = M2 & (center_r2 >= r_lo) & (center_r2 < r_hi)
         sup2 = float(np.nanmax(np.where(sel2, T2, np.nan))) if sel2.any() else 0.0
-        floor = spec.noise_floor
+        floor = modelmap.NOISE_FLOOR
         if sup1 < floor and sup2 < floor:
             ratio = 1.0
         else:
             ratio = max(sup1, sup2) / max(min(sup1, sup2), floor)
-        ok = ratio < spec.sup_ratio_limit or max(sup1, sup2) < floor
+        ok = ratio < modelmap.SUP_RATIO_LIMIT or max(sup1, sup2) < floor
         annuli.append(
             {"r_lo": r_lo, "r_hi": r_hi, "sup_excision": sup_ex, "sup_coarse": sup1,
              "sup_fine": sup2, "ratio": ratio, "pass": ok}
@@ -222,6 +222,24 @@ def test_potentials_harmonic_second_order():
         order2 = math.log2(res[1] / res[2])
         assert 1.8 <= order1 <= 2.2
         assert 1.8 <= order2 <= 2.2
+
+
+def test_v_pot_matches_its_direct_formula_bit_for_bit():
+    def direct_v_pot(a, rho, z):
+        """log(r_a + (z - a)) written out, cancellation-free for z < a."""
+        dz = z - a
+        r = np.hypot(rho, dz)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            direct = np.log(r + dz)
+            safe = 2.0 * np.log(rho) - np.log(r - dz)
+        return np.where(dz <= 0, safe, direct)
+
+    rho, dz = np.meshgrid(
+        [0.0, 1e-12, 1e-3, 1.0, 1e6], [0.0, 1e-12, -1e-12, 1.0, -1.0, 1e8, -1e8], indexing="ij"
+    )
+    for a in (0.0, 1.5, -2.25):
+        z = a + dz
+        assert modelmap._v_pot(a, rho, z).tobytes() == direct_v_pot(a, rho, z).tobytes()
 
 
 def test_potentials_stable_far_field():
@@ -390,12 +408,19 @@ def test_tension_field_independent_of_strip_height(monkeypatch):
 def test_frame_factors_match_per_point_reference(diagram, transitions):
     m = build_model_map(diagram)
     R1, R2 = m.blend_radii
+    # the middle of every frame piece, and every finite piece boundary of
+    # the frame curve and of the omega profile
     z_samples = [
         seg.z_hi - 1.0 if seg.z_lo == -INF
         else seg.z_lo + 1.0 if seg.z_hi == INF
         else 0.5 * (seg.z_lo + seg.z_hi)
         for seg in m.segments
     ]
+    z_samples += sorted(
+        {b for p in m.segments + m.omega_profile for b in (p.z_lo, p.z_hi) if math.isfinite(b)}
+    )
+    A_ref = [reference_piece_value(m.segments, z) for z in z_samples]
+    assert np.array_equal(m.axis_frames(np.array(z_samples)), A_ref)
     rho_samples = [0.5, 2.0, 0.5 * (R1 + R2), R2 + 5.0]
     pts = np.array([(rho, z) for rho in rho_samples for z in z_samples])
     M, Minv, d = m.frame_factors(pts)
@@ -403,7 +428,7 @@ def test_frame_factors_match_per_point_reference(diagram, transitions):
 
     chis = []
     for k, (rho, z) in enumerate(pts):
-        A = m.axis_frames(np.array([z]))[0]
+        A = A_ref[k % len(z_samples)]
         chi = modelmap._smoothstep((math.hypot(rho, z - m.z0) - R1) / (R2 - R1))
         M_ref = A + chi * (m.far_frame - A)
         U, V = m._UV(np.array([rho]), np.array([z]))
@@ -612,10 +637,7 @@ def test_no_horizon_parity_conflict_reported():
         build_model_map(d)
 
 
-@pytest.mark.parametrize(
-    "options, setting",
-    [({"decade_points": 1}, "decade_points"), ({"ray_margin": 1.4}, "ray_margin")],
-)
+@pytest.mark.parametrize("options, setting", [({"decade_points": 1}, "decade_points")])
 def test_verify_tension_rejects_empty_decay_data(options, setting):
     m = build_model_map(no_corner_diagram())
     with pytest.raises(ModelMapError, match=setting):
@@ -683,12 +705,11 @@ def test_csv_dump_matches_tension_field(tmp_path):
 )
 def test_streamed_annuli_match_full_grid_reference(monkeypatch, diagram):
     m = build_model_map(diagram)
-    spec = GridSpec(h=0.2, decade_points=6, rays=3)
-    want = reference_annuli(m, spec)
+    want = reference_annuli(m, 0.2)
     # 10**4 rows is more than either grid has
     for strip_rows in (modelmap.STRIP_ROWS, 1, 10**4):
         monkeypatch.setattr(modelmap, "STRIP_ROWS", strip_rows)
-        assert verify_tension(m, spec).annuli == want
+        assert verify_tension(m, h=0.2, decade_points=6, rays=3).annuli == want
 
 
 def test_verify_tension_memory_bounded_by_strip():

@@ -287,9 +287,10 @@ def test_decompose_verifies_in_full_when_rods_are_not_regenerated(monkeypatch):
 
     monkeypatch.setattr(plumbing, "_run_recursion", off_by_one)
     monkeypatch.setattr(plumbing, "verify_plumbing_relations", counting_verify)
-    with pytest.raises(PlumbingRelationError):
+    with pytest.raises(PlumbingRelationError, match="does not regenerate the Hermite-form rods"):
         decompose_component([(1, 0, 0), (0, 1, 0), (2, 1, 5), (2, 1, 4)])
-    assert verified == [2]
+    # the mismatch alone decides: no full verification runs
+    assert verified == []
 
 
 def test_det3_identity_for_nonzero_vectors():

@@ -1,5 +1,6 @@
 import ast
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -64,3 +65,24 @@ def test_model_verify_identical_under_optimize():
     assert optimized.returncode == plain.returncode
     assert optimized.stdout == plain.stdout
     assert plain.stdout
+
+
+def test_readme_library_example_runs():
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    (code,) = re.findall(r"```python\n(.*?)```", readme, re.DOTALL)
+    run = subprocess.run(
+        [sys.executable, "-c", code],
+        cwd=ROOT,
+        env={**os.environ, "PYTHONPATH": str(ROOT / "src")},
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.splitlines() == [
+        "toric plumbing of [L(5,2), L(2,1)]",
+        "B^4 x S^1",
+        "[0,1] x D^2 x T^2",
+        "R+ x S^3 x S^1",
+        "S^4",
+    ]

@@ -3,13 +3,14 @@ from pathlib import Path
 
 import pytest
 
-from rodtopo import topology
+from rodtopo import intlin, topology
 from rodtopo.errors import ClassifyError
 from rodtopo.intlin import (
     IntMatrix,
     determinant_divisor,
     hermite_normal_form,
     is_primitive_vector,
+    lattice_contains,
     smith_normal_form,
     vec_add,
     vec_scale,
@@ -291,6 +292,44 @@ def test_compactify_augmentation_keeps_end_chain_directions():
     plan = compactify(d)
     assert is_simply_connected(plan.diagram)
     assert len(plan.waypoints) >= 2  # both missing directions rerouted
+
+
+def _random_structure_sets(rng, count):
+    """Seeded structure sets of rank 2-5: 1 to n + 2 nonzero vectors with
+    small entries, so that some spans miss basis vectors and some do not."""
+    sets = []
+    while len(sets) < count:
+        n = rng.randint(2, 5)
+        vs = [tuple(rng.randint(-3, 3) for _ in range(n)) for _ in range(rng.randint(1, n + 2))]
+        if all(any(v) for v in vs):
+            sets.append((n, vs))
+    return sets
+
+
+def test_missing_basis_vectors_builds_one_smith_form(monkeypatch):
+    smiths = []
+
+    def counting_smith(A):
+        smiths.append(A.cols)
+        return smith_normal_form(A)
+
+    monkeypatch.setattr(intlin, "smith_normal_form", counting_smith)
+    monkeypatch.setattr(topology, "smith_normal_form", counting_smith)
+    for n, vs in _random_structure_sets(random.Random(81), 40):
+        smiths.clear()
+        topology._missing_basis_vectors(n, vs)
+        assert smiths == [len(vs)]
+
+
+def test_missing_basis_vectors_match_lattice_contains():
+    outcomes = set()
+    for n, vs in _random_structure_sets(random.Random(82), 300):
+        span = IntMatrix.from_columns(vs)
+        basis = [tuple(int(i == j) for j in range(n)) for i in range(n)]
+        want = tuple(e for e in basis if not lattice_contains(span, e))
+        assert topology._missing_basis_vectors(n, vs) == want
+        outcomes.add(len(want))
+    assert {0, 1, 2} <= outcomes
 
 
 def test_compactify_preserves_input_rods_as_cyclic_subsequence():
