@@ -81,9 +81,6 @@ class IntMatrix:
         i, j = key
         return self._e[i][j]
 
-    def row(self, i):
-        return self._e[i]
-
     def column(self, j):
         return tuple(r[j] for r in self._e)
 

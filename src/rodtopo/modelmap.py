@@ -201,7 +201,16 @@ class ModelMap:
                 elif term[0] == "v":
                     acc += _v_pot(term[1], rho, z)
                 else:
-                    acc += _u_pot(term[1], rho, z) - _u_pot(term[2], rho, z)
+                    # on the axis north of the rod both terms are -inf; the
+                    # difference there is its limit log((z - b) / (z - a))
+                    _, a, b = term
+                    ua, ub = _u_pot(a, rho, z), _u_pot(b, rho, z)
+                    north = (rho == 0.0) & (z > b)
+                    if north.any():
+                        zn = z[north]
+                        ua[north] = np.log((zn - b) / (zn - a))
+                        ub[north] = 0.0
+                    acc += ua - ub
         return U, V
 
     def axis_frames(self, z):
@@ -399,10 +408,6 @@ def _check_model_input(diagram):
             raise ModelMapError(
                 f"corner between rods {i} and {j} is inadmissible (Det_2 = {d})"
             )
-    for i in diagram.horizon_indices():
-        z_lo, z_hi = diagram.rods[i].z
-        if not 0 < z_hi - z_lo < POS_INF:
-            raise ModelMapError(f"horizon rod {i} is degenerate")
 
 
 def _assign_slots(diagram, comps, ends_parallel):
@@ -469,18 +474,8 @@ def _build_schedule(diagram, comps, slots, far_frame, width):
             windows.append((z_lo + 0.3 * span, z_hi - 0.3 * span))
             held.append(slots[i])
         if ci + 1 < len(comps):
-            gap_lo = rods[comp[-1]].z[1]
-            gap_hi = rods[comps[ci + 1][0]].z[0]
-            # locate the horizon between the components
-            hz = None
-            for h in diagram.horizon_indices():
-                if rods[h].z[0] >= gap_lo - 1e-12 and rods[h].z[1] <= gap_hi + 1e-12:
-                    hz = rods[h].z
-            if hz is None:
-                raise ModelMapError(
-                    f"no horizon rod fills the gap ({gap_lo}, {gap_hi}) "
-                    "between axis components"
-                )
+            # validation forbids adjacent horizons: one rod fills the gap
+            hz = rods[comp[-1] + 1].z
             span = hz[1] - hz[0]
             windows.append((hz[0] + 0.2 * span, hz[1] - 0.2 * span))
             held.append(None)
@@ -568,15 +563,8 @@ def _omega_pieces(diagram, comps):
     horizon gap.  Returns (pieces, c_north, c_south).
     """
     rods = diagram.rods
-    consts = []
-    for comp in comps:
-        c = rods[comp[0]].potential
-        for i in comp:
-            if rods[i].potential != c:
-                raise ModelMapError(
-                    f"potential constants vary inside the axis component at rod {i}"
-                )
-        consts.append(np.array(c, dtype=float))
+    # validation makes the potentials equal across every corner
+    consts = [np.array(rods[comp[0]].potential, dtype=float) for comp in comps]
     windows = []
     for comp, north in zip(comps, comps[1:]):
         gap_lo = rods[comp[-1]].z[1]
@@ -743,16 +731,6 @@ def tension_field(m, h, rho_max, z_lo, z_hi, excision=None):
 # the verifier
 
 
-@dataclass
-class GridSpec:
-    """The verifier's settings (the keyword arguments of verify_tension)."""
-
-    h: float = 0.05
-    rays: int = 7
-    decade_points: int = 24
-    excision_factor: float = 3.0
-
-
 # verdict thresholds
 RAY_MARGIN = 0.25  # radians kept inside the omega wedge
 SUP_CLEARANCE = 0.75  # axis clearance of the sup-stability compacts
@@ -802,18 +780,20 @@ def _finite_extent(m):
     return lo, hi
 
 
-def verify_tension(m: ModelMap, **settings) -> TensionReport:
+def verify_tension(
+    m: ModelMap, h=0.05, rays=7, decade_points=24, excision_factor=3.0
+) -> TensionReport:
     """Numerical verification of boundedness and decay of the tension.
 
     Reports the sup of |tau| on compact annuli at spacing h and h/2 (the
     ratio must stay below SUP_RATIO_LIMIT), a log-log decay fit along
     far-field rays over one decade (slope at most SLOPE_LIMIT, unless the
     far tension sits below NOISE_FLOOR), and the residual convergence
-    order at fixed probe points.  The settings are the fields of GridSpec.
+    order at fixed probe points.  ``rays`` far-field rays carry
+    ``decade_points`` samples each, and points within
+    ``excision_factor * h`` of the axis set are excised.
     """
-    spec = GridSpec(**settings)
-    _check_spec(m, spec)
-    h = spec.h
+    _check_spec(m, h, rays, decade_points)
     lo, hi = _finite_extent(m)
     width = max(hi - lo, 1.0)
 
@@ -821,7 +801,7 @@ def verify_tension(m: ModelMap, **settings) -> TensionReport:
     rho_max = width + 2.0
     z_lo = lo - 1.8 * width
     z_hi = hi + 1.8 * width
-    excision = spec.excision_factor * h
+    excision = excision_factor * h
 
     annuli_bounds = [
         (0.0, 0.75 * width),
@@ -861,11 +841,11 @@ def verify_tension(m: ModelMap, **settings) -> TensionReport:
         )
     sup_ok = all(a["pass"] for a in annuli)
 
-    radii, angles, ray_points = _decay_rays(m, spec)
-    probes = _convergence_probes(m, spec, lo, hi, width)
+    radii, angles, ray_points = _decay_rays(m, rays, decade_points)
+    probes = _convergence_probes(m, h, lo, hi, width)
     tau_h = _tension_at(m, ray_points + probes, h)[0]
     decay = _decay_fit(radii, angles, tau_h[: len(ray_points)])
-    convergence = _convergence(m, spec, probes, tau_h[len(ray_points) :])
+    convergence = _convergence(m, h, probes, tau_h[len(ray_points) :])
 
     decay_pass = bool(decay["pass"])
     passed = sup_ok and decay_pass
@@ -904,14 +884,14 @@ def _annulus_sups(m, h, grid, bounds, clearances):
     return [[float(np.nanmax(t)) if t else 0.0 for t in row] for row in tops], kept
 
 
-def _check_spec(m, spec):
+def _check_spec(m, h, rays, decade_points):
     """Reject settings under which the verifier would judge empty data."""
-    if not (math.isfinite(spec.h) and spec.h > 0.0):
-        raise ModelMapError(f"grid spacing h = {spec.h} must be finite and > 0")
-    if spec.rays < 1:
-        raise ModelMapError(f"rays = {spec.rays} must be at least 1")
-    if spec.decade_points < 2:
-        raise ModelMapError(f"decade_points = {spec.decade_points} must be at least 2")
+    if not (math.isfinite(h) and h > 0.0):
+        raise ModelMapError(f"grid spacing h = {h} must be finite and > 0")
+    if rays < 1:
+        raise ModelMapError(f"rays = {rays} must be at least 1")
+    if decade_points < 2:
+        raise ModelMapError(f"decade_points = {decade_points} must be at least 2")
     if m.epsilon + RAY_MARGIN >= 0.5 * math.pi:
         raise ModelMapError(
             f"epsilon + ray_margin = {m.epsilon + RAY_MARGIN} leaves no "
@@ -919,14 +899,14 @@ def _check_spec(m, spec):
         )
 
 
-def _decay_rays(m, spec):
+def _decay_rays(m, rays, decade_points):
     """Radii, angles and (rho, z) points of the far-field decay rays; the
     points run ray by ray, outwards along each ray."""
     r_start = 1.5 * m.blend_radii[1]
-    radii = r_start * np.power(10.0, np.linspace(0.0, 1.0, spec.decade_points))
+    radii = r_start * np.power(10.0, np.linspace(0.0, 1.0, decade_points))
     theta_lo = m.epsilon + RAY_MARGIN
     theta_hi = math.pi - m.epsilon - RAY_MARGIN
-    angles = np.linspace(theta_lo, theta_hi, spec.rays)
+    angles = np.linspace(theta_lo, theta_hi, rays)
     points = [
         (r * math.sin(theta), m.z0 + r * math.cos(theta)) for theta in angles for r in radii
     ]
@@ -970,7 +950,7 @@ def _decay_fit(radii, angles, taus):
     }
 
 
-def _convergence_probes(m, spec, lo, hi, width):
+def _convergence_probes(m, h, lo, hi, width):
     """Fixed probe points for the convergence order, skipping any whose
     stencil at spacing h would leave the half plane."""
     probes = []
@@ -978,15 +958,15 @@ def _convergence_probes(m, spec, lo, hi, width):
         z_lo, z_hi = m.diagram.rods[i].z
         probes.append((0.7 * (z_hi - z_lo) + 0.3, 0.5 * (z_lo + z_hi)))
     probes.append((0.5 * width + 0.5, 0.5 * (lo + hi)))
-    return [(rho, z) for rho, z in probes if rho - 2.0 * spec.h > 0.0]
+    return [(rho, z) for rho, z in probes if rho - 2.0 * h > 0.0]
 
 
-def _convergence(m, spec, probes, vals_h):
+def _convergence(m, h, probes, vals_h):
     """Residual convergence order at the probes, from |tau| at spacing h
     (given) and h/2."""
     if not probes:
         return {"points": [], "order": None}
-    vals_h2 = _tension_at(m, probes, spec.h / 2.0)[0]
+    vals_h2 = _tension_at(m, probes, h / 2.0)[0]
     sup_h = float(vals_h.max())
     sup_h2 = float(vals_h2.max())
     order = None

@@ -148,12 +148,12 @@ def triple_to_bundle(v1, v2, v3) -> Bundle:
         raise ValueError("bundle extraction needs structures in Z^n with n >= 3")
     _require_admissible(v1, v2, "first")
     _require_admissible(v2, v3, "second")
-    return _admissible_triple_bundle(v1, v2, v3)
+    return _admissible_triple_bundle(v1, v2, v3)[0]
 
 
 def _admissible_triple_bundle(v1, v2, v3):
     """triple_to_bundle on integer tuples whose two pairs are known to
-    have Det_2 = 1."""
+    have Det_2 = 1; also returns whether the datum was read off -v3."""
     n = len(v1)
     H = hermite_normal_form(IntMatrix.from_columns([v1, v2, v3])).H
     cols = H.columns()
@@ -164,10 +164,11 @@ def _admissible_triple_bundle(v1, v2, v3):
     q, r, p = cols[2][0], cols[2][1], cols[2][2]
     if any(x != 0 for x in cols[2][3:]):
         raise PlumbingRelationError("third Hermite column must live in Z^3")
-    if p == 0 and q == -1:
+    flipped = p == 0 and q == -1
+    if flipped:
         # v3 and -v3 present the same rod; take the representative with q = +1
         q, r = 1, -r
-    return Bundle.from_qrp(q, r, p, n - 3)
+    return Bundle.from_qrp(q, r, p, n - 3), flipped
 
 
 def _require_admissible(v, w, which):
@@ -221,14 +222,17 @@ def decompose_component(structures) -> ToricPlumbing:
     """Decompose a run of >= 3 admissible rod structures into bundles and
     plumbing vectors.
 
-    Structures are replaced by their negatives where needed so that every
-    linearly dependent triple takes its canonical q = +1 form, then the
-    whole run is put into Hermite normal form once.  The recursion
+    The whole run is put into Hermite normal form once, and each triple of
+    that form is read in turn.  A dependent triple whose third column reads
+    q = -1 has that column negated, so that the triple takes its canonical
+    q = +1 form before the plumbing vector and the later triples read it;
+    the column holds no pivot, so the result is still the Hermite form of
+    the run with that structure negated.  The recursion
     w_{i+2} = q_i w_i + r_i w_{i+1} + p_i p_ then holds exactly, and its
     relations are checked against the bundles and Det_3 values already
     read off each triple of that form.
     """
-    vs = [list(_as_vector(v)) for v in structures]
+    vs = [_as_vector(v) for v in structures]
     if len(vs) < 3:
         raise ValueError("a toric plumbing needs at least three rod structures")
     n = len(vs[0])
@@ -236,32 +240,17 @@ def decompose_component(structures) -> ToricPlumbing:
         raise ValueError("toric plumbing needs n >= 3")
     # Det_2 is invariant under the unimodular Q of the run's Hermite form
     # and under a sign flip, so these values hold for every pair of W too
-    det2s = [_require_admissible(tuple(a), tuple(b), "a") for a, b in zip(vs, vs[1:])]
+    det2s = [_require_admissible(a, b, "a") for a, b in zip(vs, vs[1:])]
 
     l = len(vs) - 2
-    # The run's Hermite form is Q @ V with Q unimodular, so the columns of
-    # V obey the same linear relations as the reduced columns: a triple's
-    # dependence and its coefficient a can be read off the structures.
-    for i in range(l):
-        v1, v2, v3 = vs[i], vs[i + 1], vs[i + 2]
-        if determinant_divisor(IntMatrix.from_columns([v1, v2, v3]), 3) == 0:
-            # dependent triple: v3 = a*v1 + b*v2 with a = +-1; flip the input
-            # structure so the recursion coefficient comes out +1
-            pair_q = hermite_normal_form(IntMatrix.from_columns([v1, v2])).Q
-            a = (pair_q @ v3)[0]
-            if a not in (1, -1):
-                raise PlumbingRelationError(
-                    "admissible dependent triple must have unit coefficient"
-                )
-            if a == -1:
-                vs[i + 2] = [-x for x in v3]
-
     W = hermite_normal_form(IntMatrix.from_columns(vs)).H.columns()
     bundles = []
     vectors = []
     det3s = []
     for i in range(l):
-        bundle = _admissible_triple_bundle(W[i], W[i + 1], W[i + 2])
+        bundle, flipped = _admissible_triple_bundle(W[i], W[i + 1], W[i + 2])
+        if flipped:
+            W[i + 2] = tuple(-x for x in W[i + 2])
         q, r, p = bundle.qrp
         vec, d3 = _plumbing_vector_det3(W[i], W[i + 1], W[i + 2], q, r, p)
         bundles.append(bundle)
@@ -276,8 +265,9 @@ def decompose_component(structures) -> ToricPlumbing:
     rods, vecs = _run_recursion(result.bundles, result.plumbing_vectors)
     if rods != result.rods_hnf:
         raise PlumbingRelationError("recursion does not regenerate the Hermite-form rods")
-    # W is the checked output of hermite_normal_form, and its bundles,
-    # Det_2 and Det_3 values were found above: check against those facts
+    # W is the checked output of hermite_normal_form up to negated pivot-free
+    # columns, and its bundles, Det_2 and Det_3 values were found above:
+    # check against those facts
     diag = _relation_diagnostics(result.bundles, rods, vecs, det2s[1:], bundles, det3s, True)
     if not diag.ok:
         raise PlumbingRelationError(
@@ -560,11 +550,6 @@ def doc_decomposition(diagram: RodDiagram) -> DocDecomposition:
             raise InadmissibleCornerError(
                 f"corner between rods {i} and {j} is inadmissible (Det_2 = {d})", d
             )
-    if diagram.has_geometry():
-        for i in diagram.horizon_indices():
-            lo, hi = diagram.rods[i].z
-            if not 0 < hi - lo < float("inf"):
-                raise ValueError(f"horizon rod {i} is degenerate")
 
     last = len(diagram.rods) - 1
     pieces = []

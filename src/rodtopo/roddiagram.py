@@ -308,7 +308,7 @@ class RodDiagram:
                 raise DiagramValidationError("z-interval contains NaN", i)
             if not lo < hi:
                 raise DiagramValidationError(f"degenerate z-interval {rod.z}", i)
-            if not rod.is_axis and (math.isinf(lo) or math.isinf(hi)):
+            if not rod.is_axis and math.isinf(hi - lo):
                 raise DiagramValidationError("horizon rod must have finite length", i)
         if self.shape == HALF_PLANE:
             if self.rods[0].z[0] != NEG_INF:

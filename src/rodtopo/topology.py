@@ -74,10 +74,7 @@ class AbelianGroup:
 
 def fundamental_group(diagram: RodDiagram) -> AbelianGroup:
     """pi_1 of the total space: Z^n / span_Z of the rod structures."""
-    structures = diagram.structures()
-    if not structures:
-        return AbelianGroup(diagram.n, ())
-    snf = smith_normal_form(IntMatrix.from_columns([s.v for s in structures]))
+    snf = smith_normal_form(diagram.structure_matrix())
     rank = snf.rank
     torsion = tuple(s for s in snf.divisors if s > 1)
     return AbelianGroup(diagram.n - rank, torsion)

@@ -134,3 +134,17 @@ def rand_admissible_chain(rng: random.Random, n: int, length: int):
     while len(chain) < length:
         chain.append(rand_admissible_next(rng, chain[-1]))
     return chain
+
+
+# A rank-3 half-plane diagram with geometry and potentials whose one corner,
+# between (1, 0, 0) and (1, 2, 0), has Det_2 = 2.
+INADMISSIBLE_CORNER = {
+    "n": 3,
+    "shape": "half_plane",
+    "rods": [
+        {"kind": "axis", "v": [1, 0, 0], "z": ["-inf", 0], "potential": [0, 0, 0]},
+        {"kind": "axis", "v": [1, 2, 0], "z": [0, 1], "potential": [0, 0, 0]},
+        {"kind": "horizon", "z": [1, 2]},
+        {"kind": "axis", "v": [0, 0, 1], "z": [2, "+inf"], "potential": [0.5, 0, 0]},
+    ],
+}

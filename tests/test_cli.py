@@ -4,6 +4,8 @@ import pytest
 
 from rodtopo.cli import main
 
+from helpers import INADMISSIBLE_CORNER
+
 
 COUNTEREXAMPLE = {
     "n": 2,
@@ -142,6 +144,14 @@ def test_validation_failure_exit_code(capsys, tmp_path):
     p.write_text(json.dumps({"n": 2, "shape": "half_plane", "rods": [{"kind": "axis", "v": [2, 4]}]}))
     assert main(["validate", str(p)]) == 1
     assert "primitive" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["decompose", "fillin", "compactify", "model-verify"])
+def test_inadmissible_corner_exit_code(capsys, tmp_path, command):
+    p = tmp_path / "inadmissible.json"
+    p.write_text(json.dumps(INADMISSIBLE_CORNER))
+    assert main([command, str(p)]) == 1
+    assert "inadmissible (Det_2 = 2)" in capsys.readouterr().err
 
 
 def test_missing_file_is_usage_error(capsys):

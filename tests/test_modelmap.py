@@ -402,6 +402,15 @@ def test_tension_field_independent_of_strip_height(monkeypatch):
             assert np.array_equal(got, want, equal_nan=True)
 
 
+def test_F_is_finite_on_the_axis_north_of_a_finite_slot_rod():
+    m = build_model_map(figure2_diagram())
+    for z in (4.75, 10.0):
+        on_axis = m.F(np.array([(0.0, z)]))
+        assert np.all(np.isfinite(on_axis))
+        # the limit of the ("ud", a, b) term as rho -> 0
+        np.testing.assert_allclose(on_axis, m.F(np.array([(1e-300, z)])), rtol=1e-12)
+
+
 @pytest.mark.parametrize(
     "diagram, transitions", [(figure2_diagram(), True), (no_corner_diagram(), False)]
 )

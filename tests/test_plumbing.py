@@ -1,9 +1,10 @@
+import json
 import random
 
 import pytest
 
 from rodtopo import plumbing
-from rodtopo.errors import InadmissibleCornerError, PlumbingRelationError
+from rodtopo.errors import InadmissibleCornerError, ModelMapError, PlumbingRelationError
 from rodtopo.intlin import IntMatrix, determinant_divisor, hermite_normal_form
 from rodtopo.plumbing import (
     Bundle,
@@ -15,9 +16,12 @@ from rodtopo.plumbing import (
     triple_to_bundle,
     verify_plumbing_relations,
 )
-from rodtopo.roddiagram import Rod, RodDiagram, det2
+from rodtopo.modelmap import build_model_map
+from rodtopo.roddiagram import Rod, RodDiagram, det2, parse
+from rodtopo.topology import compactify
 
 from helpers import (
+    INADMISSIBLE_CORNER,
     rand_admissible_chain,
     rand_admissible_next,
     rand_primitive,
@@ -189,6 +193,42 @@ def _chain_with_dependent_triples(rng, n, length):
     return [tuple(s * x for x in v) for s, v in zip(signs, chain)]
 
 
+def _preflip_decompose(structures):
+    """decompose_component with its former input pre-flip: Det_3 of every
+    input triple, the coefficient a of a dependent one from the pair's
+    Hermite transformation, a = -1 negating the input structure, and then
+    the Hermite form of the flipped run."""
+    vs = [list(v) for v in structures]
+    for i in range(len(vs) - 2):
+        v1, v2, v3 = vs[i], vs[i + 1], vs[i + 2]
+        if determinant_divisor(IntMatrix.from_columns([v1, v2, v3]), 3) == 0:
+            a = (hermite_normal_form(IntMatrix.from_columns([v1, v2])).Q @ v3)[0]
+            assert a in (1, -1)
+            if a == -1:
+                vs[i + 2] = [-x for x in v3]
+    W = hermite_normal_form(IntMatrix.from_columns(vs)).H.columns()
+    bundles, vectors = [], []
+    for i in range(len(vs) - 2):
+        bundle = triple_to_bundle(W[i], W[i + 1], W[i + 2])
+        bundles.append(bundle)
+        if i > 0:
+            vectors.append(plumbing_vector(W[i], W[i + 1], W[i + 2], *bundle.qrp))
+    return ToricPlumbing(tuple(bundles), tuple(vectors), tuple(W))
+
+
+def test_sign_rule_on_hermite_form_matches_input_preflip():
+    rng = random.Random(53)
+    signs = {1: 0, -1: 0}
+    for _ in range(1000):
+        chain = _chain_with_dependent_triples(rng, rng.randint(3, 6), rng.randint(3, 9))
+        for u, v, w in zip(chain, chain[1:], chain[2:]):
+            if determinant_divisor(IntMatrix.from_columns([u, v, w]), 3) == 0:
+                signs[_reads_q(u, v, w)] += 1
+        assert decompose_component(chain) == _preflip_decompose(chain)
+    # dependent input triples of both signs occur often
+    assert min(signs.values()) >= 500
+
+
 def test_one_pass_sign_fix_matches_per_triple_reference():
     rng = random.Random(49)
     runs_with_flips = cascades = 0
@@ -218,17 +258,33 @@ def test_decompose_reads_each_triple_once(monkeypatch):
     monkeypatch.setattr(plumbing, "hermite_normal_form", counting_hermite)
     monkeypatch.setattr(plumbing, "determinant_divisor", counting_divisor)
     rng = random.Random(50)
+    dependent = {1: 0, -1: 0}
     for length in (20, 40):
         for _ in range(4):
+            chain = _chain_with_dependent_triples(rng, 4, length)
+            for u, v, w in zip(chain, chain[1:], chain[2:]):
+                if determinant_divisor(IntMatrix.from_columns([u, v, w]), 3) == 0:
+                    dependent[_reads_q(u, v, w)] += 1
             widths.clear()
             det3_calls.clear()
-            decompose_component(rand_admissible_chain(rng, 4, length))
+            tp = decompose_component(chain)
             l = length - 2
-            # the run's own form, and one 3-column form per triple
+            # the run's own form, and one 3-column form per triple; no
+            # pair form decides a sign
             assert sum(w > 3 for w in widths) == 1
             assert widths.count(3) == l
-            # the sign fix, and one plumbing vector per triple
-            assert det3_calls.count(3) <= 2 * l
+            assert widths.count(2) == 0
+            # Det_3 only for the plumbing vector of each p != 0 bundle
+            assert det3_calls == [3] * sum(b.qrp[2] != 0 for b in tp.bundles)
+    # the input triples present dependent rods with both signs
+    assert min(dependent.values()) >= 20
+
+
+def _reads_q(u, v, w):
+    """The coefficient q = +-1 of u in w = q u + r v, for a dependent
+    admissible triple."""
+    res = hermite_normal_form(IntMatrix.from_columns([u, v, w]))
+    return res.H.column(2)[0]
 
 
 def test_decompose_takes_each_det2_once(monkeypatch):
@@ -463,6 +519,17 @@ def test_doc_decomposition_covers_every_axis_rod_once():
         for p in doc.pieces:
             seen.extend(p.source_rod_indices)
         assert sorted(seen) == d.axis_indices()
+
+
+def test_inadmissible_corner_rejected_by_every_diagram_stage():
+    diagram = parse(json.dumps(INADMISSIBLE_CORNER))
+    with pytest.raises(InadmissibleCornerError, match=r"inadmissible \(Det_2 = 2\)") as info:
+        doc_decomposition(diagram)
+    assert info.value.det2 == 2
+    with pytest.raises(ValueError, match=r"inadmissible \(Det_2 = 2\)"):
+        compactify(diagram)
+    with pytest.raises(ModelMapError, match=r"inadmissible \(Det_2 = 2\)"):
+        build_model_map(diagram)
 
 
 def test_doc_decomposition_requires_n3():

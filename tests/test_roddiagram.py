@@ -197,6 +197,22 @@ def test_geometry_validation():
         )
 
 
+def test_horizon_whose_length_overflows_is_rejected_at_parse():
+    text = json.dumps(
+        {
+            "n": 2,
+            "shape": "half_plane",
+            "rods": [
+                {"kind": "axis", "v": [1, 0], "z": ["-inf", -1e308]},
+                {"kind": "horizon", "z": [-1e308, 1e308]},
+                {"kind": "axis", "v": [0, 1], "z": [1e308, "+inf"]},
+            ],
+        }
+    )
+    with pytest.raises(DiagramValidationError, match="finite length"):
+        parse(text)
+
+
 def test_half_plane_must_start_and_end_with_axis():
     with pytest.raises(DiagramValidationError):
         RodDiagram(2, "half_plane", [Rod.horizon(), Rod.axis((1, 0))])
