@@ -2,8 +2,10 @@
 
 Every subcommand reads one rod-diagram JSON file, runs the corresponding
 analysis, and writes a deterministic report (JSON or text) to stdout or a
-file.  Exit codes: 0 success, 1 validation or relation failure, 2 usage
-error.
+file.  Exit codes: 0 success, 1 validation or relation failure (for
+``model-verify``: the model map cannot be built), 2 usage error (including
+an input that cannot be read or an output that cannot be written), 3 the
+model map was built but failed the tension verification.
 """
 
 from __future__ import annotations
@@ -11,6 +13,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from pathlib import Path
 
 from . import roddiagram
 from .errors import RodTopoError
@@ -38,14 +41,21 @@ class UsageError(Exception):
     pass
 
 
+def _write(path, write):
+    """write(path), with an OSError turned into a usage error."""
+    try:
+        write(path)
+    except OSError as e:
+        raise UsageError(f"cannot write {path}: {e.strerror}") from e
+
+
 def _emit(args, payload, text_lines):
     if args.format == "json":
         out = json.dumps(payload, sort_keys=True, indent=2) + "\n"
     else:
         out = "\n".join(text_lines) + "\n"
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(out)
+        _write(args.out, lambda path: Path(path).write_text(out, encoding="utf-8"))
     else:
         sys.stdout.write(out)
 
@@ -212,7 +222,7 @@ def _cmd_model_verify(args):
     )
     payload = rep.to_json_dict()
     if args.dump_csv:
-        rep.dump_csv(args.dump_csv)
+        _write(args.dump_csv, rep.dump_csv)
         payload["csv"] = args.dump_csv
     lines = [
         f"grid h = {rep.h}, excision = {rep.excision_radius}",
@@ -222,7 +232,7 @@ def _cmd_model_verify(args):
         f"overall: {'PASS' if rep.passed else 'FAIL'}",
     ]
     _emit(args, payload, lines)
-    return 0 if rep.passed else 1
+    return 0 if rep.passed else 3
 
 
 # ----------------------------------------------------------------------

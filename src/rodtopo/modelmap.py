@@ -242,23 +242,27 @@ class ModelMap:
         once per distinct z; only points with chi > 0 get their own
         blended frame and inverse (where chi = 0 the blend is exactly A).
         """
-        return self._frames(*self._coords(points))
+        return self._frames(*self._coords(points))[:3]
 
     def _frames(self, rho, z, z_axis, at, chi):
+        """The frame factors and det(M^-1), which like M^-1 is computed
+        once per distinct z and again only for points with chi > 0."""
         U, V = self._UV(rho, z)
         A = self.axis_frames(z_axis)
         M = A[at]
         Minv = np.linalg.inv(A)[at]
+        det_inv = (1.0 / np.linalg.det(A))[at]
         blend = chi > 0.0
         if blend.any():
             Mb = M[blend]
             Mb += chi[blend][:, None, None] * (self.far_frame - Mb)
             M[blend] = Mb
             Minv[blend] = np.linalg.inv(Mb)
+            det_inv[blend] = 1.0 / np.linalg.det(Mb)
         d = np.ones(rho.shape + (self.n,))
         d[..., 0] = np.exp(U)
         d[..., 1] = np.exp(V)
-        return M, Minv, d
+        return M, Minv, d, det_inv
 
     def F(self, points):
         """Matrix field at an (N, 2) array of (rho, z) points; (N, n, n)."""
@@ -588,14 +592,15 @@ def _congruence(X, d):
 
 def _point_fields(m, points):
     """Point stage of the tension kernel: F, F^-1, det F and omega at an
-    array of points.  F^-1 = M diag(1/d) M^T comes from the frame factors
-    F = M^-T diag(d) M^-1, so no second matrix inverse is needed; chi and
-    the distinct z values are found once for both F and omega."""
+    array of points.  F^-1 = M diag(1/d) M^T and det F = prod(d) det(M^-1)^2
+    come from the frame factors F = M^-T diag(d) M^-1, so no second matrix
+    inverse and no per-point determinant is needed; chi and the distinct z
+    values are found once for both F and omega."""
     coords = m._coords(points)
-    M, Minv, d = m._frames(*coords)
+    M, Minv, d, det_inv = m._frames(*coords)
     F = _congruence(Minv, d)
     Finv = _congruence(np.swapaxes(M, -1, -2), 1.0 / d)
-    return F, Finv, np.linalg.det(F), m._omega(*coords)
+    return F, Finv, d.prod(-1) * det_inv**2, m._omega(*coords)
 
 
 def _divergence(v_rho, v_z, rho, h):
@@ -632,20 +637,21 @@ def _tension_stencil(F, Finv, f, w, rho, h):
     divH = _divergence(H_rho, H_z, rho[..., None, None], h)
     divK = _divergence(K_rho, K_z, rho[..., None], h)
 
-    dw_rho, dw_z = dw_rho[1:-1], dw_z[:, 1:-1]
-    grad2 = np.einsum("...i,...j->...ij", dw_rho, dw_rho) + np.einsum(
-        "...i,...j->...ij", dw_z, dw_z
+    # G = F^-1 (dw dw^T summed over rho and z) / det F is the sum of the
+    # outer products of the central fluxes K with dw
+    A = (
+        divH
+        + K_rho[1:-1, ..., :, None] * dw_rho[1:-1, ..., None, :]
+        + K_z[:, 1:-1, ..., :, None] * dw_z[:, 1:-1, ..., None, :]
     )
-    f_in = f[2:-2, 2:-2]
-    G = (Finv[2:-2, 2:-2] @ grad2) / f_in[..., None, None]
-
-    A = divH + G
-    trA = np.trace(A, axis1=-2, axis2=-1)
-    trA2 = np.clip(np.trace(A @ A, axis1=-2, axis2=-1), 0.0, None)
-    omega_term = 0.5 * f_in * np.einsum("...i,...ij,...j->...", divK, F[2:-2, 2:-2], divK)
-    tau_f = np.sqrt(np.clip(0.25 * trA**2 + 0.25 * trA2, 0.0, None))
+    trA = np.einsum("...ii->...", A)
+    trA2 = np.clip(np.einsum("...ij,...ji->...", A, A), 0.0, None)
+    F_divK = np.einsum("...ij,...j->...i", F[2:-2, 2:-2], divK)
+    omega_term = 0.5 * f[2:-2, 2:-2] * np.einsum("...i,...i->...", divK, F_divK)
+    tau_f2 = 0.25 * trA**2 + 0.25 * trA2
+    tau_f = np.sqrt(tau_f2)
     tau_w = np.sqrt(np.clip(omega_term, 0.0, None))
-    tau = np.sqrt(np.clip(0.25 * trA**2 + 0.25 * trA2 + omega_term, 0.0, None))
+    tau = np.sqrt(np.clip(tau_f2 + omega_term, 0.0, None))
     return tau, tau_f, tau_w
 
 
@@ -993,13 +999,14 @@ class TransformedMap:
         self.n = base.n
         self.h_matrix = np.asarray(h_matrix, dtype=float)
         self._h_inv_t = np.linalg.inv(self.h_matrix).T
+        self._det_h = np.linalg.det(self.h_matrix)
 
     def _coords(self, points):
         return self.base._coords(points)
 
     def _frames(self, *coords):
-        M, Minv, d = self.base._frames(*coords)
-        return self._h_inv_t @ M, Minv @ self.h_matrix.T, d
+        M, Minv, d, det_inv = self.base._frames(*coords)
+        return self._h_inv_t @ M, Minv @ self.h_matrix.T, d, det_inv * self._det_h
 
     def _omega(self, *coords):
         return np.einsum("ij,...j->...i", self.h_matrix, self.base._omega(*coords))

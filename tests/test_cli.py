@@ -1,7 +1,9 @@
 import json
+from pathlib import Path
 
 import pytest
 
+from rodtopo import cli
 from rodtopo.cli import main
 
 from helpers import INADMISSIBLE_CORNER
@@ -210,9 +212,41 @@ def test_model_verify_runs(capsys, tmp_path, no_corner_path):
         capsys, "model-verify", no_corner_path, "--grid-h", "0.2", "--rays", "3",
         "--dump-csv", str(csv),
     )
-    assert code in (0, 1)  # pass/fail is the report's verdict
+    assert code in (0, 3)  # pass/fail is the report's verdict
     assert out["decay"]["pass"] is True
     assert csv.exists()
+
+
+PAPER_DIAGRAM = str(Path(__file__).resolve().parent.parent / "diagrams" / "two-horizon-one-corner.json")
+
+
+def test_model_verify_failed_verification_exit_code(capsys, monkeypatch):
+    # a map that is built but fails verification exits 3, not 1 ("cannot build")
+    real = cli.build_model_map
+    monkeypatch.setattr(
+        cli, "build_model_map", lambda d, **kw: real(d, corrupt_transition=True, **kw)
+    )
+    code, out = run_json(capsys, "model-verify", PAPER_DIAGRAM, "--grid-h", "0.1")
+    assert code == 3
+    assert out["passed"] is False
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["validate", PAPER_DIAGRAM, "--out", "/nonexistent/d/x.json"],
+        ["model-verify", PAPER_DIAGRAM, "--grid-h", "0.25", "--rays", "3",
+         "--dump-csv", "/nonexistent/d/t.csv"],
+    ],
+    ids=["out", "dump-csv"],
+)
+def test_unwritable_output_is_usage_error(capsys, argv):
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1
+    assert lines[0].startswith("error: cannot write /nonexistent/d/")
 
 
 @pytest.mark.parametrize(

@@ -80,8 +80,9 @@ def det_f(m, points):
 
 
 def reference_frame_factors(m, points):
-    """Frame factors that find chi and the distinct z values themselves
-    (one frame per distinct z, one blended frame per point with chi > 0)."""
+    """Frame factors and det(M^-1) that find chi and the distinct z values
+    themselves (one frame per distinct z, one blended frame per point with
+    chi > 0)."""
     pts = np.asarray(points, dtype=float)
     rho, z = pts[..., 0], pts[..., 1]
     U, V = m._UV(rho, z)
@@ -90,6 +91,7 @@ def reference_frame_factors(m, points):
     A = m.axis_frames(z_axis)
     M = A[at]
     Minv = np.linalg.inv(A)[at]
+    det_inv = (1.0 / np.linalg.det(A))[at]
     chi = m._blend_weight(rho, z)
     blend = chi > 0.0
     if blend.any():
@@ -97,10 +99,11 @@ def reference_frame_factors(m, points):
         Mb += chi[blend][:, None, None] * (m.far_frame - Mb)
         M[blend] = Mb
         Minv[blend] = np.linalg.inv(Mb)
+        det_inv[blend] = 1.0 / np.linalg.det(Mb)
     d = np.ones(rho.shape + (m.n,))
     d[..., 0] = np.exp(U)
     d[..., 1] = np.exp(V)
-    return M, Minv, d
+    return M, Minv, d, det_inv
 
 
 def reference_piece_value(pieces, z):
@@ -134,19 +137,66 @@ def reference_omega(m, points):
 def reference_point_fields(m, points):
     """Point stage built from the two reference formulas, each with its
     own chi."""
-    M, Minv, d = reference_frame_factors(m, points)
+    M, Minv, d, det_inv = reference_frame_factors(m, points)
     F = modelmap._congruence(Minv, d)
     Finv = modelmap._congruence(np.swapaxes(M, -1, -2), 1.0 / d)
-    return F, Finv, np.linalg.det(F), reference_omega(m, points)
+    return F, Finv, d.prod(-1) * det_inv**2, reference_omega(m, points)
+
+
+def reference_kernel_point_fields(m, points):
+    """The point stage with det F taken per point by np.linalg.det."""
+    F, Finv, _, w = reference_point_fields(m, points)
+    return F, Finv, np.linalg.det(F), w
+
+
+def reference_tension_stencil(F, Finv, f, w, rho, h):
+    """The stencil stage written out with stacked products: G from
+    F^-1 times the outer products of dw, tr(A^2) from A @ A and the
+    quadratic form in one einsum."""
+    two_h = 2.0 * h
+    # fluxes H = F^-1 dF and K = F^-1 dw / det F, only where the divergence
+    # reads them: rho-fluxes one row past the result, z-fluxes one column
+    Fi_rho = Finv[1:-1, 2:-2]
+    Fi_z = Finv[2:-2, 1:-1]
+    H_rho = Fi_rho @ ((F[2:, 2:-2] - F[:-2, 2:-2]) / two_h)
+    H_z = Fi_z @ ((F[2:-2, 2:] - F[2:-2, :-2]) / two_h)
+    dw_rho = (w[2:, 2:-2] - w[:-2, 2:-2]) / two_h
+    dw_z = (w[2:-2, 2:] - w[2:-2, :-2]) / two_h
+    K_rho = np.einsum("...ij,...j->...i", Fi_rho, dw_rho) / f[1:-1, 2:-2, ..., None]
+    K_z = np.einsum("...ij,...j->...i", Fi_z, dw_z) / f[2:-2, 1:-1, ..., None]
+    divH = modelmap._divergence(H_rho, H_z, rho[..., None, None], h)
+    divK = modelmap._divergence(K_rho, K_z, rho[..., None], h)
+
+    dw_rho, dw_z = dw_rho[1:-1], dw_z[:, 1:-1]
+    grad2 = np.einsum("...i,...j->...ij", dw_rho, dw_rho) + np.einsum(
+        "...i,...j->...ij", dw_z, dw_z
+    )
+    f_in = f[2:-2, 2:-2]
+    G = (Finv[2:-2, 2:-2] @ grad2) / f_in[..., None, None]
+
+    A = divH + G
+    trA = np.trace(A, axis1=-2, axis2=-1)
+    trA2 = np.clip(np.trace(A @ A, axis1=-2, axis2=-1), 0.0, None)
+    omega_term = 0.5 * f_in * np.einsum("...i,...ij,...j->...", divK, F[2:-2, 2:-2], divK)
+    tau_f = np.sqrt(np.clip(0.25 * trA**2 + 0.25 * trA2, 0.0, None))
+    tau_w = np.sqrt(np.clip(omega_term, 0.0, None))
+    tau = np.sqrt(np.clip(0.25 * trA**2 + 0.25 * trA2 + omega_term, 0.0, None))
+    return tau, tau_f, tau_w
+
+
+def verifier_grid(m):
+    """The width of the diagram's finite extent and verify_tension's grid
+    (rho_max, z_lo, z_hi)."""
+    lo, hi = modelmap._finite_extent(m)
+    width = max(hi - lo, 1.0)
+    return width, (width + 2.0, lo - 1.8 * width, hi + 1.8 * width)
 
 
 def reference_annuli(m, h):
     """Annulus records of verify_tension (default excision factor) from both
     fields held whole: nanmax of tension_field at h and h/2 over full-grid
     ring masks."""
-    lo, hi = modelmap._finite_extent(m)
-    width = max(hi - lo, 1.0)
-    rho_max, z_lo, z_hi = width + 2.0, lo - 1.8 * width, hi + 1.8 * width
+    width, (rho_max, z_lo, z_hi) = verifier_grid(m)
     excision = 3.0 * h
     clearance = max(modelmap.SUP_CLEARANCE, excision)
     R1, Z1, T1, _, _, M1 = tension_field(m, h, rho_max, z_lo, z_hi, excision=excision)
@@ -411,14 +461,12 @@ def test_F_is_finite_on_the_axis_north_of_a_finite_slot_rod():
         np.testing.assert_allclose(on_axis, m.F(np.array([(1e-300, z)])), rtol=1e-12)
 
 
-@pytest.mark.parametrize(
-    "diagram, transitions", [(figure2_diagram(), True), (no_corner_diagram(), False)]
-)
-def test_frame_factors_match_per_point_reference(diagram, transitions):
-    m = build_model_map(diagram)
+def frame_sample_points(m):
+    """z samples at the middle of every frame piece and at every finite
+    piece boundary of the frame curve and of the omega profile, and the
+    points at rho = 0.5, 2, the middle of the blend annulus and past it
+    on each; rho outer, z inner."""
     R1, R2 = m.blend_radii
-    # the middle of every frame piece, and every finite piece boundary of
-    # the frame curve and of the omega profile
     z_samples = [
         seg.z_hi - 1.0 if seg.z_lo == -INF
         else seg.z_lo + 1.0 if seg.z_hi == INF
@@ -428,10 +476,19 @@ def test_frame_factors_match_per_point_reference(diagram, transitions):
     z_samples += sorted(
         {b for p in m.segments + m.omega_profile for b in (p.z_lo, p.z_hi) if math.isfinite(b)}
     )
+    rho_samples = [0.5, 2.0, 0.5 * (R1 + R2), R2 + 5.0]
+    return z_samples, np.array([(rho, z) for rho in rho_samples for z in z_samples])
+
+
+@pytest.mark.parametrize(
+    "diagram, transitions", [(figure2_diagram(), True), (no_corner_diagram(), False)]
+)
+def test_frame_factors_match_per_point_reference(diagram, transitions):
+    m = build_model_map(diagram)
+    R1, R2 = m.blend_radii
+    z_samples, pts = frame_sample_points(m)
     A_ref = [reference_piece_value(m.segments, z) for z in z_samples]
     assert np.array_equal(m.axis_frames(np.array(z_samples)), A_ref)
-    rho_samples = [0.5, 2.0, 0.5 * (R1 + R2), R2 + 5.0]
-    pts = np.array([(rho, z) for rho in rho_samples for z in z_samples])
     M, Minv, d = m.frame_factors(pts)
     assert np.array_equal(m.omega(pts), reference_omega(m, pts))
 
@@ -465,6 +522,47 @@ def test_tension_field_matches_reference_point_stage(monkeypatch, diagram):
     monkeypatch.setattr(modelmap, "_point_fields", reference_point_fields)
     for a, b in zip(got, tension_field(*args)):
         assert np.array_equal(a, b, equal_nan=True)
+
+
+@pytest.mark.parametrize(
+    "diagram, h, grid",
+    [
+        (figure2_diagram(), 0.5, (30.0, -25.0, 35.0)),
+        (no_corner_diagram(), 0.5, (30.0, -25.0, 35.0)),
+        (parse(PAPER_DIAGRAM.read_text()), 0.1, None),
+    ],
+    ids=["figure2", "no-corner", "paper-verifier-grid"],
+)
+def test_tension_field_matches_reference_stencil(monkeypatch, diagram, h, grid):
+    # det F from the frame factors and G from the central fluxes change
+    # the operation order, so tau may move at round-off level only
+    m = build_model_map(diagram)
+    args = (m, h) + (grid or verifier_grid(m)[1])
+    got = tension_field(*args)
+    monkeypatch.setattr(modelmap, "_point_fields", reference_kernel_point_fields)
+    monkeypatch.setattr(modelmap, "_tension_stencil", reference_tension_stencil)
+    want = tension_field(*args)
+    assert np.array_equal(got[5], want[5])
+    assert got[5].any()
+    for a, b in zip(got[:5], want[:5]):
+        np.testing.assert_allclose(a, b, rtol=1e-10, atol=0.0, equal_nan=True)
+
+
+@pytest.mark.parametrize(
+    "h_matrix",
+    [None, [[1, 1, 0], [0, 1, 0], [1, 1, 1]], [[0, 1, 0], [1, 0, 0], [0, 0, 1]],
+     [[1, 1, 0], [0, 2, 0], [0, 0, 1]]],
+    ids=["base", "det-1", "det-minus-1", "det-2"],
+)
+def test_det_f_from_frame_factors(h_matrix):
+    # points with rho >= 0.5 on plateaus, in transitions, in the blend
+    # annulus and past it; det(h) = -1 and 2 exercise the det(h) factor
+    base = build_model_map(figure2_diagram())
+    m = base if h_matrix is None else TransformedMap(base, h_matrix)
+    _, pts = frame_sample_points(base)
+    chi = base._blend_weight(*pts.T)
+    assert any(0.0 < c < 1.0 for c in chi) and 1.0 in chi
+    np.testing.assert_allclose(modelmap._point_fields(m, pts)[2], det_f(m, pts), rtol=1e-12)
 
 
 def test_point_stage_computes_blend_weight_once(monkeypatch):
