@@ -11,7 +11,9 @@ model map was built but failed the tension verification.
 from __future__ import annotations
 
 import argparse
+import errno
 import json
+import os
 import sys
 from pathlib import Path
 
@@ -47,6 +49,15 @@ def _write(path, write):
         write(path)
     except OSError as e:
         raise UsageError(f"cannot write {path}: {e.strerror}") from e
+
+
+def _require_directory(path):
+    """Reject an output path whose directory does not exist, before any
+    work is done; _write stays the backstop for every other write error."""
+    parent = Path(path).parent
+    if not parent.is_dir():
+        code = errno.ENOTDIR if parent.exists() else errno.ENOENT
+        raise UsageError(f"cannot write {path}: {os.strerror(code)}")
 
 
 def _emit(args, payload, text_lines):
@@ -216,6 +227,9 @@ def _cmd_classify(args):
 
 def _cmd_model_verify(args):
     diagram = parse(_load(args.input))
+    for path in (args.out, args.dump_csv):
+        if path:
+            _require_directory(path)
     m = build_model_map(diagram, epsilon=args.epsilon)
     rep = verify_tension(
         m, h=args.grid_h, rays=args.rays, excision_factor=args.excision_factor

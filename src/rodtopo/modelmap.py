@@ -223,12 +223,25 @@ class ModelMap:
         R1, R2 = self.blend_radii
         return _smoothstep((np.hypot(rho, z - self.z0) - R1) / (R2 - R1))
 
-    def _coords(self, points):
-        """rho, z, the distinct z with each point's index into them, and chi."""
+    def _z_stage(self, z_axis):
+        """The frame curve's z-only factors at sorted distinct z values:
+        (z_axis, A, A^-1, 1/det A), one inverse and determinant per z."""
+        A = self.axis_frames(z_axis)
+        return z_axis, A, np.linalg.inv(A), 1.0 / np.linalg.det(A)
+
+    def _coords(self, points, level=None):
+        """rho, z, the z stage with each point's index into it, and chi.
+
+        A grid level passes its own z stage, whose z values are the last
+        axis of the points; otherwise the distinct z are found here."""
         pts = np.asarray(points, dtype=float)
         rho, z = pts[..., 0], pts[..., 1]
-        z_axis, at = np.unique(z, return_inverse=True)
-        return rho, z, z_axis, at.reshape(z.shape), self._blend_weight(rho, z)
+        if level is None:
+            z_axis, at = np.unique(z, return_inverse=True)
+            level, at = self._z_stage(z_axis), at.reshape(z.shape)
+        else:
+            at = np.broadcast_to(np.arange(level[0].size), z.shape)
+        return rho, z, level, at, self._blend_weight(rho, z)
 
     def frame_factors(self, points):
         """(M, M^-1, d) at an (N, 2) array of (rho, z) points, with
@@ -244,14 +257,14 @@ class ModelMap:
         """
         return self._frames(*self._coords(points))[:3]
 
-    def _frames(self, rho, z, z_axis, at, chi):
-        """The frame factors and det(M^-1), which like M^-1 is computed
-        once per distinct z and again only for points with chi > 0."""
+    def _frames(self, rho, z, level, at, chi):
+        """The frame factors and det(M^-1): the z stage gathered to the
+        points, then blended and inverted again only where chi > 0."""
         U, V = self._UV(rho, z)
-        A = self.axis_frames(z_axis)
+        _, A, A_inv, A_det_inv = level
         M = A[at]
-        Minv = np.linalg.inv(A)[at]
-        det_inv = (1.0 / np.linalg.det(A))[at]
+        Minv = A_inv[at]
+        det_inv = A_det_inv[at]
         blend = chi > 0.0
         if blend.any():
             Mb = M[blend]
@@ -274,8 +287,8 @@ class ModelMap:
         profile runs once per distinct z, the far profile only where chi > 0."""
         return self._omega(*self._coords(points))
 
-    def _omega(self, rho, z, z_axis, at, chi):
-        near = _profile_at(self.omega_profile, z_axis)[at]
+    def _omega(self, rho, z, level, at, chi):
+        near = _profile_at(self.omega_profile, level[0])[at]
         blend = chi > 0.0
         if blend.any():
             c_north, c_south = map(np.asarray, self.omega_far)
@@ -590,13 +603,14 @@ def _congruence(X, d):
     return np.swapaxes(X, -1, -2) @ (d[..., None] * X)
 
 
-def _point_fields(m, points):
+def _point_fields(m, points, level=None):
     """Point stage of the tension kernel: F, F^-1, det F and omega at an
     array of points.  F^-1 = M diag(1/d) M^T and det F = prod(d) det(M^-1)^2
     come from the frame factors F = M^-T diag(d) M^-1, so no second matrix
-    inverse and no per-point determinant is needed; chi and the distinct z
-    values are found once for both F and omega."""
-    coords = m._coords(points)
+    inverse and no per-point determinant is needed; chi and the z stage
+    are found once for both F and omega.  A grid level passes its z stage
+    (see ModelMap._coords)."""
+    coords = m._coords(points, level)
     M, Minv, d, det_inv = m._frames(*coords)
     F = _congruence(Minv, d)
     Finv = _congruence(np.swapaxes(M, -1, -2), 1.0 / d)
@@ -622,32 +636,49 @@ def _tension_stencil(F, Finv, f, w, rho, h):
 
     The result covers the block minus a rim of two points; rho holds the
     rho values of the result and broadcasts against its leading axes.
+    The flux H = F^-1 dF stays a stacked matrix product, like F and F^-1:
+    BLAS forms it with fused multiply-adds that a sum over entries would
+    not reproduce bit for bit, and on plateaus tau is what is left after
+    terms of order 1 cancel.  Everything after div H runs on one plane of
+    the block per entry, which spares numpy's per-call cost on the small
+    trailing axes.
     """
     two_h = 2.0 * h
+    n = F.shape[-1]
     # fluxes H = F^-1 dF and K = F^-1 dw / det F, only where the divergence
     # reads them: rho-fluxes one row past the result, z-fluxes one column
     Fi_rho = Finv[1:-1, 2:-2]
     Fi_z = Finv[2:-2, 1:-1]
-    H_rho = Fi_rho @ ((F[2:, 2:-2] - F[:-2, 2:-2]) / two_h)
-    H_z = Fi_z @ ((F[2:-2, 2:] - F[2:-2, :-2]) / two_h)
-    dw_rho = (w[2:, 2:-2] - w[:-2, 2:-2]) / two_h
-    dw_z = (w[2:-2, 2:] - w[2:-2, :-2]) / two_h
-    K_rho = np.einsum("...ij,...j->...i", Fi_rho, dw_rho) / f[1:-1, 2:-2, ..., None]
-    K_z = np.einsum("...ij,...j->...i", Fi_z, dw_z) / f[2:-2, 1:-1, ..., None]
-    divH = _divergence(H_rho, H_z, rho[..., None, None], h)
-    divK = _divergence(K_rho, K_z, rho[..., None], h)
+    divH = _divergence(
+        Fi_rho @ ((F[2:, 2:-2] - F[:-2, 2:-2]) / two_h),  # H_rho
+        Fi_z @ ((F[2:-2, 2:] - F[2:-2, :-2]) / two_h),  # H_z
+        rho[..., None, None],
+        h,
+    )
+
+    dw_rho = [(w[2:, 2:-2, ..., j] - w[:-2, 2:-2, ..., j]) / two_h for j in range(n)]
+    dw_z = [(w[2:-2, 2:, ..., j] - w[2:-2, :-2, ..., j]) / two_h for j in range(n)]
+    f_rho, f_z = f[1:-1, 2:-2], f[2:-2, 1:-1]
+    K_rho = [sum(Fi_rho[..., i, j] * dw_rho[j] for j in range(n)) / f_rho for i in range(n)]
+    K_z = [sum(Fi_z[..., i, j] * dw_z[j] for j in range(n)) / f_z for i in range(n)]
+    divK = [_divergence(K_rho[i], K_z[i], rho, h) for i in range(n)]
 
     # G = F^-1 (dw dw^T summed over rho and z) / det F is the sum of the
     # outer products of the central fluxes K with dw
-    A = (
-        divH
-        + K_rho[1:-1, ..., :, None] * dw_rho[1:-1, ..., None, :]
-        + K_z[:, 1:-1, ..., :, None] * dw_z[:, 1:-1, ..., None, :]
-    )
-    trA = np.einsum("...ii->...", A)
-    trA2 = np.clip(np.einsum("...ij,...ji->...", A, A), 0.0, None)
-    F_divK = np.einsum("...ij,...j->...i", F[2:-2, 2:-2], divK)
-    omega_term = 0.5 * f[2:-2, 2:-2] * np.einsum("...i,...i->...", divK, F_divK)
+    A = [
+        [
+            divH[..., i, j]
+            + K_rho[i][1:-1] * dw_rho[j][1:-1]
+            + K_z[i][:, 1:-1] * dw_z[j][:, 1:-1]
+            for j in range(n)
+        ]
+        for i in range(n)
+    ]
+    trA = sum(A[i][i] for i in range(n))
+    trA2 = np.clip(sum(A[i][j] * A[j][i] for i in range(n) for j in range(n)), 0.0, None)
+    F_in = F[2:-2, 2:-2]
+    F_divK = [sum(F_in[..., i, j] * divK[j] for j in range(n)) for i in range(n)]
+    omega_term = 0.5 * f[2:-2, 2:-2] * sum(divK[i] * F_divK[i] for i in range(n))
     tau_f2 = 0.25 * trA**2 + 0.25 * trA2
     tau_f = np.sqrt(tau_f2)
     tau_w = np.sqrt(np.clip(omega_term, 0.0, None))
@@ -691,16 +722,18 @@ def _tension_strips(m, h, rho_max, z_lo, z_hi, excision):
     per strip, with the slice of result rows, the distance to the axis
     set, mask = dist > excision and the parts NaN outside the mask.  Each
     strip carries its last four rows of point fields into the next, so F
-    is computed once per grid point."""
+    is computed once per grid point, and the frame curve's z stage once
+    per call."""
     rho, z = _grid_axes(h, rho_max, z_lo, z_hi)
     rows = len(rho[2:-2])
+    level = m._z_stage(z)
     fields = None
     for a in range(0, rows, STRIP_ROWS):
         b = min(a + STRIP_ROWS, rows)
         # result rows a..b-1 read grid rows a..b+3; rows a..a+3 are carried
         first = a if fields is None else a + 4
         R, Z = np.meshgrid(rho[first : b + 4], z, indexing="ij")
-        new = _point_fields(m, np.stack([R, Z], axis=-1))
+        new = _point_fields(m, np.stack([R, Z], axis=-1), level)
         if fields is not None:
             new = tuple(np.concatenate([old[-4:], part]) for old, part in zip(fields, new))
         fields = new
@@ -1001,8 +1034,11 @@ class TransformedMap:
         self._h_inv_t = np.linalg.inv(self.h_matrix).T
         self._det_h = np.linalg.det(self.h_matrix)
 
-    def _coords(self, points):
-        return self.base._coords(points)
+    def _z_stage(self, z_axis):
+        return self.base._z_stage(z_axis)
+
+    def _coords(self, points, level=None):
+        return self.base._coords(points, level)
 
     def _frames(self, *coords):
         M, Minv, d, det_inv = self.base._frames(*coords)

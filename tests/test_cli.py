@@ -237,16 +237,21 @@ def test_model_verify_failed_verification_exit_code(capsys, monkeypatch):
         ["validate", PAPER_DIAGRAM, "--out", "/nonexistent/d/x.json"],
         ["model-verify", PAPER_DIAGRAM, "--grid-h", "0.25", "--rays", "3",
          "--dump-csv", "/nonexistent/d/t.csv"],
+        ["model-verify", PAPER_DIAGRAM, "--out", "/nonexistent/d/x.json"],
     ],
-    ids=["out", "dump-csv"],
+    ids=["out", "dump-csv", "model-verify-out"],
 )
-def test_unwritable_output_is_usage_error(capsys, argv):
+def test_unwritable_output_is_usage_error(capsys, monkeypatch, argv):
+    # model-verify rejects the path before it evaluates any grid
+    calls = []
+    monkeypatch.setattr(cli, "verify_tension", lambda *a, **kw: calls.append(a))
     assert main(argv) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
     lines = captured.err.splitlines()
     assert len(lines) == 1
     assert lines[0].startswith("error: cannot write /nonexistent/d/")
+    assert calls == []
 
 
 @pytest.mark.parametrize(

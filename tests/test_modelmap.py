@@ -66,6 +66,23 @@ def rank_two_counterexample():
     )
 
 
+def rank_four_diagram():
+    """A rank-4 run with a corner and two horizons: the frame curve and
+    omega both ramp across each horizon, so tau_omega is nonzero."""
+    return RodDiagram(
+        4,
+        "half_plane",
+        [
+            Rod.axis((1, 0, 0, 0), z=(-INF, 0.0), potential=(0.0, 0.0, 0.0, 0.0)),
+            Rod.axis((0, 1, 0, 0), z=(0.0, 1.5), potential=(0.0, 0.0, 0.0, 0.0)),
+            Rod.horizon(z=(1.5, 4.0)),
+            Rod.axis((0, 0, 0, 1), z=(4.0, 5.5), potential=(0.3, 0.0, 0.1, 0.2)),
+            Rod.horizon(z=(5.5, 8.0)),
+            Rod.axis((1, 0, 0, 0), z=(8.0, INF), potential=(1.0, 0.5, 0.0, -0.4)),
+        ],
+    )
+
+
 # ----------------------------------------------------------------------
 # reference formulas the optimized library paths are compared against
 
@@ -134,16 +151,16 @@ def reference_omega(m, points):
     return near
 
 
-def reference_point_fields(m, points):
+def reference_point_fields(m, points, level=None):
     """Point stage built from the two reference formulas, each with its
-    own chi."""
+    own chi and its own distinct z; a grid level's z stage is ignored."""
     M, Minv, d, det_inv = reference_frame_factors(m, points)
     F = modelmap._congruence(Minv, d)
     Finv = modelmap._congruence(np.swapaxes(M, -1, -2), 1.0 / d)
     return F, Finv, d.prod(-1) * det_inv**2, reference_omega(m, points)
 
 
-def reference_kernel_point_fields(m, points):
+def reference_kernel_point_fields(m, points, level=None):
     """The point stage with det F taken per point by np.linalg.det."""
     F, Finv, _, w = reference_point_fields(m, points)
     return F, Finv, np.linalg.det(F), w
@@ -530,12 +547,19 @@ def test_tension_field_matches_reference_point_stage(monkeypatch, diagram):
         (figure2_diagram(), 0.5, (30.0, -25.0, 35.0)),
         (no_corner_diagram(), 0.5, (30.0, -25.0, 35.0)),
         (parse(PAPER_DIAGRAM.read_text()), 0.1, None),
+        (rank_two_counterexample(), 0.5, (30.0, -25.0, 35.0)),
+        (rank_two_counterexample(), 0.1, None),
+        (rank_four_diagram(), 0.5, (30.0, -25.0, 35.0)),
+        (rank_four_diagram(), 0.1, None),
     ],
-    ids=["figure2", "no-corner", "paper-verifier-grid"],
+    ids=[
+        "figure2", "no-corner", "paper-verifier-grid", "rank-two", "rank-two-verifier-grid",
+        "rank-four", "rank-four-verifier-grid",
+    ],
 )
 def test_tension_field_matches_reference_stencil(monkeypatch, diagram, h, grid):
-    # det F from the frame factors and G from the central fluxes change
-    # the operation order, so tau may move at round-off level only
+    # det F from the frame factors and the entry planes after the flux H
+    # change the operation order, so tau may move at round-off level only
     m = build_model_map(diagram)
     args = (m, h) + (grid or verifier_grid(m)[1])
     got = tension_field(*args)
@@ -584,8 +608,9 @@ def test_point_stage_computes_blend_weight_once(monkeypatch):
 
 def test_tension_field_inverts_frames_once_per_z(monkeypatch):
     # the frame curve depends on z alone inside the radial blend, so one
-    # tension_field call inverts it once per distinct z and strip, and
-    # inverts per point only where the blend weight is positive
+    # tension_field call inverts it once per distinct z of its grid, for
+    # all strips together, and per point only where the blend weight is
+    # positive
     m = build_model_map(figure2_diagram())
     h, rho_max, z_lo, z_hi = 0.5, 30.0, -25.0, 35.0
     inverted = []
@@ -601,10 +626,10 @@ def test_tension_field_inverts_frames_once_per_z(monkeypatch):
 
     rho = (np.arange(int(round(rho_max / h))) + 1.0) * h
     z = z_lo + np.arange(int(round((z_hi - z_lo) / h)) + 1) * h
-    strips = -(-T.shape[0] // modelmap.STRIP_ROWS)
     blended = np.count_nonzero(np.hypot(rho[:, None], z[None, :] - m.z0) > m.blend_radii[0])
     assert 0 < blended < rho.size * z.size
-    assert sum(inverted) <= z.size * strips + blended
+    assert T.shape[0] > modelmap.STRIP_ROWS  # more than one strip
+    assert sum(inverted) <= z.size + blended
 
 
 def test_tension_field_memory_bounded_by_strip():
