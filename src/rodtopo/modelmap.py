@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, fields
+from typing import NamedTuple
 
 import numpy as np
 
@@ -44,28 +45,35 @@ def potentials(a, rho, z):
     z = float(z)
     if rho == 0.0 and z == a:
         raise ValueError("potentials are singular at the axis point itself")
-    return _u_pot(a, np.asarray(rho), np.asarray(z)).item(), _v_pot(
-        a, np.asarray(rho), np.asarray(z)
-    ).item()
+    rho, z = np.asarray(rho), np.asarray(z)
+    log_rho2 = _log_rho2(rho)
+    return _u_pot(a, rho, z, log_rho2).item(), _v_pot(a, rho, z, log_rho2).item()
 
 
-def _u_pot(a, rho, z):
-    """log(r_a - (z - a)), cancellation-free for z > a."""
+def _log_rho2(rho):
+    """2 log rho (-inf on the axis), shared by every rod term at the points."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return 2.0 * np.log(rho)
+
+
+def _u_pot(a, rho, z, log_rho2):
+    """log(r_a - (z - a)), cancellation-free for z > a; log_rho2 is
+    _log_rho2(rho)."""
     dz = z - a
     r = np.hypot(rho, dz)
     with np.errstate(divide="ignore", invalid="ignore"):
         direct = np.log(r - dz)
-        safe = 2.0 * np.log(rho) - np.log(r + dz)
+        safe = log_rho2 - np.log(r + dz)
     return np.where(dz >= 0, safe, direct)
 
 
-def _v_pot(a, rho, z):
+def _v_pot(a, rho, z, log_rho2):
     """log(r_a + (z - a)), cancellation-free for z < a: u_a mirrored in z.
 
     The mirror is exact: hypot and the branch test are sign-symmetric and
     fl(a - z) = -fl(z - a).
     """
-    return _u_pot(-a, rho, -z)
+    return _u_pot(-a, rho, -z, log_rho2)
 
 
 def _smoothstep(t):
@@ -173,6 +181,26 @@ def _profile_at(pieces, z):
 # the model map
 
 
+class _ZStage(NamedTuple):
+    """The frame curve's z-only factors at sorted distinct z values: the
+    frames A(z), their inverses and 1/det A, and the rank-one factors of
+    F and F^-1 where the radial blend leaves the frame at A(z),
+
+        F = sum_k d_k a_k a_k^T,    F^-1 = sum_k m_k m_k^T / d_k,
+
+    over the rows a_k of A^-1 and the columns m_k of A:
+    row_outer[k, i, j] = a_k[i] a_k[j] and col_outer[k, i, j] =
+    m_k[i] m_k[j], stored (k, i, j, z) so that every entry is a
+    contiguous z row."""
+
+    z: np.ndarray
+    A: np.ndarray
+    A_inv: np.ndarray
+    det_inv: np.ndarray
+    row_outer: np.ndarray
+    col_outer: np.ndarray
+
+
 @dataclass
 class ModelMap:
     n: int
@@ -194,17 +222,18 @@ class ModelMap:
     def _UV(self, rho, z):
         U = np.zeros_like(rho)
         V = np.zeros_like(rho)
+        log_rho2 = _log_rho2(rho)
         for acc, terms in ((U, self.u_terms), (V, self.v_terms)):
             for term in terms:
                 if term[0] == "u":
-                    acc += _u_pot(term[1], rho, z)
+                    acc += _u_pot(term[1], rho, z, log_rho2)
                 elif term[0] == "v":
-                    acc += _v_pot(term[1], rho, z)
+                    acc += _v_pot(term[1], rho, z, log_rho2)
                 else:
                     # on the axis north of the rod both terms are -inf; the
                     # difference there is its limit log((z - b) / (z - a))
                     _, a, b = term
-                    ua, ub = _u_pot(a, rho, z), _u_pot(b, rho, z)
+                    ua, ub = _u_pot(a, rho, z, log_rho2), _u_pot(b, rho, z, log_rho2)
                     north = (rho == 0.0) & (z > b)
                     if north.any():
                         zn = z[north]
@@ -224,10 +253,19 @@ class ModelMap:
         return _smoothstep((np.hypot(rho, z - self.z0) - R1) / (R2 - R1))
 
     def _z_stage(self, z_axis):
-        """The frame curve's z-only factors at sorted distinct z values:
-        (z_axis, A, A^-1, 1/det A), one inverse and determinant per z."""
+        """The frame curve's z-only factors at sorted distinct z values
+        (a _ZStage): one inverse and one determinant per z, and the
+        rank-one factors that give F and F^-1 wherever chi = 0.  The
+        tension kernel evaluates it once per grid level, or once per
+        distinct z of a probe batch."""
         A = self.axis_frames(z_axis)
-        return z_axis, A, np.linalg.inv(A), 1.0 / np.linalg.det(A)
+        A_inv = np.linalg.inv(A)
+        rows = np.moveaxis(A_inv, 0, -1)  # rows[k, i] = a_k[i], z last
+        cols = np.moveaxis(A, 0, -1).swapaxes(0, 1)  # cols[k, i] = m_k[i]
+        return _ZStage(
+            z_axis, A, A_inv, 1.0 / np.linalg.det(A),
+            rows[:, :, None] * rows[:, None], cols[:, :, None] * cols[:, None],
+        )
 
     def _coords(self, points, level=None):
         """rho, z, the z stage with each point's index into it, and chi.
@@ -240,8 +278,21 @@ class ModelMap:
             z_axis, at = np.unique(z, return_inverse=True)
             level, at = self._z_stage(z_axis), at.reshape(z.shape)
         else:
-            at = np.broadcast_to(np.arange(level[0].size), z.shape)
+            at = np.broadcast_to(np.arange(level.z.size), z.shape)
         return rho, z, level, at, self._blend_weight(rho, z)
+
+    def _exp_uv(self, rho, z):
+        """(e^U, e^V), the two non-unit entries of d, at the points."""
+        U, V = self._UV(rho, z)
+        return np.exp(U), np.exp(V)
+
+    def _blended(self, stage, at, chi):
+        """M, M^-1 and det M^-1 at points with chi > 0, given as flat
+        arrays of stage indices and weights: the z stage's frame blended
+        toward the far frame, M = A(z) + chi (far - A(z))."""
+        A = stage.A[at]
+        M = A + chi[:, None, None] * (self.far_frame - A)
+        return M, np.linalg.inv(M), 1.0 / np.linalg.det(M)
 
     def frame_factors(self, points):
         """(M, M^-1, d) at an (N, 2) array of (rho, z) points, with
@@ -255,32 +306,17 @@ class ModelMap:
         once per distinct z; only points with chi > 0 get their own
         blended frame and inverse (where chi = 0 the blend is exactly A).
         """
-        return self._frames(*self._coords(points))[:3]
-
-    def _frames(self, rho, z, level, at, chi):
-        """The frame factors and det(M^-1): the z stage gathered to the
-        points, then blended and inverted again only where chi > 0."""
-        U, V = self._UV(rho, z)
-        _, A, A_inv, A_det_inv = level
-        M = A[at]
-        Minv = A_inv[at]
-        det_inv = A_det_inv[at]
+        rho, z, stage, at, chi = self._coords(points)
+        M, Minv = stage.A[at], stage.A_inv[at]
         blend = chi > 0.0
         if blend.any():
-            Mb = M[blend]
-            Mb += chi[blend][:, None, None] * (self.far_frame - Mb)
-            M[blend] = Mb
-            Minv[blend] = np.linalg.inv(Mb)
-            det_inv[blend] = 1.0 / np.linalg.det(Mb)
-        d = np.ones(rho.shape + (self.n,))
-        d[..., 0] = np.exp(U)
-        d[..., 1] = np.exp(V)
-        return M, Minv, d, det_inv
+            M[blend], Minv[blend], _ = self._blended(stage, at[blend], chi[blend])
+        return M, Minv, _diag(*self._exp_uv(rho, z), self.n)
 
     def F(self, points):
-        """Matrix field at an (N, 2) array of (rho, z) points; (N, n, n)."""
-        _, Minv, d = self.frame_factors(points)
-        return _congruence(Minv, d)
+        """Matrix field at an (N, 2) array of (rho, z) points; (N, n, n),
+        by the tension kernel's rule (see _metric)."""
+        return _metric(self, self._coords(points), inverse=False)[0]
 
     def omega(self, points):
         """Twist-potential field at an (N, 2) array of points; (N, n).  The zone
@@ -288,7 +324,7 @@ class ModelMap:
         return self._omega(*self._coords(points))
 
     def _omega(self, rho, z, level, at, chi):
-        near = _profile_at(self.omega_profile, level[0])[at]
+        near = _profile_at(self.omega_profile, level.z)[at]
         blend = chi > 0.0
         if blend.any():
             c_north, c_south = map(np.asarray, self.omega_far)
@@ -603,18 +639,69 @@ def _congruence(X, d):
     return np.swapaxes(X, -1, -2) @ (d[..., None] * X)
 
 
+def _diag(e_u, e_v, n):
+    """d = (e^U, e^V, 1, ..., 1) at the points; (..., n)."""
+    d = np.ones(e_u.shape + (n,))
+    d[..., 0] = e_u
+    d[..., 1] = e_v
+    return d
+
+
+def _rank_one_sum(outer, w0, w1, at=None):
+    """sum_k w_k o_k over rank-one factors outer[k, i, j] (z last, see
+    _ZStage; gathered to the points by the index array at unless it is
+    None) with weight planes w0, w1 and w_k = 1 for k >= 2.  Each entry
+    i <= j is one plane of the points, the ordered sum
+    w_0 o_0 + w_1 o_1 + o_2 + ..., mirrored into (j, i), so the result
+    is exactly symmetric; (..., n, n)."""
+    n = outer.shape[0]
+    out = np.empty(w0.shape + (n, n))
+    for i in range(n):
+        for j in range(i, n):
+            o = outer[:, i, j] if at is None else outer[:, i, j][:, at]
+            plane = w0 * o[0] + w1 * o[1]
+            for k in range(2, n):
+                plane += o[k]
+            out[..., i, j] = out[..., j, i] = plane
+    return out
+
+
+def _metric(m, coords, on_grid=False, inverse=True):
+    """F, F^-1 (None unless inverse) and det F at the points of coords
+    (see ModelMap._coords), from the frame factors F = M^-T diag(d) M^-1.
+
+    Where chi = 0 the frame is A(z), so F and F^-1 are sums over the z
+    stage's rank-one factors (_ZStage, _rank_one_sum), which a grid level
+    (on_grid) broadcasts along its z axis and a probe batch gathers; no
+    per-point frame, inverse or matrix product is formed there.  Where
+    chi > 0 the blended frame and its inverse are formed per point and
+    F = M^-T diag(d) M^-1, F^-1 = M diag(1/d) M^T stay stacked products:
+    as per-point rank-one sums they moved tau on a grid through the blend
+    by 2.3e-10 relative.  det F = prod(d) det(M^-1)^2 needs no
+    determinant per point."""
+    rho, z, stage, at, chi = coords
+    e_u, e_v = m._exp_uv(rho, z)
+    gather = None if on_grid else at
+    F = _rank_one_sum(stage.row_outer, e_u, e_v, gather)
+    Finv = _rank_one_sum(stage.col_outer, 1.0 / e_u, 1.0 / e_v, gather) if inverse else None
+    det_inv = stage.det_inv[at]
+    blend = chi > 0.0
+    if blend.any():
+        M, Minv, det_inv[blend] = m._blended(stage, at[blend], chi[blend])
+        d = _diag(e_u[blend], e_v[blend], m.n)
+        F[blend] = _congruence(Minv, d)
+        if inverse:
+            Finv[blend] = _congruence(np.swapaxes(M, -1, -2), 1.0 / d)
+    return F, Finv, e_u * e_v * det_inv**2
+
+
 def _point_fields(m, points, level=None):
     """Point stage of the tension kernel: F, F^-1, det F and omega at an
-    array of points.  F^-1 = M diag(1/d) M^T and det F = prod(d) det(M^-1)^2
-    come from the frame factors F = M^-T diag(d) M^-1, so no second matrix
-    inverse and no per-point determinant is needed; chi and the z stage
-    are found once for both F and omega.  A grid level passes its z stage
-    (see ModelMap._coords)."""
+    array of points (see _metric); chi and the z stage are found once for
+    both F and omega.  A grid level passes its z stage, whose z values
+    are the points' last axis (see ModelMap._coords)."""
     coords = m._coords(points, level)
-    M, Minv, d, det_inv = m._frames(*coords)
-    F = _congruence(Minv, d)
-    Finv = _congruence(np.swapaxes(M, -1, -2), 1.0 / d)
-    return F, Finv, d.prod(-1) * det_inv**2, m._omega(*coords)
+    return _metric(m, coords, on_grid=level is not None) + (m._omega(*coords),)
 
 
 def _divergence(v_rho, v_z, rho, h):
@@ -636,12 +723,12 @@ def _tension_stencil(F, Finv, f, w, rho, h):
 
     The result covers the block minus a rim of two points; rho holds the
     rho values of the result and broadcasts against its leading axes.
-    The flux H = F^-1 dF stays a stacked matrix product, like F and F^-1:
-    BLAS forms it with fused multiply-adds that a sum over entries would
-    not reproduce bit for bit, and on plateaus tau is what is left after
-    terms of order 1 cancel.  Everything after div H runs on one plane of
-    the block per entry, which spares numpy's per-call cost on the small
-    trailing axes.
+    F and F^-1 arrive exactly symmetric where chi = 0 (see _metric).  The
+    flux H = F^-1 dF stays a stacked matrix product: BLAS forms it with
+    fused multiply-adds that a sum over entries would not reproduce bit
+    for bit, and on plateaus tau is what is left after terms of order 1
+    cancel.  Everything after div H runs on one plane of the block per
+    entry, which spares numpy's per-call cost on the small trailing axes.
     """
     two_h = 2.0 * h
     n = F.shape[-1]
@@ -832,7 +919,7 @@ def verify_tension(
     ``decade_points`` samples each, and points within
     ``excision_factor * h`` of the axis set are excised.
     """
-    _check_spec(m, h, rays, decade_points)
+    _check_spec(m, h, rays, decade_points, excision_factor)
     lo, hi = _finite_extent(m)
     width = max(hi - lo, 1.0)
 
@@ -923,10 +1010,12 @@ def _annulus_sups(m, h, grid, bounds, clearances):
     return [[float(np.nanmax(t)) if t else 0.0 for t in row] for row in tops], kept
 
 
-def _check_spec(m, h, rays, decade_points):
+def _check_spec(m, h, rays, decade_points, excision_factor):
     """Reject settings under which the verifier would judge empty data."""
     if not (math.isfinite(h) and h > 0.0):
         raise ModelMapError(f"grid spacing h = {h} must be finite and > 0")
+    if not (math.isfinite(excision_factor) and excision_factor >= 0.0):
+        raise ModelMapError(f"excision_factor = {excision_factor} must be finite and >= 0")
     if rays < 1:
         raise ModelMapError(f"rays = {rays} must be at least 1")
     if decade_points < 2:
@@ -1024,7 +1113,9 @@ class TransformedMap:
 
     For |det h| = 1 the tension norm is pointwise invariant; the wrapper
     exposes the same evaluation surface the tension routines use.  The
-    frame factors transform as M -> h^-T M, so F keeps its factor form.
+    frames transform as M -> h^-T M, the far frame too, so the rows a_k of
+    M^-1 go to h a_k, the columns m_k of M to h^-T m_k, and F keeps its
+    factor form.
     """
 
     def __init__(self, base, h_matrix):
@@ -1032,21 +1123,21 @@ class TransformedMap:
         self.n = base.n
         self.h_matrix = np.asarray(h_matrix, dtype=float)
         self._h_inv_t = np.linalg.inv(self.h_matrix).T
-        self._det_h = np.linalg.det(self.h_matrix)
+        self.far_frame = self._h_inv_t @ base.far_frame
 
-    def _z_stage(self, z_axis):
-        return self.base._z_stage(z_axis)
+    def axis_frames(self, z):
+        return self._h_inv_t @ self.base.axis_frames(z)
 
-    def _coords(self, points, level=None):
-        return self.base._coords(points, level)
+    def _blend_weight(self, rho, z):
+        return self.base._blend_weight(rho, z)
 
-    def _frames(self, *coords):
-        M, Minv, d, det_inv = self.base._frames(*coords)
-        return self._h_inv_t @ M, Minv @ self.h_matrix.T, d, det_inv * self._det_h
+    def _exp_uv(self, rho, z):
+        return self.base._exp_uv(rho, z)
 
     def _omega(self, *coords):
         return np.einsum("ij,...j->...i", self.h_matrix, self.base._omega(*coords))
 
+    _z_stage, _coords, _blended = ModelMap._z_stage, ModelMap._coords, ModelMap._blended
     frame_factors, F, omega = ModelMap.frame_factors, ModelMap.F, ModelMap.omega
 
     def distance_to_axis(self, points):

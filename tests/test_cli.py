@@ -267,6 +267,9 @@ def test_unwritable_output_is_usage_error(capsys, monkeypatch, argv):
         (["--epsilon", "1.6"], "epsilon = 1.6"),
         (["--epsilon", "-0.1"], "epsilon = -0.1"),
         (["--epsilon", "1.4"], "epsilon + ray_margin"),  # empty ray wedge
+        (["--excision-factor", "nan"], "excision_factor = nan"),
+        (["--excision-factor", "inf"], "excision_factor = inf"),
+        (["--excision-factor", "-5"], "excision_factor = -5.0"),
     ],
 )
 def test_model_verify_rejects_invalid_settings(capsys, no_corner_path, args, setting):

@@ -151,19 +151,40 @@ def reference_omega(m, points):
     return near
 
 
+def per_point_outer_sum(X, w):
+    """sum_k w_k x_k x_k^T over the rows x_k of X, point by point, in the
+    order w_0 o_0 + w_1 o_1 + o_2 + ...  (w_k = 1 for k >= 2)."""
+    o = [X[..., k, :, None] * X[..., k, None, :] for k in range(X.shape[-1])]
+    total = w[..., 0, None, None] * o[0] + w[..., 1, None, None] * o[1]
+    for term in o[2:]:
+        total = total + term
+    return total
+
+
 def reference_point_fields(m, points, level=None):
     """Point stage built from the two reference formulas, each with its
-    own chi and its own distinct z; a grid level's z stage is ignored."""
+    own chi and its own distinct z; a grid level's z stage is ignored.
+    Where chi = 0, F and F^-1 are the rank-one sums over the rows of M^-1
+    and the columns of M, formed point by point; where chi > 0 they are
+    the stacked products."""
     M, Minv, d, det_inv = reference_frame_factors(m, points)
-    F = modelmap._congruence(Minv, d)
-    Finv = modelmap._congruence(np.swapaxes(M, -1, -2), 1.0 / d)
+    Mt = np.swapaxes(M, -1, -2)
+    F = per_point_outer_sum(Minv, d)
+    Finv = per_point_outer_sum(Mt, 1.0 / d)
+    pts = np.asarray(points, dtype=float)
+    blend = m._blend_weight(pts[..., 0], pts[..., 1]) > 0.0
+    F[blend] = modelmap._congruence(Minv[blend], d[blend])
+    Finv[blend] = modelmap._congruence(Mt[blend], 1.0 / d[blend])
     return F, Finv, d.prod(-1) * det_inv**2, reference_omega(m, points)
 
 
 def reference_kernel_point_fields(m, points, level=None):
-    """The point stage with det F taken per point by np.linalg.det."""
-    F, Finv, _, w = reference_point_fields(m, points)
-    return F, Finv, np.linalg.det(F), w
+    """The former point stage: F and F^-1 as stacked products at every
+    point, and det F taken per point by np.linalg.det."""
+    M, Minv, d, _ = reference_frame_factors(m, points)
+    F = modelmap._congruence(Minv, d)
+    Finv = modelmap._congruence(np.swapaxes(M, -1, -2), 1.0 / d)
+    return F, Finv, np.linalg.det(F), reference_omega(m, points)
 
 
 def reference_tension_stencil(F, Finv, f, w, rho, h):
@@ -306,7 +327,51 @@ def test_v_pot_matches_its_direct_formula_bit_for_bit():
     )
     for a in (0.0, 1.5, -2.25):
         z = a + dz
-        assert modelmap._v_pot(a, rho, z).tobytes() == direct_v_pot(a, rho, z).tobytes()
+        got = modelmap._v_pot(a, rho, z, modelmap._log_rho2(rho))
+        assert got.tobytes() == direct_v_pot(a, rho, z).tobytes()
+
+
+def former_u_pot(a, rho, z):
+    """log(r_a - (z - a)) with 2 log rho taken inside, once per rod term."""
+    dz = z - a
+    r = np.hypot(rho, dz)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        direct = np.log(r - dz)
+        safe = 2.0 * np.log(rho) - np.log(r + dz)
+    return np.where(dz >= 0, safe, direct)
+
+
+def test_shared_log_rho_is_bit_identical():
+    # _UV takes 2 log rho once for all its rod terms; every term, and so
+    # U and V, must come out as they did with one logarithm per term
+    rho, dz = np.meshgrid(
+        [0.0, 1e-12, 1e-3, 1.0, 1e6], [0.0, 1e-12, -1e-12, 1.0, -1.0, 1e8, -1e8], indexing="ij"
+    )
+    for a in (0.0, 1.5, -2.25):
+        z = a + dz
+        got = modelmap._u_pot(a, rho, z, modelmap._log_rho2(rho))
+        assert np.array_equal(got, former_u_pot(a, rho, z), equal_nan=True)
+
+    m = build_model_map(figure2_diagram())
+    rho, z = np.meshgrid([0.0, 1e-3, 0.5, 2.0, 40.0], np.linspace(-12.0, 20.0, 65), indexing="ij")
+    want = []
+    for terms in (m.u_terms, m.v_terms):
+        acc = np.zeros_like(rho)
+        for term in terms:
+            if term[0] == "u":
+                acc += former_u_pot(term[1], rho, z)
+            elif term[0] == "v":
+                acc += former_u_pot(-term[1], rho, -z)
+            else:
+                _, a, b = term
+                ua, ub = former_u_pot(a, rho, z), former_u_pot(b, rho, z)
+                north = (rho == 0.0) & (z > b)
+                ua[north] = np.log((z[north] - b) / (z[north] - a))
+                ub[north] = 0.0
+                acc += ua - ub
+        want.append(acc)
+    for got, ref in zip(m._UV(rho, z), want):
+        assert np.array_equal(got, ref, equal_nan=True)
 
 
 def test_potentials_stable_far_field():
@@ -589,6 +654,73 @@ def test_det_f_from_frame_factors(h_matrix):
     np.testing.assert_allclose(modelmap._point_fields(m, pts)[2], det_f(m, pts), rtol=1e-12)
 
 
+def h_matrices(n):
+    """An integer change of coordinates of each kind in rank n: det 1
+    (upper bidiagonal), det -1 (the first two axes swapped) and det 2."""
+    swap = np.eye(n)
+    swap[[0, 1]] = swap[[1, 0]]
+    det_two = np.eye(n)
+    det_two[1, 1], det_two[0, 1] = 2.0, 1.0
+    return [np.eye(n) + np.eye(n, k=1), swap, det_two]
+
+
+@pytest.mark.parametrize(
+    "diagram", [rank_two_counterexample(), figure2_diagram(), rank_four_diagram()],
+    ids=["n2", "n3", "n4"],
+)
+@pytest.mark.parametrize("kind", [None, 0, 1, 2], ids=["base", "det-1", "det-minus-1", "det-2"])
+def test_rank_one_fields_match_stacked_products(diagram, kind):
+    # where chi = 0, F and F^-1 are sums over the z stage's rank-one
+    # factors; they must agree with the stacked products of the frame
+    # factors to round-off (rtol 1e-12), and be exactly symmetric
+    base = build_model_map(diagram)
+    m = base if kind is None else TransformedMap(base, h_matrices(base.n)[kind])
+    _, pts = frame_sample_points(base)
+    pts = pts[pts[:, 0] <= 2.0]  # rho = 0.5 and 2 on every frame piece
+    assert not np.any(base._blend_weight(*pts.T))
+    F, Finv, _, _ = modelmap._point_fields(m, pts)
+    M, Minv, d = m.frame_factors(pts)
+    np.testing.assert_allclose(F, modelmap._congruence(Minv, d), rtol=1e-12, atol=0.0)
+    np.testing.assert_allclose(
+        Finv, modelmap._congruence(np.swapaxes(M, -1, -2), 1.0 / d), rtol=1e-12, atol=0.0
+    )
+    for X in (F, Finv):
+        assert np.array_equal(X, np.swapaxes(X, -1, -2))
+
+
+def test_tension_field_stacks_products_only_where_blended(monkeypatch):
+    # F and F^-1 are stacked products only at points with chi > 0, one
+    # call each per strip that has any; elsewhere they are rank-one sums
+    m = build_model_map(figure2_diagram())
+    h, rho_max, z_lo, z_hi = 0.5, 30.0, -25.0, 35.0
+    stacked = []
+    real = modelmap._congruence
+
+    def counting(X, d):
+        stacked.append(X.shape[:-2])
+        return real(X, d)
+
+    monkeypatch.setattr(modelmap, "_congruence", counting)
+    tension_field(m, h, rho_max, z_lo, z_hi)
+    rho, z = modelmap._grid_axes(h, rho_max, z_lo, z_hi)
+    blended = np.count_nonzero(m._blend_weight(rho[:, None], z[None, :]) > 0.0)
+    assert 0 < blended < rho.size * z.size
+    assert all(len(shape) == 1 for shape in stacked)
+    assert sum(shape[0] for shape in stacked) == 2 * blended
+
+
+def test_tension_field_invariant_under_unimodular_transform():
+    # the grid level's z stage is transformed with the map: the whole
+    # figure-2 field, blend annulus included, keeps its tension
+    m = build_model_map(figure2_diagram())
+    args = (0.5, 30.0, -25.0, 35.0)
+    want = tension_field(m, *args)
+    got = tension_field(TransformedMap(m, h_matrices(3)[0]), *args)
+    assert np.array_equal(got[5], want[5])
+    for a, b in zip(got[2:5], want[2:5]):
+        np.testing.assert_allclose(a, b, rtol=1e-8, atol=1e-13, equal_nan=True)
+
+
 def test_point_stage_computes_blend_weight_once(monkeypatch):
     m = build_model_map(figure2_diagram())
     calls = []
@@ -774,6 +906,20 @@ def test_verify_tension_rejects_empty_decay_data(options, setting):
     m = build_model_map(no_corner_diagram())
     with pytest.raises(ModelMapError, match=setting):
         verify_tension(m, h=0.2, **options)
+
+
+@pytest.mark.parametrize("factor", [float("nan"), float("inf"), -5.0, -1e-300])
+def test_verify_tension_rejects_bad_excision_factor(monkeypatch, factor):
+    # a NaN factor once ran both grids before it reported "no interior
+    # point"; a negative one passed and reported a negative excision radius
+    m = build_model_map(no_corner_diagram())
+
+    def no_grid(*args):
+        raise AssertionError("the grid was evaluated")
+
+    monkeypatch.setattr(modelmap, "_tension_strips", no_grid)
+    with pytest.raises(ModelMapError, match=f"excision_factor = {factor}"):
+        verify_tension(m, h=0.2, excision_factor=factor)
 
 
 def test_verify_tension_harmonic_configuration():
