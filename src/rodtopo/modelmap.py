@@ -182,9 +182,10 @@ def _profile_at(pieces, z):
 
 
 class _ZStage(NamedTuple):
-    """The frame curve's z-only factors at sorted distinct z values: the
-    frames A(z), their inverses and 1/det A, and the rank-one factors of
-    F and F^-1 where the radial blend leaves the frame at A(z),
+    """The z-only factors of the map at sorted distinct z values: the
+    near-field twist potentials omega(z), the frames A(z), their inverses
+    and 1/det A, and the rank-one factors of F and F^-1 where the radial
+    blend leaves the frame at A(z),
 
         F = sum_k d_k a_k a_k^T,    F^-1 = sum_k m_k m_k^T / d_k,
 
@@ -194,6 +195,7 @@ class _ZStage(NamedTuple):
     contiguous z row."""
 
     z: np.ndarray
+    omega: np.ndarray
     A: np.ndarray
     A_inv: np.ndarray
     det_inv: np.ndarray
@@ -253,17 +255,19 @@ class ModelMap:
         return _smoothstep((np.hypot(rho, z - self.z0) - R1) / (R2 - R1))
 
     def _z_stage(self, z_axis):
-        """The frame curve's z-only factors at sorted distinct z values
-        (a _ZStage): one inverse and one determinant per z, and the
-        rank-one factors that give F and F^-1 wherever chi = 0.  The
-        tension kernel evaluates it once per grid level, or once per
-        distinct z of a probe batch."""
+        """The map's z-only factors at sorted distinct z values (a
+        _ZStage): the near-field omega profile, one inverse and one
+        determinant of the frame curve per z, and the rank-one factors
+        that give F and F^-1 wherever chi = 0.  The tension kernel
+        evaluates it once per grid level, or once per distinct z of a
+        probe batch."""
         A = self.axis_frames(z_axis)
         A_inv = np.linalg.inv(A)
         rows = np.moveaxis(A_inv, 0, -1)  # rows[k, i] = a_k[i], z last
         cols = np.moveaxis(A, 0, -1).swapaxes(0, 1)  # cols[k, i] = m_k[i]
         return _ZStage(
-            z_axis, A, A_inv, 1.0 / np.linalg.det(A),
+            z_axis, _profile_at(self.omega_profile, z_axis),
+            A, A_inv, 1.0 / np.linalg.det(A),
             rows[:, :, None] * rows[:, None], cols[:, :, None] * cols[:, None],
         )
 
@@ -320,11 +324,12 @@ class ModelMap:
 
     def omega(self, points):
         """Twist-potential field at an (N, 2) array of points; (N, n).  The zone
-        profile runs once per distinct z, the far profile only where chi > 0."""
+        profile runs once per distinct z (in the z stage), the far profile
+        only where chi > 0."""
         return self._omega(*self._coords(points))
 
     def _omega(self, rho, z, level, at, chi):
-        near = _profile_at(self.omega_profile, level.z)[at]
+        near = level.omega[at]
         blend = chi > 0.0
         if blend.any():
             c_north, c_south = map(np.asarray, self.omega_far)
@@ -1124,6 +1129,7 @@ class TransformedMap:
         self.h_matrix = np.asarray(h_matrix, dtype=float)
         self._h_inv_t = np.linalg.inv(self.h_matrix).T
         self.far_frame = self._h_inv_t @ base.far_frame
+        self.omega_profile = base.omega_profile  # h is applied in _omega
 
     def axis_frames(self, z):
         return self._h_inv_t @ self.base.axis_frames(z)

@@ -5,7 +5,9 @@ A connected run of three or more axis rods lifts to a chain of disk-bundle
 pieces glued along plumbing vectors.  Working always with the Hermite form
 of the rod structures makes every quantity here coordinate independent:
 the bundle data (q, r, p) of a consecutive triple, the plumbing vectors,
-and the per-relation diagnostics.
+and the per-relation diagnostics.  A run's Hermite form is computed once;
+each of its triples is read off 2 x 2 minors and certified by the Det_3
+of its plumbing vector, with no normal form of its own.
 """
 
 from __future__ import annotations
@@ -17,6 +19,7 @@ from typing import Optional
 from .errors import InadmissibleCornerError, PlumbingRelationError
 from .intlin import (
     IntMatrix,
+    _egcd,
     determinant_divisor,
     hermite_normal_form,
     is_primitive_vector,
@@ -140,35 +143,78 @@ def triple_to_bundle(v1, v2, v3) -> Bundle:
 
     The Hermite form of [v1 v2 v3] is {e1, e2, (q, r, p, 0, ...)}; the
     independent case gives a D^2-bundle over L(p, q) with euler number r,
-    the dependent case the S^1 x S^2 bundle with euler number r.
+    the dependent case the S^1 x S^2 bundle with euler number r.  The
+    datum is read off the 2 x 2 minors of the triple and certified by its
+    plumbing vector (see _admissible_triple_bundle); no normal form is
+    computed.
     """
     v1, v2, v3 = _as_vector(v1), _as_vector(v2), _as_vector(v3)
     n = len(v1)
+    if len(v2) != n or len(v3) != n:
+        raise ValueError("ragged columns")
     if n < 3:
         raise ValueError("bundle extraction needs structures in Z^n with n >= 3")
-    _require_admissible(v1, v2, "first")
+    d, dual = _pair_dual(v1, v2)
+    if d != 1:
+        raise InadmissibleCornerError(f"first corner is inadmissible (Det_2 = {d})", d)
     _require_admissible(v2, v3, "second")
-    return _admissible_triple_bundle(v1, v2, v3)[0]
+    bundle, flipped = _admissible_triple_bundle(v1, v2, v3, dual)
+    _plumbing_vector_det3(v1, v2, vec_scale(-1, v3) if flipped else v3, *bundle.qrp)
+    return bundle
 
 
-def _admissible_triple_bundle(v1, v2, v3):
-    """triple_to_bundle on integer tuples whose two pairs are known to
-    have Det_2 = 1; also returns whether the datum was read off -v3."""
+def _pair_dual(v1, v2):
+    """(Det_2(v1, v2), dual): the gcd of the 2 x 2 minors of [v1 v2] and
+    Bezout coefficients for it, as (i, j, c) triples with
+    sum c (v1[i] v2[j] - v1[j] v2[i]) = Det_2.  The minors are taken in
+    combinations order and the sum stops at the first gcd of 1."""
+    g = 0
+    dual = []
     n = len(v1)
-    H = hermite_normal_form(IntMatrix.from_columns([v1, v2, v3])).H
-    cols = H.columns()
-    e1 = tuple(1 if i == 0 else 0 for i in range(n))
-    e2 = tuple(1 if i == 1 else 0 for i in range(n))
-    if cols[0] != e1 or cols[1] != e2:
-        raise PlumbingRelationError("admissible pair must reduce to e1, e2")
-    q, r, p = cols[2][0], cols[2][1], cols[2][2]
-    if any(x != 0 for x in cols[2][3:]):
-        raise PlumbingRelationError("third Hermite column must live in Z^3")
+    for i in range(n):
+        a, b = v1[i], v2[i]
+        for j in range(i + 1, n):
+            minor = a * v2[j] - v1[j] * b
+            if minor == 0:
+                continue
+            g, x, y = _egcd(g, minor)
+            if x != 1:
+                dual = [(ki, kj, x * c) for ki, kj, c in dual if x * c]
+            dual.append((i, j, y))
+            if g == 1:
+                return g, dual
+    return g, dual
+
+
+def _admissible_triple_bundle(v1, v2, v3, dual):
+    """The bundle of integer tuples v1, v2, v3 whose two pairs have
+    Det_2 = 1, and whether its datum was read off -v3; dual is
+    _pair_dual(v1, v2)[1].
+
+    With c the Bezout coefficients of the minors of [v1 v2], the integer
+    functionals g(u) = -c.(v2 ^ u) and f(u) = c.(v1 ^ u) are dual to
+    v1, v2, so rest = v3 - g(v3) v1 - f(v3) v2 lies in the saturated
+    complement of span(v1, v2) where f and g vanish, and its gcd is p.
+    For p != 0 the datum is (g(v3) mod p, f(v3) mod p, p); for p = 0 the
+    triple is dependent and v3 = g(v3) v1 + f(v3) v2 exactly.  The
+    reading is uncertified: a caller checks it with _plumbing_vector_det3
+    on the (possibly negated) v3, whose integral x = (v3 - q v1 - r v2)/p
+    with Det_3(v1, v2, x) = 1, or the identity v3 = q v1 + r v2 when
+    p = 0, proves [e1 e2 (q, r, p, 0, ...)] to be the triple's Hermite
+    form, which is unique.
+    """
+    q = r = 0
+    for i, j, c in dual:
+        q -= c * (v2[i] * v3[j] - v2[j] * v3[i])
+        r += c * (v1[i] * v3[j] - v1[j] * v3[i])
+    p = gcd(*(z - q * x - r * y for x, y, z in zip(v1, v2, v3)))
+    if p:
+        q, r = q % p, r % p
     flipped = p == 0 and q == -1
     if flipped:
         # v3 and -v3 present the same rod; take the representative with q = +1
         q, r = 1, -r
-    return Bundle.from_qrp(q, r, p, n - 3), flipped
+    return Bundle.from_qrp(q, r, p, len(v1) - 3), flipped
 
 
 def _require_admissible(v, w, which):
@@ -183,19 +229,27 @@ def _require_admissible(v, w, which):
 def plumbing_vector(w_i, w_i1, w_i2, q: int, r: int, p: int):
     """The unique primitive vector p_ with w_i2 = q*w_i + r*w_i1 + p*p_.
 
-    For p = 0 the zero vector is returned.  A divisibility failure means
-    the bundle datum does not belong to the given triple.
+    For p = 0 the zero vector is returned, and w_i2 = q*w_i + r*w_i1 must
+    hold.  A failure of either relation means the bundle datum does not
+    belong to the given triple.
     """
     w_i, w_i1, w_i2 = _as_vector(w_i), _as_vector(w_i1), _as_vector(w_i2)
+    if not len(w_i) == len(w_i1) == len(w_i2):
+        raise ValueError("ragged columns")
     return _plumbing_vector_det3(w_i, w_i1, w_i2, q, r, p)[0]
 
 
 def _plumbing_vector_det3(w_i, w_i1, w_i2, q, r, p):
     """plumbing_vector on integer tuples; also returns Det_3(w_i, w_i1,
     vec), or None for the zero vector of p = 0."""
-    if p == 0:
-        return tuple(0 for _ in w_i), None
     rest = vec_sub(w_i2, vec_add(vec_scale(q, w_i), vec_scale(r, w_i1)))
+    if p == 0:
+        if any(rest):
+            raise PlumbingRelationError(
+                f"w_i2 - q w_i - r w_i1 = {rest} does not vanish for p = 0; "
+                "bundle datum is inconsistent with the triple"
+            )
+        return rest, None
     if any(x % p != 0 for x in rest):
         raise PlumbingRelationError(
             f"residual {rest} is not divisible by p = {p}; "
@@ -204,7 +258,7 @@ def _plumbing_vector_det3(w_i, w_i1, w_i2, q, r, p):
     vec = tuple(x // p for x in rest)
     if not is_primitive_vector(vec):
         raise PlumbingRelationError(f"computed plumbing vector {vec} is not primitive")
-    d3 = determinant_divisor(IntMatrix.from_columns([w_i, w_i1, vec]), 3)
+    d3 = determinant_divisor(IntMatrix._trusted(tuple(zip(w_i, w_i1, vec))), 3)
     if d3 != 1:
         raise PlumbingRelationError(
             f"triple (w_i, w_i+1, plumbing vector) has Det_3 = {d3}, expected 1"
@@ -222,15 +276,18 @@ def decompose_component(structures) -> ToricPlumbing:
     """Decompose a run of >= 3 admissible rod structures into bundles and
     plumbing vectors.
 
-    The whole run is put into Hermite normal form once, and each triple of
-    that form is read in turn.  A dependent triple whose third column reads
-    q = -1 has that column negated, so that the triple takes its canonical
-    q = +1 form before the plumbing vector and the later triples read it;
-    the column holds no pivot, so the result is still the Hermite form of
-    the run with that structure negated.  The recursion
-    w_{i+2} = q_i w_i + r_i w_{i+1} + p_i p_ then holds exactly, and its
-    relations are checked against the bundles and Det_3 values already
-    read off each triple of that form.
+    The whole run is put into Hermite normal form once, the only normal
+    form computed here, and each triple of that form is read in turn off
+    its 2 x 2 minors (_admissible_triple_bundle).  A dependent triple whose
+    third column reads q = -1 has that column negated, so that the triple
+    takes its canonical q = +1 form before the plumbing vector and the
+    later triples read it; the column holds no pivot, so the result is
+    still the Hermite form of the run with that structure negated.  The
+    plumbing vector step certifies each reading: one Det_3 per triple with
+    p != 0, the identity w_{i+2} = q_i w_i + r_i w_{i+1} for p = 0.  The
+    recursion w_{i+2} = q_i w_i + r_i w_{i+1} + p_i p_ then holds exactly,
+    and its relations are checked against the bundles and Det_3 values
+    already read off each triple of that form.
     """
     vs = [_as_vector(v) for v in structures]
     if len(vs) < 3:
@@ -248,7 +305,8 @@ def decompose_component(structures) -> ToricPlumbing:
     vectors = []
     det3s = []
     for i in range(l):
-        bundle, flipped = _admissible_triple_bundle(W[i], W[i + 1], W[i + 2])
+        dual = _pair_dual(W[i], W[i + 1])[1]
+        bundle, flipped = _admissible_triple_bundle(W[i], W[i + 1], W[i + 2], dual)
         if flipped:
             W[i + 2] = tuple(-x for x in W[i + 2])
         q, r, p = bundle.qrp
@@ -340,7 +398,7 @@ def verify_plumbing_relations(bundles, plumbing_vectors) -> PlumbingDiagnostics:
     det3s = (
         None
         if all(x == 0 for x in vec)
-        else determinant_divisor(IntMatrix.from_columns([rods[i], rods[i + 1], vec]), 3)
+        else determinant_divisor(IntMatrix._trusted(tuple(zip(rods[i], rods[i + 1], vec))), 3)
         for i, vec in enumerate(vecs)
     )
     read_back = (triple_to_bundle(*rods[i : i + 3]) for i in range(len(vecs)))

@@ -764,6 +764,45 @@ def test_tension_field_inverts_frames_once_per_z(monkeypatch):
     assert sum(inverted) <= z.size + blended
 
 
+def former_omega(self, rho, z, level, at, chi):
+    """ModelMap._omega as it was before the z stage carried the near-field
+    profile: the profile evaluated on the level's whole z axis at every
+    call, so once per strip of a grid."""
+    near = modelmap._profile_at(self.omega_profile, level.z)[at]
+    blend = chi > 0.0
+    if blend.any():
+        c_north, c_south = map(np.asarray, self.omega_far)
+        theta = np.arctan2(rho[blend], z[blend] - self.z0)
+        s_theta = modelmap._smoothstep((theta - self.epsilon) / (math.pi - 2.0 * self.epsilon))
+        far = c_north + s_theta[:, None] * (c_south - c_north)
+        c = chi[blend][:, None]
+        near[blend] = (1.0 - c) * near[blend] + c * far
+    return near
+
+
+def test_omega_profile_evaluated_once_per_grid_level(monkeypatch):
+    # omega's near field depends on z alone: one profile evaluation per
+    # tension_field call, for all its strips, and not one bit of tau moves
+    m = build_model_map(parse(PAPER_DIAGRAM.read_text()))
+    args = (m, 0.1) + verifier_grid(m)[1]
+    profiled = []
+    real_profile_at = modelmap._profile_at
+
+    def counting(pieces, z):
+        if pieces is m.omega_profile:
+            profiled.append(z.size)
+        return real_profile_at(pieces, z)
+
+    monkeypatch.setattr(modelmap, "_profile_at", counting)
+    got = tension_field(*args)
+    assert got[2].shape[0] > modelmap.STRIP_ROWS  # more than one strip
+    assert len(profiled) == 1
+    monkeypatch.undo()
+    monkeypatch.setattr(modelmap.ModelMap, "_omega", former_omega)
+    for a, b in zip(got, tension_field(*args)):
+        assert np.array_equal(a, b, equal_nan=True)
+
+
 def test_tension_field_memory_bounded_by_strip():
     # beyond the arrays it returns, tension_field holds one strip, so its
     # working memory must not grow with the number of rho rows

@@ -1,5 +1,6 @@
 import json
 import random
+from math import gcd
 
 import pytest
 
@@ -59,8 +60,99 @@ def test_triple_to_bundle_s3():
 
 
 def test_triple_to_bundle_inadmissible():
-    with pytest.raises(InadmissibleCornerError):
+    # the first corner's Det_2 is the gcd behind the minor reading
+    with pytest.raises(InadmissibleCornerError, match=r"first corner .*Det_2 = 2") as info:
+        triple_to_bundle((1, 0, 0), (1, 2, 0), (0, 0, 1))
+    assert info.value.det2 == 2
+    with pytest.raises(InadmissibleCornerError, match=r"second corner .*Det_2 = 4"):
         triple_to_bundle((1, 0, 0), (0, 1, 0), (0, 2, 4))
+    with pytest.raises(ValueError, match="ragged columns"):
+        triple_to_bundle((1, 0, 0, 0), (0, 1, 0), (0, 0, 1))
+
+
+def _hermite_triple_bundle(v1, v2, v3):
+    """Reference reading of an admissible triple: the bundle of the third
+    column (q, r, p, 0, ...) of the 3-column Hermite form of [v1 v2 v3],
+    whose first two columns are e1, e2, with the q = -1 -> +1 sign rule of
+    a dependent triple; also returns whether the sign rule applied."""
+    n = len(v1)
+    cols = hermite_normal_form(IntMatrix.from_columns([v1, v2, v3])).H.columns()
+    assert cols[0] == tuple(int(i == 0) for i in range(n))
+    assert cols[1] == tuple(int(i == 1) for i in range(n))
+    q, r, p = cols[2][:3]
+    assert not any(cols[2][3:])
+    flipped = p == 0 and q == -1
+    if flipped:
+        q, r = 1, -r
+    return Bundle.from_qrp(q, r, p, n - 3), flipped
+
+
+def test_minor_reading_matches_hermite_reference():
+    rng = random.Random(54)
+    triples = []
+    for n in (3, 4, 5, 6):
+        for _ in range(150):
+            chain = rand_admissible_chain(rng, n, 10)
+            triples += zip(chain, chain[1:], chain[2:])
+            chain = _chain_with_dependent_triples(rng, n, 10)
+            triples += zip(chain, chain[1:], chain[2:])
+    assert len(triples) >= 5000
+    kinds = {"independent": 0, "dependent": 0, "flipped": 0}
+    for v1, v2, v3 in triples:
+        expected = _hermite_triple_bundle(v1, v2, v3)
+        dual = plumbing._pair_dual(v1, v2)[1]
+        assert plumbing._admissible_triple_bundle(v1, v2, v3, dual) == expected
+        assert triple_to_bundle(v1, v2, v3) == expected[0]
+        if expected[1]:
+            kinds["flipped"] += 1
+        elif expected[0].p == 0:
+            kinds["dependent"] += 1
+        else:
+            kinds["independent"] += 1
+    # dependent triples of both signs and independent ones all occur often
+    assert min(kinds.values()) >= 500
+
+
+def _forge(bundle):
+    """A datum of the same kind that does not belong to the triple: another
+    unit q mod p, or another euler number for p = 0."""
+    q, r, p = bundle.qrp
+    if p == 0:
+        return Bundle.from_qrp(1, r + 1, 0, bundle.torus_factor)
+    forged = next(x for x in range(1, p) if x != q and gcd(x, p) == 1)
+    return Bundle.from_qrp(forged, r, p, bundle.torus_factor)
+
+
+def test_forged_reading_is_refused(monkeypatch):
+    read = plumbing._admissible_triple_bundle
+
+    def forging(v1, v2, v3, dual):
+        bundle, flipped = read(v1, v2, v3, dual)
+        return _forge(bundle), flipped
+
+    monkeypatch.setattr(plumbing, "_admissible_triple_bundle", forging)
+    # L(5,2) read as L(5,3); S^1 x S^2 with euler 4 read as euler 5
+    for triple in [((1, 0, 0), (0, 1, 0), (2, 3, 5)), ((1, 0, 0), (0, 1, 0), (-1, 4, 0))]:
+        with pytest.raises(PlumbingRelationError, match="inconsistent with the triple"):
+            triple_to_bundle(*triple)
+        with pytest.raises(PlumbingRelationError, match="inconsistent with the triple"):
+            decompose_component(triple)
+
+
+def test_forged_reading_with_integral_vector_fails_det3(monkeypatch):
+    # (e1, e2, (1, 0, 2, 2)) is over L(2,1); read as S^3 its plumbing vector
+    # (1, 0, 2, 2) is integral and primitive, and only Det_3 = 2 refuses it
+    triple = ((1, 0, 0, 0), (0, 1, 0, 0), (1, 0, 2, 2))
+    assert triple_to_bundle(*triple).qrp == (1, 0, 2)
+    monkeypatch.setattr(
+        plumbing,
+        "_admissible_triple_bundle",
+        lambda v1, v2, v3, dual: (Bundle.from_qrp(0, 0, 1, 1), False),
+    )
+    with pytest.raises(PlumbingRelationError, match="Det_3 = 2"):
+        triple_to_bundle(*triple)
+    with pytest.raises(PlumbingRelationError, match="Det_3 = 2"):
+        decompose_component(triple)
 
 
 # ----------------------------------------------------------------------
@@ -79,6 +171,17 @@ def test_plumbing_vector_zero_for_ring():
 def test_plumbing_vector_divisibility_failure():
     with pytest.raises(PlumbingRelationError):
         plumbing_vector((0, 1, 0), (2, 3, 5), (11, 9, 25), 3, 2, 7)
+
+
+def test_plumbing_vector_checks_a_dependent_datum():
+    # p = 0 needs w_i2 = q w_i + r w_i1 exactly, as p != 0 needs divisibility
+    with pytest.raises(PlumbingRelationError, match="does not vanish for p = 0"):
+        plumbing_vector((1, 0, 0), (0, 1, 0), (5, 5, 5), 1, 0, 0)
+    with pytest.raises(PlumbingRelationError, match="does not vanish for p = 0"):
+        plumbing_vector((1, 0, 0), (0, 1, 0), (1, 5, 0), 1, 4, 0)
+    assert plumbing_vector((2, 1, 0), (1, 1, 0), (3, 2, 0), 1, 1, 0) == (0, 0, 0)
+    with pytest.raises(ValueError, match="ragged columns"):
+        plumbing_vector((1, 0, 0), (0, 1, 0), (1, 5), 1, 5, 0)
 
 
 # ----------------------------------------------------------------------
@@ -171,7 +274,7 @@ def _reference_decompose(structures):
     W = hermite_normal_form(IntMatrix.from_columns(vs)).H.columns()
     bundles, vectors = [], []
     for i in range(len(vs) - 2):
-        bundle = triple_to_bundle(W[i], W[i + 1], W[i + 2])
+        bundle = _hermite_triple_bundle(W[i], W[i + 1], W[i + 2])[0]
         bundles.append(bundle)
         if i > 0:
             vectors.append(plumbing_vector(W[i], W[i + 1], W[i + 2], *bundle.qrp))
@@ -209,7 +312,7 @@ def _preflip_decompose(structures):
     W = hermite_normal_form(IntMatrix.from_columns(vs)).H.columns()
     bundles, vectors = [], []
     for i in range(len(vs) - 2):
-        bundle = triple_to_bundle(W[i], W[i + 1], W[i + 2])
+        bundle = _hermite_triple_bundle(W[i], W[i + 1], W[i + 2])[0]
         bundles.append(bundle)
         if i > 0:
             vectors.append(plumbing_vector(W[i], W[i + 1], W[i + 2], *bundle.qrp))
@@ -268,13 +371,20 @@ def test_decompose_reads_each_triple_once(monkeypatch):
             widths.clear()
             det3_calls.clear()
             tp = decompose_component(chain)
-            l = length - 2
-            # the run's own form, and one 3-column form per triple; no
-            # pair form decides a sign
-            assert sum(w > 3 for w in widths) == 1
-            assert widths.count(3) == l
-            assert widths.count(2) == 0
-            # Det_3 only for the plumbing vector of each p != 0 bundle
+            # the run's own form is the only normal form: every triple is
+            # read off minors, and no pair form decides a sign
+            assert widths == [length]
+            # Det_3 only for the plumbing vector of each p != 0 bundle,
+            # which also certifies that triple's reading
+            assert det3_calls == [3] * sum(b.qrp[2] != 0 for b in tp.bundles)
+            widths.clear()
+            det3_calls.clear()
+            W = tp.rods_hnf
+            read = [triple_to_bundle(*W[i : i + 3]) for i in range(length - 2)]
+            # the public reader computes no normal form either, and takes
+            # the same one Det_3 per p != 0 triple as its certificate
+            assert read == list(tp.bundles)
+            assert widths == []
             assert det3_calls == [3] * sum(b.qrp[2] != 0 for b in tp.bundles)
     # the input triples present dependent rods with both signs
     assert min(dependent.values()) >= 20

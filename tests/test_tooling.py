@@ -1,11 +1,15 @@
 import ast
+import json
 import os
+import random
 import re
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
+
+from helpers import rand_admissible_chain
 
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "rodtopo"
@@ -50,6 +54,25 @@ def test_cli_output_identical_under_optimize(args):
     assert optimized.returncode == plain.returncode
     assert optimized.stdout == plain.stdout
     assert plain.stdout
+
+
+def test_long_run_decompose_identical_under_optimize(tmp_path):
+    # a seeded rank-4 run of 40 rods: every triple reading and its Det_3
+    # certificate must raise, not assert, so -O changes no byte
+    rng = random.Random(55)
+    chain = rand_admissible_chain(rng, 4, 40)
+    rods = [{"kind": "axis", "v": list(v)} for v in chain]
+    rods += [{"kind": "horizon"}, {"kind": "axis", "v": [0, 0, 0, 1]}]
+    path = tmp_path / "long-run.json"
+    path.write_text(json.dumps({"n": 4, "shape": "half_plane", "rods": rods}))
+    args = ["decompose", str(path), "--format", "json"]
+    plain = _cli(args, optimize=False)
+    optimized = _cli(args, optimize=True)
+    assert plain.returncode == 0, plain.stderr
+    assert optimized.returncode == 0
+    assert optimized.stdout == plain.stdout
+    (piece,) = [p for p in json.loads(plain.stdout)["pieces"] if p["kind"] == "toric_plumbing"]
+    assert len(piece["plumbing"]["bundles"]) == 38
 
 
 def test_model_verify_identical_under_optimize():
