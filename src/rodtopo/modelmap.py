@@ -56,24 +56,37 @@ def _log_rho2(rho):
         return 2.0 * np.log(rho)
 
 
+def _endpoint_log(a, rho, z):
+    """(z - a, log(r_a + |z - a|)) at the points: the one logarithm that
+    both potentials of the axis point a take (see _u_from, _v_from)."""
+    dz = z - a
+    with np.errstate(divide="ignore"):
+        return dz, np.log(np.hypot(rho, dz) + np.abs(dz))
+
+
+def _u_from(dz, L, log_rho2):
+    """u_a = log(r_a - (z - a)) from _endpoint_log's (dz, L): L itself for
+    z < a, the cancellation-free log_rho2 - log(r_a + (z - a)) for z >= a.
+    r_a + |dz| is bit for bit the argument of whichever branch is kept."""
+    with np.errstate(invalid="ignore"):
+        return np.where(dz >= 0, log_rho2 - L, L)
+
+
+def _v_from(dz, L, log_rho2):
+    """v_a = log(r_a + (z - a)), _u_from mirrored in z."""
+    with np.errstate(invalid="ignore"):
+        return np.where(dz <= 0, log_rho2 - L, L)
+
+
 def _u_pot(a, rho, z, log_rho2):
     """log(r_a - (z - a)), cancellation-free for z > a; log_rho2 is
     _log_rho2(rho)."""
-    dz = z - a
-    r = np.hypot(rho, dz)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        direct = np.log(r - dz)
-        safe = log_rho2 - np.log(r + dz)
-    return np.where(dz >= 0, safe, direct)
+    return _u_from(*_endpoint_log(a, rho, z), log_rho2)
 
 
 def _v_pot(a, rho, z, log_rho2):
-    """log(r_a + (z - a)), cancellation-free for z < a: u_a mirrored in z.
-
-    The mirror is exact: hypot and the branch test are sign-symmetric and
-    fl(a - z) = -fl(z - a).
-    """
-    return _u_pot(-a, rho, -z, log_rho2)
+    """log(r_a + (z - a)), cancellation-free for z < a."""
+    return _v_from(*_endpoint_log(a, rho, z), log_rho2)
 
 
 def _smoothstep(t):
@@ -222,20 +235,24 @@ class ModelMap:
     # ------------------------------------------------------------------
 
     def _UV(self, rho, z):
+        """(U, V) at the points, with one logarithm per distinct rod
+        endpoint (_endpoint_log) shared by every term that uses it."""
         U = np.zeros_like(rho)
         V = np.zeros_like(rho)
         log_rho2 = _log_rho2(rho)
+        ends = {a for term in self.u_terms + self.v_terms for a in term[1:]}
+        logs = {a: _endpoint_log(a, rho, z) for a in ends}
         for acc, terms in ((U, self.u_terms), (V, self.v_terms)):
             for term in terms:
                 if term[0] == "u":
-                    acc += _u_pot(term[1], rho, z, log_rho2)
+                    acc += _u_from(*logs[term[1]], log_rho2)
                 elif term[0] == "v":
-                    acc += _v_pot(term[1], rho, z, log_rho2)
+                    acc += _v_from(*logs[term[1]], log_rho2)
                 else:
                     # on the axis north of the rod both terms are -inf; the
                     # difference there is its limit log((z - b) / (z - a))
                     _, a, b = term
-                    ua, ub = _u_pot(a, rho, z, log_rho2), _u_pot(b, rho, z, log_rho2)
+                    ua, ub = _u_from(*logs[a], log_rho2), _u_from(*logs[b], log_rho2)
                     north = (rho == 0.0) & (z > b)
                     if north.any():
                         zn = z[north]
@@ -344,11 +361,12 @@ class ModelMap:
     def distance_to_axis(self, points):
         pts = np.asarray(points, dtype=float)
         rho, z = pts[..., 0], pts[..., 1]
-        best = np.full(rho.shape, np.inf)
+        # hypot is monotone in |dz|, so the hypot of the least z-gap is the
+        # least hypot over the segments, bit for bit
+        gap = np.full(rho.shape, np.inf)
         for z_lo, z_hi in self.axis_segments:
-            dz = np.maximum(np.maximum(z_lo - z, z - z_hi), 0.0)
-            np.minimum(best, np.hypot(rho, dz), out=best)
-        return best
+            np.minimum(gap, np.maximum(np.maximum(z_lo - z, z - z_hi), 0.0), out=gap)
+        return np.hypot(rho, gap)
 
 
 # ----------------------------------------------------------------------
@@ -721,6 +739,24 @@ def _divergence(v_rho, v_z, rho, h):
     )
 
 
+def _omega_span(w):
+    """The result columns of a stencil block (see _tension_stencil) whose
+    5x5 patches see w change, as the smallest slice that holds them all;
+    an empty slice where w is constant over the block.  NaN counts as a
+    change."""
+
+    def per_column(changed):  # any() over every axis but the block columns
+        return changed.any(axis=0).reshape(changed.shape[1], -1).any(axis=1)
+
+    along_rho = per_column(w[1:] != w[:-1])  # per block column
+    along_z = per_column(w[:, 1:] != w[:, :-1])  # per pair of adjacent columns
+    # result column j reads block columns j..j+4 and the four pairs among them
+    seen = np.flatnonzero(
+        np.convolve(along_rho, np.ones(5), "valid") + np.convolve(along_z, np.ones(4), "valid")
+    )
+    return slice(seen[0], seen[-1] + 1) if seen.size else slice(0, 0)
+
+
 def _tension_stencil(F, Finv, f, w, rho, h):
     """Stencil stage of the tension kernel: (|tau|, |tau_F part|,
     |tau_omega part|) from the point fields of a block whose first two
@@ -734,6 +770,13 @@ def _tension_stencil(F, Finv, f, w, rho, h):
     for bit, and on plateaus tau is what is left after terms of order 1
     cancel.  Everything after div H runs on one plane of the block per
     entry, which spares numpy's per-call cost on the small trailing axes.
+
+    The omega terms (dw, K = F^-1 dw / det F, div K, K dw^T and
+    div K^T F div K) are evaluated only on the span of result columns
+    whose patches see w change (_omega_span).  Elsewhere dw = +0, so with
+    finite fields K, div K and the omega term are +0 and each K dw^T term
+    adds +-0 to div H: A = div H and omega_term = 0 there are what the
+    full evaluation gives, and tau does not move by a bit.
     """
     two_h = 2.0 * h
     n = F.shape[-1]
@@ -748,29 +791,31 @@ def _tension_stencil(F, Finv, f, w, rho, h):
         h,
     )
 
-    dw_rho = [(w[2:, 2:-2, ..., j] - w[:-2, 2:-2, ..., j]) / two_h for j in range(n)]
-    dw_z = [(w[2:-2, 2:, ..., j] - w[2:-2, :-2, ..., j]) / two_h for j in range(n)]
-    f_rho, f_z = f[1:-1, 2:-2], f[2:-2, 1:-1]
+    # the span [a, b) of result columns is the block columns a + 2 .. b + 1
+    span = _omega_span(w)
+    a, b = span.start, span.stop
+    cols = slice(a + 2, b + 2)
+    dw_rho = [(w[2:, cols, ..., j] - w[:-2, cols, ..., j]) / two_h for j in range(n)]
+    dw_z = [(w[2:-2, a + 2 : b + 4, ..., j] - w[2:-2, a : b + 2, ..., j]) / two_h for j in range(n)]
+    Fi_rho, Fi_z = Fi_rho[:, a:b], Fi_z[:, a : b + 2]
+    f_rho, f_z = f[1:-1, cols], f[2:-2, a + 1 : b + 3]
     K_rho = [sum(Fi_rho[..., i, j] * dw_rho[j] for j in range(n)) / f_rho for i in range(n)]
     K_z = [sum(Fi_z[..., i, j] * dw_z[j] for j in range(n)) / f_z for i in range(n)]
     divK = [_divergence(K_rho[i], K_z[i], rho, h) for i in range(n)]
 
     # G = F^-1 (dw dw^T summed over rho and z) / det F is the sum of the
     # outer products of the central fluxes K with dw
-    A = [
-        [
-            divH[..., i, j]
-            + K_rho[i][1:-1] * dw_rho[j][1:-1]
-            + K_z[i][:, 1:-1] * dw_z[j][:, 1:-1]
-            for j in range(n)
-        ]
-        for i in range(n)
-    ]
-    trA = sum(A[i][i] for i in range(n))
-    trA2 = np.clip(sum(A[i][j] * A[j][i] for i in range(n) for j in range(n)), 0.0, None)
-    F_in = F[2:-2, 2:-2]
+    A = np.moveaxis(divH, (-2, -1), (0, 1)).copy()  # one contiguous plane per entry
+    for i in range(n):
+        for j in range(n):
+            A[i, j][:, span] += K_rho[i][1:-1] * dw_rho[j][1:-1]
+            A[i, j][:, span] += K_z[i][:, 1:-1] * dw_z[j][:, 1:-1]
+    trA = sum(A[i, i] for i in range(n))
+    trA2 = np.clip(sum(A[i, j] * A[j, i] for i in range(n) for j in range(n)), 0.0, None)
+    F_in = F[2:-2, cols]
     F_divK = [sum(F_in[..., i, j] * divK[j] for j in range(n)) for i in range(n)]
-    omega_term = 0.5 * f[2:-2, 2:-2] * sum(divK[i] * F_divK[i] for i in range(n))
+    omega_term = np.zeros(trA.shape)
+    omega_term[:, span] = 0.5 * f[2:-2, cols] * sum(divK[i] * F_divK[i] for i in range(n))
     tau_f2 = 0.25 * trA**2 + 0.25 * trA2
     tau_f = np.sqrt(tau_f2)
     tau_w = np.sqrt(np.clip(omega_term, 0.0, None))

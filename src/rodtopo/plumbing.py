@@ -154,13 +154,20 @@ def triple_to_bundle(v1, v2, v3) -> Bundle:
         raise ValueError("ragged columns")
     if n < 3:
         raise ValueError("bundle extraction needs structures in Z^n with n >= 3")
+    bundle, flipped = _read_triple(v1, v2, v3, det2(v2, v3))
+    _plumbing_vector_det3(v1, v2, vec_scale(-1, v3) if flipped else v3, *bundle.qrp)
+    return bundle
+
+
+def _read_triple(v1, v2, v3, second_det2):
+    """triple_to_bundle's corner checks and its uncertified reading, as
+    (bundle, flipped) (see _admissible_triple_bundle); second_det2 is
+    Det_2(v2, v3)."""
     d, dual = _pair_dual(v1, v2)
     if d != 1:
         raise InadmissibleCornerError(f"first corner is inadmissible (Det_2 = {d})", d)
-    _require_admissible(v2, v3, "second")
-    bundle, flipped = _admissible_triple_bundle(v1, v2, v3, dual)
-    _plumbing_vector_det3(v1, v2, vec_scale(-1, v3) if flipped else v3, *bundle.qrp)
-    return bundle
+    _require_admissible(second_det2, "second")
+    return _admissible_triple_bundle(v1, v2, v3, dual)
 
 
 def _pair_dual(v1, v2):
@@ -217,8 +224,8 @@ def _admissible_triple_bundle(v1, v2, v3, dual):
     return Bundle.from_qrp(q, r, p, len(v1) - 3), flipped
 
 
-def _require_admissible(v, w, which):
-    d = det2(v, w)
+def _require_admissible(d, which):
+    """d, the Det_2 of the named corner, unless it is not 1."""
     if d != 1:
         raise InadmissibleCornerError(
             f"{which} corner is inadmissible (Det_2 = {d})", d
@@ -256,14 +263,23 @@ def _plumbing_vector_det3(w_i, w_i1, w_i2, q, r, p):
             "bundle datum is inconsistent with the triple"
         )
     vec = tuple(x // p for x in rest)
+    return vec, _certify(vec, _det3(w_i, w_i1, vec))
+
+
+def _det3(w_i, w_i1, vec):
+    return determinant_divisor(IntMatrix._trusted(tuple(zip(w_i, w_i1, vec))), 3)
+
+
+def _certify(vec, d3):
+    """d3 = Det_3(w_i, w_i+1, vec), unless the plumbing vector vec is not
+    primitive or d3 is not 1."""
     if not is_primitive_vector(vec):
         raise PlumbingRelationError(f"computed plumbing vector {vec} is not primitive")
-    d3 = determinant_divisor(IntMatrix._trusted(tuple(zip(w_i, w_i1, vec))), 3)
     if d3 != 1:
         raise PlumbingRelationError(
             f"triple (w_i, w_i+1, plumbing vector) has Det_3 = {d3}, expected 1"
         )
-    return vec, d3
+    return d3
 
 
 def _first_plumbing_vector(p1: int, n: int):
@@ -297,7 +313,7 @@ def decompose_component(structures) -> ToricPlumbing:
         raise ValueError("toric plumbing needs n >= 3")
     # Det_2 is invariant under the unimodular Q of the run's Hermite form
     # and under a sign flip, so these values hold for every pair of W too
-    det2s = [_require_admissible(a, b, "a") for a, b in zip(vs, vs[1:])]
+    det2s = [_require_admissible(det2(a, b), "a") for a, b in zip(vs, vs[1:])]
 
     l = len(vs) - 2
     W = hermite_normal_form(IntMatrix.from_columns(vs)).H.columns()
@@ -392,19 +408,33 @@ def verify_plumbing_relations(bundles, plumbing_vectors) -> PlumbingDiagnostics:
     rods, vecs = _run_recursion(bundles, plumbing_vectors)
     mat = IntMatrix.from_columns(rods)
     in_hermite_form = hermite_normal_form(mat).H == mat
-    # the generators run inside the checks, in the order the checks are
-    # made; the roundtrip stops reading at the first triple that fails
-    det2s = (det2(rods[i], rods[i + 1]) for i in range(1, len(bundles) + 1))
-    det3s = (
-        None
-        if all(x == 0 for x in vec)
-        else determinant_divisor(IntMatrix._trusted(tuple(zip(rods[i], rods[i + 1], vec))), 3)
-        for i, vec in enumerate(vecs)
-    )
-    read_back = (triple_to_bundle(*rods[i : i + 3]) for i in range(len(vecs)))
+    det2s = [det2(rods[i], rods[i + 1]) for i in range(1, len(bundles) + 1)]
+    det3s = [None if all(x == 0 for x in vec) else _det3(rods[i], rods[i + 1], vec)
+             for i, vec in enumerate(vecs)]
+    # the roundtrip stops reading at the first triple that fails
+    read_back = (_read_back(rods, i, bundles[i], vecs[i], det2s[i], det3s[i])
+                 for i in range(len(vecs)))
     return _relation_diagnostics(
         bundles, rods, vecs, det2s, read_back, det3s, in_hermite_form
     )
+
+
+def _read_back(rods, i, bundle, vec, second_det2, d3):
+    """triple_to_bundle on the recursion's rods w_{i+1}, w_{i+2}, w_{i+3},
+    given the Det_2 of its second corner and the Det_3 of the recursion's
+    vector p_{i+1} (None if it vanishes).  A reading equal to the bundle
+    the recursion used has that vector as its plumbing vector, since
+    w_{i+3} = q w_{i+1} + r w_{i+2} + p p_{i+1} holds by construction, so
+    d3 certifies it; any other reading is certified from scratch."""
+    v1, v2, v3 = rods[i : i + 3]
+    if len(v1) < 3:
+        raise ValueError("bundle extraction needs structures in Z^n with n >= 3")
+    back, flipped = _read_triple(v1, v2, v3, second_det2)
+    if back != bundle:
+        _plumbing_vector_det3(v1, v2, vec_scale(-1, v3) if flipped else v3, *back.qrp)
+    elif back.qrp[2] != 0:
+        _certify(vec, d3)
+    return back
 
 
 def _relation_diagnostics(bundles, rods, vecs, det2s, read_back, det3s, in_hermite_form):

@@ -222,6 +222,52 @@ def reference_tension_stencil(F, Finv, f, w, rho, h):
     return tau, tau_f, tau_w
 
 
+def full_span_tension_stencil(F, Finv, f, w, rho, h):
+    """The entry-plane stencil stage with the omega terms evaluated at
+    every result point, whatever w does there."""
+    two_h = 2.0 * h
+    n = F.shape[-1]
+    # fluxes H = F^-1 dF and K = F^-1 dw / det F, only where the divergence
+    # reads them: rho-fluxes one row past the result, z-fluxes one column
+    Fi_rho = Finv[1:-1, 2:-2]
+    Fi_z = Finv[2:-2, 1:-1]
+    divH = modelmap._divergence(
+        Fi_rho @ ((F[2:, 2:-2] - F[:-2, 2:-2]) / two_h),  # H_rho
+        Fi_z @ ((F[2:-2, 2:] - F[2:-2, :-2]) / two_h),  # H_z
+        rho[..., None, None],
+        h,
+    )
+
+    dw_rho = [(w[2:, 2:-2, ..., j] - w[:-2, 2:-2, ..., j]) / two_h for j in range(n)]
+    dw_z = [(w[2:-2, 2:, ..., j] - w[2:-2, :-2, ..., j]) / two_h for j in range(n)]
+    f_rho, f_z = f[1:-1, 2:-2], f[2:-2, 1:-1]
+    K_rho = [sum(Fi_rho[..., i, j] * dw_rho[j] for j in range(n)) / f_rho for i in range(n)]
+    K_z = [sum(Fi_z[..., i, j] * dw_z[j] for j in range(n)) / f_z for i in range(n)]
+    divK = [modelmap._divergence(K_rho[i], K_z[i], rho, h) for i in range(n)]
+
+    # G = F^-1 (dw dw^T summed over rho and z) / det F is the sum of the
+    # outer products of the central fluxes K with dw
+    A = [
+        [
+            divH[..., i, j]
+            + K_rho[i][1:-1] * dw_rho[j][1:-1]
+            + K_z[i][:, 1:-1] * dw_z[j][:, 1:-1]
+            for j in range(n)
+        ]
+        for i in range(n)
+    ]
+    trA = sum(A[i][i] for i in range(n))
+    trA2 = np.clip(sum(A[i][j] * A[j][i] for i in range(n) for j in range(n)), 0.0, None)
+    F_in = F[2:-2, 2:-2]
+    F_divK = [sum(F_in[..., i, j] * divK[j] for j in range(n)) for i in range(n)]
+    omega_term = 0.5 * f[2:-2, 2:-2] * sum(divK[i] * F_divK[i] for i in range(n))
+    tau_f2 = 0.25 * trA**2 + 0.25 * trA2
+    tau_f = np.sqrt(tau_f2)
+    tau_w = np.sqrt(np.clip(omega_term, 0.0, None))
+    tau = np.sqrt(np.clip(tau_f2 + omega_term, 0.0, None))
+    return tau, tau_f, tau_w
+
+
 def verifier_grid(m):
     """The width of the diagram's finite extent and verify_tension's grid
     (rho_max, z_lo, z_hi)."""
@@ -635,6 +681,115 @@ def test_tension_field_matches_reference_stencil(monkeypatch, diagram, h, grid):
     assert got[5].any()
     for a, b in zip(got[:5], want[:5]):
         np.testing.assert_allclose(a, b, rtol=1e-10, atol=0.0, equal_nan=True)
+
+
+def assert_same_bits(got, want):
+    """Equal arrays, NaN where NaN, and bit for bit (signed zeros too:
+    the CSV dump prints -0)."""
+    for a, b in zip(got, want):
+        assert np.array_equal(a, b, equal_nan=True)
+        assert a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize(
+    "diagram, transform, h, grid",
+    [
+        (parse(PAPER_DIAGRAM.read_text()), False, 0.1, None),
+        (figure2_diagram(), False, 0.5, (30.0, -25.0, 35.0)),
+        (rank_four_diagram(), False, 0.1, None),
+        (figure2_diagram(), True, 0.5, (30.0, -25.0, 35.0)),
+    ],
+    ids=["paper-verifier-grid", "figure2-blended", "rank-four-verifier-grid", "transformed"],
+)
+def test_omega_span_matches_full_span_stencil(monkeypatch, diagram, transform, h, grid):
+    # the omega terms are exactly zero outside the span of columns whose
+    # patches see w change, so skipping them there moves no bit
+    base = build_model_map(diagram)
+    m = TransformedMap(base, h_matrices(base.n)[0]) if transform else base
+    args = (m, h) + (grid or verifier_grid(base)[1])
+    got = tension_field(*args)
+    monkeypatch.setattr(modelmap, "_tension_stencil", full_span_tension_stencil)
+    want = tension_field(*args)
+    assert_same_bits(got, want)
+    assert np.nanmax(got[4]) > 0.0
+
+
+def test_omega_span_matches_full_span_stencil_at_rays_and_probes(monkeypatch):
+    m = build_model_map(parse(PAPER_DIAGRAM.read_text()))
+    lo, hi = modelmap._finite_extent(m)
+    _, _, rays = modelmap._decay_rays(m, 7, 24)
+    probes = modelmap._convergence_probes(m, 0.05, lo, hi, max(hi - lo, 1.0))
+    points = rays + probes
+    got = [modelmap._tension_at(m, points, h) for h in (0.05, 0.025)]
+    monkeypatch.setattr(modelmap, "_tension_stencil", full_span_tension_stencil)
+    for h, parts in zip((0.05, 0.025), got):
+        assert_same_bits(parts, modelmap._tension_at(m, points, h))
+    assert np.all(got[0][2][: len(rays)] > 0.0)  # the rays run through the omega wedge
+
+
+def test_omega_terms_only_on_the_span(monkeypatch):
+    # on the paper's verifier grid chi = 0, so w depends on z alone and
+    # every strip has the span of the whole grid
+    m = build_model_map(parse(PAPER_DIAGRAM.read_text()))
+    h, grid = 0.1, verifier_grid(m)[1]
+    rho, z = modelmap._grid_axes(h, *grid)
+    R, Z = np.meshgrid(rho, z, indexing="ij")
+    span = modelmap._omega_span(m.omega(np.stack([R, Z], axis=-1)))
+    columns = []
+    divergence = modelmap._divergence
+
+    def counting(v_rho, v_z, rho, h):
+        if v_rho.ndim == 2:  # div K, one plane per entry; div H is stacked
+            columns.append(v_rho.shape[1])
+        return divergence(v_rho, v_z, rho, h)
+
+    monkeypatch.setattr(modelmap, "_divergence", counting)
+    _, _, tau, tau_f, tau_w, mask = tension_field(m, h, *grid)
+    width = span.stop - span.start
+    assert 0 < width < 0.2 * tau.shape[1]
+    assert columns and max(columns) <= width
+    outside = np.ones(tau.shape[1], dtype=bool)
+    outside[span] = False
+    kept = mask & outside
+    assert kept.any()
+    assert np.all(tau_w[kept] == 0.0)
+    assert np.array_equal(tau[kept], tau_f[kept])
+    assert np.nanmax(tau_w[:, span]) > 0.0
+
+
+def per_segment_distance(m, points):
+    """Distance to the axis set as the least hypot over the axis rods."""
+    pts = np.asarray(points, dtype=float)
+    rho, z = pts[..., 0], pts[..., 1]
+    best = np.full(rho.shape, np.inf)
+    for z_lo, z_hi in m.axis_segments:
+        dz = np.maximum(np.maximum(z_lo - z, z - z_hi), 0.0)
+        np.minimum(best, np.hypot(rho, dz), out=best)
+    return best
+
+
+def test_distance_to_axis_matches_per_segment_hypot():
+    # one hypot of the least z-gap; hypot is monotone in |dz|, so this is
+    # the least per-segment hypot bit for bit
+    m = build_model_map(parse(PAPER_DIAGRAM.read_text()))
+    for h in (0.05, 0.025):  # verify_tension's two grid levels at its default h
+        rho, z = modelmap._grid_axes(h, *verifier_grid(m)[1])
+        R, Z = np.meshgrid(rho, z, indexing="ij")
+        pts = np.stack([R, Z], axis=-1)
+        assert np.array_equal(m.distance_to_axis(pts), per_segment_distance(m, pts))
+    rng = np.random.default_rng(55)
+    lo, hi = modelmap._finite_extent(m)
+    rho = np.concatenate(
+        [np.zeros(2000), rng.uniform(0.0, 1e-6, 2000), rng.uniform(0.0, 50.0, 6000)]
+    )
+    z = rng.uniform(lo - 1e3, hi + 1e3, rho.size)
+    z[:3000] = rng.choice([lo, hi, lo - 1e8, hi + 1e8, *(b for s in m.axis_segments for b in s
+                                                         if math.isfinite(b))], 3000)
+    pts = np.stack([rho, z], axis=-1)
+    got = m.distance_to_axis(pts)
+    assert np.array_equal(got, per_segment_distance(m, pts))
+    # points on the end rods and beyond lie on the axis set
+    assert np.any(got == 0.0) and np.all(np.isfinite(got))
 
 
 @pytest.mark.parametrize(

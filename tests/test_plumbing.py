@@ -415,6 +415,70 @@ def test_decompose_takes_each_det2_once(monkeypatch):
         assert len(calls) == length - 1
 
 
+def test_plumbing_to_rods_takes_each_det2_and_det3_once(monkeypatch):
+    det2_calls = []
+    det3_calls = []
+
+    def counting_det2(v, w):
+        det2_calls.append((v, w))
+        return det2(v, w)
+
+    def counting_divisor(A, k):
+        det3_calls.append(k)
+        return determinant_divisor(A, k)
+
+    tp = decompose_component(rand_admissible_chain(random.Random(53), 4, 40))
+    assert all(b.qrp[2] != 0 for b in tp.bundles)
+    monkeypatch.setattr(plumbing, "det2", counting_det2)
+    monkeypatch.setattr(plumbing, "determinant_divisor", counting_divisor)
+    assert plumbing_to_rods(tp.bundles, tp.plumbing_vectors) == list(tp.rods_hnf)
+    # one Det_2 per generated pair and one Det_3 per plumbing vector; the
+    # read-back reuses both (twice as many of each before)
+    assert len(det2_calls) == 38
+    assert det3_calls == [3] * 38
+
+
+def _public_read_back(rods, i, bundle, vec, second_det2, d3):
+    return triple_to_bundle(*rods[i : i + 3])
+
+
+def test_read_back_matches_the_public_reader(monkeypatch):
+    # valid and corrupted (bundles, vectors): reusing Det_2, the
+    # recursion's vector and its Det_3 in the read-back leaves every
+    # diagnostic, detail string and raised error as the public reader
+    # gives them
+    rng = random.Random(54)
+    cases = []
+    for trial in range(600):
+        n = rng.randint(3, 5)
+        tp = decompose_component(rand_admissible_chain(rng, n, rng.randint(3, 8)))
+        bundles, vecs = list(tp.bundles), [list(v) for v in tp.plumbing_vectors]
+        if trial % 3 == 1 and vecs:
+            rng.choice(vecs)[rng.randrange(n)] += rng.choice([-2, -1, 1, 2])
+        elif trial % 3 == 2:
+            i = rng.randrange(len(bundles))
+            q, r, p = bundles[i].qrp
+            bundles[i] = Bundle.from_qrp(q, r + 1 if p == 0 else (r + 1) % p, p, n - 3)
+        cases.append((bundles, [tuple(v) for v in vecs]))
+
+    def outcomes():
+        got = []
+        for bundles, vecs in cases:
+            try:
+                got.append(verify_plumbing_relations(bundles, vecs))
+            except PlumbingRelationError as e:
+                got.append(str(e))
+        return got
+
+    fast = outcomes()
+    monkeypatch.setattr(plumbing, "_read_back", _public_read_back)
+    assert fast == outcomes()
+    roundtrip = [d.checks[-1] for d in fast if not isinstance(d, str)]
+    assert sum(c.ok for c in roundtrip) >= 200
+    assert sum("reads back as" in c.detail for c in roundtrip) >= 50
+    assert sum("corner is inadmissible" in c.detail for c in roundtrip) >= 10
+
+
 def test_decompose_checks_agree_with_full_verification(monkeypatch):
     built = []
     relation_diagnostics = plumbing._relation_diagnostics
