@@ -13,7 +13,13 @@ The package splits into:
 - ``modelmap``   region-wise model maps on the half plane and the
   numerical tension verifier
 - ``cli``        the ``rodtopo`` command-line front end
+
+Only ``modelmap`` needs numpy.  It is loaded on first access, either of
+``rodtopo.modelmap`` or of one of the names re-exported from it, so the
+exact layers and their CLI subcommands start without numpy.
 """
+
+import importlib
 
 from .intlin import (
     IntMatrix,
@@ -60,13 +66,18 @@ from .topology import (
     fundamental_group,
     is_simply_connected,
 )
-from .modelmap import (
-    ModelMap,
-    TensionReport,
-    build_model_map,
-    potentials,
-    tension_norm,
-    verify_tension,
-)
 
 __version__ = "0.1.0"
+
+_MODELMAP_NAMES = frozenset(
+    {"ModelMap", "TensionReport", "build_model_map", "potentials", "tension_norm", "verify_tension"}
+)
+
+
+def __getattr__(name):
+    if name != "modelmap" and name not in _MODELMAP_NAMES:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    # import_module, not ``from . import modelmap``: the latter asks this
+    # package for the attribute first, which would call back in here
+    modelmap = importlib.import_module(".modelmap", __name__)
+    return modelmap if name == "modelmap" else getattr(modelmap, name)

@@ -6,6 +6,9 @@ file.  Exit codes: 0 success, 1 validation or relation failure (for
 ``model-verify``: the model map cannot be built), 2 usage error (including
 an input that cannot be read or an output that cannot be written), 3 the
 model map was built but failed the tension verification.
+
+Only ``model-verify`` needs numpy: it loads ``rodtopo.modelmap`` when it
+runs, so every exact subcommand starts without numpy.
 """
 
 from __future__ import annotations
@@ -20,7 +23,6 @@ from pathlib import Path
 from . import roddiagram
 from .errors import RodTopoError
 from .intlin import determinant_divisor, hermite_normal_form, smith_normal_form
-from .modelmap import build_model_map, verify_tension
 from .plumbing import doc_decomposition
 from .roddiagram import parse
 from .topology import _end_group, classify, compactify, fundamental_group, is_simply_connected
@@ -230,8 +232,13 @@ def _cmd_model_verify(args):
     for path in (args.out, args.dump_csv):
         if path:
             _require_directory(path)
-    m = build_model_map(diagram, epsilon=args.epsilon)
-    rep = verify_tension(
+    # rodtopo.modelmap loads numpy, which no exact subcommand needs; its
+    # functions are looked up at call time, so a stand-in bound on the
+    # module is the one called
+    from . import modelmap
+
+    m = modelmap.build_model_map(diagram, epsilon=args.epsilon)
+    rep = modelmap.verify_tension(
         m, h=args.grid_h, rays=args.rays, excision_factor=args.excision_factor
     )
     payload = rep.to_json_dict()

@@ -148,3 +148,21 @@ INADMISSIBLE_CORNER = {
         {"kind": "axis", "v": [0, 0, 1], "z": [2, "+inf"], "potential": [0.5, 0, 0]},
     ],
 }
+
+
+# The rank-3 run (-1,1,-1) | (-1,1,0) | H | (1,0,2) | H | (-1,2,-2) with zero
+# potentials.  One of its frame ramps, from [[1,1,-1],[-1,-1,0],[0,1,0]] to
+# [[1,1,0],[0,0,1],[2,0,0]], has det 1 and 2 at its ends but vanishes at
+# s = 1/3 and s = (3 - sqrt 5)/2 in between; sampled checks miss both roots.
+SINGULAR_FRAME_RUN = {
+    "n": 3,
+    "shape": "half_plane",
+    "rods": [
+        {"kind": "axis", "v": [-1, 1, -1], "z": ["-inf", 1.5], "potential": [0, 0, 0]},
+        {"kind": "axis", "v": [-1, 1, 0], "z": [1.5, 3], "potential": [0, 0, 0]},
+        {"kind": "horizon", "z": [3, 4.5]},
+        {"kind": "axis", "v": [1, 0, 2], "z": [4.5, 5.5], "potential": [0, 0, 0]},
+        {"kind": "horizon", "z": [5.5, 6.5]},
+        {"kind": "axis", "v": [-1, 2, -2], "z": [6.5, "+inf"], "potential": [0, 0, 0]},
+    ],
+}

@@ -3,7 +3,7 @@ from pathlib import Path
 
 import pytest
 
-from rodtopo import cli
+from rodtopo import modelmap
 from rodtopo.cli import main
 
 from helpers import INADMISSIBLE_CORNER
@@ -222,9 +222,9 @@ PAPER_DIAGRAM = str(Path(__file__).resolve().parent.parent / "diagrams" / "two-h
 
 def test_model_verify_failed_verification_exit_code(capsys, monkeypatch):
     # a map that is built but fails verification exits 3, not 1 ("cannot build")
-    real = cli.build_model_map
+    real = modelmap.build_model_map
     monkeypatch.setattr(
-        cli, "build_model_map", lambda d, **kw: real(d, corrupt_transition=True, **kw)
+        modelmap, "build_model_map", lambda d, **kw: real(d, corrupt_transition=True, **kw)
     )
     code, out = run_json(capsys, "model-verify", PAPER_DIAGRAM, "--grid-h", "0.1")
     assert code == 3
@@ -244,7 +244,7 @@ def test_model_verify_failed_verification_exit_code(capsys, monkeypatch):
 def test_unwritable_output_is_usage_error(capsys, monkeypatch, argv):
     # model-verify rejects the path before it evaluates any grid
     calls = []
-    monkeypatch.setattr(cli, "verify_tension", lambda *a, **kw: calls.append(a))
+    monkeypatch.setattr(modelmap, "verify_tension", lambda *a, **kw: calls.append(a))
     assert main(argv) == 2
     captured = capsys.readouterr()
     assert captured.out == ""

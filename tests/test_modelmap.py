@@ -1,4 +1,5 @@
 import io
+import json
 import math
 import tracemalloc
 from pathlib import Path
@@ -17,6 +18,8 @@ from rodtopo.modelmap import (
     tension_norm,
     verify_tension,
 )
+
+from helpers import SINGULAR_FRAME_RUN
 
 INF = float("inf")
 PAPER_DIAGRAM = Path(__file__).resolve().parent.parent / "diagrams" / "two-horizon-one-corner.json"
@@ -496,6 +499,14 @@ def test_missing_potentials_rejected():
     )
     with pytest.raises(ModelMapError):
         build_model_map(d)
+
+
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 1")
+def test_frame_ramp_singular_between_samples_rejected():
+    # the sampled invertibility checks miss both roots of the ramp's det,
+    # so the map builds today and verify_tension passes it at h = 0.1
+    with pytest.raises(ModelMapError):
+        build_model_map(parse(json.dumps(SINGULAR_FRAME_RUN)))
 
 
 # ----------------------------------------------------------------------

@@ -90,6 +90,62 @@ def test_model_verify_identical_under_optimize():
     assert plain.stdout
 
 
+EXACT_SUBCOMMANDS = [
+    ["validate"], ["hnf"], ["snf"], ["detk", "--k", "2"], ["analyze"],
+    ["decompose"], ["pi1"], ["fillin"], ["compactify"], ["classify"],
+]
+
+# Run in a fresh interpreter: every exact subcommand on every diagram, then
+# the lazy access to rodtopo.modelmap through the package.
+NO_NUMPY_PROBE = """
+import contextlib, io, json, sys
+from pathlib import Path
+from rodtopo import cli
+
+codes = []
+for path in sorted(Path("diagrams").glob("*.json")):
+    for cmd, *rest in json.loads(sys.argv[1]):
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+            codes.append(cli.main([cmd, str(path), *rest]))
+loaded = sorted(m for m in ("numpy", "rodtopo.modelmap") if m in sys.modules)
+
+import rodtopo
+modelmap = rodtopo.modelmap
+from rodtopo import verify_tension, build_model_map, tension_norm, ModelMap, TensionReport, potentials
+same = [
+    obj is getattr(modelmap, obj.__name__)
+    for obj in (verify_tension, build_model_map, tension_norm, ModelMap, TensionReport, potentials)
+]
+try:
+    rodtopo.no_such_name
+    missing = "resolved"
+except AttributeError:
+    missing = "AttributeError"
+print(json.dumps({"codes": codes, "loaded": loaded, "modelmap": modelmap.__name__,
+                  "same": same, "missing": missing}))
+"""
+
+
+def test_exact_subcommands_do_not_load_numpy():
+    run = subprocess.run(
+        [sys.executable, "-c", NO_NUMPY_PROBE, json.dumps(EXACT_SUBCOMMANDS)],
+        cwd=ROOT,
+        env={**os.environ, "PYTHONPATH": str(ROOT / "src")},
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert run.returncode == 0, run.stderr
+    out = json.loads(run.stdout)
+    diagrams = len(list((ROOT / "diagrams").glob("*.json")))
+    assert len(out["codes"]) == diagrams * len(EXACT_SUBCOMMANDS)
+    assert set(out["codes"]) <= {0, 1}  # 1: the diagram is outside the command's domain
+    assert out["loaded"] == []
+    assert out["modelmap"] == "rodtopo.modelmap"
+    assert out["same"] == [True] * 6
+    assert out["missing"] == "AttributeError"
+
+
 def test_readme_library_example_runs():
     readme = (ROOT / "README.md").read_text(encoding="utf-8")
     (code,) = re.findall(r"```python\n(.*?)```", readme, re.DOTALL)
