@@ -179,6 +179,24 @@ def _egcd(a, b):
     return old_r, old_s, old_t
 
 
+def _bezout(values):
+    """Return (g, c): g >= 0 is the gcd of the integers read from values
+    and c their Bezout coefficients, one per value read, with
+    sum c_i x_i = g.  Reading stops as soon as the gcd reaches 1."""
+    g, c = 0, []
+    for x in values:
+        if x:
+            g, a, b = _egcd(g, x)
+            if a != 1:
+                c = [a * ci for ci in c]
+            c.append(b)
+            if g == 1:
+                break
+        else:
+            c.append(0)
+    return g, c
+
+
 @dataclass(frozen=True)
 class HermiteResult:
     H: IntMatrix

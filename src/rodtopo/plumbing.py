@@ -13,13 +13,14 @@ of its plumbing vector, with no normal form of its own.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import combinations
 from math import gcd
 from typing import Optional
 
 from .errors import InadmissibleCornerError, PlumbingRelationError
 from .intlin import (
     IntMatrix,
-    _egcd,
+    _bezout,
     determinant_divisor,
     hermite_normal_form,
     is_primitive_vector,
@@ -172,25 +173,12 @@ def _read_triple(v1, v2, v3, second_det2):
 
 def _pair_dual(v1, v2):
     """(Det_2(v1, v2), dual): the gcd of the 2 x 2 minors of [v1 v2] and
-    Bezout coefficients for it, as (i, j, c) triples with
+    Bezout coefficients for it, as (i, j, c) triples with c != 0 and
     sum c (v1[i] v2[j] - v1[j] v2[i]) = Det_2.  The minors are taken in
     combinations order and the sum stops at the first gcd of 1."""
-    g = 0
-    dual = []
-    n = len(v1)
-    for i in range(n):
-        a, b = v1[i], v2[i]
-        for j in range(i + 1, n):
-            minor = a * v2[j] - v1[j] * b
-            if minor == 0:
-                continue
-            g, x, y = _egcd(g, minor)
-            if x != 1:
-                dual = [(ki, kj, x * c) for ki, kj, c in dual if x * c]
-            dual.append((i, j, y))
-            if g == 1:
-                return g, dual
-    return g, dual
+    pairs = list(combinations(range(len(v1)), 2))
+    g, c = _bezout(v1[i] * v2[j] - v1[j] * v2[i] for i, j in pairs)
+    return g, [(i, j, x) for (i, j), x in zip(pairs, c) if x]
 
 
 def _admissible_triple_bundle(v1, v2, v3, dual):

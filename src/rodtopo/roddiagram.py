@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 import math
+import operator
 from dataclasses import dataclass
 from math import gcd
 from typing import Optional
@@ -18,8 +19,8 @@ from typing import Optional
 from .errors import DiagramValidationError, InadmissibleCornerError, SchemaError
 from .intlin import (
     IntMatrix,
-    determinant_divisor,
     hermite_normal_form,
+    _bezout,
     _int_vector,
     is_primitive_vector,
 )
@@ -445,12 +446,44 @@ def serialize(diagram: RodDiagram) -> str:
 
 
 def det2(v, w) -> int:
+    """Det_2 of [v w]: the gcd of its 2 x 2 minors (0 for parallel
+    vectors), taken in combinations order and stopped at gcd 1."""
     v, w = _as_vector(v), _as_vector(w)
-    if len(v) != len(w):
+    n = len(v)
+    if len(w) != n:
         raise ValueError("ragged columns")
-    if not v:
-        raise ValueError("matrix must have at least one row and one column")
-    return determinant_divisor(IntMatrix._trusted(tuple(zip(v, w))), 2)
+    if n < 2:
+        if not n:
+            raise ValueError("matrix must have at least one row and one column")
+        raise ValueError("k = 2 out of range for a 1 x 2 matrix")
+    g = 0
+    for i in range(n):
+        a, b = v[i], w[i]
+        for j in range(i + 1, n):
+            g = gcd(g, a * w[j] - v[j] * b)
+            if g == 1:
+                return 1
+    return g
+
+
+def _plane_reading(v, w, p, error):
+    """(q, u) for integer tuples v, w with p = Det_2(v, w) > 0: the
+    Hermite form of [v w] is [e1 (q, p, 0, ...)] and its transformation
+    Q has Q^-1 e1 = v and Q^-1 e2 = u.
+
+    A Bezout functional c with c.v = 1 gives q = (c.w) mod p.  The
+    reading is certified by w = q v + p u with u integral: v primitive
+    fixes q mod p, and Det_2(v, u) = 1 makes {v, u} part of a basis.
+    A non-primitive v or a non-integral u raises ``error``.
+    """
+    g, c = _bezout(v)
+    if g != 1:
+        raise error(f"first structure {v} is not primitive")
+    q = sum(map(operator.mul, c, w)) % p
+    u, rem = zip(*(divmod(b - q * a, p) for a, b in zip(v, w)))
+    if any(rem):
+        raise error(f"({w} - {q} {v}) / {p} is not integral")
+    return q, u
 
 
 def classify_corner(v, w) -> CornerClass:
@@ -465,7 +498,8 @@ def classify_corner(v, w) -> CornerClass:
 def cross_section_topology(v, w, n: int) -> CrossSectionTopology:
     """Topology of the closed (n+1)-manifold determined by flanking
     structures v and w: Det_2 = 0 gives S^1 x S^2, 1 gives S^3, and p > 1
-    gives L(p, q) with q read from the Hermite form of [v w]."""
+    gives L(p, q), with q read off the plane reading of [v w] (see
+    _plane_reading), which needs no normal form."""
     v, w = _as_vector(v), _as_vector(w)
     if len(v) != n or len(w) != n:
         raise ValueError("structures must have length n")
@@ -474,14 +508,8 @@ def cross_section_topology(v, w, n: int) -> CrossSectionTopology:
         return CrossSectionTopology.ring(n - 2)
     if d == 1:
         return CrossSectionTopology.s3(n - 2)
-    H = hermite_normal_form(IntMatrix.from_columns([v, w])).H
-    q = H[0, 1]
-    p = H[1, 1]
-    if p != d:
-        raise DiagramValidationError(
-            "Hermite pivot must agree with the determinant divisor"
-        )
-    return CrossSectionTopology.lens(p, q, n - 2)
+    q, _ = _plane_reading(v, w, d, DiagramValidationError)
+    return CrossSectionTopology.lens(d, q, n - 2)
 
 
 def asymptotic_end(diagram: RodDiagram) -> CrossSectionTopology:

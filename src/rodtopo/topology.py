@@ -1,11 +1,12 @@
 """Fundamental groups, fill-in chains, compactification, classification.
 
 The fundamental group of a simple torus manifold is Z^n modulo the integer
-span of its rod structures, read off the Smith normal form.  Horizons and
-the asymptotic end can always be filled in by finite chains of structures
-with admissible corners; choosing the chains so the filled-in diagram has
-full integer span produces a simply connected closed diagram, which the
-low-dimensional chart then classifies.
+span of its rod structures: trivial when windows of n consecutive
+structures certify Det_n = 1, read off the Smith normal form otherwise.
+Horizons and the asymptotic end can always be filled in by finite chains
+of structures with admissible corners; choosing the chains so the
+filled-in diagram has full integer span produces a simply connected
+closed diagram, which the low-dimensional chart then classifies.
 """
 
 from __future__ import annotations
@@ -32,6 +33,7 @@ from .roddiagram import (
     asymptotic_end,
     det2,
     _as_vector,
+    _plane_reading,
 )
 
 
@@ -73,20 +75,13 @@ class AbelianGroup:
 
 
 def fundamental_group(diagram: RodDiagram) -> AbelianGroup:
-    """pi_1 of the total space: Z^n / span_Z of the rod structures."""
-    snf = smith_normal_form(diagram.structure_matrix())
-    rank = snf.rank
-    torsion = tuple(s for s in snf.divisors if s > 1)
-    return AbelianGroup(diagram.n - rank, torsion)
+    """pi_1 of the total space: Z^n / span_Z of the rod structures.
 
-
-def is_simply_connected(diagram: RodDiagram) -> bool:
-    """True iff Z^n / span_Z of the rod structures is trivial, that is, iff
-    Det_n of the structure matrix is 1.
-
-    Det_n divides every n x n minor, so windows of n cyclically consecutive
-    structures whose determinants reach gcd 1 certify simple connectivity
-    without a normal form.  Otherwise the Smith form decides.
+    The group is trivial exactly when Det_n of the structure matrix is 1.
+    Det_n divides every n x n minor, so windows of n cyclically
+    consecutive structures whose determinants reach gcd 1 certify the
+    trivial group without a normal form.  Otherwise the Smith form
+    decides.
     """
     vs = [s.v for s in diagram.structures()]
     n, k = diagram.n, len(vs)
@@ -99,7 +94,16 @@ def is_simply_connected(diagram: RodDiagram) -> bool:
             window = IntMatrix._trusted(tuple(ring[i : i + n]))
             g = gcd(g, determinant_divisor(window, n))
             if g == 1:
-                return True
+                return AbelianGroup(0, ())
+    snf = smith_normal_form(diagram.structure_matrix())
+    rank = snf.rank
+    torsion = tuple(s for s in snf.divisors if s > 1)
+    return AbelianGroup(diagram.n - rank, torsion)
+
+
+def is_simply_connected(diagram: RodDiagram) -> bool:
+    """True iff Z^n / span_Z of the rod structures is trivial (see
+    fundamental_group, whose windows usually decide without a Smith form)."""
     return fundamental_group(diagram).trivial
 
 
@@ -134,23 +138,21 @@ def fillin_path(v, w):
     """Chain v = u_1, ..., u_k = w of primitive vectors with consecutive
     second determinant divisors equal to 1.
 
-    The Hermite transformation Q of [v w] sends v to e1 and w to
-    (q, p, 0, ...); the chain is built from the continued-fraction
-    convergents of p/q in that plane and mapped back through Q^-1 e1 = v
-    and Q^-1 e2 = (w - q v) / p, read off v and w without inverting Q.
-    Parallel inputs get one intermediate vector.
+    The plane reading of [v w] (see _plane_reading) gives its Hermite
+    form [e1 (q, p, 0, ...)] with p = Det_2(v, w) and the vector
+    u = (w - q v) / p, certified integral; the chain is built from the
+    continued-fraction convergents (x, y) of p/q as x v + y u, which is
+    Q^-1 (x, y, 0, ...) without any normal form.  Parallel inputs get
+    one intermediate vector, a column of Q^-1 from the Hermite form.
     """
     v, w = _as_vector(v), _as_vector(w)
-    n = len(v)
-    res = hermite_normal_form(IntMatrix.from_columns([v, w]))
-    col2 = res.H.column(1)
-    if all(x == 0 for x in col2[1:]):
+    p = det2(v, w)
+    if p == 0:
         # parallel structures: route through a basis-completing vector
-        u = res.Q.inverse_unimodular() @ tuple(1 if i == 1 else 0 for i in range(n))
+        res = hermite_normal_form(IntMatrix.from_columns([v, w]))
+        u = res.Q.inverse_unimodular() @ tuple(1 if i == 1 else 0 for i in range(len(v)))
         return [v, u, w]
-    q, p = col2[0], col2[1]
-    if p < 1 or any(x != 0 for x in col2[2:]):
-        raise CompactifyError(f"second Hermite column {col2} is not a plane vector")
+    q, u = _plane_reading(v, w, p, CompactifyError)
     if q == 0:
         if p != 1:
             raise CompactifyError("primitive second structure forces p = 1 when q = 0")
@@ -164,15 +166,8 @@ def fillin_path(v, w):
         plane_chain.append((k_cur, h_cur))
     if plane_chain[-1] != (q, p):
         raise CompactifyError(f"convergents end at {plane_chain[-1]}, not at {(q, p)}")
-    # Q v = g e1 with g = gcd(v), so Q^-1 e1 = v / g exactly; a
-    # non-primitive v (g > 1) then fails the join check below
-    g = res.H[0, 0]
-    t = tuple(a // g for a in v)
-    u = tuple((b - q * a) // p for a, b in zip(t, w))
-    chain = [tuple(x * a + y * b for a, b in zip(t, u)) for x, y in plane_chain]
-    if chain[0] != v or chain[-1] != w:
-        raise CompactifyError("fill-in chain does not join the two structures")
-    return chain
+    # (1, 0) maps to v and (q, p) to q v + p u = w, exactly
+    return [tuple(x * a + y * b for a, b in zip(v, u)) for x, y in plane_chain]
 
 
 # ----------------------------------------------------------------------

@@ -123,6 +123,25 @@ def test_compactify_and_classify_pipeline(capsys, counterexample_path, tmp_path)
     assert out["k"] == 0
 
 
+DIAGRAMS = Path(__file__).resolve().parent.parent / "diagrams"
+
+
+def test_classify_bundled_closed_diagram(capsys):
+    # diagrams/plumbed-doc-closed.json is the compactification of
+    # diagrams/plumbed-doc.json: a rank-3 disk with 7 corners, so k = 4
+    closed = str(DIAGRAMS / "plumbed-doc-closed.json")
+    code, out = run_json(capsys, "compactify", str(DIAGRAMS / "plumbed-doc.json"))
+    assert code == 0
+    assert out["diagram"] == json.loads(Path(closed).read_text())
+    code, out = run_json(capsys, "classify", closed)
+    assert code == 0
+    assert (out["n"], out["k"], out["family_row"]) == (3, 4, "non_spin")
+    assert out["display"] == "(S^2 ~x S^3) # 3(S^2 x S^3)"
+    code, out = run_json(capsys, "classify", closed, "--spin")
+    assert code == 0
+    assert (out["family_row"], out["display"]) == ("spin", "#4(S^2 x S^3)")
+
+
 def test_classify_rejects_non_simply_connected(capsys, tmp_path):
     d = {
         "n": 3,

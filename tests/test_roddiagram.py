@@ -3,7 +3,19 @@ import random
 
 import pytest
 
-from rodtopo.errors import DiagramValidationError, InadmissibleCornerError, SchemaError
+from rodtopo import roddiagram
+from rodtopo.errors import (
+    DiagramValidationError,
+    InadmissibleCornerError,
+    RodTopoError,
+    SchemaError,
+)
+from rodtopo.intlin import (
+    IntMatrix,
+    determinant_divisor,
+    hermite_normal_form,
+    is_primitive_vector,
+)
 from rodtopo.roddiagram import (
     Rod,
     RodDiagram,
@@ -17,6 +29,7 @@ from rodtopo.roddiagram import (
     normalize_compatibility,
     parse,
     serialize,
+    _plane_reading,
 )
 
 from helpers import rand_admissible_chain, rand_primitive, rand_unimodular
@@ -242,6 +255,21 @@ def test_det2_rejects_ragged_empty_and_float_input():
         det2((1,), (2,))
 
 
+def test_det2_matches_determinant_divisor():
+    rng = random.Random(31)
+    for _ in range(800):
+        n = rng.randint(2, 6)
+        v = [rng.randint(-6, 6) for _ in range(n)]
+        roll = rng.random()
+        if roll < 0.15:
+            w = [rng.randint(-3, 3) * x for x in v]  # parallel, or zero
+        elif roll < 0.3:
+            w = [rng.choice((2, 3)) * x for x in rand_primitive(rng, n)]
+        else:
+            w = [rng.randint(-6, 6) for _ in range(n)]
+        assert det2(v, w) == determinant_divisor(IntMatrix.from_columns([v, w]), 2)
+
+
 def test_classify_corner_examples():
     assert classify_corner((1, 0, 0), (0, 1, 0)).admissible
     assert classify_corner((0, 1, 0), (2, 3, 5)).admissible
@@ -296,6 +324,65 @@ def test_cross_section_invariant_under_unimodular():
         a = cross_section_topology(v, w, n)
         b = cross_section_topology(Q @ v, Q @ w, n)
         assert a == b
+
+
+def test_plane_reading_matches_hermite_reference():
+    # Hermite form [e1 (q, p, 0, ...)] of [v w], and Q^-1 e2 = u
+    rng = random.Random(33)
+    lens = 0
+    for _ in range(1500):
+        n = rng.randint(2, 6)
+        v, w = rand_primitive(rng, n), rand_primitive(rng, n)
+        if rng.random() < 0.5:
+            # a larger Det_2: w = a v + b x, kept when primitive
+            a, b = rng.randint(-9, 9), rng.randint(2, 9)
+            w = tuple(a * y + b * x for x, y in zip(w, v))
+            if not is_primitive_vector(w):
+                continue
+        p = det2(v, w)
+        if p == 0:
+            continue
+        res = hermite_normal_form(IntMatrix.from_columns([v, w]))
+        q, u = _plane_reading(v, w, p, DiagramValidationError)
+        assert res.H.column(1) == (q, p) + (0,) * (n - 2)
+        assert res.Q @ u == tuple(int(i == 1) for i in range(n))
+        assert tuple(q * a + p * b for a, b in zip(v, u)) == tuple(w)
+        lens += p > 1
+    assert lens >= 600
+
+
+def test_plane_reading_errors_raise():
+    # each check raises, so it holds under python -O as well
+    with pytest.raises(DiagramValidationError, match="not primitive"):
+        cross_section_topology((2, 0, 0), (0, 1, 0), 3)
+    with pytest.raises(DiagramValidationError, match="not primitive"):
+        cross_section_topology((2, 0), (1, 1), 2)
+    # a wrong p leaves (w - q v) / p non-integral
+    with pytest.raises(RodTopoError, match="not integral"):
+        _plane_reading((1, 0), (1, 3), 2, DiagramValidationError)
+
+
+def test_forged_bezout_functional_is_refused(monkeypatch):
+    # c = e2 misreads q for v = e1, and the integrality certificate catches it
+    assert cross_section_topology((1, 0, 0), (11, 9, 24), 3).q == 2
+    monkeypatch.setattr(roddiagram, "_bezout", lambda v: (1, [0, 1, 0]))
+    with pytest.raises(DiagramValidationError, match="not integral"):
+        cross_section_topology((1, 0, 0), (11, 9, 24), 3)
+
+
+def test_cross_section_computes_no_hermite_form(monkeypatch):
+    def refuse(A):
+        raise AssertionError("hermite_normal_form called")
+
+    monkeypatch.setattr(roddiagram, "hermite_normal_form", refuse)
+    rng = random.Random(34)
+    families = set()
+    for _ in range(300):
+        n = rng.randint(2, 5)
+        v = rand_primitive(rng, n)
+        w = v if rng.random() < 0.1 else rand_primitive(rng, n)
+        families.add(cross_section_topology(v, w, n).family)
+    assert families == {"S3", "Lens", "S1xS2"}
 
 
 def test_asymptotic_end_counterexample():

@@ -140,6 +140,7 @@ def test_exact_subcommands_do_not_load_numpy():
     diagrams = len(list((ROOT / "diagrams").glob("*.json")))
     assert len(out["codes"]) == diagrams * len(EXACT_SUBCOMMANDS)
     assert set(out["codes"]) <= {0, 1}  # 1: the diagram is outside the command's domain
+    assert 0 in out["codes"][len(EXACT_SUBCOMMANDS) - 1 :: len(EXACT_SUBCOMMANDS)]  # classify
     assert out["loaded"] == []
     assert out["modelmap"] == "rodtopo.modelmap"
     assert out["same"] == [True] * 6

@@ -3,8 +3,8 @@ from pathlib import Path
 
 import pytest
 
-from rodtopo import intlin, topology
-from rodtopo.errors import ClassifyError
+from rodtopo import intlin, roddiagram, topology
+from rodtopo.errors import ClassifyError, CompactifyError, RodTopoError
 from rodtopo.intlin import (
     IntMatrix,
     determinant_divisor,
@@ -178,7 +178,8 @@ def test_fillin_and_compactify_invert_no_matrix(monkeypatch):
     # compactify merges those instead of filling them in
     rng = random.Random(24)
     diagrams = [_random_admissible_half_plane(rng) for _ in range(100)]
-    diagrams += [parse(p.read_text()) for p in sorted(DIAGRAMS.glob("*.json"))]
+    bundled = [parse(p.read_text()) for p in sorted(DIAGRAMS.glob("*.json"))]
+    diagrams += [d for d in bundled if d.shape == "half_plane"]  # compactify's domain
 
     def refuse(self):
         raise AssertionError("inverse_unimodular called")
@@ -192,6 +193,49 @@ def test_fillin_and_compactify_invert_no_matrix(monkeypatch):
                 assert chain[0] == v and chain[-1] == w
     for d in diagrams:
         assert is_simply_connected(compactify(d).diagram)
+
+
+def test_fillin_computes_no_hermite_form_on_non_parallel_pairs(monkeypatch):
+    hermites = []
+
+    def counting_hermite(A):
+        hermites.append(A.cols)
+        return hermite_normal_form(A)
+
+    monkeypatch.setattr(topology, "hermite_normal_form", counting_hermite)
+    rng = random.Random(26)
+    chains = 0
+    for _ in range(600):
+        n = rng.randint(2, 6)
+        v, w = rand_primitive(rng, n), rand_primitive(rng, n)
+        if det2(v, w) != 0:
+            chains += len(fillin_path(v, w)) > 2
+    assert chains >= 80
+    assert hermites == []
+    # a parallel pair still takes a column of Q^-1 from one Hermite form
+    assert len(fillin_path((1, 2, 0), (-1, -2, 0))) == 3
+    assert hermites == [2]
+
+
+def test_fillin_errors_raise():
+    # each check raises, so it holds under python -O as well
+    with pytest.raises(CompactifyError, match="not primitive"):
+        fillin_path((2, 0, 0), (0, 1, 0))
+    with pytest.raises(CompactifyError, match="not primitive"):
+        fillin_path((2, 4), (1, 3))
+    # a non-primitive w: its plane vector (q, p) is not primitive either
+    with pytest.raises(CompactifyError, match="convergents end"):
+        fillin_path((1, 0, 0), (2, 4, 0))
+    with pytest.raises(CompactifyError, match="forces p = 1"):
+        fillin_path((1, 0), (0, 2))
+
+
+def test_forged_plane_reading_is_refused(monkeypatch):
+    # a Bezout functional with c.v = 0 misreads q, and (w - q v) / p is
+    # then not integral
+    monkeypatch.setattr(roddiagram, "_bezout", lambda v: (1, [0, 1]))
+    with pytest.raises(RodTopoError, match="not integral"):
+        fillin_path((1, 0), (2, 5))
 
 
 def test_fillin_matches_inverse_of_hermite_transformation():
@@ -413,8 +457,37 @@ def test_is_simply_connected_matches_smith():
             _disk(n, e[:-1] + [vec_add(e[0], vec_scale(2, e[-1]))]),
         ]
     outcomes = [is_simply_connected(d) for d in diagrams]
-    assert outcomes == [fundamental_group(d).trivial for d in diagrams]
+    assert outcomes == [_smith_group(d).trivial for d in diagrams]
     assert 100 <= sum(outcomes) <= len(outcomes) - 100
+
+
+def _smith_group(d):
+    """Reference pi_1, read off the Smith form of the structure matrix."""
+    snf = smith_normal_form(d.structure_matrix())
+    return AbelianGroup(d.n - snf.rank, tuple(s for s in snf.divisors if s > 1))
+
+
+def test_fundamental_group_matches_smith_reference():
+    rng = random.Random(73)
+    diagrams = []
+    for _ in range(100):
+        d = _random_admissible_half_plane(rng, nmax=5)
+        diagrams += [d, compactify(d).diagram]
+    for _ in range(200):
+        n, k = rng.randint(2, 5), rng.randint(1, 8)
+        vs = [rand_primitive(rng, n, -3, 3)]
+        while len(vs) < k:
+            v = rand_primitive(rng, n, -3, 3)
+            if normalize_sign(v) not in (normalize_sign(vs[-1]), normalize_sign(vs[0])):
+                vs.append(v)
+        diagrams.append(_disk(n, vs))
+    for n in (2, 3, 4, 5):
+        diagrams += [_index_two_disk(rng, n, rng.randint(n, 9)) for _ in range(5)]
+    groups = [fundamental_group(d) for d in diagrams]
+    assert groups == [_smith_group(d) for d in diagrams]
+    assert sum(g.trivial for g in groups) >= 100
+    assert sum(bool(g.torsion) for g in groups) >= 20
+    assert sum(g.free_rank > 0 for g in groups) >= 20
 
 
 def test_is_simply_connected_needs_no_smith_form_on_compactified_diagrams(monkeypatch):
@@ -435,6 +508,7 @@ def test_is_simply_connected_needs_no_smith_form_on_compactified_diagrams(monkey
     monkeypatch.setattr(topology, "smith_normal_form", counting_smith)
     assert len(plans) == 3
     assert all(is_simply_connected(plan.diagram) for plan in plans)
+    assert all(fundamental_group(plan.diagram).trivial for plan in plans)
     assert smiths == []
 
     # an index-2 sublattice defeats every window, so Smith decides, once
