@@ -273,25 +273,38 @@ def hermite_normal_form(A: IntMatrix) -> HermiteResult:
 
 
 def _assert_hermite(res, A):
-    H, Q, pivots = res.H, res.Q, res.pivots
+    H, Q = res.H, res.Q
     if Q @ A != H:
         raise AssertionError("Hermite reduction broke Q @ A == H")
     if not Q.is_unimodular():
         raise AssertionError("Hermite transformation matrix is not unimodular")
-    m = len(pivots)
-    last_col = -1
-    for i, (r, c) in enumerate(pivots):
-        if r != i or c <= last_col:
-            raise AssertionError("pivot positions out of order")
-        last_col = c
-        if H[r, c] <= 0 or any(H[r, j] != 0 for j in range(c)):
-            raise AssertionError("pivot not positive leading entry")
-        for j in range(r):
-            if not 0 <= H[j, c] < H[r, c]:
-                raise AssertionError("entry above pivot not reduced")
-    for r in range(m, H.rows):
-        if any(H[r, j] != 0 for j in range(H.cols)):
-            raise AssertionError("nonzero row below the pivot rows")
+    if hermite_pivots(H) != res.pivots:
+        raise AssertionError("H is not in Hermite form with the recorded pivots")
+
+
+def hermite_pivots(A: IntMatrix):
+    """The pivots of A, as hermite_normal_form would report them, if A is
+    already in Hermite form, else None.
+
+    The shape rules of the module docstring decide it: each nonzero row
+    has a positive leading entry right of the row above's, the entries
+    above a pivot lie in [0, pivot), and zero rows come last.  The test
+    is exact, since the Hermite form is unique: a matrix of that shape is
+    its own Hermite form with Q = I.
+    """
+    rows = A._e
+    pivots = []
+    for r, row in enumerate(rows):
+        c = next((j for j, x in enumerate(row) if x), None)
+        if c is None:
+            return None if any(map(any, rows[r + 1 :])) else tuple(pivots)
+        p = row[c]
+        if p < 0 or (pivots and c <= pivots[-1][1]):
+            return None
+        if not all(0 <= rows[j][c] < p for j in range(r)):
+            return None
+        pivots.append((r, c))
+    return tuple(pivots)
 
 
 def smith_normal_form(A: IntMatrix) -> SmithResult:
@@ -487,14 +500,6 @@ def _smith_span_contains(snf: SmithResult, x) -> bool:
         elif yi % s != 0:
             return False
     return True
-
-
-def vec_add(u, v):
-    return tuple(a + b for a, b in zip(u, v))
-
-
-def vec_sub(u, v):
-    return tuple(a - b for a, b in zip(u, v))
 
 
 def vec_scale(c, v):

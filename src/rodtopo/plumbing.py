@@ -5,14 +5,16 @@ A connected run of three or more axis rods lifts to a chain of disk-bundle
 pieces glued along plumbing vectors.  Working always with the Hermite form
 of the rod structures makes every quantity here coordinate independent:
 the bundle data (q, r, p) of a consecutive triple, the plumbing vectors,
-and the per-relation diagnostics.  A run's Hermite form is computed once;
-each of its triples is read off 2 x 2 minors and certified by the Det_3
-of its plumbing vector, with no normal form of its own.
+and the per-relation diagnostics.  A run's Hermite form is computed at
+most once, and not at all for a run already of that shape; each of its
+triples is read off 2 x 2 minors and certified by the Det_3 of its
+plumbing vector, with no normal form of its own.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import combinations
 from math import gcd
 from typing import Optional
@@ -23,10 +25,8 @@ from .intlin import (
     _bezout,
     determinant_divisor,
     hermite_normal_form,
-    is_primitive_vector,
-    vec_add,
+    hermite_pivots,
     vec_scale,
-    vec_sub,
 )
 from .roddiagram import (
     HALF_PLANE,
@@ -97,18 +97,30 @@ class RelationCheck:
 
 @dataclass(frozen=True)
 class PlumbingDiagnostics:
-    checks: tuple
+    """Every plumbing relation check, in order, and the recursion's rods.
+
+    A check is held as a record (name, index, ok, template, args).  ok and
+    first_failure read the records; the RelationCheck of a record, whose
+    detail is template.format(*args), is built only when checks,
+    first_failure or to_json_dict is read.
+    """
+
+    records: tuple
     rods: tuple  # the recursion-generated rod structures
 
     @property
+    def checks(self):
+        return tuple(_relation_check(*rec) for rec in self.records)
+
+    @property
     def ok(self):
-        return all(c.ok for c in self.checks)
+        return all(rec[2] for rec in self.records)
 
     @property
     def first_failure(self):
-        for c in self.checks:
-            if not c.ok:
-                return c
+        for rec in self.records:
+            if not rec[2]:
+                return _relation_check(*rec)
         return None
 
     def to_json_dict(self):
@@ -176,9 +188,14 @@ def _pair_dual(v1, v2):
     Bezout coefficients for it, as (i, j, c) triples with c != 0 and
     sum c (v1[i] v2[j] - v1[j] v2[i]) = Det_2.  The minors are taken in
     combinations order and the sum stops at the first gcd of 1."""
-    pairs = list(combinations(range(len(v1)), 2))
+    pairs = _index_pairs(len(v1))
     g, c = _bezout(v1[i] * v2[j] - v1[j] * v2[i] for i, j in pairs)
     return g, [(i, j, x) for (i, j), x in zip(pairs, c) if x]
+
+
+@lru_cache(maxsize=None)
+def _index_pairs(n):
+    return tuple(combinations(range(n), 2))
 
 
 def _admissible_triple_bundle(v1, v2, v3, dual):
@@ -237,7 +254,7 @@ def plumbing_vector(w_i, w_i1, w_i2, q: int, r: int, p: int):
 def _plumbing_vector_det3(w_i, w_i1, w_i2, q, r, p):
     """plumbing_vector on integer tuples; also returns Det_3(w_i, w_i1,
     vec), or None for the zero vector of p = 0."""
-    rest = vec_sub(w_i2, vec_add(vec_scale(q, w_i), vec_scale(r, w_i1)))
+    rest = tuple(z - q * x - r * y for x, y, z in zip(w_i, w_i1, w_i2))
     if p == 0:
         if any(rest):
             raise PlumbingRelationError(
@@ -261,7 +278,7 @@ def _det3(w_i, w_i1, vec):
 def _certify(vec, d3):
     """d3 = Det_3(w_i, w_i+1, vec), unless the plumbing vector vec is not
     primitive or d3 is not 1."""
-    if not is_primitive_vector(vec):
+    if gcd(*vec) != 1:
         raise PlumbingRelationError(f"computed plumbing vector {vec} is not primitive")
     if d3 != 1:
         raise PlumbingRelationError(
@@ -280,9 +297,11 @@ def decompose_component(structures) -> ToricPlumbing:
     """Decompose a run of >= 3 admissible rod structures into bundles and
     plumbing vectors.
 
-    The whole run is put into Hermite normal form once, the only normal
-    form computed here, and each triple of that form is read in turn off
-    its 2 x 2 minors (_admissible_triple_bundle).  A dependent triple whose
+    A run already in Hermite form, such as the rods of plumbing_to_rods,
+    is recognised by its shape (hermite_pivots) and taken as it is;
+    any other run is put into Hermite normal form once, the only normal
+    form computed here.  Each triple of that form is read in turn off its
+    2 x 2 minors (_admissible_triple_bundle).  A dependent triple whose
     third column reads q = -1 has that column negated, so that the triple
     takes its canonical q = +1 form before the plumbing vector and the
     later triples read it; the column holds no pivot, so the result is
@@ -304,7 +323,8 @@ def decompose_component(structures) -> ToricPlumbing:
     det2s = [_require_admissible(det2(a, b), "a") for a, b in zip(vs, vs[1:])]
 
     l = len(vs) - 2
-    W = hermite_normal_form(IntMatrix.from_columns(vs)).H.columns()
+    mat = IntMatrix.from_columns(vs)
+    W = vs if hermite_pivots(mat) is not None else hermite_normal_form(mat).H.columns()
     bundles = []
     vectors = []
     det3s = []
@@ -327,9 +347,9 @@ def decompose_component(structures) -> ToricPlumbing:
     rods, vecs = _run_recursion(result.bundles, result.plumbing_vectors)
     if rods != result.rods_hnf:
         raise PlumbingRelationError("recursion does not regenerate the Hermite-form rods")
-    # W is the checked output of hermite_normal_form up to negated pivot-free
-    # columns, and its bundles, Det_2 and Det_3 values were found above:
-    # check against those facts
+    # W is the run's Hermite form up to negated pivot-free columns, and its
+    # bundles, Det_2 and Det_3 values were found above: check against those
+    # facts
     diag = _relation_diagnostics(result.bundles, rods, vecs, det2s[1:], bundles, det3s, True)
     if not diag.ok:
         raise PlumbingRelationError(
@@ -374,12 +394,7 @@ def _run_recursion(bundles, plumbing_vectors):
     ]
     for i, b in enumerate(bundles):
         q, r, p = b.qrp
-        w.append(
-            vec_add(
-                vec_add(vec_scale(q, w[i]), vec_scale(r, w[i + 1])),
-                vec_scale(p, vecs[i]),
-            )
-        )
+        w.append(tuple(q * x + r * y + p * z for x, y, z in zip(w[i], w[i + 1], vecs[i])))
     return tuple(w), tuple(vecs)
 
 
@@ -389,15 +404,16 @@ def verify_plumbing_relations(bundles, plumbing_vectors) -> PlumbingDiagnostics:
     Diagnostics cover, in order: primitivity of each nonzero vector, the
     zero rule for p_i = 0 bundles, admissibility of every recursion-
     generated pair, primitivity of the (w_i, w_{i+1}, p_i) triples, the
-    vanishing-entry rule, the pivot bounds, and that the generated
-    sequence is in Hermite normal form.  All outcomes are reported, not
-    just the first failure.
+    vanishing-entry rule, the pivot bounds, that the generated sequence
+    is in Hermite normal form (by its shape, hermite_pivots; no normal
+    form is computed), and that the bundles read back off it.  Every
+    check is evaluated and all outcomes are reported, not just the first
+    failure; their detail strings are formatted when they are read.
     """
     rods, vecs = _run_recursion(bundles, plumbing_vectors)
-    mat = IntMatrix.from_columns(rods)
-    in_hermite_form = hermite_normal_form(mat).H == mat
+    in_hermite_form = hermite_pivots(IntMatrix.from_columns(rods)) is not None
     det2s = [det2(rods[i], rods[i + 1]) for i in range(1, len(bundles) + 1)]
-    det3s = [None if all(x == 0 for x in vec) else _det3(rods[i], rods[i + 1], vec)
+    det3s = [_det3(rods[i], rods[i + 1], vec) if any(vec) else None
              for i, vec in enumerate(vecs)]
     # the roundtrip stops reading at the first triple that fails
     read_back = (_read_back(rods, i, bundles[i], vecs[i], det2s[i], det3s[i])
@@ -430,114 +446,44 @@ def _relation_diagnostics(bundles, rods, vecs, det2s, read_back, det3s, in_hermi
     recursion's rods and vectors and four facts about them:
     Det_2(w_{i+1}, w_{i+2}) for i = 1..l, the bundles read back off each
     rod triple, Det_3(w_i, w_{i+1}, p_i) for each nonzero vector (None for
-    a zero one), and whether the rods are in Hermite form."""
-    n = len(rods[0])
-    l = len(bundles)
-    checks = []
-
-    for i, b in enumerate(bundles, start=1):
-        p = b.qrp[2]
-        vec = vecs[i - 1]
-        if p == 0:
-            checks.append(
-                RelationCheck(
-                    "zero_vector_rule",
-                    i,
-                    all(x == 0 for x in vec),
-                    f"p_{i} = 0 so the plumbing vector must vanish, got {vec}",
-                )
-            )
+    a zero one), and whether the rods are in Hermite form.  Every check is
+    evaluated here; each is recorded as (name, index, ok, template, args),
+    and its detail is formatted only when PlumbingDiagnostics is read."""
+    records = []
+    for i, (b, vec) in enumerate(zip(bundles, vecs), start=1):
+        if b.p == 0:
+            records.append(("zero_vector_rule", i, not any(vec),
+                            "p_{} = 0 so the plumbing vector must vanish, got {}", (i, vec)))
         else:
-            checks.append(
-                RelationCheck(
-                    "vector_primitive",
-                    i,
-                    is_primitive_vector(vec),
-                    f"plumbing vector {vec}",
-                )
-            )
-
-    for i, d in enumerate(det2s, start=1):
-        checks.append(
-            RelationCheck(
-                "pair_admissible",
-                i,
-                d == 1,
-                f"Det_2(w_{i + 1}, w_{i + 2}) = {d}",
-            )
-        )
-
-    for i, d3 in enumerate(det3s, start=1):
-        if d3 is None:
-            continue
-        checks.append(
-            RelationCheck(
-                "triple_primitive",
-                i,
-                d3 == 1,
-                f"Det_3(w_{i}, w_{i + 1}, p_{i}) = {d3}",
-            )
-        )
-
-    # last_used[k - 1]: the last coordinate used by p_1..p_{k-1}, -1 while
-    # they all vanish
-    last_used = []
-    last = -1
-    for vec in vecs:
-        last_used.append(last)
-        for j, x in enumerate(vec):
-            if x != 0:
-                last = max(last, j)
+            records.append(("vector_primitive", i, gcd(*vec) == 1, "plumbing vector {}", (vec,)))
+    records += [("pair_admissible", i, d == 1, "Det_2(w_{}, w_{}) = {}", (i + 1, i + 2, d))
+                for i, d in enumerate(det2s, start=1)]
+    records += [("triple_primitive", i, d3 == 1, "Det_3(w_{0}, w_{1}, p_{0}) = {2}", (i, i + 1, d3))
+                for i, d3 in enumerate(det3s, start=1) if d3 is not None]
 
     # vanishing rule: a vector may reach at most one coordinate past the
-    # last one used by the earlier nonzero vectors
-    for kidx in range(2, l + 1):
-        vk = vecs[kidx - 1]
-        if last_used[kidx - 1] < 0:
-            continue
-        m = last_used[kidx - 1] + 2  # 1-based position one past the last used entry
-        ok = all(vk[j] == 0 for j in range(m, n))
-        checks.append(
-            RelationCheck(
-                "zeros_rule",
-                kidx,
-                ok,
-                f"earlier vectors vanish from entry {m}; p_{kidx} = {vk}",
-            )
-        )
-
-    # pivot rule: when p_k reaches one coordinate past everything used so
-    # far, that entry of w_{k+2} is a new Hermite pivot bounding the ones
-    # before it (rows 1 and 2 are always taken by e1, e2)
-    for kidx in range(1, l + 1):
-        vk = vecs[kidx - 1]
-        nz = [j for j, x in enumerate(vk) if x != 0]
-        if not nz:
-            continue
-        mk = nz[-1]
-        edge = max(1, last_used[kidx - 1])
-        if mk != edge + 1:
-            continue
-        wk2 = rods[kidx + 1]
-        pivot = wk2[mk]
-        ok = pivot > 0 and all(0 <= wk2[j] < pivot for j in range(mk))
-        checks.append(
-            RelationCheck(
-                "pivot_rule",
-                kidx,
-                ok,
-                f"w_{kidx + 2} = {wk2}, pivot position {mk + 1}",
-            )
-        )
-
-    checks.append(
-        RelationCheck(
-            "hermite_form",
-            -1,
-            in_hermite_form,
-            "generated rod structures must already be in Hermite normal form",
-        )
-    )
+    # last one used by the earlier nonzero vectors.  Pivot rule: when p_k
+    # reaches one coordinate past everything used so far, that entry of
+    # w_{k+2} is a new Hermite pivot bounding the ones before it (rows 1
+    # and 2 are always taken by e1, e2)
+    zeros, pivots = [], []
+    last = -1  # the last coordinate used by p_1..p_{k-1}, -1 while they all vanish
+    for k, vk in enumerate(vecs, start=1):
+        if last >= 0:
+            m = last + 2  # 1-based position one past the last used entry
+            zeros.append(("zeros_rule", k, not any(vk[m:]),
+                          "earlier vectors vanish from entry {}; p_{} = {}", (m, k, vk)))
+        mk = max((j for j, x in enumerate(vk) if x), default=-1)
+        if mk >= 0 and mk == max(1, last) + 1:
+            wk2 = rods[k + 1]
+            pivot = wk2[mk]
+            ok = pivot > 0 and all(0 <= x < pivot for x in wk2[:mk])
+            pivots.append(("pivot_rule", k, ok, "w_{} = {}, pivot position {}", (k + 2, wk2, mk + 1)))
+        last = max(last, mk)
+    records += zeros
+    records += pivots
+    records.append(("hermite_form", -1, in_hermite_form,
+                    "generated rod structures must already be in Hermite normal form", ()))
 
     # coherence: reading the bundles back off the generated rods must
     # reproduce the input bundles
@@ -552,9 +498,13 @@ def _relation_diagnostics(bundles, rods, vecs, det2s, read_back, det3s, in_hermi
     except (InadmissibleCornerError, ValueError) as e:
         roundtrip_ok = False
         detail = str(e)
-    checks.append(RelationCheck("bundle_roundtrip", -1, roundtrip_ok, detail))
+    records.append(("bundle_roundtrip", -1, roundtrip_ok, "{}", (detail,)))
 
-    return PlumbingDiagnostics(tuple(checks), rods)
+    return PlumbingDiagnostics(tuple(records), rods)
+
+
+def _relation_check(name, index, ok, template, args):
+    return RelationCheck(name, index, ok, template.format(*args))
 
 
 # ----------------------------------------------------------------------

@@ -7,7 +7,10 @@ import pytest
 from rodtopo.intlin import (
     IntMatrix,
     determinant_divisor,
+    HermiteResult,
+    _assert_hermite,
     hermite_normal_form,
+    hermite_pivots,
     is_primitive_set,
     is_primitive_vector,
     lattice_contains,
@@ -69,6 +72,72 @@ def test_hermite_q_unique_for_full_row_rank():
         B = rand_unimodular(rng, 3)
         res2 = hermite_normal_form(B @ A)
         assert res2.Q @ B == res.Q
+
+
+def _hermite_near_misses(rng, H, pivots):
+    """Copies of the Hermite form H, as row lists, each with one of its
+    shape rules broken: an entry above a pivot equal to the pivot or
+    negative, a pivot <= 0, a zero row above a nonzero row, and two pivot
+    rows swapped so the pivots do not move right."""
+    rows = H.to_lists()
+    out = []
+    for r, c in pivots:
+        if r > 0:
+            bad = [list(row) for row in rows]
+            bad[rng.randrange(r)][c] = rng.choice((rows[r][c], -rng.randint(1, 3)))
+            out.append(bad)
+        bad = [list(row) for row in rows]
+        bad[r][c] = rng.choice((0, -rows[r][c]))
+        out.append(bad)
+    rank = len(pivots)
+    if 0 < rank < H.rows:
+        # move the last (zero) row above a pivot row
+        bad = [list(row) for row in rows[:-1]]
+        bad.insert(rng.randrange(rank), list(rows[-1]))
+        out.append(bad)
+    elif rank >= 2:
+        bad = [list(row) for row in rows]
+        bad[rng.randrange(rank - 1)] = [0] * H.cols
+        out.append(bad)
+    if len(pivots) >= 2:
+        bad = [list(row) for row in rows]
+        i, j = sorted(rng.sample(range(len(pivots)), 2))
+        bad[i], bad[j] = bad[j], bad[i]
+        out.append(bad)
+    return [IntMatrix(bad) for bad in out]
+
+
+def test_hermite_pivots_agree_with_the_normal_form():
+    rng = random.Random(104)
+    verdicts = {True: 0, False: 0}
+    for _ in range(400):
+        n = rng.randint(2, 6)
+        cols = rng.randint(1, 8)
+        if rng.random() < 0.4:
+            # rank below n, so that the form has zero rows
+            k = rng.randint(1, n - 1)
+            A = rand_matrix(rng, n, k, -3, 3) @ rand_matrix(rng, k, cols, -3, 3)
+        else:
+            A = rand_matrix(rng, n, cols, -6, 6)
+        form = hermite_normal_form(A)
+        for M in [A, form.H] + _hermite_near_misses(rng, form.H, form.pivots):
+            res = hermite_normal_form(M)
+            is_form = res.H == M
+            assert hermite_pivots(M) == (res.pivots if is_form else None)
+            verdicts[is_form] += 1
+    assert min(verdicts.values()) >= 400
+
+
+def test_assert_hermite_checks_the_shape():
+    A = IntMatrix.from_columns(FIG1_COLUMNS)
+    res = hermite_normal_form(A)
+    _assert_hermite(res, A)
+    # -Q is unimodular and -Q @ A == -H, so only the shape refuses these
+    negated = HermiteResult(-res.H, -res.Q, res.pivots)
+    with pytest.raises(AssertionError, match="not in Hermite form"):
+        _assert_hermite(negated, A)
+    with pytest.raises(AssertionError, match="recorded pivots"):
+        _assert_hermite(HermiteResult(res.H, res.Q, res.pivots[:-1]), A)
 
 
 def test_smith_diag_2_3():

@@ -4,9 +4,9 @@ from math import gcd
 
 import pytest
 
-from rodtopo import plumbing
+from rodtopo import intlin, plumbing
 from rodtopo.errors import InadmissibleCornerError, ModelMapError, PlumbingRelationError
-from rodtopo.intlin import IntMatrix, determinant_divisor, hermite_normal_form
+from rodtopo.intlin import IntMatrix, determinant_divisor, hermite_normal_form, hermite_pivots
 from rodtopo.plumbing import (
     Bundle,
     ToricPlumbing,
@@ -473,10 +473,78 @@ def test_read_back_matches_the_public_reader(monkeypatch):
     fast = outcomes()
     monkeypatch.setattr(plumbing, "_read_back", _public_read_back)
     assert fast == outcomes()
-    roundtrip = [d.checks[-1] for d in fast if not isinstance(d, str)]
+    diags = [d for d in fast if not isinstance(d, str)]
+    for d in diags:
+        checks = d.checks
+        assert d.ok == all(c.ok for c in checks)
+        assert d.first_failure == next((c for c in checks if not c.ok), None)
+    assert sum(not d.ok for d in diags) >= 100
+    roundtrip = [d.checks[-1] for d in diags]
     assert sum(c.ok for c in roundtrip) >= 200
     assert sum("reads back as" in c.detail for c in roundtrip) >= 50
     assert sum("corner is inadmissible" in c.detail for c in roundtrip) >= 10
+
+
+def _counting_hermite(monkeypatch):
+    """Record the width of every Hermite form computed from here on, also
+    those that intlin computes for itself."""
+    widths = []
+    real = intlin.hermite_normal_form
+
+    def counting(A):
+        widths.append(A.cols)
+        return real(A)
+
+    monkeypatch.setattr(plumbing, "hermite_normal_form", counting)
+    monkeypatch.setattr(intlin, "hermite_normal_form", counting)
+    return widths
+
+
+def test_round_trip_computes_one_hermite_form(monkeypatch):
+    widths = _counting_hermite(monkeypatch)
+    rng = random.Random(55)
+    for length in (3, 10, 40):
+        for _ in range(5):
+            chain = rand_admissible_chain(rng, 4, length)
+            assert hermite_pivots(IntMatrix.from_columns(chain)) is None
+            widths.clear()
+            tp = decompose_component(chain)
+            # a chain not yet in Hermite form takes exactly its own
+            assert widths == [length]
+            widths.clear()
+            diag = verify_plumbing_relations(tp.bundles, tp.plumbing_vectors)
+            assert diag.ok
+            # the hermite_form check reads the shape; no normal form
+            assert widths == []
+            assert decompose_component(tp.rods_hnf) == tp
+            # a run already in Hermite form is taken as it is
+            assert widths == []
+            widths.clear()
+            tp2 = decompose_component(plumbing_to_rods(tp.bundles, tp.plumbing_vectors))
+            decompose_component(chain)
+            # so a whole round trip computes one normal form, of width L
+            assert widths == [length]
+            assert tp2 == tp
+
+
+def test_reading_the_verdict_formats_no_detail(monkeypatch):
+    tp = decompose_component(rand_admissible_chain(random.Random(56), 4, 20))
+    built = []
+    relation_check = plumbing._relation_check
+
+    def counting(*record):
+        built.append(record[0])
+        return relation_check(*record)
+
+    monkeypatch.setattr(plumbing, "_relation_check", counting)
+    diag = verify_plumbing_relations(tp.bundles, tp.plumbing_vectors)
+    assert diag.ok and diag.first_failure is None
+    assert plumbing_to_rods(tp.bundles, tp.plumbing_vectors) == list(tp.rods_hnf)
+    assert decompose_component(tp.rods_hnf) == tp
+    assert built == []
+    # every check is still recorded, and formatted once it is read
+    assert len(diag.checks) == len(built) == len(diag.to_json_dict()["checks"])
+    assert built[-2:] == ["hermite_form", "bundle_roundtrip"]
 
 
 def test_decompose_checks_agree_with_full_verification(monkeypatch):
@@ -621,6 +689,51 @@ def _oracle_relations_ok(rods):
             return False
     mat = IntMatrix.from_columns(rods)
     return hermite_normal_form(mat).H == mat
+
+
+# one failing case per check: (name, bundles as (q, r, p), torus factor,
+# plumbing vectors, index, the check's detail text)
+FAILING_CHECKS = [
+    ("zero_vector_rule", [(0, 0, 1), (1, 3, 0)], 0, [(0, 0, 2)], 2,
+     "p_2 = 0 so the plumbing vector must vanish, got (0, 0, 2)"),
+    ("vector_primitive", [(2, 1, 3), (0, 0, 1)], 0, [(5, 0, 5)], 2,
+     "plumbing vector (5, 0, 5)"),
+    ("pair_admissible", [(0, 0, 1), (0, 0, 1)], 0, [(3, 3, -2)], 2,
+     "Det_2(w_3, w_4) = 3"),
+    ("triple_primitive", [(0, 0, 1), (0, 0, 1)], 0, [(2, 5, 0)], 2,
+     "Det_3(w_2, w_3, p_2) = 2"),
+    ("zeros_rule", [(0, 0, 1), (0, 0, 1)], 2, [(0, 0, 0, 0, 1)], 2,
+     "earlier vectors vanish from entry 4; p_2 = (0, 0, 0, 0, 1)"),
+    ("pivot_rule", [(0, 0, 1), (0, 0, 1)], 1, [(7, 9, 9, 8)], 2,
+     "w_4 = (7, 9, 9, 8), pivot position 4"),
+    ("hermite_form", [(0, 0, 1), (0, 0, 1)], 1, [(7, 9, 9, 8)], -1,
+     "generated rod structures must already be in Hermite normal form"),
+    ("bundle_roundtrip", [(0, 0, 1), (0, 0, 1)], 0, [(2, 5, 0)], -1,
+     "triple 2 reads back as {'base': 'L(2,1)', 'p': 2, 'q': 1, 'euler': 0, 'torus_factor': 0}"),
+    ("bundle_roundtrip", [(0, 0, 1), (0, 0, 1)], 0, [(3, 3, -2)], -1,
+     "second corner is inadmissible (Det_2 = 3)"),
+]
+
+
+@pytest.mark.parametrize("name, qrps, torus, vectors, index, detail", FAILING_CHECKS)
+def test_relation_check_details(name, qrps, torus, vectors, index, detail):
+    bundles = [Bundle.from_qrp(*qrp, torus) for qrp in qrps]
+    diag = verify_plumbing_relations(bundles, vectors)
+    check = next(c for c in diag.checks if c.name == name and c.index == index)
+    assert not check.ok
+    assert check.detail == detail
+    entry = {"name": name, "index": index, "ok": False, "detail": detail}
+    assert entry in diag.to_json_dict()["checks"]
+    bad = diag.first_failure
+    with pytest.raises(PlumbingRelationError) as info:
+        plumbing_to_rods(bundles, vectors)
+    assert str(info.value) == f"{bad.name} fails at index {bad.index}: {bad.detail}"
+
+
+def test_relation_failure_message():
+    with pytest.raises(PlumbingRelationError) as info:
+        plumbing_to_rods([Bundle.from_qrp(0, 0, 1, 0)] * 2, [(2, 5, 0)])
+    assert str(info.value) == "triple_primitive fails at index 2: Det_3(w_2, w_3, p_2) = 2"
 
 
 def test_relations_all_outcomes_reported():

@@ -12,8 +12,6 @@ from rodtopo.intlin import (
     is_primitive_vector,
     lattice_contains,
     smith_normal_form,
-    vec_add,
-    vec_scale,
 )
 from rodtopo.roddiagram import Rod, RodDiagram, det2, parse
 from rodtopo.topology import (
@@ -449,12 +447,13 @@ def test_is_simply_connected_matches_smith():
         diagrams += [
             _index_two_disk(rng, n, rng.randint(n, 8)),
             # rank 2, so rank-deficient for n > 2, with k > n for n = 3
-            _disk(n, [e[0], e[1], vec_add(e[0], e[1]), vec_add(e[0], vec_scale(2, e[1]))]),
+            _disk(n, [e[0], e[1], tuple(x + y for x, y in zip(e[0], e[1])),
+                     tuple(x + 2 * y for x, y in zip(e[0], e[1]))]),
             # fewer than n structures
             _disk(n, e[:-1]),
             # exactly n structures: a basis, then an index-2 sublattice
             _disk(n, e),
-            _disk(n, e[:-1] + [vec_add(e[0], vec_scale(2, e[-1]))]),
+            _disk(n, e[:-1] + [tuple(x + 2 * y for x, y in zip(e[0], e[-1]))]),
         ]
     outcomes = [is_simply_connected(d) for d in diagrams]
     assert outcomes == [_smith_group(d).trivial for d in diagrams]
