@@ -474,7 +474,7 @@ def _relation_diagnostics(bundles, rods, vecs, det2s, read_back, det3s, in_hermi
             zeros.append(("zeros_rule", k, not any(vk[m:]),
                           "earlier vectors vanish from entry {}; p_{} = {}", (m, k, vk)))
         mk = max((j for j, x in enumerate(vk) if x), default=-1)
-        if mk >= 0 and mk == max(1, last) + 1:
+        if mk == max(1, last) + 1:
             wk2 = rods[k + 1]
             pivot = wk2[mk]
             ok = pivot > 0 and all(0 <= x < pivot for x in wk2[:mk])
