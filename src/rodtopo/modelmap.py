@@ -20,13 +20,15 @@ twist-potential interpolation at infinity, which decays like r^(-5/2).
 from __future__ import annotations
 
 import math
+from collections import defaultdict
 from dataclasses import dataclass, field, fields
+from itertools import product
 from typing import NamedTuple
 
 import numpy as np
 
 from .errors import ModelMapError
-from .intlin import IntMatrix, hermite_normal_form
+from .intlin import IntMatrix, _bareiss_det, hermite_normal_form
 from .roddiagram import HALF_PLANE, NEG_INF, POS_INF, RodDiagram, det2
 
 
@@ -99,38 +101,78 @@ def _smoothstep(t):
 # frames
 
 
-def _complete_to_basis(columns, n):
-    """Greedily append standard basis vectors until the columns span Q^n."""
-    cols = [tuple(c) for c in columns]
+def _frame(slot_cols, n):
+    """Integer frame, as a tuple of columns, with the vector slot_cols[c]
+    in each column c given; the other columns are standard basis vectors,
+    chosen greedily to keep the columns independent, left to right."""
+    cols = [tuple(slot_cols[c]) for c in sorted(slot_cols)]
     for i in range(n):
-        if len(cols) == n:
-            break
-        e = tuple(1 if j == i else 0 for j in range(n))
-        trial = IntMatrix.from_columns(cols + [e])
-        if hermite_normal_form(trial).rank == len(cols) + 1:
+        e = tuple(int(j == i) for j in range(n))
+        if len(cols) < n and (
+            hermite_normal_form(IntMatrix.from_columns(cols + [e])).rank > len(cols)
+        ):
             cols.append(e)
     if len(cols) != n:
         raise ModelMapError("could not complete the frame to a basis")
-    return cols
+    completion = iter(cols[len(slot_cols):])
+    return tuple(tuple(slot_cols[c]) if c in slot_cols else next(completion) for c in range(n))
 
 
-def _frame(slot_cols, n):
-    """Frame matrix with prescribed integer columns in given slots.
+def _matrix(frame):
+    return np.array(list(zip(*frame)), dtype=float)
 
-    slot_cols maps column index -> vector; remaining columns are filled by
-    standard basis completion, placed left to right.
+
+def _det(frame):
+    return _bareiss_det([list(col) for col in frame])
+
+
+def _flip(frame, c):
+    """The frame with column c negated."""
+    return frame[:c] + (tuple(-x for x in frame[c]),) + frame[c + 1 :]
+
+
+def _add(P, Q):
+    return tuple(tuple(x + y for x, y in zip(p, q)) for p, q in zip(P, Q))
+
+
+def _halves(rows):
+    """The halves of a patch along its outer corner index, every corner
+    doubled to keep the midpoint integral; the patch if it is constant."""
+    lo, hi = rows
+    if lo == hi:
+        return [rows]
+    mid = tuple(_add(P, Q) for P, Q in zip(lo, hi))
+    return (tuple(_add(P, P) for P in lo), mid), (mid, tuple(_add(Q, Q) for Q in hi))
+
+
+CERTIFICATE_DEPTH = 6  # halvings per axis before an undecided patch is rejected
+
+
+def _det_keeps_sign(corners, sign, level=0):
+    """Whether det has the sign of ``sign`` everywhere on a patch of frames.
+
+    The patch is, column by column, the bilinear interpolation over
+    (s, chi) in [0, 1]^2 of the integer frames ``corners = ((P00, P10),
+    (P01, P11))``.  As det is multilinear in the columns, its tensor
+    Bernstein coefficients, times positive binomials, are integer sums of
+    det over the ways of taking each column from one corner.  If they all
+    have the sign, that proves it; a corner det of 0 or the other sign
+    refutes it at that exact point; otherwise the patch is halved along
+    each axis it varies in, at most CERTIFICATE_DEPTH times.
     """
-    fixed = sorted(slot_cols)
-    completion = _complete_to_basis([slot_cols[c] for c in fixed], n)[len(fixed):]
-    cols = {}
-    cols.update(slot_cols)
-    free = [c for c in range(n) if c not in slot_cols]
-    for c, vec in zip(free, completion):
-        cols[c] = vec
-    M = np.array([[cols[c][row] for c in range(n)] for row in range(n)], dtype=float)
-    if abs(np.linalg.det(M)) < 1e-9:
-        raise ModelMapError("degenerate frame")
-    return M
+    s_axis, chi_axis = (range(1 + (a[0] != a[1])) for a in (tuple(zip(*corners)), corners))
+    if any(sign * _det(corners[j][i]) <= 0 for j in chi_axis for i in s_axis):
+        return False
+    coeffs = defaultdict(int)
+    for picks in product([(i, j) for j in chi_axis for i in s_axis], repeat=len(corners[0][0])):
+        key = (sum(i for i, _ in picks), sum(j for _, j in picks))
+        coeffs[key] += _det([corners[j][i][k] for k, (i, j) in enumerate(picks)])
+    if all(sign * c > 0 for c in coeffs.values()):
+        return True
+    if level >= CERTIFICATE_DEPTH:
+        return False
+    parts = [tuple(zip(*q)) for half in _halves(corners) for q in _halves(tuple(zip(*half)))]
+    return all(_det_keeps_sign(p, sign, level + 1) for p in parts)
 
 
 @dataclass
@@ -381,10 +423,14 @@ def build_model_map(
     """Model map for an admissible rod data set with nondegenerate horizons.
 
     The diagram must be a half-plane diagram carrying z-intervals on every
-    rod and potential constants on every axis rod.  ``corrupt_transition``
-    deliberately violates the constant-column constraint of the southern
-    frame curve (a negative control for the tension verifier: the tension
-    then blows up near the axis inside that transition).
+    rod and potential constants on every axis rod.  Every frame is an
+    integer matrix, and the build proves in integers (_det_keeps_sign) that
+    det keeps one sign on each transition ramp and on the radial blend of
+    each frame piece toward the far frame; a path where det vanishes,
+    changes sign, or stays undecided is rejected.  ``corrupt_transition``
+    then deliberately violates the constant-column constraint of the
+    southern frame curve (a negative control for the tension verifier: the
+    tension then blows up near the axis inside that transition).
     """
     _check_model_input(diagram)
     if not 0.0 <= epsilon < 0.5 * math.pi:
@@ -416,13 +462,10 @@ def build_model_map(
     z0 = 0.5 * (z_min + z_max)
     width = max(z_max - z_min, 1.0)
 
-    # far frame: the end structures occupy their slots
-    if ends_parallel:
-        far_frame = _frame({slots[last]: north_v}, n)
-    else:
-        far_frame = _frame({slots[last]: north_v, slots[0]: south_v}, n)
-
+    # far frame: the end structures occupy their slots (one slot if parallel)
+    far_frame = _frame({slots[0]: south_v, slots[last]: north_v}, n)
     segments = _build_schedule(diagram, comps, slots, far_frame, width)
+    far_frame = _matrix(far_frame)
     if corrupt_transition:
         _corrupt_first_transition(segments, n)
 
@@ -434,7 +477,7 @@ def build_model_map(
 
     axis_segments = [rods[i].z for i in diagram.axis_indices()]
 
-    m = ModelMap(
+    return ModelMap(
         n=n,
         diagram=diagram,
         slots=slots,
@@ -449,25 +492,6 @@ def build_model_map(
         blend_radii=(R1, R2),
         axis_segments=axis_segments,
     )
-    if not corrupt_transition:
-        _check_radial_blend(m, z_min - 2.0 * width, z_max + 2.0 * width)
-    return m
-
-
-def _check_radial_blend(m, z_lo, z_hi, z_samples=240, t_samples=33):
-    """The straight path from each axis frame to the far frame must stay
-    invertible; the radial blend walks exactly that path."""
-    z = np.linspace(z_lo, z_hi, z_samples)
-    M = m.axis_frames(z)
-    t = np.linspace(0.0, 1.0, t_samples)
-    path = M[None] + t[:, None, None, None] * (m.far_frame - M)[None]
-    dets = np.linalg.det(path)
-    scale = np.abs(np.linalg.det(m.far_frame))
-    if np.min(np.abs(dets)) < 1e-6 * scale:
-        raise ModelMapError(
-            "radial frame blend passes through a degenerate matrix; "
-            "the diagram needs a different frame completion"
-        )
 
 
 def _check_model_input(diagram):
@@ -490,20 +514,14 @@ def _assign_slots(diagram, comps, ends_parallel):
     last = len(diagram.rods) - 1
     slots = {}
     for comp in comps:
-        if comp[-1] == last:
-            # the north component is pinned by the far region (slot 0);
-            # walk southwards alternating
-            for pos, i in enumerate(reversed(comp)):
-                slots[i] = pos % 2
-        elif comp[0] == 0:
-            first_slot = 0 if ends_parallel else 1
-            for pos, i in enumerate(comp):
-                slots[i] = (first_slot + pos) % 2
-        else:
-            for pos, i in enumerate(comp):
-                slots[i] = pos % 2
-    south_needed = 0 if ends_parallel else 1
-    if slots[0] != south_needed:
+        # the north component is pinned by the far region (slot 0) and
+        # alternates southwards; the south one starts in the slot its end
+        # rod takes in the far frame
+        order = comp[::-1] if comp[-1] == last else comp
+        first = int(comp[0] == 0 and comp[-1] != last and not ends_parallel)
+        for pos, i in enumerate(order):
+            slots[i] = (first + pos) % 2
+    if slots[0] != (0 if ends_parallel else 1):
         raise ModelMapError(
             "slot parity of the component joining both semi-infinite rods "
             "conflicts with the asymptotic region; apply a coordinate change "
@@ -513,20 +531,11 @@ def _assign_slots(diagram, comps, ends_parallel):
 
 
 def _comp_frames(diagram, comp, slots):
-    """Anchor frames of one axis component, south to north."""
-    n = diagram.n
+    """Anchor frames of one axis component, south to north: one per
+    corner, holding both of its rods, or one for a lone rod."""
     rods = diagram.rods
-    if len(comp) == 1:
-        i = comp[0]
-        return [_frame({slots[i]: rods[i].structure.v}, n)]
-    frames = []
-    for a, b in zip(comp, comp[1:]):
-        frames.append(
-            _frame(
-                {slots[a]: rods[a].structure.v, slots[b]: rods[b].structure.v}, n
-            )
-        )
-    return frames
+    pairs = list(zip(comp, comp[1:])) or [comp]
+    return [_frame({slots[i]: rods[i].structure.v for i in pair}, diagram.n) for pair in pairs]
 
 
 def _build_schedule(diagram, comps, slots, far_frame, width):
@@ -559,75 +568,65 @@ def _build_schedule(diagram, comps, slots, far_frame, width):
     a_last = rods[last].z[0]
     windows.append((a_last + 0.6 * width, a_last + 1.6 * width))
     held.append(slots[last])
-    frames.append(far_frame.copy())
+    frames.append(far_frame)
 
-    _normalize_chain(frames, held, diagram.n)
-    return _profile_pieces(frames, windows, held)
+    sign = _normalize_chain(frames, held)
+    # the radial blend walks each frame of a ramp toward the far frame;
+    # the plateaus are the ramps' edges s = 0 and s = 1
+    for ramp in zip(frames, frames[1:]):
+        if not _det_keeps_sign((ramp, (far_frame, far_frame)), sign):
+            raise ModelMapError("radial frame blend" + _DEGENERATE)
+    return _profile_pieces([_matrix(f) for f in frames], windows, held)
 
 
-def _normalize_chain(frames, held, n):
-    """Fix held-column signs and determinant signs along the frames.
+_DEGENERATE = " passes through a degenerate matrix; the diagram needs a different frame completion"
+_OBSTRUCTION = (
+    " obstruction at the asymptotic end; apply a unimodular change of coordinates first"
+)
+
+
+def _normalize_chain(frames, held):
+    """Fix held-column signs and determinant signs along the frames, prove
+    each ramp between them invertible, and return the first frame's det.
 
     Walking north, each frame may be adjusted by column negations: the
     column held[k - 1] must match the previous frame exactly, and
-    determinants must keep one sign so the interpolated frames stay
-    invertible.  The final frame is the far frame again and cannot be
-    adjusted; an unresolvable sign at that point is reported.
+    determinants must keep one sign.  The final frame is the far frame
+    again and cannot be adjusted; an unresolvable sign there is reported.
     """
-    target = math.copysign(1.0, np.linalg.det(frames[0]))
+    n = len(frames[0])
+    target = _det(frames[0])
     for k in range(1, len(frames)):
-        prev_frame, cur, col = frames[k - 1], frames[k], held[k - 1]
+        prev, col = frames[k - 1], held[k - 1]
         is_last = k == len(frames) - 1
-        if col is not None:
-            a, b = prev_frame[:, col], cur[:, col]
-            if np.allclose(a, -b):
-                if is_last:
-                    raise ModelMapError(
-                        "frame sign obstruction at the asymptotic end; "
-                        "apply a unimodular change of coordinates first"
-                    )
-                cur[:, col] = -cur[:, col]
-            elif not np.allclose(a, b):
+        if col is not None and frames[k][col] != prev[col]:
+            if _flip(frames[k], col)[col] != prev[col]:
                 raise ModelMapError("held column mismatch between frames")
-        if math.copysign(1.0, np.linalg.det(cur)) != target:
             if is_last:
-                raise ModelMapError(
-                    "frame determinant sign obstruction at the asymptotic end; "
-                    "apply a unimodular change of coordinates first"
-                )
+                raise ModelMapError("frame sign" + _OBSTRUCTION)
+            frames[k] = _flip(frames[k], col)
+        if _det(frames[k]) * target < 0:
+            if is_last:
+                raise ModelMapError("frame determinant sign" + _OBSTRUCTION)
             # prefer a column held by neither adjacent transition; flipping
             # a column held by the next one just propagates northwards
             next_held = held[k] if k < len(held) else None
             candidates = [c for c in range(n - 1, -1, -1) if c != col]
             flip = next((c for c in candidates if c != next_held), candidates[0])
-            cur[:, flip] = -cur[:, flip]
-        _check_transition_path(prev_frame, cur, n)
-
-
-def _check_transition_path(M0, M1, n, samples=101):
-    """The straight column path between two frames must stay invertible."""
-    if np.array_equal(M0, M1):
-        return
-    s = np.linspace(0.0, 1.0, samples)
-    path = M0 + s[:, None, None] * (M1 - M0)
-    dets = np.linalg.det(path)
-    scale = max(abs(dets[0]), abs(dets[-1]))
-    if np.min(np.abs(dets)) < 1e-6 * scale:
-        raise ModelMapError(
-            "frame transition passes through a degenerate matrix; "
-            "the diagram needs a different frame completion"
-        )
+            frames[k] = _flip(frames[k], flip)
+        ramp = (prev, frames[k])
+        if ramp[0] != ramp[1] and not _det_keeps_sign((ramp, ramp), target):
+            raise ModelMapError("frame transition" + _DEGENERATE)
+    return target
 
 
 def _corrupt_first_transition(segments, n):
     for seg in segments:
         if not seg.constant and seg.held_col is not None:
-            bad = seg.M1.copy()
-            bump = np.zeros(n)
-            bump[(seg.held_col + 1) % n] = 1.0
-            bad[:, seg.held_col] = bad[:, seg.held_col] + bump
-            if abs(np.linalg.det(bad)) < 1e-9:
-                bad[:, seg.held_col] += bump
+            bad, entry = seg.M1.copy(), ((seg.held_col + 1) % n, seg.held_col)
+            bad[entry] += 1.0
+            if _bareiss_det(bad.astype(int).tolist()) == 0:
+                bad[entry] += 1.0
             seg.M1 = bad
             return
     raise ModelMapError("no held-column transition available to corrupt")

@@ -6,9 +6,12 @@ stay independent of the library code paths they check.
 """
 
 from math import gcd
+import json
 import random
 
+from rodtopo.errors import DiagramValidationError
 from rodtopo.intlin import IntMatrix
+from rodtopo.roddiagram import parse
 
 
 def naive_det(rows):
@@ -153,7 +156,8 @@ INADMISSIBLE_CORNER = {
 # The rank-3 run (-1,1,-1) | (-1,1,0) | H | (1,0,2) | H | (-1,2,-2) with zero
 # potentials.  One of its frame ramps, from [[1,1,-1],[-1,-1,0],[0,1,0]] to
 # [[1,1,0],[0,0,1],[2,0,0]], has det 1 and 2 at its ends but vanishes at
-# s = 1/3 and s = (3 - sqrt 5)/2 in between; sampled checks miss both roots.
+# s = 1/3 and s = (3 - sqrt 5)/2 in between, and a sampled check missed both
+# roots.
 SINGULAR_FRAME_RUN = {
     "n": 3,
     "shape": "half_plane",
@@ -166,3 +170,54 @@ SINGULAR_FRAME_RUN = {
         {"kind": "axis", "v": [-1, 2, -2], "z": [6.5, "+inf"], "potential": [0, 0, 0]},
     ],
 }
+
+
+# The rank-3 run (-1,-1,1) | H | (-2,1,0) | (1,-1,0) | H | (2,-1,2) with zero
+# potentials.  Its plateau frame [[2,1,0],[-1,-1,0],[0,0,1]] on z in
+# [2.6, 6.8) and its far frame [[2,1,1],[-1,1,0],[2,-1,0]] both have det -1,
+# but their straight blend has det -4 chi^3 - chi^2 + 5 chi - 1, which is
+# positive on an interval around chi = 0.57.
+SINGULAR_BLEND_RUN = {
+    "n": 3,
+    "shape": "half_plane",
+    "rods": [
+        {"kind": "axis", "v": [-1, -1, 1], "z": ["-inf", 1], "potential": [0, 0, 0]},
+        {"kind": "horizon", "z": [1, 3]},
+        {"kind": "axis", "v": [-2, 1, 0], "z": [3, 5], "potential": [0, 0, 0]},
+        {"kind": "axis", "v": [1, -1, 0], "z": [5, 6.5], "potential": [0, 0, 0]},
+        {"kind": "horizon", "z": [6.5, 8]},
+        {"kind": "axis", "v": [2, -1, 2], "z": [8, "+inf"], "potential": [0, 0, 0]},
+    ],
+}
+
+
+def frame_corpus(count, seed=5):
+    """The first ``count`` valid diagrams of a seeded rank-3 corpus for
+    model-map construction.
+
+    Each draw has 2-5 axis rods with entries in [-2, 2], a horizon in each
+    gap between them with probability 0.4, finite lengths of 1, 1.5 or 2,
+    and zero potentials.  Draws that fail validation (a vector that is not
+    primitive, equal neighbours) are skipped; inadmissible corners are kept,
+    since model-map construction is what rejects them.
+    """
+    rng = random.Random(seed)
+    diagrams = []
+    while len(diagrams) < count:
+        vectors = [[rng.randint(-2, 2) for _ in range(3)] for _ in range(rng.randint(2, 5))]
+        rods = []
+        for k, v in enumerate(vectors):
+            if k and rng.random() < 0.4:
+                rods.append({"kind": "horizon"})
+            rods.append({"kind": "axis", "v": v, "potential": [0, 0, 0]})
+        z = 0.0
+        for k, rod in enumerate(rods):
+            lo = "-inf" if k == 0 else z
+            if k < len(rods) - 1:
+                z += rng.choice((1, 1.5, 2))
+            rod["z"] = [lo, "+inf" if k == len(rods) - 1 else z]
+        try:
+            diagrams.append(parse(json.dumps({"n": 3, "shape": "half_plane", "rods": rods})))
+        except DiagramValidationError:
+            continue
+    return diagrams

@@ -6,7 +6,7 @@ import pytest
 from rodtopo import modelmap
 from rodtopo.cli import main
 
-from helpers import INADMISSIBLE_CORNER
+from helpers import INADMISSIBLE_CORNER, SINGULAR_BLEND_RUN, SINGULAR_FRAME_RUN
 
 
 COUNTEREXAMPLE = {
@@ -173,6 +173,24 @@ def test_inadmissible_corner_exit_code(capsys, tmp_path, command):
     p.write_text(json.dumps(INADMISSIBLE_CORNER))
     assert main([command, str(p)]) == 1
     assert "inadmissible (Det_2 = 2)" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "diagram, message",
+    [
+        (SINGULAR_FRAME_RUN, "frame transition passes through a degenerate matrix"),
+        (SINGULAR_BLEND_RUN, "radial frame blend passes through a degenerate matrix"),
+    ],
+    ids=["transition", "radial"],
+)
+def test_singular_frame_path_cannot_build(capsys, tmp_path, diagram, message):
+    # both maps once built: the first passed verification, the second failed it
+    p = tmp_path / "singular.json"
+    p.write_text(json.dumps(diagram))
+    assert main(["model-verify", str(p), "--grid-h", "0.1"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert message in captured.err
 
 
 def test_missing_file_is_usage_error(capsys):

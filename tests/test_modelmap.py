@@ -19,7 +19,7 @@ from rodtopo.modelmap import (
     verify_tension,
 )
 
-from helpers import SINGULAR_FRAME_RUN
+from helpers import SINGULAR_BLEND_RUN, SINGULAR_FRAME_RUN, frame_corpus
 
 INF = float("inf")
 PAPER_DIAGRAM = Path(__file__).resolve().parent.parent / "diagrams" / "two-horizon-one-corner.json"
@@ -501,12 +501,145 @@ def test_missing_potentials_rejected():
         build_model_map(d)
 
 
-@pytest.mark.xfail(strict=True, reason="ROADMAP item 1")
 def test_frame_ramp_singular_between_samples_rejected():
-    # the sampled invertibility checks miss both roots of the ramp's det,
-    # so the map builds today and verify_tension passes it at h = 0.1
-    with pytest.raises(ModelMapError):
+    # the ramp's det has both roots between sample points of a 101-point
+    # check, which once built this map and passed verify_tension at h = 0.1
+    with pytest.raises(ModelMapError, match="frame transition passes through a degenerate matrix"):
         build_model_map(parse(json.dumps(SINGULAR_FRAME_RUN)))
+
+
+def test_radial_blend_singular_between_samples_rejected():
+    # the plateau and far frames have det -1, but their blend has det > 0
+    # near chi = 0.57; a sampled check that never looked at a sign missed it
+    with pytest.raises(ModelMapError, match="radial frame blend passes through a degenerate"):
+        build_model_map(parse(json.dumps(SINGULAR_BLEND_RUN)))
+
+
+def ramp(M0, M1):
+    """The certificate patch of the straight ramp from M0 to M1 (rows)."""
+    edge = tuple(tuple(map(tuple, np.asarray(M).T.tolist())) for M in (M0, M1))
+    return (edge, edge)
+
+
+def det_calls(monkeypatch):
+    """Record every (matrix, det) the certificate evaluates, in order."""
+    calls = []
+    real = modelmap._bareiss_det
+
+    def spy(rows):
+        calls.append(([list(r) for r in rows], real([list(r) for r in rows])))
+        return calls[-1][1]
+
+    monkeypatch.setattr(modelmap, "_bareiss_det", spy)
+    return calls
+
+
+def test_certificate_rejects_a_ramp_at_its_exact_zero(monkeypatch):
+    # det(I + s (diag(-1, -1, 1) - I)) = (1 - 2s)^2 vanishes at s = 1/2,
+    # which the first halving doubles to the corner diag(0, 0, 2)
+    calls = det_calls(monkeypatch)
+    assert not modelmap._det_keeps_sign(ramp(np.eye(3, dtype=int), np.diag([-1, -1, 1])), 1)
+    assert calls[-1] == ([[0, 0, 0], [0, 0, 0], [0, 0, 2]], 0)
+
+
+def test_certificate_rejects_the_fixture_ramp_at_three_eighths(monkeypatch):
+    # the roots 1/3 and (3 - sqrt 5)/2 lie between dyadic points; three
+    # halvings reach s = 3/8, where 8 M(3/8) = 5 M0 + 3 M1 has det < 0
+    M0 = np.array([[1, 1, -1], [-1, -1, 0], [0, 1, 0]])
+    M1 = np.array([[1, 1, 0], [0, 0, 1], [2, 0, 0]])
+    calls = det_calls(monkeypatch)
+    assert not modelmap._det_keeps_sign(ramp(M0, M1), 1)
+    rows, det = calls[-1]
+    assert np.array_equal(np.array(rows).T, 5 * M0 + 3 * M1) and det < 0
+
+
+def test_certificate_subdivides_a_path_that_comes_near_zero(monkeypatch):
+    # det(I + s (M1 - I)) = 1 - 4s + 5s^2 > 0 has a negative Bernstein
+    # coefficient on [0, 1], so only halving certifies it
+    M1 = np.array([[-1, -1, 0], [1, -1, 0], [0, 0, 1]])
+    assert modelmap._det_keeps_sign(ramp(np.eye(3, dtype=int), M1), 1)
+    monkeypatch.setattr(modelmap, "CERTIFICATE_DEPTH", 0)
+    assert not modelmap._det_keeps_sign(ramp(np.eye(3, dtype=int), M1), 1)
+
+
+def test_certificate_covers_a_plateau_patch():
+    # corners (A, A, far, far), given by columns: only chi varies.  A and
+    # far are SINGULAR_BLEND_RUN's plateau and far frames, det -1 each
+    far = ((2, -1, 2), (1, 1, -1), (1, 0, 0))
+    A = ((2, -1, 0), (1, -1, 0), (0, 0, 1))
+    assert not modelmap._det_keeps_sign(((A, A), (far, far)), -1)
+    B = ((1, 0, 0), (0, 1, 0), (0, 0, -1))  # det(B + chi (far - B)) = 2 chi^3 - 2 chi^2 - 1
+    assert modelmap._det_keeps_sign(((B, B), (far, far)), -1)
+    assert modelmap._det_keeps_sign(((far, far), (far, far)), -1)
+
+
+def test_frame_paths_match_an_independent_root_count(monkeypatch):
+    # every ramp of a built map has a det without a root in [0, 1], and so
+    # has its blend toward the far frame on rational slices; every patch
+    # the build rejects has a root there
+    sympy = pytest.importorskip("sympy")
+    from sympy.polys.matrices import DomainMatrix
+
+    symbol = sympy.Symbol("x")
+    R = sympy.ZZ[symbol]
+    x = R.gens[0]
+
+    def has_root(P0, P1):
+        """Whether det(P0 + x (P1 - P0)), for integer matrices given as
+        rows, has a root x in [0, 1]."""
+        rows = [[R(a) + R(b - a) * x for a, b in zip(r0, r1)] for r0, r1 in zip(P0, P1)]
+        det = DomainMatrix(rows, (len(rows), len(rows)), R).det()
+        return sympy.Poly.from_list(det.to_dense(), symbol).count_roots(0, 1) > 0
+
+    def slices(P0, P1, q):
+        """q A(j/q) = (q - j) P0 + j P1 for j = 0..q, as integer rows."""
+        return [
+            [[(q - j) * a + j * b for a, b in zip(r0, r1)] for r0, r1 in zip(P0, P1)]
+            for j in range(q + 1)
+        ]
+
+    def scaled(P, q):
+        return [[q * a for a in row] for row in P]
+
+    rejected = []
+    real = modelmap._det_keeps_sign
+
+    def record(corners, sign, level=0):
+        ok = real(corners, sign, level)
+        if level == 0 and not ok:
+            rejected.append(corners)
+        return ok
+
+    monkeypatch.setattr(modelmap, "_det_keeps_sign", record)
+    outcomes = {"built": 0, "transition": 0, "radial": 0}
+    for k, d in enumerate(frame_corpus(1000)):
+        rejected.clear()
+        try:
+            m = build_model_map(d)
+        except ModelMapError as e:
+            kind = next((w for w in ("transition", "radial") if w in str(e)), None)
+            if kind is None:
+                continue
+            outcomes[kind] += 1
+            (P0, P1), (P2, _) = [[np.array(P).T.tolist() for P in row] for row in rejected[-1]]
+            if kind == "transition":
+                assert has_root(P0, P1)
+            else:
+                # the certificate refutes at a corner s = j/64 at the deepest
+                assert any(has_root(A, scaled(P2, 64)) for A in slices(P0, P1, 64))
+            continue
+        outcomes["built"] += 1
+        if k % 10:
+            continue
+        far = m.far_frame.astype(int).tolist()
+        for seg in m.segments:
+            P0, P1 = seg.M0.astype(int).tolist(), seg.M1.astype(int).tolist()
+            if P0 != P1:
+                assert not has_root(P0, P1)
+                for A in slices(P0, P1, 8):
+                    assert not has_root(A, scaled(far, 8))
+    # ROADMAP items 5 and 6 are to turn these rejections into built maps
+    assert outcomes == {"built": 371, "transition": 313, "radial": 9}
 
 
 # ----------------------------------------------------------------------
