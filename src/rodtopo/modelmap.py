@@ -29,7 +29,7 @@ import numpy as np
 
 from .errors import ModelMapError
 from .intlin import IntMatrix, _bareiss_det, hermite_normal_form
-from .roddiagram import HALF_PLANE, NEG_INF, POS_INF, RodDiagram, det2
+from .roddiagram import HALF_PLANE, NEG_INF, POS_INF, RodDiagram
 
 
 # ----------------------------------------------------------------------
@@ -49,7 +49,8 @@ def potentials(a, rho, z):
         raise ValueError("potentials are singular at the axis point itself")
     rho, z = np.asarray(rho), np.asarray(z)
     log_rho2 = _log_rho2(rho)
-    return _u_pot(a, rho, z, log_rho2).item(), _v_pot(a, rho, z, log_rho2).item()
+    dz, L = _endpoint_log(a, rho, z)
+    return _u_from(dz, L, log_rho2).item(), _v_from(dz, L, log_rho2).item()
 
 
 def _log_rho2(rho):
@@ -78,17 +79,6 @@ def _v_from(dz, L, log_rho2):
     """v_a = log(r_a + (z - a)), _u_from mirrored in z."""
     with np.errstate(invalid="ignore"):
         return np.where(dz <= 0, log_rho2 - L, L)
-
-
-def _u_pot(a, rho, z, log_rho2):
-    """log(r_a - (z - a)), cancellation-free for z > a; log_rho2 is
-    _log_rho2(rho)."""
-    return _u_from(*_endpoint_log(a, rho, z), log_rho2)
-
-
-def _v_pot(a, rho, z, log_rho2):
-    """log(r_a + (z - a)), cancellation-free for z < a."""
-    return _v_from(*_endpoint_log(a, rho, z), log_rho2)
 
 
 def _smoothstep(t):
@@ -344,11 +334,6 @@ class ModelMap:
             at = np.broadcast_to(np.arange(level.z.size), z.shape)
         return rho, z, level, at, self._blend_weight(rho, z)
 
-    def _exp_uv(self, rho, z):
-        """(e^U, e^V), the two non-unit entries of d, at the points."""
-        U, V = self._UV(rho, z)
-        return np.exp(U), np.exp(V)
-
     def _blended(self, stage, at, chi):
         """M, M^-1 and det M^-1 at points with chi > 0, given as flat
         arrays of stage indices and weights: the z stage's frame blended
@@ -356,25 +341,6 @@ class ModelMap:
         A = stage.A[at]
         M = A + chi[:, None, None] * (self.far_frame - A)
         return M, np.linalg.inv(M), 1.0 / np.linalg.det(M)
-
-    def frame_factors(self, points):
-        """(M, M^-1, d) at an (N, 2) array of (rho, z) points, with
-        F = M^-T diag(d) M^-1 and d = (e^U, e^V, 1, ..., 1).
-
-        The frame field is the z-curve blended radially into the far
-        frame, M = A(z) + chi (far - A(z)), so every transition stays
-        inside a bounded region.  Both frames carry the semi-infinite rod
-        structures in their columns, so the blend respects the kernel
-        directions along the end rods.  A and its inverse are evaluated
-        once per distinct z; only points with chi > 0 get their own
-        blended frame and inverse (where chi = 0 the blend is exactly A).
-        """
-        rho, z, stage, at, chi = self._coords(points)
-        M, Minv = stage.A[at], stage.A_inv[at]
-        blend = chi > 0.0
-        if blend.any():
-            M[blend], Minv[blend], _ = self._blended(stage, at[blend], chi[blend])
-        return M, Minv, _diag(*self._exp_uv(rho, z), self.n)
 
     def F(self, points):
         """Matrix field at an (N, 2) array of (rho, z) points; (N, n, n),
@@ -502,12 +468,9 @@ def _check_model_input(diagram):
     for i in diagram.axis_indices():
         if diagram.rods[i].potential is None:
             raise ModelMapError(f"rod {i}: missing potential constant")
-    for i, j in diagram.corners():
-        d = det2(diagram.rods[i].structure, diagram.rods[j].structure)
-        if d != 1:
-            raise ModelMapError(
-                f"corner between rods {i} and {j} is inadmissible (Det_2 = {d})"
-            )
+    bad = diagram.inadmissible_corner()
+    if bad:
+        raise ModelMapError("corner between rods %d and %d is inadmissible (Det_2 = %d)" % bad)
 
 
 def _assign_slots(diagram, comps, ends_parallel):
@@ -702,7 +665,8 @@ def _metric(m, coords, on_grid=False, inverse=True):
     by 2.3e-10 relative.  det F = prod(d) det(M^-1)^2 needs no
     determinant per point."""
     rho, z, stage, at, chi = coords
-    e_u, e_v = m._exp_uv(rho, z)
+    U, V = m._UV(rho, z)
+    e_u, e_v = np.exp(U), np.exp(V)
     gather = None if on_grid else at
     F = _rank_one_sum(stage.row_outer, e_u, e_v, gather)
     Finv = _rank_one_sum(stage.col_outer, 1.0 / e_u, 1.0 / e_v, gather) if inverse else None
@@ -1156,39 +1120,3 @@ def _convergence(m, h, probes, vals_h):
         "order": order,
     }
 
-
-class TransformedMap:
-    """Push a model map through F -> h F h^T, omega -> h omega.
-
-    For |det h| = 1 the tension norm is pointwise invariant; the wrapper
-    exposes the same evaluation surface the tension routines use.  The
-    frames transform as M -> h^-T M, the far frame too, so the rows a_k of
-    M^-1 go to h a_k, the columns m_k of M to h^-T m_k, and F keeps its
-    factor form.
-    """
-
-    def __init__(self, base, h_matrix):
-        self.base = base
-        self.n = base.n
-        self.h_matrix = np.asarray(h_matrix, dtype=float)
-        self._h_inv_t = np.linalg.inv(self.h_matrix).T
-        self.far_frame = self._h_inv_t @ base.far_frame
-        self.omega_profile = base.omega_profile  # h is applied in _omega
-
-    def axis_frames(self, z):
-        return self._h_inv_t @ self.base.axis_frames(z)
-
-    def _blend_weight(self, rho, z):
-        return self.base._blend_weight(rho, z)
-
-    def _exp_uv(self, rho, z):
-        return self.base._exp_uv(rho, z)
-
-    def _omega(self, *coords):
-        return np.einsum("ij,...j->...i", self.h_matrix, self.base._omega(*coords))
-
-    _z_stage, _coords, _blended = ModelMap._z_stage, ModelMap._coords, ModelMap._blended
-    frame_factors, F, omega = ModelMap.frame_factors, ModelMap.F, ModelMap.omega
-
-    def distance_to_axis(self, points):
-        return self.base.distance_to_axis(points)

@@ -570,12 +570,11 @@ def doc_decomposition(diagram: RodDiagram) -> DocDecomposition:
     n = diagram.n
     if n < 3:
         raise ValueError(f"the decomposition needs torus rank n >= 3, got n = {n}")
-    for i, j in diagram.corners():
-        d = det2(diagram.rods[i].structure, diagram.rods[j].structure)
-        if d != 1:
-            raise InadmissibleCornerError(
-                f"corner between rods {i} and {j} is inadmissible (Det_2 = {d})", d
-            )
+    bad = diagram.inadmissible_corner()
+    if bad:
+        raise InadmissibleCornerError(
+            "corner between rods %d and %d is inadmissible (Det_2 = %d)" % bad, bad[2]
+        )
 
     last = len(diagram.rods) - 1
     pieces = []

@@ -199,6 +199,15 @@ class RodDiagram:
             if self.rods[i].is_axis and self.rods[j].is_axis
         ]
 
+    def inadmissible_corner(self):
+        """(i, j, Det_2) of the first corner whose structures have
+        Det_2 != 1, or None if every corner is admissible."""
+        for i, j in self.corners():
+            d = det2(self.rods[i].structure, self.rods[j].structure)
+            if d != 1:
+                return i, j, d
+        return None
+
     def horizon_flankings(self):
         """For each horizon rod, (index, left axis index, right axis index)."""
         out = []
@@ -265,6 +274,8 @@ class RodDiagram:
                     raise DiagramValidationError(
                         f"potential constant has length {len(rod.potential)}, expected {self.n}", i
                     )
+                if rod.potential is not None and not all(map(math.isfinite, rod.potential)):
+                    raise DiagramValidationError("potential constant is not finite", i)
             else:
                 if rod.structure is not None:
                     raise DiagramValidationError("horizon rod must not carry a structure", i)

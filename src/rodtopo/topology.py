@@ -244,13 +244,12 @@ def compactify(diagram: RodDiagram) -> FillinPlan:
     """
     if diagram.shape != HALF_PLANE:
         raise ValueError("compactification applies to half-plane diagrams")
-    for i, j in diagram.corners():
-        d = det2(diagram.rods[i].structure, diagram.rods[j].structure)
-        if d != 1:
-            raise ValueError(
-                f"corner between rods {i} and {j} is inadmissible (Det_2 = {d}); "
-                "only manifold diagrams can be compactified"
-            )
+    bad = diagram.inadmissible_corner()
+    if bad:
+        raise ValueError(
+            "corner between rods %d and %d is inadmissible (Det_2 = %d); "
+            "only manifold diagrams can be compactified" % bad
+        )
 
     horizon_fills = []
     structures = []  # current boundary walk, as sign-normalized structures
@@ -337,12 +336,11 @@ def _check_plan(diagram, plan):
         if pos == len(walk):
             raise CompactifyError("an input axis rod vanished from the fill-in")
         pos += 1
-    for i, j in plan.diagram.corners():
-        d = det2(plan.diagram.rods[i].structure, plan.diagram.rods[j].structure)
-        if d != 1:
-            raise CompactifyError(
-                f"fill-in left an inadmissible corner between rods {i} and {j}"
-            )
+    bad = plan.diagram.inadmissible_corner()
+    if bad:
+        raise CompactifyError(
+            "fill-in left an inadmissible corner between rods %d and %d" % bad[:2]
+        )
 
 
 # ----------------------------------------------------------------------
@@ -354,12 +352,9 @@ def _require_closed_simply_connected(diagram):
         raise ClassifyError("classification applies to disk diagrams")
     if diagram.horizon_indices():
         raise ClassifyError("the diagram still contains horizon rods")
-    for i, j in diagram.corners():
-        d = det2(diagram.rods[i].structure, diagram.rods[j].structure)
-        if d != 1:
-            raise ClassifyError(
-                f"corner between rods {i} and {j} is inadmissible (Det_2 = {d})"
-            )
+    bad = diagram.inadmissible_corner()
+    if bad:
+        raise ClassifyError("corner between rods %d and %d is inadmissible (Det_2 = %d)" % bad)
     if not is_simply_connected(diagram):
         raise ClassifyError(
             f"diagram is not simply connected (pi_1 = {fundamental_group(diagram).display()})"

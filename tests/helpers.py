@@ -153,6 +153,25 @@ INADMISSIBLE_CORNER = {
 }
 
 
+def nonfinite_potential(value):
+    """The paper diagram (diagrams/two-horizon-one-corner.json) with the
+    first potential entry of its middle rod, rod 3, set to value.  For NaN
+    or an infinity json.dumps writes the literal NaN or Infinity, which
+    json.loads accepts."""
+    return {
+        "n": 3,
+        "shape": "half_plane",
+        "rods": [
+            {"kind": "axis", "v": [1, 0, 0], "z": ["-inf", 0.0], "potential": [0.0, 0.0, 0.0]},
+            {"kind": "axis", "v": [0, 1, 0], "z": [0.0, 1.5], "potential": [0.0, 0.0, 0.0]},
+            {"kind": "horizon", "z": [1.5, 4.0]},
+            {"kind": "axis", "v": [0, 0, 1], "z": [4.0, 5.5], "potential": [value, 0.0, 0.1]},
+            {"kind": "horizon", "z": [5.5, 8.0]},
+            {"kind": "axis", "v": [1, 2, 0], "z": [8.0, "+inf"], "potential": [1.0, 0.5, 0.0]},
+        ],
+    }
+
+
 # The rank-3 run (-1,1,-1) | (-1,1,0) | H | (1,0,2) | H | (-1,2,-2) with zero
 # potentials.  One of its frame ramps, from [[1,1,-1],[-1,-1,0],[0,1,0]] to
 # [[1,1,0],[0,0,1],[2,0,0]], has det 1 and 2 at its ends but vanishes at

@@ -6,7 +6,12 @@ import pytest
 from rodtopo import modelmap
 from rodtopo.cli import main
 
-from helpers import INADMISSIBLE_CORNER, SINGULAR_BLEND_RUN, SINGULAR_FRAME_RUN
+from helpers import (
+    INADMISSIBLE_CORNER,
+    SINGULAR_BLEND_RUN,
+    SINGULAR_FRAME_RUN,
+    nonfinite_potential,
+)
 
 
 COUNTEREXAMPLE = {
@@ -173,6 +178,20 @@ def test_inadmissible_corner_exit_code(capsys, tmp_path, command):
     p.write_text(json.dumps(INADMISSIBLE_CORNER))
     assert main([command, str(p)]) == 1
     assert "inadmissible (Det_2 = 2)" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["validate", "model-verify"])
+@pytest.mark.parametrize("value", ["nan", "inf"])
+def test_nonfinite_potential_exit_code(capsys, tmp_path, command, value):
+    # both were accepted: validate exited 0, and model-verify wrote a report
+    # with bare NaN sups (not JSON) and exited 3
+    p = tmp_path / "nonfinite.json"
+    p.write_text(json.dumps(nonfinite_potential(float(value))))
+    spacing = ["--grid-h", "0.2"] if command == "model-verify" else []
+    assert main([command, str(p), *spacing]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: rod 3: potential constant is not finite\n"
 
 
 @pytest.mark.parametrize(

@@ -1,3 +1,4 @@
+import dataclasses
 import io
 import json
 import math
@@ -11,7 +12,6 @@ from rodtopo import modelmap
 from rodtopo.errors import ModelMapError
 from rodtopo.roddiagram import Rod, RodDiagram, parse
 from rodtopo.modelmap import (
-    TransformedMap,
     build_model_map,
     potentials,
     tension_field,
@@ -376,7 +376,7 @@ def test_v_pot_matches_its_direct_formula_bit_for_bit():
     )
     for a in (0.0, 1.5, -2.25):
         z = a + dz
-        got = modelmap._v_pot(a, rho, z, modelmap._log_rho2(rho))
+        got = modelmap._v_from(*modelmap._endpoint_log(a, rho, z), modelmap._log_rho2(rho))
         assert got.tobytes() == direct_v_pot(a, rho, z).tobytes()
 
 
@@ -398,7 +398,7 @@ def test_shared_log_rho_is_bit_identical():
     )
     for a in (0.0, 1.5, -2.25):
         z = a + dz
-        got = modelmap._u_pot(a, rho, z, modelmap._log_rho2(rho))
+        got = modelmap._u_from(*modelmap._endpoint_log(a, rho, z), modelmap._log_rho2(rho))
         assert np.array_equal(got, former_u_pot(a, rho, z), equal_nan=True)
 
     m = build_model_map(figure2_diagram())
@@ -761,8 +761,14 @@ def test_frame_factors_match_per_point_reference(diagram, transitions):
     z_samples, pts = frame_sample_points(m)
     A_ref = [reference_piece_value(m.segments, z) for z in z_samples]
     assert np.array_equal(m.axis_frames(np.array(z_samples)), A_ref)
-    M, Minv, d = m.frame_factors(pts)
     assert np.array_equal(m.omega(pts), reference_omega(m, pts))
+    # the frames the tension kernel reads: the z stage's A(z) and A^-1,
+    # replaced by _blended's frame and inverse where chi > 0
+    rho_all, z_all, stage, at, chi_all = m._coords(pts)
+    M, Minv = stage.A[at], stage.A_inv[at]
+    blend = chi_all > 0.0
+    M[blend], Minv[blend], _ = m._blended(stage, at[blend], chi_all[blend])
+    d = modelmap._diag(*map(np.exp, m._UV(rho_all, z_all)), m.n)
 
     chis = []
     for k, (rho, z) in enumerate(pts):
@@ -849,7 +855,7 @@ def test_omega_span_matches_full_span_stencil(monkeypatch, diagram, transform, h
     # the omega terms are exactly zero outside the span of columns whose
     # patches see w change, so skipping them there moves no bit
     base = build_model_map(diagram)
-    m = TransformedMap(base, h_matrices(base.n)[0]) if transform else base
+    m = transformed_map(base, h_matrices(base.n)[0]) if transform else base
     args = (m, h) + (grid or verifier_grid(base)[1])
     got = tension_field(*args)
     monkeypatch.setattr(modelmap, "_tension_stencil", full_span_tension_stencil)
@@ -946,7 +952,7 @@ def test_det_f_from_frame_factors(h_matrix):
     # points with rho >= 0.5 on plateaus, in transitions, in the blend
     # annulus and past it; det(h) = -1 and 2 exercise the det(h) factor
     base = build_model_map(figure2_diagram())
-    m = base if h_matrix is None else TransformedMap(base, h_matrix)
+    m = base if h_matrix is None else transformed_map(base, h_matrix)
     _, pts = frame_sample_points(base)
     chi = base._blend_weight(*pts.T)
     assert any(0.0 < c < 1.0 for c in chi) and 1.0 in chi
@@ -963,6 +969,57 @@ def h_matrices(n):
     return [np.eye(n) + np.eye(n, k=1), swap, det_two]
 
 
+def transformed_map(m, h):
+    """The model map pushed through the change of coordinates h, F ->
+    h F h^T and omega -> h omega, by moving its data: every frame M (the
+    far frame too) becomes h^-T M and every twist potential c becomes h c.
+    Plateau pieces keep M0 is M1."""
+    h = np.asarray(h, dtype=float)
+    h_inv_t = np.linalg.inv(h).T
+
+    def moved(pieces, act):
+        out = []
+        for p in pieces:
+            M0 = act(p.M0)
+            out.append(dataclasses.replace(p, M0=M0, M1=M0 if p.M1 is p.M0 else act(p.M1)))
+        return out
+
+    return dataclasses.replace(
+        m,
+        segments=moved(m.segments, lambda M: h_inv_t @ M),
+        far_frame=h_inv_t @ m.far_frame,
+        omega_profile=moved(m.omega_profile, lambda c: h @ c),
+        omega_far=tuple(h @ c for c in m.omega_far),
+    )
+
+
+@pytest.mark.parametrize(
+    "diagram", [rank_two_counterexample(), figure2_diagram(), rank_four_diagram()],
+    ids=["n2", "n3", "n4"],
+)
+@pytest.mark.parametrize("kind", [0, 1, 2], ids=["det-1", "det-minus-1", "det-2"])
+def test_transformed_map_moves_fields_by_h(diagram, kind):
+    # F -> h F h^T and omega -> h omega at plateau, ramp, blend and far
+    # points, to round-off of each point's largest entry
+    base = build_model_map(diagram)
+    h = h_matrices(base.n)[kind]
+    m = transformed_map(base, h)
+    _, pts = frame_sample_points(base)
+    chi = base._blend_weight(*pts.T)
+    ramp = np.zeros(len(pts), dtype=bool)
+    for seg in base.segments:
+        if not seg.constant:
+            ramp |= (seg.z_lo < pts[:, 1]) & (pts[:, 1] < seg.z_hi)
+    assert np.any(ramp & (chi == 0.0)) and np.any(~ramp & (chi == 0.0))
+    assert np.any((0.0 < chi) & (chi < 1.0)) and np.any(chi == 1.0)
+    pairs = zip(base.segments + base.omega_profile, m.segments + m.omega_profile)
+    assert all((p.M0 is p.M1) == (q.M0 is q.M1) for p, q in pairs)
+    for got, want in [(m.F(pts), h @ base.F(pts) @ h.T), (m.omega(pts), base.omega(pts) @ h.T)]:
+        axes = tuple(range(1, want.ndim))
+        scale = np.abs(want).max(axis=axes, keepdims=True)
+        assert np.all(np.abs(got - want) <= 1e-13 * scale)
+
+
 @pytest.mark.parametrize(
     "diagram", [rank_two_counterexample(), figure2_diagram(), rank_four_diagram()],
     ids=["n2", "n3", "n4"],
@@ -973,12 +1030,12 @@ def test_rank_one_fields_match_stacked_products(diagram, kind):
     # factors; they must agree with the stacked products of the frame
     # factors to round-off (rtol 1e-12), and be exactly symmetric
     base = build_model_map(diagram)
-    m = base if kind is None else TransformedMap(base, h_matrices(base.n)[kind])
+    m = base if kind is None else transformed_map(base, h_matrices(base.n)[kind])
     _, pts = frame_sample_points(base)
     pts = pts[pts[:, 0] <= 2.0]  # rho = 0.5 and 2 on every frame piece
     assert not np.any(base._blend_weight(*pts.T))
     F, Finv, _, _ = modelmap._point_fields(m, pts)
-    M, Minv, d = m.frame_factors(pts)
+    M, Minv, d, _ = reference_frame_factors(m, pts)
     np.testing.assert_allclose(F, modelmap._congruence(Minv, d), rtol=1e-12, atol=0.0)
     np.testing.assert_allclose(
         Finv, modelmap._congruence(np.swapaxes(M, -1, -2), 1.0 / d), rtol=1e-12, atol=0.0
@@ -1014,7 +1071,7 @@ def test_tension_field_invariant_under_unimodular_transform():
     m = build_model_map(figure2_diagram())
     args = (0.5, 30.0, -25.0, 35.0)
     want = tension_field(m, *args)
-    got = tension_field(TransformedMap(m, h_matrices(3)[0]), *args)
+    got = tension_field(transformed_map(m, h_matrices(3)[0]), *args)
     assert np.array_equal(got[5], want[5])
     for a, b in zip(got[2:5], want[2:5]):
         np.testing.assert_allclose(a, b, rtol=1e-8, atol=1e-13, equal_nan=True)
@@ -1033,7 +1090,7 @@ def test_point_stage_computes_blend_weight_once(monkeypatch):
     pts = np.stack(np.meshgrid([0.5, 20.0, 40.0], [-9.0, 3.0, 30.0], indexing="ij"), axis=-1)
     modelmap._point_fields(m, pts)
     assert calls == [(3, 3)]
-    modelmap._point_fields(TransformedMap(m, np.eye(3)), pts)
+    modelmap._point_fields(transformed_map(m, np.eye(3)), pts)
     assert len(calls) == 2
 
 
@@ -1123,7 +1180,7 @@ def test_tension_field_memory_bounded_by_strip():
 def test_tension_invariant_under_unimodular_transform():
     m = build_model_map(figure2_diagram())
     h_mat = np.array([[1, 1, 0], [0, 1, 0], [1, 1, 1]])  # det = 1
-    tm = TransformedMap(m, h_mat)
+    tm = transformed_map(m, h_mat)
     for rho, z in [(1.0, 2.7), (2.0, -4.0), (40.0, 10.0), (0.9, 6.6)]:
         a = tension_norm(m, rho, z, 0.02)
         b = tension_norm(tm, rho, z, 0.02)

@@ -1,11 +1,18 @@
 import json
 import random
 from math import gcd
+from types import SimpleNamespace
 
 import pytest
 
-from rodtopo import intlin, plumbing
-from rodtopo.errors import InadmissibleCornerError, ModelMapError, PlumbingRelationError
+from rodtopo import intlin, plumbing, topology
+from rodtopo.errors import (
+    ClassifyError,
+    CompactifyError,
+    InadmissibleCornerError,
+    ModelMapError,
+    PlumbingRelationError,
+)
 from rodtopo.intlin import IntMatrix, determinant_divisor, hermite_normal_form, hermite_pivots
 from rodtopo.plumbing import (
     Bundle,
@@ -19,7 +26,7 @@ from rodtopo.plumbing import (
 )
 from rodtopo.modelmap import build_model_map
 from rodtopo.roddiagram import Rod, RodDiagram, det2, parse
-from rodtopo.topology import compactify
+from rodtopo.topology import classify, compactify
 
 from helpers import (
     INADMISSIBLE_CORNER,
@@ -810,14 +817,26 @@ def test_doc_decomposition_covers_every_axis_rod_once():
 
 
 def test_inadmissible_corner_rejected_by_every_diagram_stage():
+    # each stage keeps its own exception type and message, byte for byte
     diagram = parse(json.dumps(INADMISSIBLE_CORNER))
-    with pytest.raises(InadmissibleCornerError, match=r"inadmissible \(Det_2 = 2\)") as info:
-        doc_decomposition(diagram)
-    assert info.value.det2 == 2
-    with pytest.raises(ValueError, match=r"inadmissible \(Det_2 = 2\)"):
-        compactify(diagram)
-    with pytest.raises(ModelMapError, match=r"inadmissible \(Det_2 = 2\)"):
-        build_model_map(diagram)
+    disk = RodDiagram(2, "disk", [Rod.axis((1, 0)), Rod.axis((1, 2)), Rod.axis((0, 1))])
+    corner = "corner between rods 0 and 1 is inadmissible (Det_2 = 2)"
+    stages = [
+        (lambda: doc_decomposition(diagram), InadmissibleCornerError, corner),
+        (lambda: compactify(diagram), ValueError,
+         corner + "; only manifold diagrams can be compactified"),
+        (lambda: build_model_map(diagram), ModelMapError, corner),
+        (lambda: classify(disk, spin=False), ClassifyError, corner),
+        (lambda: topology._check_plan(disk, SimpleNamespace(diagram=disk)), CompactifyError,
+         "fill-in left an inadmissible corner between rods 0 and 1"),
+    ]
+    for stage, error, message in stages:
+        with pytest.raises(error) as info:
+            stage()
+        assert type(info.value) is error
+        assert str(info.value) == message
+        if error is InadmissibleCornerError:
+            assert info.value.det2 == 2
 
 
 def test_doc_decomposition_requires_n3():

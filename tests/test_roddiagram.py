@@ -32,7 +32,7 @@ from rodtopo.roddiagram import (
     _plane_reading,
 )
 
-from helpers import rand_admissible_chain, rand_primitive, rand_unimodular
+from helpers import nonfinite_potential, rand_admissible_chain, rand_primitive, rand_unimodular
 
 
 COUNTEREXAMPLE_JSON = json.dumps(
@@ -151,6 +151,17 @@ def test_parse_rejects_inconsistent_potentials():
     with pytest.raises(DiagramValidationError) as exc:
         parse(json.dumps(bad))
     assert "potential" in str(exc.value)
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+def test_parse_rejects_nonfinite_potentials(value):
+    # json.loads takes the literals NaN, Infinity and -Infinity as floats
+    text = json.dumps(nonfinite_potential(float(value)))
+    assert "NaN" in text or "Infinity" in text
+    with pytest.raises(DiagramValidationError) as exc:
+        parse(text)
+    assert str(exc.value) == "rod 3: potential constant is not finite"
+    assert exc.value.rod_index == 3
 
 
 def test_parse_rejects_schema_violations():

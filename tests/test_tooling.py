@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from helpers import rand_admissible_chain
+from helpers import INADMISSIBLE_CORNER, nonfinite_potential, rand_admissible_chain
 
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "rodtopo"
@@ -145,6 +145,71 @@ def test_exact_subcommands_do_not_load_numpy():
     assert out["modelmap"] == "rodtopo.modelmap"
     assert out["same"] == [True] * 6
     assert out["missing"] == "AttributeError"
+
+
+# Run in a fresh interpreter, with every warning shown: each (input,
+# arguments) pair through cli.main, its exit code, stdout and stderr
+# recorded; an exception that escapes main is recorded as its traceback.
+EDGE_SWEEP = """
+import contextlib, io, json, sys, traceback, warnings
+from rodtopo import cli
+
+warnings.simplefilter("always")
+results = []
+for args in json.loads(sys.argv[1]):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = cli.main(args)
+        except Exception:
+            code = None
+            traceback.print_exc()
+    results.append([args, code, out.getvalue(), err.getvalue()])
+print(json.dumps(results))
+"""
+
+
+def _reject_constant(name):
+    raise ValueError(f"{name} is not JSON")
+
+
+def test_every_subcommand_on_edge_inputs_reports_without_traceback(tmp_path):
+    # the committed diagrams and the known edge inputs (non-finite
+    # potentials, an inadmissible corner): an exit code of the documented
+    # kind, no traceback or numpy warning, and strict JSON reports
+    inputs = sorted(str(p) for p in (ROOT / "diagrams").glob("*.json"))
+    for name, diagram in [
+        ("nan", nonfinite_potential(float("nan"))),
+        ("infinity", nonfinite_potential(float("inf"))),
+        ("inadmissible", INADMISSIBLE_CORNER),
+    ]:
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps(diagram))
+        inputs.append(str(path))
+    commands = EXACT_SUBCOMMANDS + [["classify", "--spin"], ["model-verify", "--grid-h", "0.2"]]
+    runs = [
+        [cmd, path, *rest, "--format", fmt]
+        for path in inputs for cmd, *rest in commands for fmt in ("json", "text")
+    ]
+    run = subprocess.run(
+        [sys.executable, "-c", EDGE_SWEEP, json.dumps(runs)],
+        cwd=ROOT,
+        env={**os.environ, "PYTHONPATH": str(ROOT / "src")},
+        capture_output=True,
+        text=True,
+        timeout=300,
+    )
+    assert run.returncode == 0, run.stderr
+    results = json.loads(run.stdout)
+    assert len(results) == len(runs)
+    for args, code, out, err in results:
+        assert code in (0, 1, 3), (args, err)
+        assert "Traceback" not in err and "RuntimeWarning" not in err, (args, err)
+        if args[-1] == "json" and code != 1:
+            json.loads(out, parse_constant=_reject_constant)
+    codes = {(Path(args[1]).name, args[0]): code for args, code, _, _ in results}
+    assert codes["nan.json", "validate"] == codes["infinity.json", "validate"] == 1
+    assert codes["two-horizon-one-corner.json", "model-verify"] in (0, 3)
 
 
 def test_readme_library_example_runs():
