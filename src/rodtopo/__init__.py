@@ -37,12 +37,8 @@ from .roddiagram import (
     RodDiagram,
     RodStructure,
     asymptotic_end,
-    classify_corner,
     cross_section_topology,
-    diagram_equivalent,
-    normalize_compatibility,
     parse,
-    serialize,
 )
 from .plumbing import (
     Bundle,

@@ -73,10 +73,6 @@ class IntMatrix:
             tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
         )
 
-    @classmethod
-    def zeros(cls, rows, cols):
-        return cls([[0] * cols for _ in range(rows)])
-
     def __getitem__(self, key):
         i, j = key
         return self._e[i][j]
@@ -89,9 +85,6 @@ class IntMatrix:
 
     def to_lists(self):
         return [list(r) for r in self._e]
-
-    def transpose(self):
-        return IntMatrix._trusted(tuple(zip(*self._e)))
 
     def __matmul__(self, other):
         if isinstance(other, IntMatrix):
@@ -477,29 +470,6 @@ def is_primitive_set(vectors) -> bool:
     if k > n:
         return False
     return determinant_divisor(IntMatrix.from_columns(vectors), k) == 1
-
-
-def lattice_contains(A: IntMatrix, x) -> bool:
-    """Membership of x in the integer column span of A, via the Smith form."""
-    x = _int_vector(x)
-    if len(x) != A.rows:
-        raise ValueError("vector length must match the row count")
-    return _smith_span_contains(smith_normal_form(A), x)
-
-
-def _smith_span_contains(snf: SmithResult, x) -> bool:
-    """Membership of the integer vector x in the column span of the matrix
-    whose Smith form is snf: each entry of U x must be a multiple of its
-    divisor, and zero past the divisors."""
-    divisors = snf.divisors
-    for i, yi in enumerate(snf.U @ x):
-        s = divisors[i] if i < len(divisors) else 0
-        if s == 0:
-            if yi != 0:
-                return False
-        elif yi % s != 0:
-            return False
-    return True
 
 
 def vec_scale(c, v):

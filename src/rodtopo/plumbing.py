@@ -167,18 +167,17 @@ def triple_to_bundle(v1, v2, v3) -> Bundle:
         raise ValueError("ragged columns")
     if n < 3:
         raise ValueError("bundle extraction needs structures in Z^n with n >= 3")
-    bundle, flipped = _read_triple(v1, v2, v3, det2(v2, v3))
+    bundle, flipped = _read_triple(v1, v2, v3, _pair_dual(v1, v2), det2(v2, v3))
     _plumbing_vector_det3(v1, v2, vec_scale(-1, v3) if flipped else v3, *bundle.qrp)
     return bundle
 
 
-def _read_triple(v1, v2, v3, second_det2):
+def _read_triple(v1, v2, v3, first, second_det2):
     """triple_to_bundle's corner checks and its uncertified reading, as
-    (bundle, flipped) (see _admissible_triple_bundle); second_det2 is
-    Det_2(v2, v3)."""
-    d, dual = _pair_dual(v1, v2)
-    if d != 1:
-        raise InadmissibleCornerError(f"first corner is inadmissible (Det_2 = {d})", d)
+    (bundle, flipped) (see _admissible_triple_bundle); first is
+    _pair_dual(v1, v2) and second_det2 is Det_2(v2, v3)."""
+    d, dual = first
+    _require_admissible(d, "first")
     _require_admissible(second_det2, "second")
     return _admissible_triple_bundle(v1, v2, v3, dual)
 
@@ -412,28 +411,32 @@ def verify_plumbing_relations(bundles, plumbing_vectors) -> PlumbingDiagnostics:
     """
     rods, vecs = _run_recursion(bundles, plumbing_vectors)
     in_hermite_form = hermite_pivots(IntMatrix.from_columns(rods)) is not None
-    det2s = [det2(rods[i], rods[i + 1]) for i in range(1, len(bundles) + 1)]
+    # one (Det_2, dual) per generated pair: the read-back takes each
+    # triple's first corner from here and the Det_2 of its second
+    duals = [_pair_dual(a, b) for a, b in zip(rods, rods[1:])]
+    det2s = [d for d, _ in duals[1:]]
     det3s = [_det3(rods[i], rods[i + 1], vec) if any(vec) else None
              for i, vec in enumerate(vecs)]
     # the roundtrip stops reading at the first triple that fails
-    read_back = (_read_back(rods, i, bundles[i], vecs[i], det2s[i], det3s[i])
+    read_back = (_read_back(rods, i, bundles[i], vecs[i], duals[i], det2s[i], det3s[i])
                  for i in range(len(vecs)))
     return _relation_diagnostics(
         bundles, rods, vecs, det2s, read_back, det3s, in_hermite_form
     )
 
 
-def _read_back(rods, i, bundle, vec, second_det2, d3):
+def _read_back(rods, i, bundle, vec, first, second_det2, d3):
     """triple_to_bundle on the recursion's rods w_{i+1}, w_{i+2}, w_{i+3},
-    given the Det_2 of its second corner and the Det_3 of the recursion's
-    vector p_{i+1} (None if it vanishes).  A reading equal to the bundle
-    the recursion used has that vector as its plumbing vector, since
+    given _pair_dual of its first corner, the Det_2 of its second corner
+    and the Det_3 of the recursion's vector p_{i+1} (None if it
+    vanishes).  A reading equal to the bundle the recursion used has
+    that vector as its plumbing vector, since
     w_{i+3} = q w_{i+1} + r w_{i+2} + p p_{i+1} holds by construction, so
     d3 certifies it; any other reading is certified from scratch."""
     v1, v2, v3 = rods[i : i + 3]
     if len(v1) < 3:
         raise ValueError("bundle extraction needs structures in Z^n with n >= 3")
-    back, flipped = _read_triple(v1, v2, v3, second_det2)
+    back, flipped = _read_triple(v1, v2, v3, first, second_det2)
     if back != bundle:
         _plumbing_vector_det3(v1, v2, vec_scale(-1, v3) if flipped else v3, *back.qrp)
     elif back.qrp[2] != 0:
@@ -466,13 +469,13 @@ def _relation_diagnostics(bundles, rods, vecs, det2s, read_back, det3s, in_hermi
     # reaches one coordinate past everything used so far, that entry of
     # w_{k+2} is a new Hermite pivot bounding the ones before it (rows 1
     # and 2 are always taken by e1, e2)
-    zeros, pivots = [], []
+    vanishing, pivots = [], []
     last = -1  # the last coordinate used by p_1..p_{k-1}, -1 while they all vanish
     for k, vk in enumerate(vecs, start=1):
         if last >= 0:
             m = last + 2  # 1-based position one past the last used entry
-            zeros.append(("zeros_rule", k, not any(vk[m:]),
-                          "earlier vectors vanish from entry {}; p_{} = {}", (m, k, vk)))
+            vanishing.append(("zeros_rule", k, not any(vk[m:]),
+                              "earlier vectors vanish from entry {}; p_{} = {}", (m, k, vk)))
         mk = max((j for j, x in enumerate(vk) if x), default=-1)
         if mk == max(1, last) + 1:
             wk2 = rods[k + 1]
@@ -480,7 +483,7 @@ def _relation_diagnostics(bundles, rods, vecs, det2s, read_back, det3s, in_hermi
             ok = pivot > 0 and all(0 <= x < pivot for x in wk2[:mk])
             pivots.append(("pivot_rule", k, ok, "w_{} = {}, pivot position {}", (k + 2, wk2, mk + 1)))
         last = max(last, mk)
-    records += zeros
+    records += vanishing
     records += pivots
     records.append(("hermite_form", -1, in_hermite_form,
                     "generated rod structures must already be in Hermite normal form", ()))

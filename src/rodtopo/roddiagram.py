@@ -16,14 +16,8 @@ from dataclasses import dataclass
 from math import gcd
 from typing import Optional
 
-from .errors import DiagramValidationError, InadmissibleCornerError, SchemaError
-from .intlin import (
-    IntMatrix,
-    hermite_normal_form,
-    _bezout,
-    _int_vector,
-    is_primitive_vector,
-)
+from .errors import DiagramValidationError, SchemaError
+from .intlin import IntMatrix, _bezout, _int_vector, is_primitive_vector
 
 HALF_PLANE = "half_plane"
 DISK = "disk"
@@ -35,26 +29,19 @@ POS_INF = float("inf")
 @dataclass(frozen=True)
 class RodStructure:
     """Primitive integer vector, sign-normalized so the first nonzero
-    component is positive.  ``raw`` keeps the input signs for diagnostics."""
+    component is positive."""
 
     v: tuple
-    raw: tuple
 
     @classmethod
     def from_raw(cls, components):
         raw = _int_vector(components)
         if not is_primitive_vector(raw):
             raise ValueError(f"structure {raw} is not primitive")
-        return cls(_normalize_sign(raw), raw)
+        return cls(_normalize_sign(raw))
 
     @property
     def n(self):
-        return len(self.v)
-
-    def __iter__(self):
-        return iter(self.v)
-
-    def __len__(self):
         return len(self.v)
 
 
@@ -97,10 +84,6 @@ class Rod:
     @property
     def is_axis(self):
         return self.kind == "axis"
-
-    @property
-    def is_semi_infinite(self):
-        return self.z is not None and (self.z[0] == NEG_INF or self.z[1] == POS_INF)
 
 
 @dataclass(frozen=True)
@@ -149,12 +132,6 @@ class CrossSectionTopology:
 
 def _torus_name(k):
     return "S^1" if k == 1 else f"T^{k}"
-
-
-@dataclass(frozen=True)
-class CornerClass:
-    admissible: bool
-    det2: int
 
 
 @dataclass
@@ -448,10 +425,6 @@ def parse(text: str) -> RodDiagram:
     return RodDiagram(n, shape, rods)
 
 
-def serialize(diagram: RodDiagram) -> str:
-    return json.dumps(diagram.to_json_dict(), sort_keys=True)
-
-
 # ----------------------------------------------------------------------
 # classification operations
 
@@ -497,15 +470,6 @@ def _plane_reading(v, w, p, error):
     return q, u
 
 
-def classify_corner(v, w) -> CornerClass:
-    """Admissibility of the corner between adjacent structures v and w."""
-    v, w = _as_vector(v), _as_vector(w)
-    d = det2(v, w)
-    if d == 0:
-        raise ValueError("corner classification needs non-parallel structures")
-    return CornerClass(d == 1, d)
-
-
 def cross_section_topology(v, w, n: int) -> CrossSectionTopology:
     """Topology of the closed (n+1)-manifold determined by flanking
     structures v and w: Det_2 = 0 gives S^1 x S^2, 1 gives S^3, and p > 1
@@ -532,71 +496,3 @@ def asymptotic_end(diagram: RodDiagram) -> CrossSectionTopology:
     v = diagram.rods[0].structure
     w = diagram.rods[-1].structure
     return cross_section_topology(v, w, diagram.n)
-
-
-def diagram_equivalent(d1: RodDiagram, d2: RodDiagram) -> bool:
-    """True iff one unimodular matrix carries every structure of d1 to the
-    corresponding structure of d2; decided through Hermite-form equality."""
-    if d1.shape != d2.shape:
-        raise ValueError(f"cannot compare a {d1.shape} diagram with a {d2.shape} diagram")
-    if d1.n != d2.n:
-        return False
-    kinds1 = [r.kind for r in d1.rods]
-    kinds2 = [r.kind for r in d2.rods]
-    if kinds1 != kinds2:
-        return False
-    h1 = hermite_normal_form(d1.structure_matrix()).H
-    h2 = hermite_normal_form(d2.structure_matrix()).H
-    return h1 == h2
-
-
-@dataclass(frozen=True)
-class CompatibilityNormalization:
-    matrix: IntMatrix  # unimodular 2x2
-    triple: tuple  # transformed (and sign-flipped) structures
-    flipped: tuple  # signs applied to (v1, v2, v3) before transforming
-
-
-def normalize_compatibility(v1, v2, v3) -> CompatibilityNormalization:
-    """Unimodular change of coordinates sending three consecutive plane
-    structures to {(1,0), (0,1), (r', s')}.
-
-    Signs of the second and third vectors are flipped as needed so both
-    corner determinants are +1; the transformed triple always satisfies
-    the inequality m*r*(m*q - n*p)*(p*s - r*q) <= 0.
-    """
-    v1, v2, v3 = _as_vector(v1), _as_vector(v2), _as_vector(v3)
-    if not (len(v1) == len(v2) == len(v3) == 2):
-        raise ValueError("compatibility normalization operates on Z^2 structures")
-    flips = [1, 1, 1]
-    d1 = v1[0] * v2[1] - v1[1] * v2[0]
-    if abs(d1) != 1:
-        raise InadmissibleCornerError(
-            f"corner between the first two structures has determinant {d1}", abs(d1)
-        )
-    if d1 == -1:
-        v2 = (-v2[0], -v2[1])
-        flips[1] = -1
-    d2 = v2[0] * v3[1] - v2[1] * v3[0]
-    if abs(d2) != 1:
-        raise InadmissibleCornerError(
-            f"corner between the last two structures has determinant {d2}", abs(d2)
-        )
-    if d2 == -1:
-        v3 = (-v3[0], -v3[1])
-        flips[2] = -1
-    m, n_ = v1
-    p, q = v2
-    A = IntMatrix([(q, -p), (-n_, m)])
-    triple = tuple(A @ v for v in (v1, v2, v3))
-    if triple[0] != (1, 0) or triple[1] != (0, 1):
-        raise InadmissibleCornerError(
-            "normalization must send the first two structures to e1, e2"
-        )
-    return CompatibilityNormalization(A, triple, tuple(flips))
-
-
-def compatibility_inequality(v1, v2, v3) -> int:
-    """Value m*r*(m*q - n*p)*(p*s - r*q) for three plane structures."""
-    (m, n_), (p, q), (r, s) = _as_vector(v1), _as_vector(v2), _as_vector(v3)
-    return m * r * (m * q - n_ * p) * (p * s - r * q)

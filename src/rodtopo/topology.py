@@ -21,7 +21,6 @@ from .intlin import (
     determinant_divisor,
     hermite_normal_form,
     smith_normal_form,
-    _smith_span_contains,
 )
 from .roddiagram import (
     DISK,
@@ -29,7 +28,6 @@ from .roddiagram import (
     CrossSectionTopology,
     Rod,
     RodDiagram,
-    RodStructure,
     asymptotic_end,
     det2,
     _as_vector,
@@ -314,13 +312,17 @@ def _build_disk(n, structures):
 
 
 def _missing_basis_vectors(n, structures):
+    """The basis vectors e_i outside the integer span of the structures.
+    With U A V = S the Smith form, e_i lies in the span iff each entry of
+    U e_i, column i of U, is a multiple of its divisor, where a zero
+    divisor, or a row past the last divisor, admits only 0."""
     snf = smith_normal_form(IntMatrix.from_columns(structures))
-    missing = []
-    for i in range(n):
-        e = tuple(1 if j == i else 0 for j in range(n))
-        if not _smith_span_contains(snf, e):
-            missing.append(e)
-    return tuple(missing)
+    divisors = snf.divisors + (0,) * (n - len(snf.divisors))
+    return tuple(
+        tuple(int(j == i) for j in range(n))
+        for i, column in enumerate(snf.U.columns())
+        if any(u % s if s else u for u, s in zip(column, divisors))
+    )
 
 
 def _check_plan(diagram, plan):

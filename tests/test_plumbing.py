@@ -424,28 +424,36 @@ def test_decompose_takes_each_det2_once(monkeypatch):
 
 def test_plumbing_to_rods_takes_each_det2_and_det3_once(monkeypatch):
     det2_calls = []
+    dual_calls = []
     det3_calls = []
 
     def counting_det2(v, w):
         det2_calls.append((v, w))
         return det2(v, w)
 
+    def counting_pair_dual(v, w):
+        dual_calls.append((v, w))
+        return pair_dual(v, w)
+
     def counting_divisor(A, k):
         det3_calls.append(k)
         return determinant_divisor(A, k)
 
+    pair_dual = plumbing._pair_dual
     tp = decompose_component(rand_admissible_chain(random.Random(53), 4, 40))
     assert all(b.qrp[2] != 0 for b in tp.bundles)
     monkeypatch.setattr(plumbing, "det2", counting_det2)
+    monkeypatch.setattr(plumbing, "_pair_dual", counting_pair_dual)
     monkeypatch.setattr(plumbing, "determinant_divisor", counting_divisor)
     assert plumbing_to_rods(tp.bundles, tp.plumbing_vectors) == list(tp.rods_hnf)
-    # one Det_2 per generated pair and one Det_3 per plumbing vector; the
-    # read-back reuses both (twice as many of each before)
-    assert len(det2_calls) == 38
+    # one Det_2, with its dual, per generated pair and one Det_3 per
+    # plumbing vector; the read-back reuses both
+    assert det2_calls == []
+    assert len(dual_calls) == 39
     assert det3_calls == [3] * 38
 
 
-def _public_read_back(rods, i, bundle, vec, second_det2, d3):
+def _public_read_back(rods, i, bundle, vec, first, second_det2, d3):
     return triple_to_bundle(*rods[i : i + 3])
 
 

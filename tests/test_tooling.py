@@ -28,6 +28,29 @@ def test_library_has_no_bare_asserts():
     assert found == []
 
 
+def test_library_imports_are_all_used():
+    # a name imported at module level and read nowhere in the module is
+    # left over from a deletion; the package's __init__ re-exports names
+    # on purpose, so it is not scanned
+    found = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        imported = {}
+        for node in tree.body:
+            if isinstance(node, ast.Import) or (
+                isinstance(node, ast.ImportFrom) and node.module != "__future__"
+            ):
+                for alias in node.names:
+                    name = alias.asname or alias.name.split(".")[0]
+                    imported[name] = node.lineno
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        found += [f"{path.name}:{line} {name}" for name, line in imported.items()
+                  if name not in used]
+    assert found == []
+
+
 def _cli(args, optimize):
     env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
     flags = ["-O"] if optimize else []
