@@ -919,6 +919,7 @@ def _finite_extent(m):
     return lo, hi
 
 
+@np.errstate(over="ignore", invalid="ignore")  # overflow is reported below, not warned
 def verify_tension(
     m: ModelMap, h=0.05, rays=7, decade_points=24, excision_factor=3.0
 ) -> TensionReport:
@@ -930,7 +931,8 @@ def verify_tension(
     far tension sits below NOISE_FLOOR), and the residual convergence
     order at fixed probe points.  ``rays`` far-field rays carry
     ``decade_points`` samples each, and points within
-    ``excision_factor * h`` of the axis set are excised.
+    ``excision_factor * h`` of the axis set are excised.  A tension value
+    that overflows to inf or NaN raises ModelMapError naming it.
     """
     _check_spec(m, h, rays, decade_points, excision_factor)
     lo, hi = _finite_extent(m)
@@ -962,6 +964,8 @@ def verify_tension(
     (sups2,), _ = _annulus_sups(m, h / 2.0, grid, annuli_bounds, (clearance,))
     annuli = []
     for (r_lo, r_hi), sup_ex, sup1, sup2 in zip(annuli_bounds, sups_ex, sups1, sups2):
+        for key, sup in (("sup_excision", sup_ex), ("sup_coarse", sup1), ("sup_fine", sup2)):
+            _require_finite(f"{key} of the annulus {r_lo:g} <= r < {r_hi:g}", sup)
         if sup1 < NOISE_FLOOR and sup2 < NOISE_FLOOR:
             ratio = 1.0
         else:
@@ -983,6 +987,8 @@ def verify_tension(
     radii, angles, ray_points = _decay_rays(m, rays, decade_points)
     probes = _convergence_probes(m, h, lo, hi, width)
     tau_h = _tension_at(m, ray_points + probes, h)[0]
+    _require_finite(f"|tau| on a decay ray at h = {h}", tau_h[: len(ray_points)])
+    _require_finite(f"|tau| at a convergence probe at h = {h}", tau_h[len(ray_points) :])
     decay = _decay_fit(radii, angles, tau_h[: len(ray_points)])
     convergence = _convergence(m, h, probes, tau_h[len(ray_points) :])
 
@@ -1018,9 +1024,22 @@ def _annulus_sups(m, h, grid, bounds, clearances):
             for i, c in enumerate(clearances):
                 values = tau[ring & (dist > c)]
                 if values.size:
-                    tops[i][j].append(np.fmax.reduce(values))  # skips NaN, like nanmax
+                    # every point farther than c is kept, so a NaN here
+                    # is an overflow and must reach _require_finite
+                    tops[i][j].append(values.max())
     # max is exact and order-free, so the sup of the strip sups is the sup
-    return [[float(np.nanmax(t)) if t else 0.0 for t in row] for row in tops], kept
+    return [[float(np.max(t)) if t else 0.0 for t in row] for row in tops], kept
+
+
+def _require_finite(name, values):
+    """Reject a tension value that overflowed double precision, so that no
+    inf or NaN reaches a report."""
+    for v in np.ravel(values):
+        if not math.isfinite(v):
+            raise ModelMapError(
+                f"{name} is {v}: the tension overflows double precision "
+                "(are the potential constants too large?)"
+            )
 
 
 def _check_spec(m, h, rays, decade_points, excision_factor):
@@ -1108,6 +1127,7 @@ def _convergence(m, h, probes, vals_h):
     if not probes:
         return {"points": [], "order": None}
     vals_h2 = _tension_at(m, probes, h / 2.0)[0]
+    _require_finite(f"|tau| at a convergence probe at h = {h / 2.0}", vals_h2)
     sup_h = float(vals_h.max())
     sup_h2 = float(vals_h2.max())
     order = None

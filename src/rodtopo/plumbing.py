@@ -286,75 +286,55 @@ def _certify(vec, d3):
     return d3
 
 
-def _first_plumbing_vector(p1: int, n: int):
-    if p1 == 0:
-        return tuple(0 for _ in range(n))
-    return tuple(1 if i == 2 else 0 for i in range(n))
-
-
 def decompose_component(structures) -> ToricPlumbing:
     """Decompose a run of >= 3 admissible rod structures into bundles and
     plumbing vectors.
 
     A run already in Hermite form, such as the rods of plumbing_to_rods,
     is recognised by its shape (hermite_pivots) and taken as it is;
-    any other run is put into Hermite normal form once, the only normal
-    form computed here.  Each triple of that form is read in turn off its
-    2 x 2 minors (_admissible_triple_bundle).  A dependent triple whose
-    third column reads q = -1 has that column negated, so that the triple
-    takes its canonical q = +1 form before the plumbing vector and the
-    later triples read it; the column holds no pivot, so the result is
-    still the Hermite form of the run with that structure negated.  The
-    plumbing vector step certifies each reading: one Det_3 per triple with
-    p != 0, the identity w_{i+2} = q_i w_i + r_i w_{i+1} for p = 0.  The
-    recursion w_{i+2} = q_i w_i + r_i w_{i+1} + p_i p_ then holds exactly,
-    and its relations are checked against the bundles and Det_3 values
-    already read off each triple of that form.
+    any other run is put into Hermite normal form W once, the only normal
+    form computed here.  Det_2 is invariant under the form's unimodular
+    change of coordinates, so the pairs of W decide admissibility: each
+    pair takes one _pair_dual, whose Det_2 must be 1 and whose Bezout
+    coefficients serve as the dual of the triple that the pair starts.
+    Each triple of W is read in turn off its 2 x 2 minors
+    (_admissible_triple_bundle).  A dependent triple whose third column
+    reads q = -1 has that column negated, with the dual of the pair it
+    ends, so that the triple takes its canonical q = +1 form before the
+    plumbing vector and the later triples read it; the column holds no
+    pivot, so the result is still the Hermite form of the run with that
+    structure negated.  The plumbing vector step certifies each reading:
+    one Det_3 per triple with p != 0, the identity
+    w_{i+2} = q_i w_i + r_i w_{i+1} for p = 0.  With the Hermite shape of
+    W, these raises decide every relation that verify_plumbing_relations
+    checks, so none is checked again.
     """
     vs = [_as_vector(v) for v in structures]
     if len(vs) < 3:
         raise ValueError("a toric plumbing needs at least three rod structures")
-    n = len(vs[0])
-    if n < 3:
+    if len(vs[0]) < 3:
         raise ValueError("toric plumbing needs n >= 3")
-    # Det_2 is invariant under the unimodular Q of the run's Hermite form
-    # and under a sign flip, so these values hold for every pair of W too
-    det2s = [_require_admissible(det2(a, b), "a") for a, b in zip(vs, vs[1:])]
-
-    l = len(vs) - 2
     mat = IntMatrix.from_columns(vs)
     W = vs if hermite_pivots(mat) is not None else hermite_normal_form(mat).H.columns()
+    cur = _pair_dual(W[0], W[1])
+    _require_admissible(cur[0], "a")
     bundles = []
     vectors = []
-    det3s = []
-    for i in range(l):
-        dual = _pair_dual(W[i], W[i + 1])[1]
-        bundle, flipped = _admissible_triple_bundle(W[i], W[i + 1], W[i + 2], dual)
+    for i in range(len(W) - 2):
+        # taken before the triple is read, so a flip of W[i + 2] has one dual to negate
+        nxt = _pair_dual(W[i + 1], W[i + 2])
+        _require_admissible(nxt[0], "a")
+        bundle, flipped = _admissible_triple_bundle(W[i], W[i + 1], W[i + 2], cur[1])
         if flipped:
             W[i + 2] = tuple(-x for x in W[i + 2])
-        q, r, p = bundle.qrp
-        vec, d3 = _plumbing_vector_det3(W[i], W[i + 1], W[i + 2], q, r, p)
+            nxt = (nxt[0], [(a, b, -c) for a, b, c in nxt[1]])
+        vec = _plumbing_vector_det3(W[i], W[i + 1], W[i + 2], *bundle.qrp)[0]
         bundles.append(bundle)
-        det3s.append(d3)
+        # the first vector is e3 or 0, since W starts e1, e2, (q, r, p, 0, ...)
         if i > 0:
             vectors.append(vec)
-        else:
-            expected = _first_plumbing_vector(p, n)
-            if vec != expected:
-                raise PlumbingRelationError("first plumbing vector must be e3 or 0")
-    result = ToricPlumbing(tuple(bundles), tuple(vectors), tuple(W))
-    rods, vecs = _run_recursion(result.bundles, result.plumbing_vectors)
-    if rods != result.rods_hnf:
-        raise PlumbingRelationError("recursion does not regenerate the Hermite-form rods")
-    # W is the run's Hermite form up to negated pivot-free columns, and its
-    # bundles, Det_2 and Det_3 values were found above: check against those
-    # facts
-    diag = _relation_diagnostics(result.bundles, rods, vecs, det2s[1:], bundles, det3s, True)
-    if not diag.ok:
-        raise PlumbingRelationError(
-            f"decomposition produced invalid relations: {diag.first_failure}"
-        )
-    return result
+        cur = nxt
+    return ToricPlumbing(tuple(bundles), tuple(vectors), tuple(W))
 
 
 def plumbing_to_rods(bundles, plumbing_vectors):
@@ -382,7 +362,8 @@ def _run_recursion(bundles, plumbing_vectors):
             f"need {l - 1} plumbing vectors for {l} bundles, got {len(plumbing_vectors)}"
         )
     n = bundles[0].torus_factor + 3
-    vecs = [_first_plumbing_vector(bundles[0].qrp[2], n)]
+    # p_1 is e3, or 0 when the first bundle has p = 0
+    vecs = [tuple(int(i == 2 and bundles[0].p != 0) for i in range(n))]
     vecs += [_as_vector(p) for p in plumbing_vectors]
     for v in vecs:
         if len(v) != n:
@@ -407,51 +388,16 @@ def verify_plumbing_relations(bundles, plumbing_vectors) -> PlumbingDiagnostics:
     is in Hermite normal form (by its shape, hermite_pivots; no normal
     form is computed), and that the bundles read back off it.  Every
     check is evaluated and all outcomes are reported, not just the first
-    failure; their detail strings are formatted when they are read.
+    failure; each is recorded as (name, index, ok, template, args), and
+    its detail is formatted only when PlumbingDiagnostics is read.
     """
     rods, vecs = _run_recursion(bundles, plumbing_vectors)
-    in_hermite_form = hermite_pivots(IntMatrix.from_columns(rods)) is not None
     # one (Det_2, dual) per generated pair: the read-back takes each
     # triple's first corner from here and the Det_2 of its second
     duals = [_pair_dual(a, b) for a, b in zip(rods, rods[1:])]
     det2s = [d for d, _ in duals[1:]]
     det3s = [_det3(rods[i], rods[i + 1], vec) if any(vec) else None
              for i, vec in enumerate(vecs)]
-    # the roundtrip stops reading at the first triple that fails
-    read_back = (_read_back(rods, i, bundles[i], vecs[i], duals[i], det2s[i], det3s[i])
-                 for i in range(len(vecs)))
-    return _relation_diagnostics(
-        bundles, rods, vecs, det2s, read_back, det3s, in_hermite_form
-    )
-
-
-def _read_back(rods, i, bundle, vec, first, second_det2, d3):
-    """triple_to_bundle on the recursion's rods w_{i+1}, w_{i+2}, w_{i+3},
-    given _pair_dual of its first corner, the Det_2 of its second corner
-    and the Det_3 of the recursion's vector p_{i+1} (None if it
-    vanishes).  A reading equal to the bundle the recursion used has
-    that vector as its plumbing vector, since
-    w_{i+3} = q w_{i+1} + r w_{i+2} + p p_{i+1} holds by construction, so
-    d3 certifies it; any other reading is certified from scratch."""
-    v1, v2, v3 = rods[i : i + 3]
-    if len(v1) < 3:
-        raise ValueError("bundle extraction needs structures in Z^n with n >= 3")
-    back, flipped = _read_triple(v1, v2, v3, first, second_det2)
-    if back != bundle:
-        _plumbing_vector_det3(v1, v2, vec_scale(-1, v3) if flipped else v3, *back.qrp)
-    elif back.qrp[2] != 0:
-        _certify(vec, d3)
-    return back
-
-
-def _relation_diagnostics(bundles, rods, vecs, det2s, read_back, det3s, in_hermite_form):
-    """The diagnostics of verify_plumbing_relations, built from the
-    recursion's rods and vectors and four facts about them:
-    Det_2(w_{i+1}, w_{i+2}) for i = 1..l, the bundles read back off each
-    rod triple, Det_3(w_i, w_{i+1}, p_i) for each nonzero vector (None for
-    a zero one), and whether the rods are in Hermite form.  Every check is
-    evaluated here; each is recorded as (name, index, ok, template, args),
-    and its detail is formatted only when PlumbingDiagnostics is read."""
     records = []
     for i, (b, vec) in enumerate(zip(bundles, vecs), start=1):
         if b.p == 0:
@@ -485,15 +431,17 @@ def _relation_diagnostics(bundles, rods, vecs, det2s, read_back, det3s, in_hermi
         last = max(last, mk)
     records += vanishing
     records += pivots
-    records.append(("hermite_form", -1, in_hermite_form,
+    records.append(("hermite_form", -1, hermite_pivots(IntMatrix.from_columns(rods)) is not None,
                     "generated rod structures must already be in Hermite normal form", ()))
 
     # coherence: reading the bundles back off the generated rods must
-    # reproduce the input bundles
+    # reproduce the input bundles; the reading stops at the first triple
+    # that fails
     roundtrip_ok = True
     detail = ""
     try:
-        for i, back in enumerate(read_back):
+        for i in range(len(vecs)):
+            back = _read_back(rods, i, bundles[i], vecs[i], duals[i], det2s[i], det3s[i])
             if back != bundles[i]:
                 roundtrip_ok = False
                 detail = f"triple {i + 1} reads back as {back.to_json_dict()}"
@@ -502,8 +450,26 @@ def _relation_diagnostics(bundles, rods, vecs, det2s, read_back, det3s, in_hermi
         roundtrip_ok = False
         detail = str(e)
     records.append(("bundle_roundtrip", -1, roundtrip_ok, "{}", (detail,)))
-
     return PlumbingDiagnostics(tuple(records), rods)
+
+
+def _read_back(rods, i, bundle, vec, first, second_det2, d3):
+    """triple_to_bundle on the recursion's rods w_{i+1}, w_{i+2}, w_{i+3},
+    given _pair_dual of its first corner, the Det_2 of its second corner
+    and the Det_3 of the recursion's vector p_{i+1} (None if it
+    vanishes).  A reading equal to the bundle the recursion used has
+    that vector as its plumbing vector, since
+    w_{i+3} = q w_{i+1} + r w_{i+2} + p p_{i+1} holds by construction, so
+    d3 certifies it; any other reading is certified from scratch."""
+    v1, v2, v3 = rods[i : i + 3]
+    if len(v1) < 3:
+        raise ValueError("bundle extraction needs structures in Z^n with n >= 3")
+    back, flipped = _read_triple(v1, v2, v3, first, second_det2)
+    if back != bundle:
+        _plumbing_vector_det3(v1, v2, vec_scale(-1, v3) if flipped else v3, *back.qrp)
+    elif back.qrp[2] != 0:
+        _certify(vec, d3)
+    return back
 
 
 def _relation_check(name, index, ok, template, args):

@@ -11,7 +11,7 @@ import random
 
 from rodtopo.errors import DiagramValidationError
 from rodtopo.intlin import IntMatrix
-from rodtopo.roddiagram import parse
+from rodtopo.roddiagram import Rod, RodDiagram, parse
 
 
 def naive_det(rows):
@@ -137,6 +137,28 @@ def rand_admissible_chain(rng: random.Random, n: int, length: int):
     while len(chain) < length:
         chain.append(rand_admissible_next(rng, chain[-1]))
     return chain
+
+
+def rand_admissible_half_plane(rng: random.Random, nmax=4):
+    """Random admissible half-plane diagram of rank 2..nmax: an axis rod is
+    followed by a horizon or an admissible axis rod, and the axis rod after
+    a horizon repeats the last axis structure or is random."""
+    n = rng.randint(2, nmax)
+    rods = [Rod.axis(rand_primitive(rng, n))]
+    for _ in range(rng.randint(0, 5)):
+        if rods[-1].is_axis and rng.random() < 0.5:
+            rods.append(Rod.horizon())
+        elif rods[-1].is_axis:
+            rods.append(Rod.axis(rand_admissible_next(rng, rods[-1].structure.v)))
+        else:
+            last_axis = next(r for r in reversed(rods) if r.is_axis)
+            if rng.random() < 0.3:
+                rods.append(Rod.axis(last_axis.structure.v))
+            else:
+                rods.append(Rod.axis(rand_primitive(rng, n)))
+    if not rods[-1].is_axis:
+        rods.append(Rod.axis(rand_primitive(rng, n)))
+    return RodDiagram(n, "half_plane", rods)
 
 
 # A rank-3 half-plane diagram with geometry and potentials whose one corner,

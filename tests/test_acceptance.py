@@ -45,7 +45,7 @@ from rodtopo.modelmap import build_model_map, tension_norm, verify_tension
 from helpers import (
     minor_gcd,
     rand_admissible_chain,
-    rand_admissible_next,
+    rand_admissible_half_plane,
     rand_matrix,
     rand_primitive,
     rand_unimodular,
@@ -313,28 +313,9 @@ def _suite_fillin_paths(rng):
     return True
 
 
-def _random_admissible_half_plane(rng, nmax=4):
-    n = rng.randint(2, nmax)
-    rods = [Rod.axis(rand_primitive(rng, n))]
-    for _ in range(rng.randint(0, 5)):
-        if rods[-1].is_axis and rng.random() < 0.5:
-            rods.append(Rod.horizon())
-        elif rods[-1].is_axis:
-            rods.append(Rod.axis(rand_admissible_next(rng, rods[-1].structure.v)))
-        else:
-            last_axis = next(r for r in reversed(rods) if r.is_axis)
-            if rng.random() < 0.3:
-                rods.append(Rod.axis(last_axis.structure.v))
-            else:
-                rods.append(Rod.axis(rand_primitive(rng, n)))
-    if not rods[-1].is_axis:
-        rods.append(Rod.axis(rand_primitive(rng, n)))
-    return RodDiagram(n, "half_plane", rods)
-
-
 def _suite_compactify_postcondition(rng):
     for _ in range(CASES):
-        d = _random_admissible_half_plane(rng)
+        d = rand_admissible_half_plane(rng)
         plan = compactify(d)  # raises on failure, never silent
         if not is_simply_connected(plan.diagram):
             return False

@@ -404,22 +404,33 @@ def _reads_q(u, v, w):
     return res.H.column(2)[0]
 
 
-def test_decompose_takes_each_det2_once(monkeypatch):
+def test_decompose_takes_each_pair_dual_once(monkeypatch):
     calls = []
+    pair_dual = plumbing._pair_dual
 
-    def counting_det2(v, w):
+    def counting_pair_dual(v, w):
         calls.append((v, w))
-        return det2(v, w)
+        return pair_dual(v, w)
 
-    monkeypatch.setattr(plumbing, "det2", counting_det2)
+    def forbidden(*args):
+        raise AssertionError("the certificates already prove what this re-derives")
+
+    monkeypatch.setattr(plumbing, "_pair_dual", counting_pair_dual)
+    for name in ("det2", "_run_recursion", "_relation_diagnostics"):
+        monkeypatch.setattr(plumbing, name, forbidden, raising=False)
     rng = random.Random(52)
-    for length in (3, 10, 40):
-        chain = rand_admissible_chain(rng, 4, length)
+    chains = [rand_admissible_chain(rng, 4, length) for length in (3, 10, 40)]
+    flipping = _chain_with_dependent_triples(rng, 4, 40)
+    W = hermite_normal_form(IntMatrix.from_columns(flipping)).H.columns()
+    for chain in chains + [flipping]:
         calls.clear()
-        decompose_component(chain)
-        # one per input pair; Det_2 is the same on every pair of the
-        # run's Hermite form
-        assert len(calls) == length - 1
+        tp = decompose_component(chain)
+        # one (Det_2, dual) per pair of the run's Hermite form: Det_2 is
+        # the same there as on the input pair, and each dual serves the
+        # triple its pair starts
+        assert len(calls) == len(chain) - 1
+    # the last chain takes the sign flip of a dependent triple
+    assert tp.rods_hnf != tuple(W)
 
 
 def test_plumbing_to_rods_takes_each_det2_and_det3_once(monkeypatch):
@@ -563,48 +574,18 @@ def test_reading_the_verdict_formats_no_detail(monkeypatch):
     assert built[-2:] == ["hermite_form", "bundle_roundtrip"]
 
 
-def test_decompose_checks_agree_with_full_verification(monkeypatch):
-    built = []
-    relation_diagnostics = plumbing._relation_diagnostics
-
-    def recording(*args):
-        built.append(relation_diagnostics(*args))
-        return built[-1]
-
-    monkeypatch.setattr(plumbing, "_relation_diagnostics", recording)
+def test_decompose_checks_agree_with_full_verification():
     rng = random.Random(51)
     for _ in range(200):
         n = rng.randint(3, 5)
         chain = rand_admissible_chain(rng, n, rng.randint(3, 10))
-        built.clear()
         tp = decompose_component(chain)
-        # the decomposition built its diagnostics once, from its own facts
-        assert len(built) == 1
+        # what the decomposition's certificates prove, the full check
+        # confirms: every relation holds and the recursion regenerates W
         diag = verify_plumbing_relations(tp.bundles, tp.plumbing_vectors)
         assert diag.ok
         assert diag.rods == tp.rods_hnf
-        assert diag == built[0]
-
-
-def test_decompose_verifies_in_full_when_rods_are_not_regenerated(monkeypatch):
-    run_recursion = plumbing._run_recursion
-    verified = []
-
-    def off_by_one(bundles, vectors):
-        rods, vecs = run_recursion(bundles, vectors)
-        last = tuple(x + (j == 0) for j, x in enumerate(rods[-1]))
-        return rods[:-1] + (last,), vecs
-
-    def counting_verify(bundles, vectors):
-        verified.append(len(bundles))
-        return verify_plumbing_relations(bundles, vectors)
-
-    monkeypatch.setattr(plumbing, "_run_recursion", off_by_one)
-    monkeypatch.setattr(plumbing, "verify_plumbing_relations", counting_verify)
-    with pytest.raises(PlumbingRelationError, match="does not regenerate the Hermite-form rods"):
-        decompose_component([(1, 0, 0), (0, 1, 0), (2, 1, 5), (2, 1, 4)])
-    # the mismatch alone decides: no full verification runs
-    assert verified == []
+        assert decompose_component(tp.rods_hnf) == tp
 
 
 def test_det3_identity_for_nonzero_vectors():

@@ -198,12 +198,15 @@ def _reject_constant(name):
 
 def test_every_subcommand_on_edge_inputs_reports_without_traceback(tmp_path):
     # the committed diagrams and the known edge inputs (non-finite
-    # potentials, an inadmissible corner): an exit code of the documented
-    # kind, no traceback or numpy warning, and strict JSON reports
+    # potentials, potentials whose tension overflows, an inadmissible
+    # corner): an exit code of the documented kind, no traceback or numpy
+    # warning, and strict JSON reports
     inputs = sorted(str(p) for p in (ROOT / "diagrams").glob("*.json"))
     for name, diagram in [
         ("nan", nonfinite_potential(float("nan"))),
         ("infinity", nonfinite_potential(float("inf"))),
+        ("huge100", nonfinite_potential(1e100)),
+        ("huge150", nonfinite_potential(1e150)),
         ("inadmissible", INADMISSIBLE_CORNER),
     ]:
         path = tmp_path / f"{name}.json"
@@ -230,9 +233,14 @@ def test_every_subcommand_on_edge_inputs_reports_without_traceback(tmp_path):
         assert "Traceback" not in err and "RuntimeWarning" not in err, (args, err)
         if args[-1] == "json" and code != 1:
             json.loads(out, parse_constant=_reject_constant)
-    codes = {(Path(args[1]).name, args[0]): code for args, code, _, _ in results}
-    assert codes["nan.json", "validate"] == codes["infinity.json", "validate"] == 1
-    assert codes["two-horizon-one-corner.json", "model-verify"] in (0, 3)
+    codes = {(Path(args[1]).name, args[0]): (code, err) for args, code, _, err in results}
+    assert codes["nan.json", "validate"][0] == codes["infinity.json", "validate"][0] == 1
+    for name in ("huge100.json", "huge150.json"):
+        code, err = codes[name, "model-verify"]
+        assert code == 1 and re.fullmatch(
+            r"error: sup_excision of the annulus 0 <= r < 6 is (inf|nan): the tension "
+            r"overflows double precision \(are the potential constants too large\?\)\n", err)
+    assert codes["two-horizon-one-corner.json", "model-verify"][0] in (0, 3)
 
 
 def test_readme_library_example_runs():

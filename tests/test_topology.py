@@ -24,7 +24,7 @@ from rodtopo.topology import (
     is_simply_connected,
 )
 
-from helpers import normalize_sign, rand_primitive, rand_unimodular
+from helpers import normalize_sign, rand_admissible_half_plane, rand_primitive, rand_unimodular
 
 DIAGRAMS = Path(__file__).resolve().parent.parent / "diagrams"
 
@@ -174,7 +174,7 @@ def test_fillin_and_compactify_invert_no_matrix(monkeypatch):
     # off v and w; only parallel pairs need a column of Q^-1, and
     # compactify merges those instead of filling them in
     rng = random.Random(24)
-    diagrams = [_random_admissible_half_plane(rng) for _ in range(100)]
+    diagrams = [rand_admissible_half_plane(rng) for _ in range(100)]
     bundled = [parse(p.read_text()) for p in sorted(DIAGRAMS.glob("*.json"))]
     diagrams += [d for d in bundled if d.shape == "half_plane"]  # compactify's domain
 
@@ -388,7 +388,7 @@ def test_missing_basis_vectors_match_determinant_divisors():
 def test_compactify_preserves_input_rods_as_cyclic_subsequence():
     rng = random.Random(23)
     for _ in range(100):
-        d = _random_admissible_half_plane(rng)
+        d = rand_admissible_half_plane(rng)
         plan = compactify(d)
         assert is_simply_connected(plan.diagram)
         inputs = [s.v for s in d.structures()]
@@ -400,28 +400,6 @@ def test_compactify_preserves_input_rods_as_cyclic_subsequence():
                 pos += 1
             assert pos < len(walk)
             pos += 1
-
-
-def _random_admissible_half_plane(rng, nmax=4):
-    from helpers import rand_admissible_next
-
-    n = rng.randint(2, nmax)
-    rods = [Rod.axis(rand_primitive(rng, n))]
-    for _ in range(rng.randint(0, 5)):
-        prev_axis = rods[-1].is_axis
-        if prev_axis and rng.random() < 0.5:
-            rods.append(Rod.horizon())
-        elif prev_axis:
-            rods.append(Rod.axis(rand_admissible_next(rng, rods[-1].structure.v)))
-        else:
-            last_axis = next(r for r in reversed(rods) if r.is_axis)
-            if rng.random() < 0.3:
-                rods.append(Rod.axis(last_axis.structure.v))
-            else:
-                rods.append(Rod.axis(rand_primitive(rng, n)))
-    if not rods[-1].is_axis:
-        rods.append(Rod.axis(rand_primitive(rng, n)))
-    return RodDiagram(n, "half_plane", rods)
 
 
 def _disk(n, vectors):
@@ -451,7 +429,7 @@ def test_is_simply_connected_matches_smith():
     rng = random.Random(71)
     diagrams = []
     for _ in range(150):
-        d = _random_admissible_half_plane(rng, nmax=4)
+        d = rand_admissible_half_plane(rng, nmax=4)
         diagrams += [d, compactify(d).diagram]
     for n in (2, 3, 4):
         e = [tuple(int(i == j) for j in range(n)) for i in range(n)]
@@ -481,7 +459,7 @@ def test_fundamental_group_matches_smith_reference():
     rng = random.Random(73)
     diagrams = []
     for _ in range(100):
-        d = _random_admissible_half_plane(rng, nmax=5)
+        d = rand_admissible_half_plane(rng, nmax=5)
         diagrams += [d, compactify(d).diagram]
     for _ in range(200):
         n, k = rng.randint(2, 5), rng.randint(1, 8)
@@ -653,7 +631,7 @@ def test_refined_conjecture_property():
     # every admissible diagram compactifies to a chart entry
     rng = random.Random(24)
     for _ in range(100):
-        d = _random_admissible_half_plane(rng, nmax=4)
+        d = rand_admissible_half_plane(rng, nmax=4)
         plan = compactify(d)
         c = classify(plan.diagram, spin=(betti2(plan.diagram) % 2 == 0 or d.n != 2))
         assert c.row in ("two_connected", "spin", "non_spin")
