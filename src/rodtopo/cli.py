@@ -235,7 +235,12 @@ def _cmd_model_verify(args):
     # rodtopo.modelmap loads numpy, which no exact subcommand needs; its
     # functions are looked up at call time, so a stand-in bound on the
     # module is the one called
-    from . import modelmap
+    try:
+        from . import modelmap
+    except ModuleNotFoundError as e:
+        if e.name != "numpy":
+            raise
+        raise UsageError("model-verify needs numpy, which is not installed") from None
 
     m = modelmap.build_model_map(diagram, epsilon=args.epsilon)
     rep = modelmap.verify_tension(

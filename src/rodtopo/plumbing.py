@@ -6,9 +6,11 @@ pieces glued along plumbing vectors.  Working always with the Hermite form
 of the rod structures makes every quantity here coordinate independent:
 the bundle data (q, r, p) of a consecutive triple, the plumbing vectors,
 and the per-relation diagnostics.  A run's Hermite form is computed at
-most once, and not at all for a run already of that shape; each of its
-triples is read off 2 x 2 minors and certified by the Det_3 of its
-plumbing vector, with no normal form of its own.
+most once, and not at all for a run already of that shape.  Each pair's
+2 x 2 minors are taken once, into the minor table of _pair_dual, which
+gives the pair's Det_2, the readings of the triples it starts and ends,
+and the Det_3 certificate of the plumbing vector it starts; no triple
+takes a normal form or builds a matrix.
 """
 
 from __future__ import annotations
@@ -20,20 +22,12 @@ from math import gcd
 from typing import Optional
 
 from .errors import InadmissibleCornerError, PlumbingRelationError
-from .intlin import (
-    IntMatrix,
-    _bezout,
-    determinant_divisor,
-    hermite_normal_form,
-    hermite_pivots,
-    vec_scale,
-)
+from .intlin import IntMatrix, _bezout, hermite_normal_form, hermite_pivots, vec_scale
 from .roddiagram import (
     HALF_PLANE,
     CrossSectionTopology,
     RodDiagram,
     asymptotic_end,
-    det2,
     _as_vector,
     _torus_name,
 )
@@ -167,29 +161,32 @@ def triple_to_bundle(v1, v2, v3) -> Bundle:
         raise ValueError("ragged columns")
     if n < 3:
         raise ValueError("bundle extraction needs structures in Z^n with n >= 3")
-    bundle, flipped = _read_triple(v1, v2, v3, _pair_dual(v1, v2), det2(v2, v3))
-    _plumbing_vector_det3(v1, v2, vec_scale(-1, v3) if flipped else v3, *bundle.qrp)
+    first = _pair_dual(v1, v2)
+    bundle, flipped = _read_triple(v1, v2, v3, first, _pair_dual(v2, v3))
+    _plumbing_vector_det3(v1, v2, vec_scale(-1, v3) if flipped else v3, *bundle.qrp, first[2])
     return bundle
 
 
-def _read_triple(v1, v2, v3, first, second_det2):
+def _read_triple(v1, v2, v3, first, second):
     """triple_to_bundle's corner checks and its uncertified reading, as
-    (bundle, flipped) (see _admissible_triple_bundle); first is
-    _pair_dual(v1, v2) and second_det2 is Det_2(v2, v3)."""
-    d, dual = first
-    _require_admissible(d, "first")
-    _require_admissible(second_det2, "second")
-    return _admissible_triple_bundle(v1, v2, v3, dual)
+    (bundle, flipped) (see _admissible_triple_bundle), off the minor
+    tables first = _pair_dual(v1, v2) and second = _pair_dual(v2, v3)."""
+    _require_admissible(first[0], "first")
+    _require_admissible(second[0], "second")
+    return _admissible_triple_bundle(v1, v2, v3, first[1], second[2])
 
 
 def _pair_dual(v1, v2):
-    """(Det_2(v1, v2), dual): the gcd of the 2 x 2 minors of [v1 v2] and
-    Bezout coefficients for it, as (i, j, c) triples with c != 0 and
-    sum c (v1[i] v2[j] - v1[j] v2[i]) = Det_2.  The minors are taken in
-    combinations order and the sum stops at the first gcd of 1."""
-    pairs = _index_pairs(len(v1))
-    g, c = _bezout(v1[i] * v2[j] - v1[j] * v2[i] for i, j in pairs)
-    return g, [(i, j, x) for (i, j), x in zip(pairs, c) if x]
+    """(Det_2, c, m), the minor table of [v1 v2]: m lists its 2 x 2 minors
+    v1[i] v2[j] - v1[j] v2[i] in _index_pairs order, Det_2 is their gcd and
+    c holds Bezout coefficients aligned to m, with sum c_k m_k = Det_2; c
+    stops at the first gcd of 1, so it may be shorter than m.  The table
+    serves each use of the pair: Det_2 its corner, c the dual of the
+    triple it starts, m the q of the triple it ends and the Det_3 of the
+    plumbing vector it starts (_det3)."""
+    m = [v1[i] * v2[j] - v1[j] * v2[i] for i, j in _index_pairs(len(v1))]
+    g, c = _bezout(m)
+    return g, c, m
 
 
 @lru_cache(maxsize=None)
@@ -197,10 +194,19 @@ def _index_pairs(n):
     return tuple(combinations(range(n), 2))
 
 
-def _admissible_triple_bundle(v1, v2, v3, dual):
+@lru_cache(maxsize=None)
+def _index_triples(n):
+    """(a, b, c, ab, ac, bc) for the rows a < b < c in combinations order,
+    with the _index_pairs positions of their three pairs."""
+    at = {pair: k for k, pair in enumerate(_index_pairs(n))}
+    return tuple((a, b, c, at[a, b], at[a, c], at[b, c])
+                 for a, b, c in combinations(range(n), 3))
+
+
+def _admissible_triple_bundle(v1, v2, v3, c, m23):
     """The bundle of integer tuples v1, v2, v3 whose two pairs have
-    Det_2 = 1, and whether its datum was read off -v3; dual is
-    _pair_dual(v1, v2)[1].
+    Det_2 = 1, and whether its datum was read off -v3; c is
+    _pair_dual(v1, v2)[1] and m23 is _pair_dual(v2, v3)[2].
 
     With c the Bezout coefficients of the minors of [v1 v2], the integer
     functionals g(u) = -c.(v2 ^ u) and f(u) = c.(v1 ^ u) are dual to
@@ -212,12 +218,13 @@ def _admissible_triple_bundle(v1, v2, v3, dual):
     on the (possibly negated) v3, whose integral x = (v3 - q v1 - r v2)/p
     with Det_3(v1, v2, x) = 1, or the identity v3 = q v1 + r v2 when
     p = 0, proves [e1 e2 (q, r, p, 0, ...)] to be the triple's Hermite
-    form, which is unique.
+    form, which is unique.  v2 ^ v3 is m23, so only r takes minors here.
     """
     q = r = 0
-    for i, j, c in dual:
-        q -= c * (v2[i] * v3[j] - v2[j] * v3[i])
-        r += c * (v1[i] * v3[j] - v1[j] * v3[i])
+    for x, y, (i, j) in zip(c, m23, _index_pairs(len(v1))):
+        if x:
+            q -= x * y
+            r += x * (v1[i] * v3[j] - v1[j] * v3[i])
     p = gcd(*(z - q * x - r * y for x, y, z in zip(v1, v2, v3)))
     if p:
         q, r = q % p, r % p
@@ -247,12 +254,13 @@ def plumbing_vector(w_i, w_i1, w_i2, q: int, r: int, p: int):
     w_i, w_i1, w_i2 = _as_vector(w_i), _as_vector(w_i1), _as_vector(w_i2)
     if not len(w_i) == len(w_i1) == len(w_i2):
         raise ValueError("ragged columns")
-    return _plumbing_vector_det3(w_i, w_i1, w_i2, q, r, p)[0]
+    return _plumbing_vector_det3(w_i, w_i1, w_i2, q, r, p, _pair_dual(w_i, w_i1)[2])[0]
 
 
-def _plumbing_vector_det3(w_i, w_i1, w_i2, q, r, p):
+def _plumbing_vector_det3(w_i, w_i1, w_i2, q, r, p, m12):
     """plumbing_vector on integer tuples; also returns Det_3(w_i, w_i1,
-    vec), or None for the zero vector of p = 0."""
+    vec), or None for the zero vector of p = 0.  m12 is the minor list of
+    _pair_dual(w_i, w_i1)."""
     rest = tuple(z - q * x - r * y for x, y, z in zip(w_i, w_i1, w_i2))
     if p == 0:
         if any(rest):
@@ -267,11 +275,21 @@ def _plumbing_vector_det3(w_i, w_i1, w_i2, q, r, p):
             "bundle datum is inconsistent with the triple"
         )
     vec = tuple(x // p for x in rest)
-    return vec, _certify(vec, _det3(w_i, w_i1, vec))
+    return vec, _certify(vec, _det3(m12, vec))
 
 
-def _det3(w_i, w_i1, vec):
-    return determinant_divisor(IntMatrix._trusted(tuple(zip(w_i, w_i1, vec))), 3)
+def _det3(m12, vec):
+    """Det_3 of [w_i w_i+1 vec], given the minors m12 of [w_i w_i+1]: the
+    gcd of its 3 x 3 minors, each expanded along the column of vec, over
+    the rows a < b < c in combinations order and stopped at gcd 1."""
+    if len(vec) < 3:
+        raise ValueError(f"k = 3 out of range for a {len(vec)} x 3 matrix")
+    g = 0
+    for a, b, c, ab, ac, bc in _index_triples(len(vec)):
+        g = gcd(g, vec[a] * m12[bc] - vec[b] * m12[ac] + vec[c] * m12[ab])
+        if g == 1:
+            return 1
+    return g
 
 
 def _certify(vec, d3):
@@ -295,11 +313,10 @@ def decompose_component(structures) -> ToricPlumbing:
     any other run is put into Hermite normal form W once, the only normal
     form computed here.  Det_2 is invariant under the form's unimodular
     change of coordinates, so the pairs of W decide admissibility: each
-    pair takes one _pair_dual, whose Det_2 must be 1 and whose Bezout
-    coefficients serve as the dual of the triple that the pair starts.
-    Each triple of W is read in turn off its 2 x 2 minors
+    pair takes one minor table (_pair_dual), whose Det_2 must be 1.  Each
+    triple of W is read in turn off the tables of its two pairs
     (_admissible_triple_bundle).  A dependent triple whose third column
-    reads q = -1 has that column negated, with the dual of the pair it
+    reads q = -1 has that column negated, with the table of the pair it
     ends, so that the triple takes its canonical q = +1 form before the
     plumbing vector and the later triples read it; the column holds no
     pivot, so the result is still the Hermite form of the run with that
@@ -321,14 +338,14 @@ def decompose_component(structures) -> ToricPlumbing:
     bundles = []
     vectors = []
     for i in range(len(W) - 2):
-        # taken before the triple is read, so a flip of W[i + 2] has one dual to negate
+        # taken before the triple is read, so a flip of W[i + 2] has one table to negate
         nxt = _pair_dual(W[i + 1], W[i + 2])
         _require_admissible(nxt[0], "a")
-        bundle, flipped = _admissible_triple_bundle(W[i], W[i + 1], W[i + 2], cur[1])
+        bundle, flipped = _admissible_triple_bundle(W[i], W[i + 1], W[i + 2], cur[1], nxt[2])
         if flipped:
             W[i + 2] = tuple(-x for x in W[i + 2])
-            nxt = (nxt[0], [(a, b, -c) for a, b, c in nxt[1]])
-        vec = _plumbing_vector_det3(W[i], W[i + 1], W[i + 2], *bundle.qrp)[0]
+            nxt = (nxt[0], [-x for x in nxt[1]], [-x for x in nxt[2]])
+        vec = _plumbing_vector_det3(W[i], W[i + 1], W[i + 2], *bundle.qrp, cur[2])[0]
         bundles.append(bundle)
         # the first vector is e3 or 0, since W starts e1, e2, (q, r, p, 0, ...)
         if i > 0:
@@ -392,11 +409,12 @@ def verify_plumbing_relations(bundles, plumbing_vectors) -> PlumbingDiagnostics:
     its detail is formatted only when PlumbingDiagnostics is read.
     """
     rods, vecs = _run_recursion(bundles, plumbing_vectors)
-    # one (Det_2, dual) per generated pair: the read-back takes each
-    # triple's first corner from here and the Det_2 of its second
-    duals = [_pair_dual(a, b) for a, b in zip(rods, rods[1:])]
-    det2s = [d for d, _ in duals[1:]]
-    det3s = [_det3(rods[i], rods[i + 1], vec) if any(vec) else None
+    # one minor table per generated pair: Det_2 for its corner, the minors
+    # for the Det_3 of the vector it starts, and both tables of each
+    # triple for its read-back
+    tables = [_pair_dual(a, b) for a, b in zip(rods, rods[1:])]
+    det2s = [t[0] for t in tables[1:]]
+    det3s = [_det3(tables[i][2], vec) if any(vec) else None
              for i, vec in enumerate(vecs)]
     records = []
     for i, (b, vec) in enumerate(zip(bundles, vecs), start=1):
@@ -441,7 +459,7 @@ def verify_plumbing_relations(bundles, plumbing_vectors) -> PlumbingDiagnostics:
     detail = ""
     try:
         for i in range(len(vecs)):
-            back = _read_back(rods, i, bundles[i], vecs[i], duals[i], det2s[i], det3s[i])
+            back = _read_back(rods, i, bundles[i], vecs[i], tables[i], tables[i + 1], det3s[i])
             if back != bundles[i]:
                 roundtrip_ok = False
                 detail = f"triple {i + 1} reads back as {back.to_json_dict()}"
@@ -453,20 +471,20 @@ def verify_plumbing_relations(bundles, plumbing_vectors) -> PlumbingDiagnostics:
     return PlumbingDiagnostics(tuple(records), rods)
 
 
-def _read_back(rods, i, bundle, vec, first, second_det2, d3):
+def _read_back(rods, i, bundle, vec, first, second, d3):
     """triple_to_bundle on the recursion's rods w_{i+1}, w_{i+2}, w_{i+3},
-    given _pair_dual of its first corner, the Det_2 of its second corner
-    and the Det_3 of the recursion's vector p_{i+1} (None if it
-    vanishes).  A reading equal to the bundle the recursion used has
-    that vector as its plumbing vector, since
+    given the minor tables (_pair_dual) of its two corners and the Det_3
+    of the recursion's vector p_{i+1} (None if it vanishes).  A reading
+    equal to the bundle the recursion used has that vector as its
+    plumbing vector, since
     w_{i+3} = q w_{i+1} + r w_{i+2} + p p_{i+1} holds by construction, so
     d3 certifies it; any other reading is certified from scratch."""
     v1, v2, v3 = rods[i : i + 3]
     if len(v1) < 3:
         raise ValueError("bundle extraction needs structures in Z^n with n >= 3")
-    back, flipped = _read_triple(v1, v2, v3, first, second_det2)
+    back, flipped = _read_triple(v1, v2, v3, first, second)
     if back != bundle:
-        _plumbing_vector_det3(v1, v2, vec_scale(-1, v3) if flipped else v3, *back.qrp)
+        _plumbing_vector_det3(v1, v2, vec_scale(-1, v3) if flipped else v3, *back.qrp, first[2])
     elif back.qrp[2] != 0:
         _certify(vec, d3)
     return back

@@ -30,6 +30,7 @@ from rodtopo.topology import classify, compactify
 
 from helpers import (
     INADMISSIBLE_CORNER,
+    minor_gcd,
     rand_admissible_chain,
     rand_admissible_next,
     rand_primitive,
@@ -107,8 +108,8 @@ def test_minor_reading_matches_hermite_reference():
     kinds = {"independent": 0, "dependent": 0, "flipped": 0}
     for v1, v2, v3 in triples:
         expected = _hermite_triple_bundle(v1, v2, v3)
-        dual = plumbing._pair_dual(v1, v2)[1]
-        assert plumbing._admissible_triple_bundle(v1, v2, v3, dual) == expected
+        c, m23 = plumbing._pair_dual(v1, v2)[1], plumbing._pair_dual(v2, v3)[2]
+        assert plumbing._admissible_triple_bundle(v1, v2, v3, c, m23) == expected
         assert triple_to_bundle(v1, v2, v3) == expected[0]
         if expected[1]:
             kinds["flipped"] += 1
@@ -133,8 +134,8 @@ def _forge(bundle):
 def test_forged_reading_is_refused(monkeypatch):
     read = plumbing._admissible_triple_bundle
 
-    def forging(v1, v2, v3, dual):
-        bundle, flipped = read(v1, v2, v3, dual)
+    def forging(v1, v2, v3, c, m23):
+        bundle, flipped = read(v1, v2, v3, c, m23)
         return _forge(bundle), flipped
 
     monkeypatch.setattr(plumbing, "_admissible_triple_bundle", forging)
@@ -154,7 +155,7 @@ def test_forged_reading_with_integral_vector_fails_det3(monkeypatch):
     monkeypatch.setattr(
         plumbing,
         "_admissible_triple_bundle",
-        lambda v1, v2, v3, dual: (Bundle.from_qrp(0, 0, 1, 1), False),
+        lambda v1, v2, v3, c, m23: (Bundle.from_qrp(0, 0, 1, 1), False),
     )
     with pytest.raises(PlumbingRelationError, match="Det_3 = 2"):
         triple_to_bundle(*triple)
@@ -361,12 +362,13 @@ def test_decompose_reads_each_triple_once(monkeypatch):
         widths.append(A.cols)
         return hermite_normal_form(A)
 
-    def counting_divisor(A, k):
-        det3_calls.append(k)
-        return determinant_divisor(A, k)
+    def counting_det3(m12, vec):
+        det3_calls.append(vec)
+        return det3(m12, vec)
 
+    det3 = plumbing._det3
     monkeypatch.setattr(plumbing, "hermite_normal_form", counting_hermite)
-    monkeypatch.setattr(plumbing, "determinant_divisor", counting_divisor)
+    monkeypatch.setattr(plumbing, "_det3", counting_det3)
     rng = random.Random(50)
     dependent = {1: 0, -1: 0}
     for length in (20, 40):
@@ -383,7 +385,7 @@ def test_decompose_reads_each_triple_once(monkeypatch):
             assert widths == [length]
             # Det_3 only for the plumbing vector of each p != 0 bundle,
             # which also certifies that triple's reading
-            assert det3_calls == [3] * sum(b.qrp[2] != 0 for b in tp.bundles)
+            assert len(det3_calls) == sum(b.qrp[2] != 0 for b in tp.bundles)
             widths.clear()
             det3_calls.clear()
             W = tp.rods_hnf
@@ -392,7 +394,7 @@ def test_decompose_reads_each_triple_once(monkeypatch):
             # the same one Det_3 per p != 0 triple as its certificate
             assert read == list(tp.bundles)
             assert widths == []
-            assert det3_calls == [3] * sum(b.qrp[2] != 0 for b in tp.bundles)
+            assert len(det3_calls) == sum(b.qrp[2] != 0 for b in tp.bundles)
     # the input triples present dependent rods with both signs
     assert min(dependent.values()) >= 20
 
@@ -446,25 +448,82 @@ def test_plumbing_to_rods_takes_each_det2_and_det3_once(monkeypatch):
         dual_calls.append((v, w))
         return pair_dual(v, w)
 
-    def counting_divisor(A, k):
-        det3_calls.append(k)
-        return determinant_divisor(A, k)
+    def counting_det3(m12, vec):
+        det3_calls.append(vec)
+        return det3(m12, vec)
 
-    pair_dual = plumbing._pair_dual
+    pair_dual, det3 = plumbing._pair_dual, plumbing._det3
     tp = decompose_component(rand_admissible_chain(random.Random(53), 4, 40))
     assert all(b.qrp[2] != 0 for b in tp.bundles)
-    monkeypatch.setattr(plumbing, "det2", counting_det2)
+    monkeypatch.setattr(plumbing, "det2", counting_det2, raising=False)
     monkeypatch.setattr(plumbing, "_pair_dual", counting_pair_dual)
-    monkeypatch.setattr(plumbing, "determinant_divisor", counting_divisor)
+    monkeypatch.setattr(plumbing, "_det3", counting_det3)
     assert plumbing_to_rods(tp.bundles, tp.plumbing_vectors) == list(tp.rods_hnf)
-    # one Det_2, with its dual, per generated pair and one Det_3 per
-    # plumbing vector; the read-back reuses both
+    # one minor table per generated pair and one Det_3 per plumbing
+    # vector; the read-back reuses both
     assert det2_calls == []
     assert len(dual_calls) == 39
-    assert det3_calls == [3] * 38
+    assert len(det3_calls) == 38
 
 
-def _public_read_back(rods, i, bundle, vec, first, second_det2, d3):
+def test_det3_from_pair_minors_matches_oracle():
+    # the certificate, expanded along the vector's column over the pair's
+    # minors, is the gcd of the real 3 x 3 minors of [v1 v2 x], here by
+    # the independent cofactor oracle
+    rng = random.Random(55)
+    built = {0: 0, 2: 0, 3: 0}
+    for n in (3, 4, 5, 6):
+        cases = [[tuple(rng.randint(-6, 6) for _ in range(n)) for _ in range(3)]
+                 for _ in range(60)]
+        for d in built:
+            # U [e1 e2 (a, b, d, 0, ...)] has Det_3 = d for unimodular U
+            U = rand_unimodular(rng, n)
+            x = (rng.randint(-3, 3), rng.randint(-3, 3), d) + (0,) * (n - 3)
+            cases.append([U @ tuple(int(i == j) for i in range(n)) for j in (0, 1)] + [U @ x])
+        for v1, v2, x in cases:
+            expected = minor_gcd(IntMatrix.from_columns([v1, v2, x]), 3)
+            assert plumbing._det3(plumbing._pair_dual(v1, v2)[2], x) == expected
+        for d in built:
+            built[d] += sum(minor_gcd(IntMatrix.from_columns(c), 3) == d for c in cases[-3:])
+    assert built == {0: 4, 2: 4, 3: 4}
+    with pytest.raises(ValueError, match="k = 3 out of range for a 2 x 3 matrix"):
+        plumbing_vector((1, 0), (0, 1), (2, 3), 1, 1, 1)
+
+
+def test_round_trip_takes_no_matrix_per_triple(monkeypatch):
+    built = []
+    init, trusted = IntMatrix.__init__, IntMatrix._trusted.__func__
+
+    def counting_init(matrix, entries):
+        built.append(matrix)
+        init(matrix, entries)
+
+    def counting_trusted(cls, rows):
+        built.append(rows)
+        return trusted(cls, rows)
+
+    def forbidden(*args):
+        raise AssertionError("the minor tables give every Det_2 and Det_3")
+
+    monkeypatch.setattr(IntMatrix, "__init__", counting_init)
+    monkeypatch.setattr(IntMatrix, "_trusted", classmethod(counting_trusted))
+    for name in ("determinant_divisor", "det2"):
+        monkeypatch.setattr(plumbing, name, forbidden, raising=False)
+    rng = random.Random(56)
+    counts = {}
+    for length in (10, 40):
+        for kind, chain in enumerate([rand_admissible_chain(rng, 4, length),
+                                      _chain_with_dependent_triples(rng, 4, length)]):
+            built.clear()
+            tp = decompose_component(chain)
+            assert plumbing_to_rods(tp.bundles, tp.plumbing_vectors) == list(tp.rods_hnf)
+            counts.setdefault(kind, set()).add(len(built))
+    # the run's Hermite form and the read-back's shape check build the
+    # same matrices at every length: no triple builds one
+    assert all(len(c) == 1 for c in counts.values())
+
+
+def _public_read_back(rods, i, bundle, vec, first, second, d3):
     return triple_to_bundle(*rods[i : i + 3])
 
 

@@ -170,6 +170,25 @@ def test_exact_subcommands_do_not_load_numpy():
     assert out["missing"] == "AttributeError"
 
 
+def test_model_verify_without_numpy_is_a_usage_error():
+    # numpy made unimportable: model-verify refuses with one error line and
+    # exit 2, as for any other unusable invocation, and no traceback
+    probe = ("import sys; sys.modules['numpy'] = None; from rodtopo.cli import main; "
+             "sys.exit(main(sys.argv[1:]))")
+    run = subprocess.run(
+        [sys.executable, "-c", probe, "model-verify", "diagrams/two-horizon-one-corner.json"],
+        cwd=ROOT,
+        env={**os.environ, "PYTHONPATH": str(ROOT / "src")},
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert run.returncode == 2
+    assert run.stdout == ""
+    assert "Traceback" not in run.stderr
+    assert run.stderr.splitlines() == ["error: model-verify needs numpy, which is not installed"]
+
+
 # Run in a fresh interpreter, with every warning shown: each (input,
 # arguments) pair through cli.main, its exit code, stdout and stderr
 # recorded; an exception that escapes main is recorded as its traceback.
