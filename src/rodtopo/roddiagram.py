@@ -458,11 +458,10 @@ def _plane_reading(v, w, p, error):
     A Bezout functional c with c.v = 1 gives q = (c.w) mod p.  The
     reading is certified by w = q v + p u with u integral: v primitive
     fixes q mod p, and Det_2(v, u) = 1 makes {v, u} part of a basis.
-    A non-primitive v or a non-integral u raises ``error``.
+    Callers check primitivity first (see _require_primitive); a
+    non-integral u raises ``error``.
     """
-    g, c = _bezout(v)
-    if g != 1:
-        raise error(f"first structure {v} is not primitive")
+    c = _bezout(v)[1]
     q = sum(map(operator.mul, c, w)) % p
     u, rem = zip(*(divmod(b - q * a, p) for a, b in zip(v, w)))
     if any(rem):
@@ -470,14 +469,25 @@ def _plane_reading(v, w, p, error):
     return q, u
 
 
+def _require_primitive(v, w, error):
+    """Raise ``error`` naming the first of the integer tuples v, w whose
+    entries have gcd != 1 (the zero vector included)."""
+    for name, x in (("first", v), ("second", w)):
+        if gcd(*x) != 1:
+            raise error(f"{name} structure {x} is not primitive")
+
+
 def cross_section_topology(v, w, n: int) -> CrossSectionTopology:
     """Topology of the closed (n+1)-manifold determined by flanking
     structures v and w: Det_2 = 0 gives S^1 x S^2, 1 gives S^3, and p > 1
     gives L(p, q), with q read off the plane reading of [v w] (see
-    _plane_reading), which needs no normal form."""
+    _plane_reading), which needs no normal form.  Both structures must be
+    primitive: a non-primitive one raises DiagramValidationError, since
+    Det_2 of a multiple names no cross-section."""
     v, w = _as_vector(v), _as_vector(w)
     if len(v) != n or len(w) != n:
         raise ValueError("structures must have length n")
+    _require_primitive(v, w, DiagramValidationError)
     d = det2(v, w)
     if d == 0:
         return CrossSectionTopology.ring(n - 2)

@@ -32,6 +32,7 @@ from .roddiagram import (
     det2,
     _as_vector,
     _plane_reading,
+    _require_primitive,
 )
 
 
@@ -73,7 +74,13 @@ class AbelianGroup:
 
 
 def fundamental_group(diagram: RodDiagram) -> AbelianGroup:
-    """pi_1 of the total space: Z^n / span_Z of the rod structures.
+    """pi_1 of the total space: Z^n / span_Z of the rod structures (see
+    _quotient)."""
+    return _quotient(diagram.n, [s.v for s in diagram.structures()])
+
+
+def _quotient(n, vs):
+    """Z^n / span_Z of a cyclic walk vs of structures.
 
     The group is trivial exactly when Det_n of the structure matrix is 1.
     Det_n divides every n x n minor, so windows of n cyclically
@@ -81,8 +88,7 @@ def fundamental_group(diagram: RodDiagram) -> AbelianGroup:
     trivial group without a normal form.  Otherwise the Smith form
     decides.
     """
-    vs = [s.v for s in diagram.structures()]
-    n, k = diagram.n, len(vs)
+    k = len(vs)
     if k >= n:
         ring = vs + vs[: n - 1]
         g = 0
@@ -93,10 +99,8 @@ def fundamental_group(diagram: RodDiagram) -> AbelianGroup:
             g = gcd(g, determinant_divisor(window, n))
             if g == 1:
                 return AbelianGroup(0, ())
-    snf = smith_normal_form(diagram.structure_matrix())
-    rank = snf.rank
-    torsion = tuple(s for s in snf.divisors if s > 1)
-    return AbelianGroup(diagram.n - rank, torsion)
+    snf = smith_normal_form(IntMatrix.from_columns(vs))
+    return AbelianGroup(n - snf.rank, tuple(s for s in snf.divisors if s > 1))
 
 
 def is_simply_connected(diagram: RodDiagram) -> bool:
@@ -124,7 +128,8 @@ def _end_group(cs: CrossSectionTopology) -> AbelianGroup:
 
 
 def _continued_fraction(p: int, q: int):
-    """Regular continued fraction [a0; a1, ...] of p/q for p > q >= 1."""
+    """Regular continued fraction [a0; a1, ...] of p/q for p > q >= 1,
+    empty for q = 0."""
     terms = []
     while q:
         terms.append(p // q)
@@ -134,16 +139,22 @@ def _continued_fraction(p: int, q: int):
 
 def fillin_path(v, w):
     """Chain v = u_1, ..., u_k = w of primitive vectors with consecutive
-    second determinant divisors equal to 1.
+    second determinant divisors equal to 1, for primitive v and w (a
+    non-primitive one raises CompactifyError).
 
     The plane reading of [v w] (see _plane_reading) gives its Hermite
     form [e1 (q, p, 0, ...)] with p = Det_2(v, w) and the vector
-    u = (w - q v) / p, certified integral; the chain is built from the
-    continued-fraction convergents (x, y) of p/q as x v + y u, which is
-    Q^-1 (x, y, 0, ...) without any normal form.  Parallel inputs get
-    one intermediate vector, a column of Q^-1 from the Hermite form.
+    u = (w - q v) / p, certified integral, so Det_2(v, u) = 1.  The chain
+    is built from the continued-fraction convergents (x, y) of p/q as
+    x v + y u, which is Q^-1 (x, y, 0, ...) without any normal form.
+    Consecutive convergents satisfy x y' - x' y = +-1 for any partial
+    quotients, so every link has Det_2 = 1 by construction; the last
+    convergent is checked to be (q, p), so the chain ends at w.  Parallel
+    inputs get one intermediate vector, a column of Q^-1 from the Hermite
+    form: Q is unimodular with Q v = e1, so both links have Det_2 = 1.
     """
     v, w = _as_vector(v), _as_vector(w)
+    _require_primitive(v, w, CompactifyError)
     p = det2(v, w)
     if p == 0:
         # parallel structures: route through a basis-completing vector
@@ -151,10 +162,6 @@ def fillin_path(v, w):
         u = res.Q.inverse_unimodular() @ tuple(1 if i == 1 else 0 for i in range(len(v)))
         return [v, u, w]
     q, u = _plane_reading(v, w, p, CompactifyError)
-    if q == 0:
-        if p != 1:
-            raise CompactifyError("primitive second structure forces p = 1 when q = 0")
-        return [v, w]
     plane_chain = [(1, 0), (0, 1)]
     h_prev, h_cur = 0, 1  # numerators h_{-2}, h_{-1}
     k_prev, k_cur = 1, 0  # denominators k_{-2}, k_{-1}
@@ -236,9 +243,11 @@ def compactify(diagram: RodDiagram) -> FillinPlan:
 
     Each gap flanked by structures (v, w) is closed by a new corner when
     Det_2 = 1, by merging the two rods when v = w, and by inserting a
-    fill-in chain otherwise.  If the result is not simply connected, the
-    end cap is rerouted through the missing basis vectors; failure of that
-    augmentation is reported, never ignored.
+    fill-in chain otherwise.  If the resulting walk is not simply
+    connected, the end cap is rerouted through the missing basis vectors;
+    failure of that augmentation is reported, never ignored.  The disk is
+    built once, from the final walk, and no corner of it is re-checked:
+    each is certified where it is made (see the comment at the end).
     """
     if diagram.shape != HALF_PLANE:
         raise ValueError("compactification applies to half-plane diagrams")
@@ -250,7 +259,7 @@ def compactify(diagram: RodDiagram) -> FillinPlan:
         )
 
     horizon_fills = []
-    structures = []  # current boundary walk, as sign-normalized structures
+    structures = []  # current boundary walk
     merged_prev = False
     for idx, rod in enumerate(diagram.rods):
         if rod.is_axis:
@@ -268,20 +277,17 @@ def compactify(diagram: RodDiagram) -> FillinPlan:
         else:
             structures.extend(inserted)
 
-    first, last = structures[0], structures[-1]
     if len(structures) == 1:
         end_kind, end_inserted = "merge", ()
     else:
-        end_kind, end_inserted = _gap_fill(last, first)
+        end_kind, end_inserted = _gap_fill(structures[-1], structures[0])
         if end_kind == "merge":
             structures.pop()  # the last rod fuses into the first
-    if end_kind == "chain":
-        structures.extend(end_inserted)
+    structures.extend(end_inserted)
     end_cap = Fill("end", None, end_kind, end_inserted)
 
-    disk = _build_disk(diagram.n, structures)
     waypoints = ()
-    if not is_simply_connected(disk):
+    if not _quotient(diagram.n, structures).trivial:
         # reroute the end cap through every basis direction missing from
         # the span of the walk that survives the reroute
         base = structures[: len(structures) - len(end_inserted)]
@@ -290,18 +296,20 @@ def compactify(diagram: RodDiagram) -> FillinPlan:
             raise CompactifyError(
                 "diagram is not simply connected yet no basis vector is missing"
             )
-        first, last = base[0], base[-1] if len(base) > 1 else base[0]
-        end_inserted = _chain_through(last, waypoints, first)
+        end_inserted = _chain_through(base[-1], waypoints, base[0])
         end_cap = Fill("end", None, "chain", end_inserted)
-        disk = _build_disk(diagram.n, list(base) + list(end_inserted))
-        if not is_simply_connected(disk):
-            raise CompactifyError(
-                f"augmentation through {waypoints} failed to kill pi_1"
-            )
+        structures = base + list(end_inserted)
+        if not _quotient(diagram.n, structures).trivial:
+            raise CompactifyError(f"augmentation through {waypoints} failed to kill pi_1")
 
-    plan = FillinPlan(tuple(horizon_fills), end_cap, waypoints, disk)
-    _check_plan(diagram, plan)
-    return plan
+    # Every corner of the walk, the closing one included, has Det_2 = 1
+    # where it is made: an input corner passed the gate above, a "corner"
+    # fill took Det_2 = 1 in _gap_fill, and each link of a fill-in chain
+    # has Det_2 = 1 (see fillin_path).  A merge (Det_2 = 0, which for
+    # sign-normalized primitive structures means equal neighbours) drops
+    # one of two equal structures, so the corner it leaves is one of those
+    # kinds, and the input structures survive in cyclic order.
+    return FillinPlan(tuple(horizon_fills), end_cap, waypoints, _build_disk(diagram.n, structures))
 
 
 def _build_disk(n, structures):
@@ -323,26 +331,6 @@ def _missing_basis_vectors(n, structures):
         for i, column in enumerate(snf.U.columns())
         if any(u % s if s else u for u, s in zip(column, divisors))
     )
-
-
-def _check_plan(diagram, plan):
-    # input axis structures must survive as a cyclic subsequence; merged
-    # rods share one output rod, so the walk may wind around several times
-    inputs = [s.v for s in diagram.structures()]
-    out = [s.v for s in plan.diagram.structures()]
-    walk = out * (len(inputs) + 1)
-    pos = 0
-    for v in inputs:
-        while pos < len(walk) and walk[pos] != v:
-            pos += 1
-        if pos == len(walk):
-            raise CompactifyError("an input axis rod vanished from the fill-in")
-        pos += 1
-    bad = plan.diagram.inadmissible_corner()
-    if bad:
-        raise CompactifyError(
-            "fill-in left an inadmissible corner between rods %d and %d" % bad[:2]
-        )
 
 
 # ----------------------------------------------------------------------

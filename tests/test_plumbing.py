@@ -1,14 +1,12 @@
 import json
 import random
 from math import gcd
-from types import SimpleNamespace
 
 import pytest
 
-from rodtopo import intlin, plumbing, topology
+from rodtopo import intlin, plumbing
 from rodtopo.errors import (
     ClassifyError,
-    CompactifyError,
     InadmissibleCornerError,
     ModelMapError,
     PlumbingRelationError,
@@ -875,8 +873,6 @@ def test_inadmissible_corner_rejected_by_every_diagram_stage():
          corner + "; only manifold diagrams can be compactified"),
         (lambda: build_model_map(diagram), ModelMapError, corner),
         (lambda: classify(disk, spin=False), ClassifyError, corner),
-        (lambda: topology._check_plan(disk, SimpleNamespace(diagram=disk)), CompactifyError,
-         "fill-in left an inadmissible corner between rods 0 and 1"),
     ]
     for stage, error, message in stages:
         with pytest.raises(error) as info:

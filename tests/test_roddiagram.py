@@ -347,6 +347,16 @@ def test_plane_reading_errors_raise():
         cross_section_topology((2, 0, 0), (0, 1, 0), 3)
     with pytest.raises(DiagramValidationError, match="not primitive"):
         cross_section_topology((2, 0), (1, 1), 2)
+    # without the check Det_2 = 0 reads the first two as S^2 x T^2, and
+    # the third (Det_2 = 2, q = 0) fails on lens parameters (2, 0)
+    for v, w, message in [
+        ((2, 0, 0), (1, 0, 0), "first structure (2, 0, 0) is not primitive"),
+        ((0, 0, 0), (1, 0, 0), "first structure (0, 0, 0) is not primitive"),
+        ((1, 0, 0), (2, 2, 0), "second structure (2, 2, 0) is not primitive"),
+    ]:
+        with pytest.raises(DiagramValidationError) as info:
+            cross_section_topology(v, w, 3)
+        assert str(info.value) == message
     # a wrong p leaves (w - q v) / p non-integral
     with pytest.raises(RodTopoError, match="not integral"):
         _plane_reading((1, 0), (1, 3), 2, DiagramValidationError)

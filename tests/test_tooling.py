@@ -5,6 +5,7 @@ import random
 import re
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -48,6 +49,36 @@ def test_library_imports_are_all_used():
         used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
         found += [f"{path.name}:{line} {name}" for name, line in imported.items()
                   if name not in used]
+    assert found == []
+
+
+def _names(tree):
+    """How often each identifier is read or called in tree: bare names and
+    attribute names (``self._f``, ``IntMatrix._trusted``) alike."""
+    return Counter(
+        node.id if isinstance(node, ast.Name) else node.attr
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.Name, ast.Attribute))
+    )
+
+
+def test_library_private_functions_are_all_used():
+    # a _private function or method that no module of the package names
+    # outside its own definition is left over from a deletion; tests may
+    # still reach it, so only the package is scanned
+    trees = {path.name: ast.parse(path.read_text(encoding="utf-8"))
+             for path in sorted(PACKAGE.glob("*.py"))}
+    named = Counter()
+    for tree in trees.values():
+        named.update(_names(tree))
+    found = [
+        f"{name}:{node.lineno} {node.name}"
+        for name, tree in trees.items()
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+        and node.name.startswith("_") and not node.name.startswith("__")
+        and named[node.name] == _names(node)[node.name]
+    ]
     assert found == []
 
 

@@ -24,7 +24,13 @@ from rodtopo.topology import (
     is_simply_connected,
 )
 
-from helpers import normalize_sign, rand_admissible_half_plane, rand_primitive, rand_unimodular
+from helpers import (
+    minor_gcd,
+    normalize_sign,
+    rand_admissible_half_plane,
+    rand_primitive,
+    rand_unimodular,
+)
 
 DIAGRAMS = Path(__file__).resolve().parent.parent / "diagrams"
 
@@ -220,11 +226,16 @@ def test_fillin_errors_raise():
         fillin_path((2, 0, 0), (0, 1, 0))
     with pytest.raises(CompactifyError, match="not primitive"):
         fillin_path((2, 4), (1, 3))
-    # a non-primitive w: its plane vector (q, p) is not primitive either
-    with pytest.raises(CompactifyError, match="convergents end"):
+    with pytest.raises(CompactifyError, match="not primitive"):
         fillin_path((1, 0, 0), (2, 4, 0))
-    with pytest.raises(CompactifyError, match="forces p = 1"):
+    with pytest.raises(CompactifyError, match="not primitive"):
         fillin_path((1, 0), (0, 2))
+    # without the check a multiple of a primitive w gets a chain whose
+    # first link has Det_2 = 2, and the zero vector a chain that ends in 0
+    with pytest.raises(CompactifyError, match=r"^first structure \(2, 0\) is not primitive$"):
+        fillin_path((2, 0), (1, 0))
+    with pytest.raises(CompactifyError, match=r"^second structure \(0, 0\) is not primitive$"):
+        fillin_path((1, 0), (0, 0))
 
 
 def test_forged_plane_reading_is_refused(monkeypatch):
@@ -385,10 +396,16 @@ def test_missing_basis_vectors_match_determinant_divisors():
     assert {0, 1, 2} <= outcomes
 
 
-def test_compactify_preserves_input_rods_as_cyclic_subsequence():
+def _compactify_corpus():
     rng = random.Random(23)
-    for _ in range(100):
-        d = rand_admissible_half_plane(rng)
+    return [rand_admissible_half_plane(rng) for _ in range(100)]
+
+
+def test_compactify_preserves_input_rods_as_cyclic_subsequence():
+    # compactify certifies no corner after building its disk, so every
+    # corner is checked here, by cofactor minors independent of det2
+    kinds = []
+    for d in _compactify_corpus():
         plan = compactify(d)
         assert is_simply_connected(plan.diagram)
         inputs = [s.v for s in d.structures()]
@@ -400,6 +417,39 @@ def test_compactify_preserves_input_rods_as_cyclic_subsequence():
                 pos += 1
             assert pos < len(walk)
             pos += 1
+        rods = plan.diagram.rods
+        for i, j in plan.diagram.corners():
+            pair = IntMatrix.from_columns([rods[i].structure.v, rods[j].structure.v])
+            assert minor_gcd(pair, 2) == 1
+        kinds += [f.kind for f in (*plan.horizon_fills, plan.end_cap)]
+        kinds += ["augmented"] * bool(plan.waypoints)
+    # the corpus reaches every way a corner is made
+    assert kinds.count("augmented") >= 40
+    assert kinds.count("chain") >= 60
+    assert kinds.count("merge") >= 10
+    assert kinds.count("corner") >= 10
+
+
+def test_compactify_gates_its_input_once_and_builds_one_disk(monkeypatch):
+    bundled = [parse(p.read_text()) for p in sorted(DIAGRAMS.glob("*.json"))]
+    diagrams = _compactify_corpus() + [d for d in bundled if d.shape == "half_plane"]
+    calls = []
+    gate, build = RodDiagram.inadmissible_corner, topology._build_disk
+
+    def counting_gate(self):
+        calls.append("gate")
+        return gate(self)
+
+    def counting_build(n, structures):
+        calls.append("disk")
+        return build(n, structures)
+
+    monkeypatch.setattr(RodDiagram, "inadmissible_corner", counting_gate)
+    monkeypatch.setattr(topology, "_build_disk", counting_build)
+    for d in diagrams:
+        calls.clear()
+        compactify(d)
+        assert calls == ["gate", "disk"]
 
 
 def _disk(n, vectors):
