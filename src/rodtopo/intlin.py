@@ -16,9 +16,9 @@ entry dividing the next.
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass
 from itertools import combinations
 from math import gcd
+from typing import NamedTuple
 
 
 def _int_vector(values):
@@ -190,8 +190,7 @@ def _bezout(values):
     return g, c
 
 
-@dataclass(frozen=True)
-class HermiteResult:
+class HermiteResult(NamedTuple):
     H: IntMatrix
     Q: IntMatrix
     pivots: tuple  # (row, col) positions of the pivots of H
@@ -201,8 +200,7 @@ class HermiteResult:
         return len(self.pivots)
 
 
-@dataclass(frozen=True)
-class SmithResult:
+class SmithResult(NamedTuple):
     S: IntMatrix
     U: IntMatrix
     V: IntMatrix

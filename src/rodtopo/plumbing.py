@@ -15,11 +15,10 @@ takes a normal form or builds a matrix.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations
 from math import gcd
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .errors import InadmissibleCornerError, PlumbingRelationError
 from .intlin import IntMatrix, _bezout, hermite_normal_form, hermite_pivots, vec_scale
@@ -33,8 +32,7 @@ from .roddiagram import (
 )
 
 
-@dataclass(frozen=True)
-class Bundle:
+class Bundle(NamedTuple):
     """D^2-bundle (times a torus) over S^3, a lens space, or S^1 x S^2.
 
     base "Lens" means L(p, q) with p > 1; p = 1 is reported as S3; p = 0
@@ -81,16 +79,14 @@ class Bundle:
         }
 
 
-@dataclass(frozen=True)
-class RelationCheck:
+class RelationCheck(NamedTuple):
     name: str
     index: int  # bundle / vector index the check applies to (1-based), -1 global
     ok: bool
     detail: str = ""
 
 
-@dataclass(frozen=True)
-class PlumbingDiagnostics:
+class PlumbingDiagnostics(NamedTuple):
     """Every plumbing relation check, in order, and the recursion's rods.
 
     A check is held as a record (name, index, ok, template, args).  ok and
@@ -128,8 +124,7 @@ class PlumbingDiagnostics:
         }
 
 
-@dataclass(frozen=True)
-class ToricPlumbing:
+class ToricPlumbing(NamedTuple):
     bundles: tuple  # l bundles
     plumbing_vectors: tuple  # l-1 vectors, indices 2..l
     rods_hnf: tuple  # the l+2 rod structures in Hermite normal form
@@ -498,8 +493,7 @@ def _relation_check(name, index, ok, template, args):
 # decomposition of the domain of outer communication
 
 
-@dataclass(frozen=True)
-class DocPiece:
+class DocPiece(NamedTuple):
     kind: str  # "toric_plumbing" | "corner_ball" | "cylinder" | "end"
     source_rod_indices: tuple
     plumbing: Optional[ToricPlumbing] = None
@@ -529,8 +523,7 @@ class DocPiece:
         return out
 
 
-@dataclass(frozen=True)
-class DocDecomposition:
+class DocDecomposition(NamedTuple):
     pieces: tuple
     J: int
     N1: int

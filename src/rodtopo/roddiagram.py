@@ -12,9 +12,8 @@ from __future__ import annotations
 import json
 import math
 import operator
-from dataclasses import dataclass
 from math import gcd
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .errors import DiagramValidationError, SchemaError
 from .intlin import IntMatrix, _bezout, _int_vector, is_primitive_vector
@@ -26,8 +25,7 @@ NEG_INF = float("-inf")
 POS_INF = float("inf")
 
 
-@dataclass(frozen=True)
-class RodStructure:
+class RodStructure(NamedTuple):
     """Primitive integer vector, sign-normalized so the first nonzero
     component is positive."""
 
@@ -61,8 +59,7 @@ def _as_vector(v):
     return _int_vector(v)
 
 
-@dataclass(frozen=True)
-class Rod:
+class Rod(NamedTuple):
     kind: str  # "axis" | "horizon"
     structure: Optional[RodStructure] = None
     z: Optional[tuple] = None  # (z_lo, z_hi), extended reals
@@ -86,8 +83,7 @@ class Rod:
         return self.kind == "axis"
 
 
-@dataclass(frozen=True)
-class CrossSectionTopology:
+class CrossSectionTopology(NamedTuple):
     """Topology of a horizon cross-section or asymptotic-end cross-section:
     one of S^3, L(p,q), S^1 x S^2, times a torus factor T^(n-2)."""
 
@@ -134,14 +130,22 @@ def _torus_name(k):
     return "S^1" if k == 1 else f"T^{k}"
 
 
-@dataclass
 class RodDiagram:
-    n: int
-    shape: str  # "half_plane" | "disk"
-    rods: list  # of Rod
+    __slots__ = ("n", "shape", "rods")  # __eq__ without __hash__: unhashable
 
-    def __post_init__(self):
+    def __init__(self, n, shape, rods):
+        self.n = n
+        self.shape = shape  # "half_plane" | "disk"
+        self.rods = rods  # list of Rod
         self.validate()
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.n, self.shape, self.rods) == (other.n, other.shape, other.rods)
+
+    def __repr__(self):
+        return f"RodDiagram(n={self.n!r}, shape={self.shape!r}, rods={self.rods!r})"
 
     # ------------------------------------------------------------------
     # queries
@@ -357,15 +361,20 @@ def _z_out(x):
 
 
 def _z_in(x, rod_index):
-    if isinstance(x, str):
-        if x == "-inf":
-            return NEG_INF
-        if x == "+inf":
-            return POS_INF
-        raise SchemaError(f"rod {rod_index}: bad z endpoint {x!r}")
+    if x == "-inf":
+        return NEG_INF
+    if x == "+inf":
+        return POS_INF
     if isinstance(x, (int, float)) and not isinstance(x, bool):
-        return float(x)
+        return _float_in(x, rod_index, "z")
     raise SchemaError(f"rod {rod_index}: bad z endpoint {x!r}")
+
+
+def _float_in(x, rod_index, key):
+    try:
+        return float(x)
+    except OverflowError:  # a JSON integer beyond the float range
+        raise SchemaError(f"rod {rod_index}: {key!r} holds an integer outside the float range") from None
 
 
 def parse(text: str) -> RodDiagram:
@@ -414,7 +423,7 @@ def parse(text: str) -> RodDiagram:
                     for x in entry["potential"]
                 ):
                     raise SchemaError(f"rod {i}: 'potential' must be a list of numbers")
-                potential = entry["potential"]
+                potential = [_float_in(x, i, "potential") for x in entry["potential"]]
             rods.append(Rod.axis(structure, z, potential))
         elif kind == "horizon":
             if "v" in entry or "potential" in entry:

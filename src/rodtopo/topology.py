@@ -11,9 +11,8 @@ closed diagram, which the low-dimensional chart then classifies.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import gcd
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .errors import ClassifyError, CompactifyError, RodTopoError
 from .intlin import (
@@ -36,21 +35,25 @@ from .roddiagram import (
 )
 
 
-@dataclass(frozen=True)
-class AbelianGroup:
-    """Finitely generated abelian group Z^free_rank + sum of Z_s torsion."""
-
+class _AbelianGroup(NamedTuple):
     free_rank: int
     torsion: tuple  # entries > 1, each dividing the next
 
-    def __post_init__(self):
-        if self.free_rank < 0:
-            raise RodTopoError(f"negative free rank {self.free_rank}")
-        for a, b in zip(self.torsion, self.torsion[1:]):
+
+class AbelianGroup(_AbelianGroup):
+    """Finitely generated abelian group Z^free_rank + sum of Z_s torsion."""
+
+    __slots__ = ()
+
+    def __new__(cls, free_rank, torsion):
+        if free_rank < 0:
+            raise RodTopoError(f"negative free rank {free_rank}")
+        for a, b in zip(torsion, torsion[1:]):
             if not (a > 1 and b % a == 0):
-                raise RodTopoError(f"torsion {self.torsion} is not a divisibility chain")
-        if self.torsion and self.torsion[0] <= 1:
-            raise RodTopoError(f"torsion {self.torsion} has a trivial factor")
+                raise RodTopoError(f"torsion {torsion} is not a divisibility chain")
+        if torsion and torsion[0] <= 1:
+            raise RodTopoError(f"torsion {torsion} has a trivial factor")
+        return super().__new__(cls, free_rank, torsion)
 
     @property
     def trivial(self):
@@ -179,8 +182,7 @@ def fillin_path(v, w):
 # compactification
 
 
-@dataclass(frozen=True)
-class Fill:
+class Fill(NamedTuple):
     """How one horizon (or the end gap) was filled in.
 
     kind "corner" deletes the horizon so the flanking rods meet, "merge"
@@ -202,8 +204,7 @@ class Fill:
         }
 
 
-@dataclass(frozen=True)
-class FillinPlan:
+class FillinPlan(NamedTuple):
     horizon_fills: tuple
     end_cap: Fill
     waypoints: tuple  # basis vectors routed through for simple connectivity
@@ -368,8 +369,7 @@ def betti2(diagram: RodDiagram) -> int:
     return k
 
 
-@dataclass(frozen=True)
-class Classification:
+class Classification(NamedTuple):
     n: int
     k: int
     row: str  # "two_connected" | "spin" | "non_spin"

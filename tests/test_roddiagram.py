@@ -161,6 +161,17 @@ def test_parse_rejects_nonfinite_potentials(value):
     assert exc.value.rod_index == 3
 
 
+@pytest.mark.parametrize("rod, key", [(0, "z"), (3, "potential")])
+def test_parse_rejects_integers_beyond_the_float_range(rod, key):
+    # json.loads reads 10**400 written out in digits as an exact int, which
+    # float() refuses with OverflowError
+    diagram = nonfinite_potential(0.0)
+    diagram["rods"][rod][key][1 if key == "z" else 0] = 10**400
+    with pytest.raises(SchemaError) as exc:
+        parse(json.dumps(diagram))
+    assert str(exc.value) == f"rod {rod}: '{key}' holds an integer outside the float range"
+
+
 def test_parse_rejects_schema_violations():
     with pytest.raises(SchemaError):
         parse("not json at all")

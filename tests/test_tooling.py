@@ -149,12 +149,18 @@ EXACT_SUBCOMMANDS = [
     ["decompose"], ["pi1"], ["fillin"], ["compactify"], ["classify"],
 ]
 
-# Run in a fresh interpreter: every exact subcommand on every diagram, then
-# the lazy access to rodtopo.modelmap through the package.
+# Run in a fresh interpreter: the modules that importing the CLI adds (a
+# set difference, so modules a site hook loaded earlier do not count),
+# every exact subcommand on every diagram, then the lazy access to
+# rodtopo.modelmap through the package.
 NO_NUMPY_PROBE = """
-import contextlib, io, json, sys
-from pathlib import Path
+import sys
+before = set(sys.modules)
 from rodtopo import cli
+imported = sorted(set(sys.modules) - before)
+
+import contextlib, io, json
+from pathlib import Path
 
 codes = []
 for path in sorted(Path("diagrams").glob("*.json")):
@@ -175,8 +181,8 @@ try:
     missing = "resolved"
 except AttributeError:
     missing = "AttributeError"
-print(json.dumps({"codes": codes, "loaded": loaded, "modelmap": modelmap.__name__,
-                  "same": same, "missing": missing}))
+print(json.dumps({"imported": imported, "codes": codes, "loaded": loaded,
+                  "modelmap": modelmap.__name__, "same": same, "missing": missing}))
 """
 
 
@@ -191,6 +197,10 @@ def test_exact_subcommands_do_not_load_numpy():
     )
     assert run.returncode == 0, run.stderr
     out = json.loads(run.stdout)
+    # numpy is for model-verify only; dataclasses loads inspect and
+    # compiles methods for every class, on every start of an exact command
+    assert "rodtopo.cli" in out["imported"]
+    assert not {"numpy", "dataclasses"} & set(out["imported"]), out["imported"]
     diagrams = len(list((ROOT / "diagrams").glob("*.json")))
     assert len(out["codes"]) == diagrams * len(EXACT_SUBCOMMANDS)
     assert set(out["codes"]) <= {0, 1}  # 1: the diagram is outside the command's domain
@@ -249,15 +259,19 @@ def _reject_constant(name):
 def test_every_subcommand_on_edge_inputs_reports_without_traceback(tmp_path):
     # the committed diagrams and the known edge inputs (non-finite
     # potentials, potentials whose tension overflows, an inadmissible
-    # corner): an exit code of the documented kind, no traceback or numpy
-    # warning, and strict JSON reports
+    # corner, integers beyond the float range): an exit code of the
+    # documented kind, no traceback or numpy warning, and strict JSON reports
     inputs = sorted(str(p) for p in (ROOT / "diagrams").glob("*.json"))
+    huge_z = nonfinite_potential(0.0)
+    huge_z["rods"][0]["z"] = ["-inf", 10**400]
     for name, diagram in [
         ("nan", nonfinite_potential(float("nan"))),
         ("infinity", nonfinite_potential(float("inf"))),
         ("huge100", nonfinite_potential(1e100)),
         ("huge150", nonfinite_potential(1e150)),
         ("inadmissible", INADMISSIBLE_CORNER),
+        ("hugeint-z", huge_z),
+        ("hugeint-potential", nonfinite_potential(10**400)),
     ]:
         path = tmp_path / f"{name}.json"
         path.write_text(json.dumps(diagram))
@@ -291,6 +305,9 @@ def test_every_subcommand_on_edge_inputs_reports_without_traceback(tmp_path):
             r"error: sup_excision of the annulus 0 <= r < 6 is (inf|nan): the tension "
             r"overflows double precision \(are the potential constants too large\?\)\n", err)
     assert codes["two-horizon-one-corner.json", "model-verify"][0] in (0, 3)
+    for name, rod, key in (("hugeint-z.json", 0, "z"), ("hugeint-potential.json", 3, "potential")):
+        assert codes[name, "validate"] == (
+            1, f"error: rod {rod}: '{key}' holds an integer outside the float range\n")
 
 
 def test_readme_library_example_runs():
