@@ -1,14 +1,15 @@
 """Model maps on the (rho, z) half plane and their tension diagnostics.
 
 The map is assembled from two ingredients.  A diagonal field
-``diag(e^U, e^V, 1, ..., 1)`` built from the harmonic rod potentials, with
-the rods split between the two slots so that adjacent rods use different
-slots, pins the degeneracy pattern: e^U vanishes exactly on the slot-0
-rods and e^V on the slot-1 rods.  A piecewise matrix curve M(z) of frames
-then rotates the diagonal kernel directions onto the actual rod
-structures,
+``diag(e^(U_0), ..., e^(U_(n-1)))``, the generalized Weyl form, carries one
+harmonic potential per slot: U_k sums the rod potentials of the rods in
+slot k, and U_k = 0 on a slot that holds no rod.  The rods are split
+between slots 0 and 1 so that adjacent rods use different slots, which
+pins the degeneracy pattern: e^(U_k) vanishes exactly on the slot-k rods.
+A piecewise matrix curve M(z) of frames then rotates the diagonal kernel
+directions onto the actual rod structures,
 
-    F(rho, z) = M(z)^-T  diag(e^U, e^V, 1, ..., 1)  M(z)^-1 ,
+    F(rho, z) = M(z)^-T  diag(e^(U_0), ..., e^(U_(n-1)))  M(z)^-1 ,
 
 holding the active rod's structure column of M exactly constant through
 every transition, which is what keeps the tension bounded near the axis.
@@ -21,8 +22,9 @@ from __future__ import annotations
 
 import math
 from collections import defaultdict
-from dataclasses import dataclass, field, fields
+from functools import reduce
 from itertools import product
+from operator import mul
 from typing import NamedTuple
 
 import numpy as np
@@ -165,8 +167,7 @@ def _det_keeps_sign(corners, sign, level=0):
     return all(_det_keeps_sign(p, sign, level + 1) for p in parts)
 
 
-@dataclass
-class FrameSegment:
+class FrameSegment(NamedTuple):
     """One piece of a piecewise z-profile on [z_lo, z_hi): a plateau, or a
     smoothstep ramp from M0 to M1.  The frame curve's pieces hold
     matrices, the twist-potential profile's pieces hold vectors."""
@@ -248,13 +249,11 @@ class _ZStage(NamedTuple):
     col_outer: np.ndarray
 
 
-@dataclass
-class ModelMap:
+class ModelMap(NamedTuple):
     n: int
     diagram: RodDiagram
-    slots: dict  # rod index -> 0 or 1
-    u_terms: list  # ("u", a) | ("v", a) | ("ud", a, b)
-    v_terms: list
+    slots: dict  # rod index -> slot
+    terms: tuple  # per slot, the rod terms ("u", a) | ("v", a) | ("ud", a, b)
     segments: list  # frame curve M(z): FrameSegment partition of the z axis
     far_frame: np.ndarray  # frame of the asymptotic region
     z0: float  # far-field center
@@ -266,15 +265,16 @@ class ModelMap:
 
     # ------------------------------------------------------------------
 
-    def _UV(self, rho, z):
-        """(U, V) at the points, with one logarithm per distinct rod
-        endpoint (_endpoint_log) shared by every term that uses it."""
-        U = np.zeros_like(rho)
-        V = np.zeros_like(rho)
+    def _slot_potentials(self, rho, z):
+        """U_k at the points for each slot k, None for a slot without
+        terms, with one logarithm per distinct rod endpoint
+        (_endpoint_log) shared by every term that uses it."""
         log_rho2 = _log_rho2(rho)
-        ends = {a for term in self.u_terms + self.v_terms for a in term[1:]}
+        ends = {a for terms in self.terms for term in terms for a in term[1:]}
         logs = {a: _endpoint_log(a, rho, z) for a in ends}
-        for acc, terms in ((U, self.u_terms), (V, self.v_terms)):
+        planes = []
+        for terms in self.terms:
+            acc = np.zeros_like(rho) if terms else None
             for term in terms:
                 if term[0] == "u":
                     acc += _u_from(*logs[term[1]], log_rho2)
@@ -291,7 +291,8 @@ class ModelMap:
                         ua[north] = np.log((zn - b) / (zn - a))
                         ub[north] = 0.0
                     acc += ua - ub
-        return U, V
+            planes.append(acc)
+        return planes
 
     def axis_frames(self, z):
         """Frame curve M(z) used near the axis, before the radial blend."""
@@ -412,16 +413,13 @@ def build_model_map(
 
     slots = _assign_slots(diagram, comps, ends_parallel)
 
-    u_terms, v_terms = [], []
+    terms = [[] for _ in range(n)]
     for i in diagram.axis_indices():
         z_lo, z_hi = rods[i].z
-        if z_lo == NEG_INF:
-            term = ("v", z_hi)
-        elif z_hi == POS_INF:
-            term = ("u", z_lo)
-        else:
-            term = ("ud", z_lo, z_hi)
-        (u_terms if slots[i] == 0 else v_terms).append(term)
+        term = (
+            ("v", z_hi) if z_lo == NEG_INF else ("u", z_lo) if z_hi == POS_INF else ("ud", z_lo, z_hi)
+        )
+        terms[slots[i]].append(term)
 
     finite = [z for r in rods for z in r.z if math.isfinite(z)]
     z_min, z_max = min(finite), max(finite)
@@ -433,7 +431,7 @@ def build_model_map(
     segments = _build_schedule(diagram, comps, slots, far_frame, width)
     far_frame = _matrix(far_frame)
     if corrupt_transition:
-        _corrupt_first_transition(segments, n)
+        segments = _corrupt_first_transition(segments, n)
 
     omega_profile, c_north, c_south = _omega_pieces(diagram, comps)
 
@@ -447,8 +445,7 @@ def build_model_map(
         n=n,
         diagram=diagram,
         slots=slots,
-        u_terms=u_terms,
-        v_terms=v_terms,
+        terms=tuple(map(tuple, terms)),
         segments=segments,
         far_frame=far_frame,
         z0=z0,
@@ -584,14 +581,15 @@ def _normalize_chain(frames, held):
 
 
 def _corrupt_first_transition(segments, n):
-    for seg in segments:
+    """The frame curve with the end frame of its first held-column ramp
+    moved off the held column."""
+    for k, seg in enumerate(segments):
         if not seg.constant and seg.held_col is not None:
             bad, entry = seg.M1.copy(), ((seg.held_col + 1) % n, seg.held_col)
             bad[entry] += 1.0
             if _bareiss_det(bad.astype(int).tolist()) == 0:
                 bad[entry] += 1.0
-            seg.M1 = bad
-            return
+            return segments[:k] + [seg._replace(M1=bad)] + segments[k + 1 :]
     raise ModelMapError("no held-column transition available to corrupt")
 
 
@@ -624,36 +622,34 @@ def _congruence(X, d):
     return np.swapaxes(X, -1, -2) @ (d[..., None] * X)
 
 
-def _diag(e_u, e_v, n):
-    """d = (e^U, e^V, 1, ..., 1) at the points; (..., n)."""
-    d = np.ones(e_u.shape + (n,))
-    d[..., 0] = e_u
-    d[..., 1] = e_v
-    return d
-
-
-def _rank_one_sum(outer, w0, w1, at=None):
+def _rank_one_sum(outer, weights, shape, at=None):
     """sum_k w_k o_k over rank-one factors outer[k, i, j] (z last, see
     _ZStage; gathered to the points by the index array at unless it is
-    None) with weight planes w0, w1 and w_k = 1 for k >= 2.  Each entry
-    i <= j is one plane of the points, the ordered sum
-    w_0 o_0 + w_1 o_1 + o_2 + ..., mirrored into (j, i), so the result
-    is exactly symmetric; (..., n, n)."""
+    None) with one weight plane of the given shape per slot, or None for
+    w_k = 1.  Each entry i <= j is one plane of the points, the ordered
+    sum w_0 o_0 + w_1 o_1 + ..., in which a factor of weight 1 is added
+    as it is, mirrored into (j, i), so the result is exactly symmetric;
+    shape + (n, n)."""
     n = outer.shape[0]
-    out = np.empty(w0.shape + (n, n))
+    out = np.empty(shape + (n, n))
     for i in range(n):
         for j in range(i, n):
             o = outer[:, i, j] if at is None else outer[:, i, j][:, at]
-            plane = w0 * o[0] + w1 * o[1]
-            for k in range(2, n):
-                plane += o[k]
+            plane = np.empty(shape)
+            if weights[0] is None:
+                plane[...] = o[0]
+            else:
+                np.multiply(weights[0], o[0], out=plane)
+            for w, o_k in zip(weights[1:], o[1:]):
+                plane += o_k if w is None else w * o_k
             out[..., i, j] = out[..., j, i] = plane
     return out
 
 
 def _metric(m, coords, on_grid=False, inverse=True):
     """F, F^-1 (None unless inverse) and det F at the points of coords
-    (see ModelMap._coords), from the frame factors F = M^-T diag(d) M^-1.
+    (see ModelMap._coords), from the frame factors F = M^-T diag(d) M^-1
+    with d_k = e^(U_k).
 
     Where chi = 0 the frame is A(z), so F and F^-1 are sums over the z
     stage's rank-one factors (_ZStage, _rank_one_sum), which a grid level
@@ -663,22 +659,26 @@ def _metric(m, coords, on_grid=False, inverse=True):
     F = M^-T diag(d) M^-1, F^-1 = M diag(1/d) M^T stay stacked products:
     as per-point rank-one sums they moved tau on a grid through the blend
     by 2.3e-10 relative.  det F = prod(d) det(M^-1)^2 needs no
-    determinant per point."""
+    determinant per point.  A slot without terms has d_k = 1, and no
+    exponential, weight or factor of the product is formed for it."""
     rho, z, stage, at, chi = coords
-    U, V = m._UV(rho, z)
-    e_u, e_v = np.exp(U), np.exp(V)
+    d = [None if U is None else np.exp(U) for U in m._slot_potentials(rho, z)]
     gather = None if on_grid else at
-    F = _rank_one_sum(stage.row_outer, e_u, e_v, gather)
-    Finv = _rank_one_sum(stage.col_outer, 1.0 / e_u, 1.0 / e_v, gather) if inverse else None
+    F = _rank_one_sum(stage.row_outer, d, rho.shape, gather)
+    Finv = None
+    if inverse:
+        d_inv = [None if w is None else 1.0 / w for w in d]
+        Finv = _rank_one_sum(stage.col_outer, d_inv, rho.shape, gather)
     det_inv = stage.det_inv[at]
     blend = chi > 0.0
     if blend.any():
         M, Minv, det_inv[blend] = m._blended(stage, at[blend], chi[blend])
-        d = _diag(e_u[blend], e_v[blend], m.n)
-        F[blend] = _congruence(Minv, d)
+        ones = np.ones(len(Minv))
+        diag = np.stack([ones if w is None else w[blend] for w in d], axis=-1)
+        F[blend] = _congruence(Minv, diag)
         if inverse:
-            Finv[blend] = _congruence(np.swapaxes(M, -1, -2), 1.0 / d)
-    return F, Finv, e_u * e_v * det_inv**2
+            Finv[blend] = _congruence(np.swapaxes(M, -1, -2), 1.0 / diag)
+    return F, Finv, reduce(mul, [w for w in d if w is not None]) * det_inv**2
 
 
 def _point_fields(m, points, level=None):
@@ -881,8 +881,7 @@ NOISE_FLOOR = 1e-11
 _CSV_ROW = "%.9g,%.9g,%.12g,%.12g,%.12g\n"  # rho, z, tau, tau_f, tau_omega
 
 
-@dataclass
-class TensionReport:
+class TensionReport(NamedTuple):
     h: float
     excision_radius: float
     domain: dict
@@ -892,10 +891,21 @@ class TensionReport:
     sup_bounded_pass: bool
     decay_pass: bool
     passed: bool
-    model: ModelMap = field(repr=False, compare=False, default=None)
+    model: ModelMap = None  # the verified map, for dump_csv
+
+    # repr and == leave the map out, as to_json_dict does: two maps compare
+    # by their numpy fields, which have no single truth value
+    def __repr__(self):
+        return "TensionReport(%s)" % ", ".join(f"{k}={v!r}" for k, v in self.to_json_dict().items())
+
+    def __eq__(self, other):
+        return isinstance(other, TensionReport) and self[:-1] == other[:-1]
+
+    def __ne__(self, other):
+        return not self == other
 
     def to_json_dict(self):
-        return {f.name: getattr(self, f.name) for f in fields(self) if f.name != "model"}
+        return {k: v for k, v in self._asdict().items() if k != "model"}
 
     def dump_csv(self, path):
         """Write the spacing-h field outside the excision radius, strip by strip."""
@@ -915,8 +925,7 @@ def _finite_extent(m):
     finite = [z for seg in m.axis_segments for z in seg if math.isfinite(z)]
     for i in m.diagram.horizon_indices():
         finite.extend(m.diagram.rods[i].z)
-    lo, hi = min(finite), max(finite)
-    return lo, hi
+    return min(finite), max(finite)
 
 
 @np.errstate(over="ignore", invalid="ignore")  # overflow is reported below, not warned
@@ -966,11 +975,8 @@ def verify_tension(
     for (r_lo, r_hi), sup_ex, sup1, sup2 in zip(annuli_bounds, sups_ex, sups1, sups2):
         for key, sup in (("sup_excision", sup_ex), ("sup_coarse", sup1), ("sup_fine", sup2)):
             _require_finite(f"{key} of the annulus {r_lo:g} <= r < {r_hi:g}", sup)
-        if sup1 < NOISE_FLOOR and sup2 < NOISE_FLOOR:
-            ratio = 1.0
-        else:
-            ratio = max(sup1, sup2) / max(min(sup1, sup2), NOISE_FLOOR)
-        ok = ratio < SUP_RATIO_LIMIT or max(sup1, sup2) < NOISE_FLOOR
+        quiet = max(sup1, sup2) < NOISE_FLOOR
+        ratio = 1.0 if quiet else max(sup1, sup2) / max(min(sup1, sup2), NOISE_FLOOR)
         annuli.append(
             {
                 "r_lo": r_lo,
@@ -979,7 +985,7 @@ def verify_tension(
                 "sup_coarse": sup1,
                 "sup_fine": sup2,
                 "ratio": ratio,
-                "pass": ok,
+                "pass": ratio < SUP_RATIO_LIMIT or quiet,
             }
         )
     sup_ok = all(a["pass"] for a in annuli)
@@ -1076,28 +1082,19 @@ def _decay_rays(m, rays, decade_points):
 def _decay_fit(radii, angles, taus):
     """Log-log decay fit of |tau| along each ray; taus as from the points
     of _decay_rays."""
-    slopes = []
-    max_tau = 0.0
     per_ray = []
     for theta, ray_taus in zip(angles, np.reshape(taus, (len(angles), len(radii)))):
-        max_tau = max(max_tau, float(ray_taus.max()))
+        slope = None
         if np.all(ray_taus > 0):
             slope = float(np.polyfit(np.log(radii), np.log(ray_taus), 1)[0])
-            slopes.append(slope)
-            per_ray.append({"theta": float(theta), "slope": slope})
-        else:
-            per_ray.append({"theta": float(theta), "slope": None})
+        per_ray.append({"theta": float(theta), "slope": slope})
+    slopes = [ray["slope"] for ray in per_ray if ray["slope"] is not None]
+    max_tau = max(0.0, float(np.max(taus)))  # 0.0, not -0.0, when tau vanishes
     below_noise = max_tau < NOISE_FLOOR
-    if below_noise:
-        ok = True
-        mean = None
-        band = None
-    elif slopes:
-        mean = float(np.mean(slopes))
-        band = float(np.std(slopes))
-        ok = mean <= SLOPE_LIMIT
-    else:
-        mean, band, ok = None, None, False
+    mean = band = None
+    if slopes and not below_noise:
+        mean, band = float(np.mean(slopes)), float(np.std(slopes))
+    ok = below_noise or (mean is not None and mean <= SLOPE_LIMIT)
     return {
         "r_range": [float(radii[0]), float(radii[-1])],
         "rays": per_ray,
@@ -1130,9 +1127,7 @@ def _convergence(m, h, probes, vals_h):
     _require_finite(f"|tau| at a convergence probe at h = {h / 2.0}", vals_h2)
     sup_h = float(vals_h.max())
     sup_h2 = float(vals_h2.max())
-    order = None
-    if sup_h2 > 0 and sup_h > 0:
-        order = float(math.log2(sup_h / sup_h2))
+    order = float(math.log2(sup_h / sup_h2)) if sup_h2 > 0 and sup_h > 0 else None
     return {
         "points": [list(p) for p in probes],
         "sup_coarse": sup_h,

@@ -12,6 +12,7 @@ from __future__ import annotations
 import json
 import math
 import operator
+import sys
 from math import gcd
 from typing import NamedTuple, Optional
 
@@ -383,6 +384,9 @@ def parse(text: str) -> RodDiagram:
         data = json.loads(text)
     except json.JSONDecodeError as e:
         raise SchemaError(f"not valid JSON: {e}") from e
+    except ValueError as e:  # json reads integers as int, whose digits Python limits
+        limit = sys.get_int_max_str_digits()
+        raise SchemaError(f"not valid JSON: an integer has more than {limit} digits") from e
     if not isinstance(data, dict):
         raise SchemaError("top level must be a JSON object")
     for key in ("n", "shape", "rods"):

@@ -5,12 +5,15 @@ determinants, exhaustive minor gcds, subtract-only row reduction) so they
 stay independent of the library code paths they check.
 """
 
-from math import gcd
+from math import gcd, inf
 import json
 import random
 
+import numpy as np
+
 from rodtopo.errors import DiagramValidationError
 from rodtopo.intlin import IntMatrix
+from rodtopo.modelmap import FrameSegment, ModelMap
 from rodtopo.roddiagram import Rod, RodDiagram, parse
 
 
@@ -194,6 +197,15 @@ def nonfinite_potential(value):
     }
 
 
+def long_integer_text(digits=5000):
+    """JSON text of the paper diagram with the upper z endpoint of rod 0
+    written as an integer of the given number of digits, more than
+    Python's default int-string limit of 4300 (json.dumps cannot write it)."""
+    diagram = nonfinite_potential(0.0)
+    diagram["rods"][0]["z"][1] = "LONG"
+    return json.dumps(diagram).replace('"LONG"', "9" * digits)
+
+
 # The rank-3 run (-1,1,-1) | (-1,1,0) | H | (1,0,2) | H | (-1,2,-2) with zero
 # potentials.  One of its frame ramps, from [[1,1,-1],[-1,-1,0],[0,1,0]] to
 # [[1,1,0],[0,0,1],[2,0,0]], has det 1 and 2 at its ends but vanishes at
@@ -262,3 +274,68 @@ def frame_corpus(count, seed=5):
         except DiagramValidationError:
             continue
     return diagrams
+
+
+# Diagrams whose axis rods all have standard basis vectors, so that each
+# carries an exact generalized Weyl map (weyl_map): rank 3, and rank 4 with
+# a corner between the third and fourth directions.
+WEYL_DIAGRAMS = {
+    3: {
+        "n": 3,
+        "shape": "half_plane",
+        "rods": [
+            {"kind": "axis", "v": [1, 0, 0], "z": ["-inf", 0.0]},
+            {"kind": "axis", "v": [0, 1, 0], "z": [0.0, 1.5]},
+            {"kind": "horizon", "z": [1.5, 4.0]},
+            {"kind": "axis", "v": [0, 0, 1], "z": [4.0, 5.5]},
+            {"kind": "horizon", "z": [5.5, 8.0]},
+            {"kind": "axis", "v": [0, 1, 0], "z": [8.0, "+inf"]},
+        ],
+    },
+    4: {
+        "n": 4,
+        "shape": "half_plane",
+        "rods": [
+            {"kind": "axis", "v": [1, 0, 0, 0], "z": ["-inf", 0.0]},
+            {"kind": "axis", "v": [0, 1, 0, 0], "z": [0.0, 1.5]},
+            {"kind": "horizon", "z": [1.5, 4.0]},
+            {"kind": "axis", "v": [0, 0, 1, 0], "z": [4.0, 5.5]},
+            {"kind": "axis", "v": [0, 0, 0, 1], "z": [5.5, 7.0]},
+            {"kind": "horizon", "z": [7.0, 9.5]},
+            {"kind": "axis", "v": [0, 1, 0, 0], "z": [9.5, "+inf"]},
+        ],
+    },
+}
+
+
+def weyl_map(diagram):
+    """The generalized Weyl map F = diag(exp Sigma_k), omega = 0, of a
+    diagram whose axis rods all have standard basis vectors, as a ModelMap:
+    Sigma_k sums the rod terms ("u", "v" or "ud") of the rods of direction
+    e_k, which sit in slot k, and every frame is the identity.  Each entry
+    log F_kk is axisymmetric harmonic, so the map is exactly harmonic."""
+    n, rods = diagram.n, diagram.rods
+    axis = diagram.axis_indices()
+    slots = {i: rods[i].structure.v.index(1) for i in axis}
+    terms = [[] for _ in range(n)]
+    for i in axis:
+        z_lo, z_hi = rods[i].z
+        term = ("v", z_hi) if z_lo == -inf else ("u", z_lo) if z_hi == inf else ("ud", z_lo, z_hi)
+        terms[slots[i]].append(term)
+    finite = [z for r in rods for z in r.z if abs(z) < inf]
+    width = max(finite) - min(finite)
+    eye, zero = np.eye(n), np.zeros(n)
+    return ModelMap(
+        n=n,
+        diagram=diagram,
+        slots=slots,
+        terms=tuple(map(tuple, terms)),
+        segments=[FrameSegment(-inf, inf, eye, eye)],
+        far_frame=eye,
+        z0=0.5 * (min(finite) + max(finite)),
+        omega_profile=[FrameSegment(-inf, inf, zero, zero)],
+        omega_far=(zero, zero),
+        epsilon=0.2,
+        blend_radii=(3.0 * width, 5.0 * width),
+        axis_segments=[rods[i].z for i in axis],
+    )

@@ -10,6 +10,7 @@ from helpers import (
     INADMISSIBLE_CORNER,
     SINGULAR_BLEND_RUN,
     SINGULAR_FRAME_RUN,
+    long_integer_text,
     nonfinite_potential,
 )
 
@@ -85,6 +86,15 @@ def test_decompose_figure4(capsys, figure4_path):
     plumb = out["pieces"][0]["plumbing"]
     assert [b["base"] for b in plumb["bundles"]] == ["L(5,2)", "L(2,1)"]
     assert plumb["plumbing_vectors"] == [[1, 0, 2]]
+
+
+def test_validate_reports_an_overlong_integer_in_one_line(capsys, tmp_path):
+    p = tmp_path / "long.json"
+    p.write_text(long_integer_text())
+    assert main(["validate", str(p)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: not valid JSON: an integer has more than 4300 digits\n"
 
 
 def test_hnf_snf_detk(capsys, tmp_path):

@@ -1,4 +1,3 @@
-import dataclasses
 import io
 import json
 import math
@@ -19,7 +18,7 @@ from rodtopo.modelmap import (
     verify_tension,
 )
 
-from helpers import SINGULAR_BLEND_RUN, SINGULAR_FRAME_RUN, frame_corpus
+from helpers import SINGULAR_BLEND_RUN, SINGULAR_FRAME_RUN, WEYL_DIAGRAMS, frame_corpus, weyl_map
 
 INF = float("inf")
 PAPER_DIAGRAM = Path(__file__).resolve().parent.parent / "diagrams" / "two-horizon-one-corner.json"
@@ -105,7 +104,6 @@ def reference_frame_factors(m, points):
     chi > 0)."""
     pts = np.asarray(points, dtype=float)
     rho, z = pts[..., 0], pts[..., 1]
-    U, V = m._UV(rho, z)
     z_axis, at = np.unique(z, return_inverse=True)
     at = at.reshape(z.shape)
     A = m.axis_frames(z_axis)
@@ -120,10 +118,17 @@ def reference_frame_factors(m, points):
         M[blend] = Mb
         Minv[blend] = np.linalg.inv(Mb)
         det_inv[blend] = 1.0 / np.linalg.det(Mb)
+    return M, Minv, slot_weights(m, rho, z), det_inv
+
+
+def slot_weights(m, rho, z):
+    """d = (e^(U_0), ..., e^(U_(n-1))) at the points, 1 on a slot without
+    terms; (..., n)."""
     d = np.ones(rho.shape + (m.n,))
-    d[..., 0] = np.exp(U)
-    d[..., 1] = np.exp(V)
-    return M, Minv, d, det_inv
+    for k, U in enumerate(m._slot_potentials(rho, z)):
+        if U is not None:
+            d[..., k] = np.exp(U)
+    return d
 
 
 def reference_piece_value(pieces, z):
@@ -156,11 +161,11 @@ def reference_omega(m, points):
 
 def per_point_outer_sum(X, w):
     """sum_k w_k x_k x_k^T over the rows x_k of X, point by point, in the
-    order w_0 o_0 + w_1 o_1 + o_2 + ...  (w_k = 1 for k >= 2)."""
+    order w_0 o_0 + w_1 o_1 + w_2 o_2 + ..."""
     o = [X[..., k, :, None] * X[..., k, None, :] for k in range(X.shape[-1])]
-    total = w[..., 0, None, None] * o[0] + w[..., 1, None, None] * o[1]
-    for term in o[2:]:
-        total = total + term
+    total = w[..., 0, None, None] * o[0]
+    for k in range(1, len(o)):
+        total = total + w[..., k, None, None] * o[k]
     return total
 
 
@@ -390,22 +395,12 @@ def former_u_pot(a, rho, z):
     return np.where(dz >= 0, safe, direct)
 
 
-def test_shared_log_rho_is_bit_identical():
-    # _UV takes 2 log rho once for all its rod terms; every term, and so
-    # U and V, must come out as they did with one logarithm per term
-    rho, dz = np.meshgrid(
-        [0.0, 1e-12, 1e-3, 1.0, 1e6], [0.0, 1e-12, -1e-12, 1.0, -1.0, 1e8, -1e8], indexing="ij"
-    )
-    for a in (0.0, 1.5, -2.25):
-        z = a + dz
-        got = modelmap._u_from(*modelmap._endpoint_log(a, rho, z), modelmap._log_rho2(rho))
-        assert np.array_equal(got, former_u_pot(a, rho, z), equal_nan=True)
-
-    m = build_model_map(figure2_diagram())
-    rho, z = np.meshgrid([0.0, 1e-3, 0.5, 2.0, 40.0], np.linspace(-12.0, 20.0, 65), indexing="ij")
+def reference_slot_potentials(m, rho, z):
+    """Each slot's potential U_k summed from its rod terms with one
+    logarithm per term (former_u_pot); None for a slot without terms."""
     want = []
-    for terms in (m.u_terms, m.v_terms):
-        acc = np.zeros_like(rho)
+    for terms in m.terms:
+        acc = np.zeros_like(rho) if terms else None
         for term in terms:
             if term[0] == "u":
                 acc += former_u_pot(term[1], rho, z)
@@ -419,8 +414,55 @@ def test_shared_log_rho_is_bit_identical():
                 ub[north] = 0.0
                 acc += ua - ub
         want.append(acc)
-    for got, ref in zip(m._UV(rho, z), want):
-        assert np.array_equal(got, ref, equal_nan=True)
+    return want
+
+
+def test_shared_log_rho_is_bit_identical():
+    # _slot_potentials takes 2 log rho once for all its rod terms; every
+    # term, and so each U_k, must come out as it did with one logarithm
+    # per term
+    rho, dz = np.meshgrid(
+        [0.0, 1e-12, 1e-3, 1.0, 1e6], [0.0, 1e-12, -1e-12, 1.0, -1.0, 1e8, -1e8], indexing="ij"
+    )
+    for a in (0.0, 1.5, -2.25):
+        z = a + dz
+        got = modelmap._u_from(*modelmap._endpoint_log(a, rho, z), modelmap._log_rho2(rho))
+        assert np.array_equal(got, former_u_pot(a, rho, z), equal_nan=True)
+
+    m = build_model_map(figure2_diagram())
+    rho, z = np.meshgrid([0.0, 1e-3, 0.5, 2.0, 40.0], np.linspace(-12.0, 20.0, 65), indexing="ij")
+    want = reference_slot_potentials(m, rho, z)
+    got = m._slot_potentials(rho, z)
+    assert len(got) == m.n and got[2] is None is want[2]
+    for got_k, ref in zip(got[:2], want):
+        assert np.array_equal(got_k, ref, equal_nan=True)
+
+
+@pytest.mark.parametrize(
+    "n, empty_slot", [(3, None), (4, None), (3, 0)], ids=["n3", "n4", "n3-empty-slot-0"]
+)
+def test_generalized_weyl_map_is_exact(n, empty_slot):
+    # one potential per slot: with identity frames and omega = 0 the model
+    # map is the exactly harmonic F = diag(exp Sigma_k), on and off the
+    # radial blend, and tau at fixed probes is the stencil's O(h^2)
+    # truncation error alone.  Emptying a slot keeps the map harmonic,
+    # with F_kk = 1 there.
+    m = weyl_map(parse(json.dumps(WEYL_DIAGRAMS[n])))
+    assert all(m.terms) and len(m.terms) == n
+    if empty_slot is not None:
+        m = m._replace(terms=tuple(() if k == empty_slot else t for k, t in enumerate(m.terms)))
+    rho, z = np.meshgrid([0.05, 0.5, 2.0, 40.0, 60.0, 200.0], np.linspace(-30.0, 40.0, 57))
+    chi = m._blend_weight(rho, z)
+    assert np.any(chi == 0.0) and np.any((0.0 < chi) & (chi < 1.0)) and np.any(chi == 1.0)
+    want = np.zeros(rho.shape + (n, n))
+    for k, U in enumerate(reference_slot_potentials(m, rho, z)):
+        want[..., k, k] = 1.0 if U is None else np.exp(U)
+    assert np.array_equal(m.F(np.stack([rho, z], axis=-1)), want)
+
+    probes = [(r, zz) for r in (0.5, 2.0) for zz in np.arange(-1.0, 11.0, 1.25)]
+    sups = [modelmap._tension_at(m, probes, h)[0].max() for h in (0.1, 0.05, 0.025)]
+    orders = [math.log2(coarse / fine) for coarse, fine in zip(sups, sups[1:])]
+    assert min(orders) >= 1.8, orders
 
 
 def test_potentials_stable_far_field():
@@ -768,16 +810,14 @@ def test_frame_factors_match_per_point_reference(diagram, transitions):
     M, Minv = stage.A[at], stage.A_inv[at]
     blend = chi_all > 0.0
     M[blend], Minv[blend], _ = m._blended(stage, at[blend], chi_all[blend])
-    d = modelmap._diag(*map(np.exp, m._UV(rho_all, z_all)), m.n)
+    d = slot_weights(m, rho_all, z_all)
 
     chis = []
     for k, (rho, z) in enumerate(pts):
         A = A_ref[k % len(z_samples)]
         chi = modelmap._smoothstep((math.hypot(rho, z - m.z0) - R1) / (R2 - R1))
         M_ref = A + chi * (m.far_frame - A)
-        U, V = m._UV(np.array([rho]), np.array([z]))
-        d_ref = np.ones(m.n)
-        d_ref[0], d_ref[1] = np.exp(U[0]), np.exp(V[0])
+        d_ref = slot_weights(m, np.array([rho]), np.array([z]))[0]
         assert np.array_equal(M[k], M_ref)
         assert np.array_equal(Minv[k], np.linalg.inv(M_ref))
         assert np.array_equal(d[k], d_ref)
@@ -981,11 +1021,10 @@ def transformed_map(m, h):
         out = []
         for p in pieces:
             M0 = act(p.M0)
-            out.append(dataclasses.replace(p, M0=M0, M1=M0 if p.M1 is p.M0 else act(p.M1)))
+            out.append(p._replace(M0=M0, M1=M0 if p.M1 is p.M0 else act(p.M1)))
         return out
 
-    return dataclasses.replace(
-        m,
+    return m._replace(
         segments=moved(m.segments, lambda M: h_inv_t @ M),
         far_frame=h_inv_t @ m.far_frame,
         omega_profile=moved(m.omega_profile, lambda c: h @ c),

@@ -1,7 +1,8 @@
 """Value semantics of the exact layer's result records: immutable, equal
 and equally hashed when their fields are equal, built positionally in the
 field order listed here.  RodDiagram is the one mutable record: it
-validates on construction, compares by (n, shape, rods) and is unhashable."""
+validates on construction, compares by (n, shape, rods) and is unhashable.
+The model map's records are immutable too, and are changed by _replace."""
 
 from pathlib import Path
 
@@ -9,6 +10,7 @@ import pytest
 
 from rodtopo.errors import DiagramValidationError, RodTopoError
 from rodtopo.intlin import IntMatrix, hermite_normal_form, smith_normal_form
+from rodtopo.modelmap import build_model_map, verify_tension
 from rodtopo.plumbing import doc_decomposition, verify_plumbing_relations
 from rodtopo.roddiagram import Rod, RodDiagram, cross_section_topology, parse
 from rodtopo.topology import AbelianGroup, classify, compactify, fundamental_group
@@ -127,3 +129,24 @@ def test_rod_diagram_validates_compares_by_fields_and_is_unhashable():
 def test_abelian_group_rejects_bad_invariants(free_rank, torsion, message):
     with pytest.raises(RodTopoError, match=f"^{message}$"):
         AbelianGroup(free_rank, torsion)
+
+
+def test_model_map_records_are_frozen_and_replaceable():
+    diagram = parse((DIAGRAMS / "two-horizon-one-corner.json").read_text())
+    m = build_model_map(diagram)
+    report = verify_tension(m, h=0.2)
+    assert report.model is m and "model" not in report.to_json_dict()
+    # a report's map is left out of repr and ==, as from to_json_dict
+    again = verify_tension(build_model_map(diagram), h=0.2)
+    assert again == report and not again != report and again.model is not m
+    assert repr(report).startswith("TensionReport(h=0.2, ") and "model" not in repr(report)
+    for record, name, value in [
+        (m, "epsilon", 0.1),
+        (m.segments[0], "z_hi", 0.0),
+        (report, "passed", not report.passed),
+    ]:
+        with pytest.raises(AttributeError):
+            setattr(record, name, value)
+        changed = record._replace(**{name: value})
+        assert type(changed) is type(record)
+        assert getattr(changed, name) == value != getattr(record, name)

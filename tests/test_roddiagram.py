@@ -26,7 +26,13 @@ from rodtopo.roddiagram import (
     _plane_reading,
 )
 
-from helpers import nonfinite_potential, rand_admissible_chain, rand_primitive, rand_unimodular
+from helpers import (
+    long_integer_text,
+    nonfinite_potential,
+    rand_admissible_chain,
+    rand_primitive,
+    rand_unimodular,
+)
 
 
 COUNTEREXAMPLE_JSON = json.dumps(
@@ -170,6 +176,14 @@ def test_parse_rejects_integers_beyond_the_float_range(rod, key):
     with pytest.raises(SchemaError) as exc:
         parse(json.dumps(diagram))
     assert str(exc.value) == f"rod {rod}: '{key}' holds an integer outside the float range"
+
+
+def test_parse_rejects_integers_beyond_the_digit_limit():
+    # json.loads refuses to read an int of more than 4300 digits with a
+    # plain ValueError; parse reports it as a schema error
+    with pytest.raises(SchemaError) as exc:
+        parse(long_integer_text())
+    assert str(exc.value) == "not valid JSON: an integer has more than 4300 digits"
 
 
 def test_parse_rejects_schema_violations():

@@ -211,6 +211,32 @@ def test_exact_subcommands_do_not_load_numpy():
     assert out["missing"] == "AttributeError"
 
 
+# Run in a fresh interpreter: the modules that importing the model map adds.
+MODELMAP_IMPORT_PROBE = """
+import json, sys
+before = set(sys.modules)
+import rodtopo.modelmap
+print(json.dumps(sorted(set(sys.modules) - before)))
+"""
+
+
+def test_modelmap_import_loads_no_dataclasses():
+    # the model map's records are NamedTuples like every other record of
+    # the package, so not even model-verify loads dataclasses
+    run = subprocess.run(
+        [sys.executable, "-c", MODELMAP_IMPORT_PROBE],
+        cwd=ROOT,
+        env={**os.environ, "PYTHONPATH": str(ROOT / "src")},
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert run.returncode == 0, run.stderr
+    imported = json.loads(run.stdout)
+    assert {"numpy", "rodtopo.modelmap"} <= set(imported)
+    assert "dataclasses" not in imported
+
+
 def test_model_verify_without_numpy_is_a_usage_error():
     # numpy made unimportable: model-verify refuses with one error line and
     # exit 2, as for any other unusable invocation, and no traceback
