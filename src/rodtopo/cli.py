@@ -242,13 +242,11 @@ def _cmd_model_verify(args):
             raise
         raise UsageError("model-verify needs numpy, which is not installed") from None
 
-    m = modelmap.build_model_map(diagram, epsilon=args.epsilon)
-    rep = modelmap.verify_tension(
-        m, h=args.grid_h, rays=args.rays, excision_factor=args.excision_factor
-    )
+    m = modelmap.build_model_map(diagram)
+    rep = modelmap.verify_tension(m, h=args.grid_h)
     payload = rep.to_json_dict()
     if args.dump_csv:
-        _write(args.dump_csv, rep.dump_csv)
+        _write(args.dump_csv, lambda path: modelmap.dump_csv(m, rep, path))
         payload["csv"] = args.dump_csv
     lines = [
         f"grid h = {rep.h}, excision = {rep.excision_radius}",
@@ -293,10 +291,6 @@ def _build_parser():
     p.add_argument("--spin", action="store_true")
     p = add("model-verify", _cmd_model_verify, "build the model map and verify its tension")
     p.add_argument("--grid-h", type=float, default=0.05)
-    p.add_argument("--epsilon", type=float, default=0.2)
-    p.add_argument("--rays", type=int, default=7)
-    p.add_argument("--excision-factor", type=float, default=3.0,
-                   help="excision radius around the axis set, in units of h")
     p.add_argument("--dump-csv", help="write the tau field as CSV to this path")
     return parser
 

@@ -229,8 +229,8 @@ def _profile_at(pieces, z):
 
 class _ZStage(NamedTuple):
     """The z-only factors of the map at sorted distinct z values: the
-    near-field twist potentials omega(z), the frames A(z), their inverses
-    and 1/det A, and the rank-one factors of F and F^-1 where the radial
+    near-field twist potentials omega(z), the frames A(z) and 1/det A,
+    and the rank-one factors of F and F^-1 where the radial
     blend leaves the frame at A(z),
 
         F = sum_k d_k a_k a_k^T,    F^-1 = sum_k m_k m_k^T / d_k,
@@ -243,7 +243,6 @@ class _ZStage(NamedTuple):
     z: np.ndarray
     omega: np.ndarray
     A: np.ndarray
-    A_inv: np.ndarray
     det_inv: np.ndarray
     row_outer: np.ndarray
     col_outer: np.ndarray
@@ -259,7 +258,6 @@ class ModelMap(NamedTuple):
     z0: float  # far-field center
     omega_profile: list  # near-field omega(z): FrameSegment partition of the z axis
     omega_far: tuple  # (c_north, c_south)
-    epsilon: float
     blend_radii: tuple  # (R1, R2)
     axis_segments: list  # (z_lo, z_hi) per axis rod, for distance queries
 
@@ -312,12 +310,11 @@ class ModelMap(NamedTuple):
         evaluates it once per grid level, or once per distinct z of a
         probe batch."""
         A = self.axis_frames(z_axis)
-        A_inv = np.linalg.inv(A)
-        rows = np.moveaxis(A_inv, 0, -1)  # rows[k, i] = a_k[i], z last
+        rows = np.moveaxis(np.linalg.inv(A), 0, -1)  # rows[k, i] = a_k[i], z last
         cols = np.moveaxis(A, 0, -1).swapaxes(0, 1)  # cols[k, i] = m_k[i]
         return _ZStage(
             z_axis, _profile_at(self.omega_profile, z_axis),
-            A, A_inv, 1.0 / np.linalg.det(A),
+            A, 1.0 / np.linalg.det(A),
             rows[:, :, None] * rows[:, None], cols[:, :, None] * cols[:, None],
         )
 
@@ -360,8 +357,8 @@ class ModelMap(NamedTuple):
         if blend.any():
             c_north, c_south = map(np.asarray, self.omega_far)
             theta = np.arctan2(rho[blend], z[blend] - self.z0)  # 0 at the north axis
-            span = math.pi - 2.0 * self.epsilon
-            s_theta = _smoothstep((theta - self.epsilon) / span)
+            span = math.pi - 2.0 * EPSILON
+            s_theta = _smoothstep((theta - EPSILON) / span)
             far = c_north + s_theta[:, None] * (c_south - c_north)
             c = chi[blend][:, None]
             near[blend] = (1.0 - c) * near[blend] + c * far
@@ -382,11 +379,7 @@ class ModelMap(NamedTuple):
 # construction
 
 
-def build_model_map(
-    diagram: RodDiagram,
-    epsilon: float = 0.2,
-    corrupt_transition: bool = False,
-) -> ModelMap:
+def build_model_map(diagram: RodDiagram, corrupt_transition: bool = False) -> ModelMap:
     """Model map for an admissible rod data set with nondegenerate horizons.
 
     The diagram must be a half-plane diagram carrying z-intervals on every
@@ -394,14 +387,15 @@ def build_model_map(
     integer matrix, and the build proves in integers (_det_keeps_sign) that
     det keeps one sign on each transition ramp and on the radial blend of
     each frame piece toward the far frame; a path where det vanishes,
-    changes sign, or stays undecided is rejected.  ``corrupt_transition``
-    then deliberately violates the constant-column constraint of the
-    southern frame curve (a negative control for the tension verifier: the
-    tension then blows up near the axis inside that transition).
+    changes sign, or stays undecided is rejected.  Far out, the twist
+    potentials run from the north to the south end value over the polar
+    angle, constant within EPSILON radians of each pole.
+    ``corrupt_transition`` deliberately violates the constant-column
+    constraint of the southern frame curve (a negative control for the
+    tension verifier: the tension then blows up near the axis inside that
+    transition).
     """
     _check_model_input(diagram)
-    if not 0.0 <= epsilon < 0.5 * math.pi:
-        raise ModelMapError(f"epsilon = {epsilon} must lie in [0, pi/2)")
     n = diagram.n
 
     comps = diagram.axis_components()
@@ -421,8 +415,7 @@ def build_model_map(
         )
         terms[slots[i]].append(term)
 
-    finite = [z for r in rods for z in r.z if math.isfinite(z)]
-    z_min, z_max = min(finite), max(finite)
+    z_min, z_max = _finite_extent(diagram)
     z0 = 0.5 * (z_min + z_max)
     width = max(z_max - z_min, 1.0)
 
@@ -451,7 +444,6 @@ def build_model_map(
         z0=z0,
         omega_profile=omega_profile,
         omega_far=(c_north, c_south),
-        epsilon=epsilon,
         blend_radii=(R1, R2),
         axis_segments=axis_segments,
     )
@@ -468,6 +460,12 @@ def _check_model_input(diagram):
     bad = diagram.inadmissible_corner()
     if bad:
         raise ModelMapError("corner between rods %d and %d is inadmissible (Det_2 = %d)" % bad)
+
+
+def _finite_extent(diagram):
+    """The least and the greatest finite rod endpoint."""
+    finite = [z for rod in diagram.rods for z in rod.z if math.isfinite(z)]
+    return min(finite), max(finite)
 
 
 def _assign_slots(diagram, comps, ends_parallel):
@@ -808,6 +806,7 @@ def tension_norm(m, rho, z, h):
     The stencil reaches 2h; the point must keep distance > 2h from the
     axis set and the half-plane boundary.
     """
+    _check_spacing(h)
     return float(_tension_at(m, [(rho, z)], h)[0][0])
 
 
@@ -846,15 +845,16 @@ def _tension_strips(m, h, rho_max, z_lo, z_hi, excision):
 
 def tension_field(m, h, rho_max, z_lo, z_hi, excision=None):
     """|tau| on a uniform grid, with points within the excision radius
-    (default 3h) of the axis set excised.
+    (default EXCISION_FACTOR * h) of the axis set excised.
 
     Returns (rho_grid, z_grid, tau, tau_f, tau_omega, mask); tau is NaN
     outside the mask.  The grid starts at rho = h, and tau lives on the
     interior points rho >= 3h.  Besides the returned arrays the memory in
     use is one strip's (see _tension_strips).
     """
+    _check_spacing(h)
     if excision is None:
-        excision = 3.0 * h
+        excision = EXCISION_FACTOR * h
     rho, z = _grid_axes(h, rho_max, z_lo, z_hi)
     R_t, Z_t = np.meshgrid(rho[2:-2], z[2:-2], indexing="ij")
     taus = tuple(np.empty(R_t.shape) for _ in range(3))
@@ -869,6 +869,12 @@ def tension_field(m, h, rho_max, z_lo, z_hi, excision=None):
 # ----------------------------------------------------------------------
 # the verifier
 
+
+# verifier settings
+EPSILON = 0.2  # radians at each pole over which the far omega stays constant
+RAYS = 7  # far-field decay rays
+DECADE_POINTS = 24  # samples per decay ray, over one decade of radius
+EXCISION_FACTOR = 3.0  # excision radius around the axis set, in units of h
 
 # verdict thresholds
 RAY_MARGIN = 0.25  # radians kept inside the omega wedge
@@ -891,67 +897,46 @@ class TensionReport(NamedTuple):
     sup_bounded_pass: bool
     decay_pass: bool
     passed: bool
-    model: ModelMap = None  # the verified map, for dump_csv
-
-    # repr and == leave the map out, as to_json_dict does: two maps compare
-    # by their numpy fields, which have no single truth value
-    def __repr__(self):
-        return "TensionReport(%s)" % ", ".join(f"{k}={v!r}" for k, v in self.to_json_dict().items())
-
-    def __eq__(self, other):
-        return isinstance(other, TensionReport) and self[:-1] == other[:-1]
-
-    def __ne__(self, other):
-        return not self == other
 
     def to_json_dict(self):
-        return {k: v for k, v in self._asdict().items() if k != "model"}
-
-    def dump_csv(self, path):
-        """Write the spacing-h field outside the excision radius, strip by strip."""
-        d = self.domain
-        strips = _tension_strips(
-            self.model, self.h, d["rho_max"], d["z_lo"], d["z_hi"], self.excision_radius
-        )
-        with open(path, "w") as fh:
-            fh.write("rho,z,tau,tau_f,tau_omega\n")
-            for _, rho, z, _, _, parts in strips:
-                keep = ~np.isnan(parts[0])
-                columns = [a[keep].tolist() for a in (rho, z, *parts)]
-                fh.writelines(map(_CSV_ROW.__mod__, zip(*columns)))
+        return self._asdict()
 
 
-def _finite_extent(m):
-    finite = [z for seg in m.axis_segments for z in seg if math.isfinite(z)]
-    for i in m.diagram.horizon_indices():
-        finite.extend(m.diagram.rods[i].z)
-    return min(finite), max(finite)
+def dump_csv(m, report, path):
+    """Write the tension field of the map m on the spacing-h grid of its
+    report, outside the excision radius, strip by strip."""
+    d = report.domain
+    strips = _tension_strips(m, report.h, d["rho_max"], d["z_lo"], d["z_hi"], report.excision_radius)
+    with open(path, "w") as fh:
+        fh.write("rho,z,tau,tau_f,tau_omega\n")
+        for _, rho, z, _, _, parts in strips:
+            keep = ~np.isnan(parts[0])
+            columns = [a[keep].tolist() for a in (rho, z, *parts)]
+            fh.writelines(map(_CSV_ROW.__mod__, zip(*columns)))
 
 
 @np.errstate(over="ignore", invalid="ignore")  # overflow is reported below, not warned
-def verify_tension(
-    m: ModelMap, h=0.05, rays=7, decade_points=24, excision_factor=3.0
-) -> TensionReport:
+def verify_tension(m: ModelMap, h=0.05) -> TensionReport:
     """Numerical verification of boundedness and decay of the tension.
 
     Reports the sup of |tau| on compact annuli at spacing h and h/2 (the
     ratio must stay below SUP_RATIO_LIMIT), a log-log decay fit along
-    far-field rays over one decade (slope at most SLOPE_LIMIT, unless the
-    far tension sits below NOISE_FLOOR), and the residual convergence
-    order at fixed probe points.  ``rays`` far-field rays carry
-    ``decade_points`` samples each, and points within
-    ``excision_factor * h`` of the axis set are excised.  A tension value
-    that overflows to inf or NaN raises ModelMapError naming it.
+    RAYS far-field rays of DECADE_POINTS samples each over one decade
+    (slope at most SLOPE_LIMIT, unless the far tension sits below
+    NOISE_FLOOR), and the residual convergence order at fixed probe
+    points.  Points within EXCISION_FACTOR * h of the axis set are
+    excised.  A tension value that overflows to inf or NaN raises
+    ModelMapError naming it.
     """
-    _check_spec(m, h, rays, decade_points, excision_factor)
-    lo, hi = _finite_extent(m)
+    _check_spacing(h)
+    lo, hi = _finite_extent(m.diagram)
     width = max(hi - lo, 1.0)
 
     # cover all frame transitions (they reach 1.6 widths past the poles)
     rho_max = width + 2.0
     z_lo = lo - 1.8 * width
     z_hi = hi + 1.8 * width
-    excision = excision_factor * h
+    excision = EXCISION_FACTOR * h
 
     annuli_bounds = [
         (0.0, 0.75 * width),
@@ -990,7 +975,7 @@ def verify_tension(
         )
     sup_ok = all(a["pass"] for a in annuli)
 
-    radii, angles, ray_points = _decay_rays(m, rays, decade_points)
+    radii, angles, ray_points = _decay_rays(m)
     probes = _convergence_probes(m, h, lo, hi, width)
     tau_h = _tension_at(m, ray_points + probes, h)[0]
     _require_finite(f"|tau| on a decay ray at h = {h}", tau_h[: len(ray_points)])
@@ -1010,7 +995,6 @@ def verify_tension(
         sup_bounded_pass=sup_ok,
         decay_pass=decay_pass,
         passed=passed,
-        model=m,
     )
 
 
@@ -1048,31 +1032,20 @@ def _require_finite(name, values):
             )
 
 
-def _check_spec(m, h, rays, decade_points, excision_factor):
-    """Reject settings under which the verifier would judge empty data."""
+def _check_spacing(h):
+    """Reject a grid spacing that is not a positive finite number."""
     if not (math.isfinite(h) and h > 0.0):
         raise ModelMapError(f"grid spacing h = {h} must be finite and > 0")
-    if not (math.isfinite(excision_factor) and excision_factor >= 0.0):
-        raise ModelMapError(f"excision_factor = {excision_factor} must be finite and >= 0")
-    if rays < 1:
-        raise ModelMapError(f"rays = {rays} must be at least 1")
-    if decade_points < 2:
-        raise ModelMapError(f"decade_points = {decade_points} must be at least 2")
-    if m.epsilon + RAY_MARGIN >= 0.5 * math.pi:
-        raise ModelMapError(
-            f"epsilon + ray_margin = {m.epsilon + RAY_MARGIN} leaves no "
-            "decay rays inside the omega wedge (must be < pi/2)"
-        )
 
 
-def _decay_rays(m, rays, decade_points):
+def _decay_rays(m):
     """Radii, angles and (rho, z) points of the far-field decay rays; the
     points run ray by ray, outwards along each ray."""
     r_start = 1.5 * m.blend_radii[1]
-    radii = r_start * np.power(10.0, np.linspace(0.0, 1.0, decade_points))
-    theta_lo = m.epsilon + RAY_MARGIN
-    theta_hi = math.pi - m.epsilon - RAY_MARGIN
-    angles = np.linspace(theta_lo, theta_hi, rays)
+    radii = r_start * np.power(10.0, np.linspace(0.0, 1.0, DECADE_POINTS))
+    theta_lo = EPSILON + RAY_MARGIN
+    theta_hi = math.pi - EPSILON - RAY_MARGIN
+    angles = np.linspace(theta_lo, theta_hi, RAYS)
     points = [
         (r * math.sin(theta), m.z0 + r * math.cos(theta)) for theta in angles for r in radii
     ]

@@ -335,7 +335,6 @@ def weyl_map(diagram):
         z0=0.5 * (min(finite) + max(finite)),
         omega_profile=[FrameSegment(-inf, inf, zero, zero)],
         omega_far=(zero, zero),
-        epsilon=0.2,
         blend_radii=(3.0 * width, 5.0 * width),
         axis_segments=[rods[i].z for i in axis],
     )

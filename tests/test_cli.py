@@ -4,7 +4,7 @@ from pathlib import Path
 import pytest
 
 from rodtopo import modelmap
-from rodtopo.cli import main
+from rodtopo.cli import _build_parser, main
 
 from helpers import (
     INADMISSIBLE_CORNER,
@@ -275,8 +275,7 @@ def no_corner_path(tmp_path):
 def test_model_verify_runs(capsys, tmp_path, no_corner_path):
     csv = tmp_path / "tau.csv"
     code, out = run_json(
-        capsys, "model-verify", no_corner_path, "--grid-h", "0.2", "--rays", "3",
-        "--dump-csv", str(csv),
+        capsys, "model-verify", no_corner_path, "--grid-h", "0.2", "--dump-csv", str(csv),
     )
     assert code in (0, 3)  # pass/fail is the report's verdict
     assert out["decay"]["pass"] is True
@@ -301,8 +300,7 @@ def test_model_verify_failed_verification_exit_code(capsys, monkeypatch):
     "argv",
     [
         ["validate", PAPER_DIAGRAM, "--out", "/nonexistent/d/x.json"],
-        ["model-verify", PAPER_DIAGRAM, "--grid-h", "0.25", "--rays", "3",
-         "--dump-csv", "/nonexistent/d/t.csv"],
+        ["model-verify", PAPER_DIAGRAM, "--grid-h", "0.25", "--dump-csv", "/nonexistent/d/t.csv"],
         ["model-verify", PAPER_DIAGRAM, "--out", "/nonexistent/d/x.json"],
     ],
     ids=["out", "dump-csv", "model-verify-out"],
@@ -328,18 +326,10 @@ def test_unwritable_output_is_usage_error(capsys, monkeypatch, argv):
         (["--grid-h", "nan"], "h = nan"),
         (["--grid-h", "inf"], "h = inf"),
         (["--grid-h", "5"], "h = 5.0"),  # grid without an interior point
-        (["--excision-factor", "1000"], "excision radius"),
-        (["--rays", "0"], "rays = 0"),
-        (["--epsilon", "1.6"], "epsilon = 1.6"),
-        (["--epsilon", "-0.1"], "epsilon = -0.1"),
-        (["--epsilon", "1.4"], "epsilon + ray_margin"),  # empty ray wedge
-        (["--excision-factor", "nan"], "excision_factor = nan"),
-        (["--excision-factor", "inf"], "excision_factor = inf"),
-        (["--excision-factor", "-5"], "excision_factor = -5.0"),
     ],
 )
 def test_model_verify_rejects_invalid_settings(capsys, no_corner_path, args, setting):
-    # each of these once crashed or passed on an empty grid or ray set
+    # each of these once crashed or passed on an empty grid
     assert main(["model-verify", no_corner_path, *args, "--format", "json"]) == 1
     captured = capsys.readouterr()
     assert captured.out == ""
@@ -347,3 +337,19 @@ def test_model_verify_rejects_invalid_settings(capsys, no_corner_path, args, set
     assert len(lines) == 1
     assert lines[0].startswith("error: ")
     assert setting in lines[0]
+
+
+def test_model_verify_options(capsys):
+    # the grid spacing is the verifier's one setting; EPSILON, RAYS and
+    # EXCISION_FACTOR are modelmap constants
+    (subcommands,) = [a for a in _build_parser()._actions if a.dest == "command"]
+    options = {
+        opt for action in subcommands.choices["model-verify"]._actions
+        for opt in action.option_strings
+    }
+    assert options - {"-h", "--help"} == {"--grid-h", "--dump-csv", "--format", "--out"}
+    for flag in ("--rays", "--epsilon", "--excision-factor"):
+        with pytest.raises(SystemExit) as exc:
+            main(["model-verify", PAPER_DIAGRAM, flag, "3"])
+        assert exc.value.code == 2
+        assert f"unrecognized arguments: {flag} 3" in capsys.readouterr().err

@@ -152,7 +152,7 @@ def reference_omega(m, points):
     if blend.any():
         c_north, c_south = map(np.asarray, m.omega_far)
         theta = np.arctan2(rho[blend], z[blend] - m.z0)
-        s_theta = modelmap._smoothstep((theta - m.epsilon) / (math.pi - 2.0 * m.epsilon))
+        s_theta = modelmap._smoothstep((theta - modelmap.EPSILON) / (math.pi - 2.0 * modelmap.EPSILON))
         far = c_north + s_theta[:, None] * (c_south - c_north)
         c = chi[blend][:, None]
         near[blend] = (1.0 - c) * near[blend] + c * far
@@ -279,7 +279,7 @@ def full_span_tension_stencil(F, Finv, f, w, rho, h):
 def verifier_grid(m):
     """The width of the diagram's finite extent and verify_tension's grid
     (rho_max, z_lo, z_hi)."""
-    lo, hi = modelmap._finite_extent(m)
+    lo, hi = modelmap._finite_extent(m.diagram)
     width = max(hi - lo, 1.0)
     return width, (width + 2.0, lo - 1.8 * width, hi + 1.8 * width)
 
@@ -735,6 +735,18 @@ def test_stencil_domain_errors():
         tension_norm(m, 0.2, -3.0, 0.1)  # reaches the axis rod at rho = 0
 
 
+@pytest.mark.parametrize("h", [0.0, -0.05, math.nan, math.inf])
+def test_tension_rejects_bad_spacing(h):
+    # both once ran: tension_norm gave NaN, or the value at |h|, and
+    # tension_field raised ZeroDivisionError or returned empty arrays
+    m = build_model_map(no_corner_diagram())
+    message = f"grid spacing h = {h} must be finite and > 0"
+    with pytest.raises(ModelMapError, match=message):
+        tension_norm(m, 1.0, 1.0, h)
+    with pytest.raises(ModelMapError, match=message):
+        tension_field(m, h, 3.0, -1.0, 3.0)
+
+
 def test_det_growth_matches_kaluza_klein_scale():
     m = build_model_map(figure2_diagram())
     rs = np.array([60.0, 120.0, 240.0, 480.0])
@@ -807,7 +819,7 @@ def test_frame_factors_match_per_point_reference(diagram, transitions):
     # the frames the tension kernel reads: the z stage's A(z) and A^-1,
     # replaced by _blended's frame and inverse where chi > 0
     rho_all, z_all, stage, at, chi_all = m._coords(pts)
-    M, Minv = stage.A[at], stage.A_inv[at]
+    M, Minv = stage.A[at], np.linalg.inv(stage.A)[at]
     blend = chi_all > 0.0
     M[blend], Minv[blend], _ = m._blended(stage, at[blend], chi_all[blend])
     d = slot_weights(m, rho_all, z_all)
@@ -906,8 +918,8 @@ def test_omega_span_matches_full_span_stencil(monkeypatch, diagram, transform, h
 
 def test_omega_span_matches_full_span_stencil_at_rays_and_probes(monkeypatch):
     m = build_model_map(parse(PAPER_DIAGRAM.read_text()))
-    lo, hi = modelmap._finite_extent(m)
-    _, _, rays = modelmap._decay_rays(m, 7, 24)
+    lo, hi = modelmap._finite_extent(m.diagram)
+    _, _, rays = modelmap._decay_rays(m)
     probes = modelmap._convergence_probes(m, 0.05, lo, hi, max(hi - lo, 1.0))
     points = rays + probes
     got = [modelmap._tension_at(m, points, h) for h in (0.05, 0.025)]
@@ -968,7 +980,7 @@ def test_distance_to_axis_matches_per_segment_hypot():
         pts = np.stack([R, Z], axis=-1)
         assert np.array_equal(m.distance_to_axis(pts), per_segment_distance(m, pts))
     rng = np.random.default_rng(55)
-    lo, hi = modelmap._finite_extent(m)
+    lo, hi = modelmap._finite_extent(m.diagram)
     rho = np.concatenate(
         [np.zeros(2000), rng.uniform(0.0, 1e-6, 2000), rng.uniform(0.0, 50.0, 6000)]
     )
@@ -1168,7 +1180,7 @@ def former_omega(self, rho, z, level, at, chi):
     if blend.any():
         c_north, c_south = map(np.asarray, self.omega_far)
         theta = np.arctan2(rho[blend], z[blend] - self.z0)
-        s_theta = modelmap._smoothstep((theta - self.epsilon) / (math.pi - 2.0 * self.epsilon))
+        s_theta = modelmap._smoothstep((theta - modelmap.EPSILON) / (math.pi - 2.0 * modelmap.EPSILON))
         far = c_north + s_theta[:, None] * (c_south - c_north)
         c = chi[blend][:, None]
         near[blend] = (1.0 - c) * near[blend] + c * far
@@ -1232,7 +1244,7 @@ def test_tension_invariant_under_unimodular_transform():
 
 def test_verify_tension_report_fig2():
     m = build_model_map(figure2_diagram())
-    rep = verify_tension(m, h=0.1, decade_points=12, rays=5)
+    rep = verify_tension(m, h=0.1)
     out = rep.to_json_dict()
     assert out["decay"]["pass"]
     assert out["decay"]["mean_slope"] <= -2.3
@@ -1335,33 +1347,12 @@ def test_no_horizon_parity_conflict_reported():
         build_model_map(d)
 
 
-@pytest.mark.parametrize("options, setting", [({"decade_points": 1}, "decade_points")])
-def test_verify_tension_rejects_empty_decay_data(options, setting):
-    m = build_model_map(no_corner_diagram())
-    with pytest.raises(ModelMapError, match=setting):
-        verify_tension(m, h=0.2, **options)
-
-
-@pytest.mark.parametrize("factor", [float("nan"), float("inf"), -5.0, -1e-300])
-def test_verify_tension_rejects_bad_excision_factor(monkeypatch, factor):
-    # a NaN factor once ran both grids before it reported "no interior
-    # point"; a negative one passed and reported a negative excision radius
-    m = build_model_map(no_corner_diagram())
-
-    def no_grid(*args):
-        raise AssertionError("the grid was evaluated")
-
-    monkeypatch.setattr(modelmap, "_tension_strips", no_grid)
-    with pytest.raises(ModelMapError, match=f"excision_factor = {factor}"):
-        verify_tension(m, h=0.2, excision_factor=factor)
-
-
 def test_verify_tension_harmonic_configuration():
     # exactly harmonic map: the measured far field and annulus sups are
     # pure discretization noise, which shrinks under refinement and falls
     # off faster than the required decay rate
     m = build_model_map(no_corner_diagram())
-    rep = verify_tension(m, h=0.1, decade_points=8, rays=3)
+    rep = verify_tension(m, h=0.1)
     assert rep.decay_pass
     assert rep.decay["max_tau"] < 1e-3
     for a in rep.annuli:
@@ -1382,9 +1373,9 @@ def test_s2_end_variant():
 
 def test_csv_dump(tmp_path):
     m = build_model_map(no_corner_diagram())
-    rep = verify_tension(m, h=0.2, decade_points=6, rays=3)
+    rep = verify_tension(m, h=0.2)
     path = tmp_path / "field.csv"
-    rep.dump_csv(path)
+    modelmap.dump_csv(m, rep, path)
     lines = path.read_text().splitlines()
     assert lines[0] == "rho,z,tau,tau_f,tau_omega"
     assert len(lines) > 100
@@ -1392,9 +1383,9 @@ def test_csv_dump(tmp_path):
 
 def test_csv_dump_matches_tension_field(tmp_path):
     m = build_model_map(figure2_diagram())
-    rep = verify_tension(m, h=0.25, decade_points=6, rays=3)
+    rep = verify_tension(m, h=0.25)
     path = tmp_path / "field.csv"
-    rep.dump_csv(path)
+    modelmap.dump_csv(m, rep, path)
     d = rep.domain
     field = tension_field(
         m, rep.h, d["rho_max"], d["z_lo"], d["z_hi"], excision=rep.excision_radius
@@ -1421,7 +1412,7 @@ def test_streamed_annuli_match_full_grid_reference(monkeypatch, diagram):
     # 10**4 rows is more than either grid has
     for strip_rows in (modelmap.STRIP_ROWS, 1, 10**4):
         monkeypatch.setattr(modelmap, "STRIP_ROWS", strip_rows)
-        assert verify_tension(m, h=0.2, decade_points=6, rays=3).annuli == want
+        assert verify_tension(m, h=0.2).annuli == want
 
 
 def test_verify_tension_memory_bounded_by_strip():
@@ -1447,7 +1438,7 @@ def test_verify_tension_memory_bounded_by_strip():
         tracemalloc.start()
         try:
             start = tracemalloc.get_traced_memory()[0]
-            verify_tension(m, h=0.1, decade_points=6, rays=3)
+            verify_tension(m, h=0.1)
             return tracemalloc.get_traced_memory()[1] - start
         finally:
             tracemalloc.stop()

@@ -2,7 +2,8 @@
 and equally hashed when their fields are equal, built positionally in the
 field order listed here.  RodDiagram is the one mutable record: it
 validates on construction, compares by (n, shape, rods) and is unhashable.
-The model map's records are immutable too, and are changed by _replace."""
+The model map's records are immutable too, but hold arrays, dicts or
+lists, so they are unhashable; they are changed by _replace."""
 
 from pathlib import Path
 
@@ -33,7 +34,19 @@ FIELDS = {
     "Fill": ("location", "rod_index", "kind", "inserted"),
     "FillinPlan": ("horizon_fills", "end_cap", "waypoints", "diagram"),
     "Classification": ("n", "k", "row", "summands", "display"),
+    "ModelMap": (
+        "n", "diagram", "slots", "terms", "segments", "far_frame", "z0",
+        "omega_profile", "omega_far", "blend_radii", "axis_segments",
+    ),
+    "FrameSegment": ("z_lo", "z_hi", "M0", "M1", "held_col"),
+    "TensionReport": (
+        "h", "excision_radius", "domain", "annuli", "decay", "convergence",
+        "sup_bounded_pass", "decay_pass", "passed",
+    ),
 }
+
+# records that hold a RodDiagram, an array, a dict or a list
+UNHASHABLE = {"FillinPlan", "ModelMap", "FrameSegment", "TensionReport"}
 
 
 def _samples():
@@ -43,7 +56,9 @@ def _samples():
     doc = doc_decomposition(doc_input)
     plumbing = doc.pieces[0].plumbing
     diagnostics = verify_plumbing_relations(plumbing.bundles, plumbing.plumbing_vectors)
-    plan = compactify(parse((DIAGRAMS / "two-horizon-one-corner.json").read_text()))
+    paper = parse((DIAGRAMS / "two-horizon-one-corner.json").read_text())
+    plan = compactify(paper)
+    model = build_model_map(paper)
     closed = parse((DIAGRAMS / "plumbed-doc-closed.json").read_text())
     rod = doc_input.rods[0]
     return [
@@ -62,6 +77,9 @@ def _samples():
         plan.end_cap,
         plan,
         classify(closed, spin=False),
+        model,
+        model.segments[0],
+        verify_tension(model, h=0.2),
     ]
 
 
@@ -83,11 +101,12 @@ def test_record_fields_are_frozen(record):
 def test_equal_fields_give_equal_records(record):
     cls = type(record)
     names = FIELDS[cls.__name__]
+    assert cls._fields == names
     values = [getattr(record, name) for name in names]
     by_position = cls(*values)
     by_keyword = cls(**dict(zip(names, values)))
     assert by_position == record and by_keyword == record
-    if cls.__name__ == "FillinPlan":  # it holds a RodDiagram
+    if cls.__name__ in UNHASHABLE:
         with pytest.raises(TypeError):
             hash(record)
     else:
@@ -135,13 +154,15 @@ def test_model_map_records_are_frozen_and_replaceable():
     diagram = parse((DIAGRAMS / "two-horizon-one-corner.json").read_text())
     m = build_model_map(diagram)
     report = verify_tension(m, h=0.2)
-    assert report.model is m and "model" not in report.to_json_dict()
-    # a report's map is left out of repr and ==, as from to_json_dict
+    assert report.to_json_dict() == report._asdict()
+    # a report holds plain values only: reports of two separately built
+    # maps compare equal, and repr is the NamedTuple default
     again = verify_tension(build_model_map(diagram), h=0.2)
-    assert again == report and not again != report and again.model is not m
-    assert repr(report).startswith("TensionReport(h=0.2, ") and "model" not in repr(report)
+    assert again == report and not again != report
+    fields = ", ".join(f"{k}={v!r}" for k, v in report._asdict().items())
+    assert repr(report) == f"TensionReport({fields})"
     for record, name, value in [
-        (m, "epsilon", 0.1),
+        (m, "z0", m.z0 + 1.0),
         (m.segments[0], "z_hi", 0.0),
         (report, "passed", not report.passed),
     ]:
