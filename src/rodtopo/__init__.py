@@ -14,66 +14,53 @@ The package splits into:
   numerical tension verifier
 - ``cli``        the ``rodtopo`` command-line front end
 
-Only ``modelmap`` needs numpy.  It is loaded on first access, either of
-``rodtopo.modelmap`` or of one of the names re-exported from it, so the
-exact layers and their CLI subcommands start without numpy.
+Every layer is loaded on first use: on first access to ``rodtopo.<layer>``
+or to a name re-exported from it.  Importing ``rodtopo`` loads no layer,
+and each CLI subcommand loads only the layers it calls, so only
+``model-verify`` loads ``modelmap`` and with it numpy.
+``from rodtopo import *`` binds the exact layers' names, not the model
+map's, and so loads no numpy either.
 """
 
 import importlib
 
-from .intlin import (
-    IntMatrix,
-    HermiteResult,
-    SmithResult,
-    determinant_divisor,
-    hermite_normal_form,
-    is_primitive_set,
-    is_primitive_vector,
-    smith_normal_form,
-)
-from .roddiagram import (
-    CrossSectionTopology,
-    Rod,
-    RodDiagram,
-    RodStructure,
-    asymptotic_end,
-    cross_section_topology,
-    parse,
-)
-from .plumbing import (
-    Bundle,
-    DocDecomposition,
-    ToricPlumbing,
-    decompose_component,
-    doc_decomposition,
-    plumbing_to_rods,
-    plumbing_vector,
-    triple_to_bundle,
-    verify_plumbing_relations,
-)
-from .topology import (
-    AbelianGroup,
-    FillinPlan,
-    betti2,
-    classify,
-    compactify,
-    end_pi1,
-    fillin_path,
-    fundamental_group,
-    is_simply_connected,
-)
-
 __version__ = "0.1.0"
 
-_MODELMAP_NAMES = frozenset(
-    {"ModelMap", "TensionReport", "build_model_map", "potentials", "tension_norm", "verify_tension"}
-)
+# each layer and the names re-exported from it
+_EXPORTS = {
+    "intlin": (
+        "IntMatrix", "HermiteResult", "SmithResult", "determinant_divisor",
+        "hermite_normal_form", "is_primitive_set", "is_primitive_vector", "smith_normal_form",
+    ),
+    "roddiagram": (
+        "CrossSectionTopology", "Rod", "RodDiagram", "RodStructure", "asymptotic_end",
+        "cross_section_topology", "parse",
+    ),
+    "plumbing": (
+        "Bundle", "DocDecomposition", "ToricPlumbing", "decompose_component", "doc_decomposition",
+        "plumbing_to_rods", "plumbing_vector", "triple_to_bundle", "verify_plumbing_relations",
+    ),
+    "topology": (
+        "AbelianGroup", "FillinPlan", "betti2", "classify", "compactify", "end_pi1",
+        "fillin_path", "fundamental_group", "is_simply_connected",
+    ),
+    "modelmap": (
+        "ModelMap", "TensionReport", "build_model_map", "potentials", "tension_norm",
+        "verify_tension",
+    ),
+    "errors": (),
+    "cli": (),
+}
+_HOME = {name: module for module, names in _EXPORTS.items() for name in names}
+
+__all__ = [name for name, module in _HOME.items() if module != "modelmap"]
 
 
 def __getattr__(name):
-    if name != "modelmap" and name not in _MODELMAP_NAMES:
+    module = name if name in _EXPORTS else _HOME.get(name)
+    if module is None:
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    # import_module, not ``from . import modelmap``: the latter asks this
+    # import_module, not ``from . import ...``: the latter asks this
     # package for the attribute first, which would call back in here
-    modelmap = importlib.import_module(".modelmap", __name__)
-    return modelmap if name == "modelmap" else getattr(modelmap, name)
+    layer = importlib.import_module(f".{module}", __name__)
+    return layer if module == name else getattr(layer, name)

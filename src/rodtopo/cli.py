@@ -7,8 +7,12 @@ file.  Exit codes: 0 success, 1 validation or relation failure (for
 an input that cannot be read or an output that cannot be written), 3 the
 model map was built but failed the tension verification.
 
-Only ``model-verify`` needs numpy: it loads ``rodtopo.modelmap`` when it
-runs, so every exact subcommand starts without numpy.
+Each subcommand imports the layers it calls when it runs, beyond the
+``intlin`` and ``roddiagram`` that every one of them needs to read its
+diagram: ``decompose`` loads ``plumbing``, ``analyze``, ``pi1``, ``fillin``,
+``compactify`` and ``classify`` load ``topology``, and only
+``model-verify`` loads ``modelmap`` and with it numpy.  The import runs at
+call time, so a stand-in bound on a layer's module is the one called.
 """
 
 from __future__ import annotations
@@ -23,9 +27,7 @@ from pathlib import Path
 from . import roddiagram
 from .errors import RodTopoError
 from .intlin import determinant_divisor, hermite_normal_form, smith_normal_form
-from .plumbing import doc_decomposition
 from .roddiagram import parse
-from .topology import _end_group, classify, compactify, fundamental_group, is_simply_connected
 
 
 def _fail(message, code):
@@ -138,6 +140,7 @@ def _cmd_detk(args):
 
 
 def _cmd_analyze(args):
+    from .topology import _end_group, fundamental_group
     diagram = parse(_load(args.input))
     corners = []
     for i, j in diagram.corners():
@@ -177,6 +180,7 @@ def _cmd_analyze(args):
 
 
 def _cmd_decompose(args):
+    from .plumbing import doc_decomposition
     diagram = parse(_load(args.input))
     doc = doc_decomposition(diagram)
     payload = doc.to_json_dict()
@@ -188,6 +192,7 @@ def _cmd_decompose(args):
 
 
 def _cmd_pi1(args):
+    from .topology import fundamental_group
     diagram = parse(_load(args.input))
     g = fundamental_group(diagram)
     _emit(args, g.to_json_dict(), [f"pi_1 = {g.display()}"])
@@ -195,6 +200,7 @@ def _cmd_pi1(args):
 
 
 def _cmd_fillin(args):
+    from .topology import compactify
     diagram = parse(_load(args.input))
     plan = compactify(diagram)
     payload = plan.to_json_dict()
@@ -208,6 +214,7 @@ def _cmd_fillin(args):
 
 
 def _cmd_compactify(args):
+    from .topology import compactify, is_simply_connected
     diagram = parse(_load(args.input))
     plan = compactify(diagram)
     payload = plan.to_json_dict()
@@ -219,6 +226,7 @@ def _cmd_compactify(args):
 
 
 def _cmd_classify(args):
+    from .topology import classify
     diagram = parse(_load(args.input))
     c = classify(diagram, spin=args.spin)
     payload = c.to_json_dict()
@@ -232,9 +240,6 @@ def _cmd_model_verify(args):
     for path in (args.out, args.dump_csv):
         if path:
             _require_directory(path)
-    # rodtopo.modelmap loads numpy, which no exact subcommand needs; its
-    # functions are looked up at call time, so a stand-in bound on the
-    # module is the one called
     try:
         from . import modelmap
     except ModuleNotFoundError as e:

@@ -132,12 +132,16 @@ def _torus_name(k):
 
 
 class RodDiagram:
-    __slots__ = ("n", "shape", "rods")  # __eq__ without __hash__: unhashable
+    """A rod diagram, validated when built.  ``rods`` must not change
+    after construction: the corner list is taken from it once."""
+
+    __slots__ = ("n", "shape", "rods", "_corners")  # __eq__ without __hash__: unhashable
 
     def __init__(self, n, shape, rods):
         self.n = n
         self.shape = shape  # "half_plane" | "disk"
         self.rods = rods  # list of Rod
+        self._corners = None
         self.validate()
 
     def __eq__(self, other):
@@ -174,12 +178,15 @@ class RodDiagram:
         return pairs
 
     def corners(self):
-        """(i, j) pairs of adjacent axis rods (meeting at a corner)."""
-        return [
-            (i, j)
-            for i, j in self.adjacent_pairs()
-            if self.rods[i].is_axis and self.rods[j].is_axis
-        ]
+        """(i, j) pairs of adjacent axis rods (meeting at a corner), as a
+        new list on each call."""
+        if self._corners is None:
+            self._corners = tuple(
+                (i, j)
+                for i, j in self.adjacent_pairs()
+                if self.rods[i].is_axis and self.rods[j].is_axis
+            )
+        return list(self._corners)
 
     def inadmissible_corner(self):
         """(i, j, Det_2) of the first corner whose structures have

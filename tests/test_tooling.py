@@ -151,8 +151,8 @@ EXACT_SUBCOMMANDS = [
 
 # Run in a fresh interpreter: the modules that importing the CLI adds (a
 # set difference, so modules a site hook loaded earlier do not count),
-# every exact subcommand on every diagram, then the lazy access to
-# rodtopo.modelmap through the package.
+# then the given subcommands on every diagram, and the package's modules
+# and numpy as loaded after them.
 NO_NUMPY_PROBE = """
 import sys
 before = set(sys.modules)
@@ -167,28 +167,102 @@ for path in sorted(Path("diagrams").glob("*.json")):
     for cmd, *rest in json.loads(sys.argv[1]):
         with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
             codes.append(cli.main([cmd, str(path), *rest]))
-loaded = sorted(m for m in ("numpy", "rodtopo.modelmap") if m in sys.modules)
+loaded = sorted(m for m in sys.modules if m == "numpy" or m.partition(".")[0] == "rodtopo")
+print(json.dumps({"imported": imported, "codes": codes, "loaded": loaded}))
+"""
 
+
+def _no_numpy_probe(subcommands):
+    run = subprocess.run(
+        [sys.executable, "-c", NO_NUMPY_PROBE, json.dumps(subcommands)],
+        cwd=ROOT,
+        env={**os.environ, "PYTHONPATH": str(ROOT / "src")},
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert run.returncode == 0, run.stderr
+    return json.loads(run.stdout)
+
+
+def test_exact_subcommands_do_not_load_numpy():
+    out = _no_numpy_probe(EXACT_SUBCOMMANDS)
+    # numpy is for model-verify only; dataclasses loads inspect and
+    # compiles methods for every class, on every start of an exact command
+    assert not {"numpy", "dataclasses"} & set(out["imported"]), out["imported"]
+    # every subcommand parses a diagram, and loads the layers it calls
+    # only when it runs
+    assert [m for m in out["imported"] if m.partition(".")[0] == "rodtopo"] == [
+        "rodtopo", "rodtopo.cli", "rodtopo.errors", "rodtopo.intlin", "rodtopo.roddiagram",
+    ]
+    diagrams = len(list((ROOT / "diagrams").glob("*.json")))
+    assert len(out["codes"]) == diagrams * len(EXACT_SUBCOMMANDS)
+    assert set(out["codes"]) <= {0, 1}  # 1: the diagram is outside the command's domain
+    assert 0 in out["codes"][len(EXACT_SUBCOMMANDS) - 1 :: len(EXACT_SUBCOMMANDS)]  # classify
+    assert not {"numpy", "rodtopo.modelmap"} & set(out["loaded"]), out["loaded"]
+    # each in a fresh interpreter: no subcommand loads both plumbing and topology
+    for cmd, layer, other in [("decompose", "plumbing", "topology"), ("analyze", "topology", "plumbing")]:
+        out = _no_numpy_probe([[cmd]])
+        assert set(out["codes"]) <= {0, 1}
+        assert f"rodtopo.{layer}" in out["loaded"] and f"rodtopo.{other}" not in out["loaded"], cmd
+
+
+# the names the package re-exports, by defining layer
+PACKAGE_EXPORTS = {
+    "intlin": [
+        "IntMatrix", "HermiteResult", "SmithResult", "determinant_divisor",
+        "hermite_normal_form", "is_primitive_set", "is_primitive_vector", "smith_normal_form",
+    ],
+    "roddiagram": [
+        "CrossSectionTopology", "Rod", "RodDiagram", "RodStructure", "asymptotic_end",
+        "cross_section_topology", "parse",
+    ],
+    "plumbing": [
+        "Bundle", "DocDecomposition", "ToricPlumbing", "decompose_component", "doc_decomposition",
+        "plumbing_to_rods", "plumbing_vector", "triple_to_bundle", "verify_plumbing_relations",
+    ],
+    "topology": [
+        "AbelianGroup", "FillinPlan", "betti2", "classify", "compactify", "end_pi1",
+        "fillin_path", "fundamental_group", "is_simply_connected",
+    ],
+    "modelmap": [
+        "ModelMap", "TensionReport", "build_model_map", "potentials", "tension_norm",
+        "verify_tension",
+    ],
+}
+
+# Run in a fresh interpreter: layers reached through the package, the names
+# a star import binds and whether it loaded numpy, then every re-exported
+# name against its defining layer's (the model map's last: it loads numpy),
+# and a name the package does not have.
+PACKAGE_NAMES_PROBE = """
+import importlib, json, sys
 import rodtopo
-modelmap = rodtopo.modelmap
-from rodtopo import verify_tension, build_model_map, tension_norm, ModelMap, TensionReport, potentials
-same = [
-    obj is getattr(modelmap, obj.__name__)
-    for obj in (verify_tension, build_model_map, tension_norm, ModelMap, TensionReport, potentials)
-]
+from rodtopo import cli
+layers = [rodtopo.topology.__name__, cli.__name__]
+star = {}
+exec("from rodtopo import *", star)
+star.pop("__builtins__")
+star_numpy = "numpy" in sys.modules
+same = {
+    name: getattr(rodtopo, name) is getattr(importlib.import_module("rodtopo." + layer), name)
+    for layer, names in json.loads(sys.argv[1]).items()
+    for name in names
+}
+layers.append(rodtopo.modelmap.__name__)
 try:
     rodtopo.no_such_name
     missing = "resolved"
 except AttributeError:
     missing = "AttributeError"
-print(json.dumps({"imported": imported, "codes": codes, "loaded": loaded,
-                  "modelmap": modelmap.__name__, "same": same, "missing": missing}))
+print(json.dumps({"layers": layers, "star": sorted(star), "star_numpy": star_numpy,
+                  "same": same, "missing": missing}))
 """
 
 
-def test_exact_subcommands_do_not_load_numpy():
+def test_package_names_and_star_import():
     run = subprocess.run(
-        [sys.executable, "-c", NO_NUMPY_PROBE, json.dumps(EXACT_SUBCOMMANDS)],
+        [sys.executable, "-c", PACKAGE_NAMES_PROBE, json.dumps(PACKAGE_EXPORTS)],
         cwd=ROOT,
         env={**os.environ, "PYTHONPATH": str(ROOT / "src")},
         capture_output=True,
@@ -197,17 +271,14 @@ def test_exact_subcommands_do_not_load_numpy():
     )
     assert run.returncode == 0, run.stderr
     out = json.loads(run.stdout)
-    # numpy is for model-verify only; dataclasses loads inspect and
-    # compiles methods for every class, on every start of an exact command
-    assert "rodtopo.cli" in out["imported"]
-    assert not {"numpy", "dataclasses"} & set(out["imported"]), out["imported"]
-    diagrams = len(list((ROOT / "diagrams").glob("*.json")))
-    assert len(out["codes"]) == diagrams * len(EXACT_SUBCOMMANDS)
-    assert set(out["codes"]) <= {0, 1}  # 1: the diagram is outside the command's domain
-    assert 0 in out["codes"][len(EXACT_SUBCOMMANDS) - 1 :: len(EXACT_SUBCOMMANDS)]  # classify
-    assert out["loaded"] == []
-    assert out["modelmap"] == "rodtopo.modelmap"
-    assert out["same"] == [True] * 6
+    assert out["layers"] == ["rodtopo.topology", "rodtopo.cli", "rodtopo.modelmap"]
+    # a star import binds the exact layers' names, and loads no numpy
+    exact = {name for layer, names in PACKAGE_EXPORTS.items() if layer != "modelmap" for name in names}
+    assert exact <= set(out["star"]), sorted(exact - set(out["star"]))
+    assert not set(out["star"]) & set(PACKAGE_EXPORTS["modelmap"])
+    assert not out["star_numpy"]
+    assert sorted(out["same"]) == sorted(n for names in PACKAGE_EXPORTS.values() for n in names)
+    assert all(out["same"].values()), out["same"]
     assert out["missing"] == "AttributeError"
 
 
