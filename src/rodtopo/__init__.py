@@ -64,3 +64,8 @@ def __getattr__(name):
     # package for the attribute first, which would call back in here
     layer = importlib.import_module(f".{module}", __name__)
     return layer if module == name else getattr(layer, name)
+
+
+def __dir__():
+    # the lazy names too, without loading a layer
+    return sorted({*globals(), *_EXPORTS, *_HOME})

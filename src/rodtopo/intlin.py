@@ -103,9 +103,6 @@ class IntMatrix:
             raise ValueError("shape mismatch")
         return tuple(sum(map(operator.mul, row, vec)) for row in self._e)
 
-    def __neg__(self):
-        return IntMatrix._trusted(tuple(tuple(-x for x in row) for row in self._e))
-
     def __eq__(self, other):
         return isinstance(other, IntMatrix) and self._e == other._e
 
@@ -468,7 +465,3 @@ def is_primitive_set(vectors) -> bool:
     if k > n:
         return False
     return determinant_divisor(IntMatrix.from_columns(vectors), k) == 1
-
-
-def vec_scale(c, v):
-    return tuple(c * a for a in v)

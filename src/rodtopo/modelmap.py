@@ -43,10 +43,13 @@ def potentials(a, rho, z):
     v_a = log(r_a + (z - a)) attached to the axis point z = a.
 
     On the axis above a the first is -inf (e^u = 0); below, the second.
-    Evaluation at the point (0, a) itself is undefined.
+    They are defined at finite points of the closed half plane rho >= 0,
+    except at the point (0, a) itself.
     """
     rho = float(rho)
     z = float(z)
+    if not (rho >= 0.0 and math.isfinite(rho) and math.isfinite(z)):
+        raise ValueError(f"({rho}, {z}) is not a finite point of the half plane rho >= 0")
     if rho == 0.0 and z == a:
         raise ValueError("potentials are singular at the axis point itself")
     rho, z = np.asarray(rho), np.asarray(z)
@@ -110,10 +113,6 @@ def _frame(slot_cols, n):
     return tuple(tuple(slot_cols[c]) if c in slot_cols else next(completion) for c in range(n))
 
 
-def _matrix(frame):
-    return np.array(list(zip(*frame)), dtype=float)
-
-
 def _det(frame):
     return _bareiss_det([list(col) for col in frame])
 
@@ -169,27 +168,30 @@ def _det_keeps_sign(corners, sign, level=0):
 
 class FrameSegment(NamedTuple):
     """One piece of a piecewise z-profile on [z_lo, z_hi): a plateau, or a
-    smoothstep ramp from M0 to M1.  The frame curve's pieces hold
-    matrices, the twist-potential profile's pieces hold vectors."""
+    smoothstep ramp from M0 to M1.  The values are exact tuples, so pieces
+    compare by value and hash: the frame curve's pieces hold integer
+    frames as tuples of matrix rows, the twist-potential profile's pieces
+    the rods' potential tuples.  eval turns them into float arrays."""
 
     z_lo: float
     z_hi: float
-    M0: np.ndarray
-    M1: np.ndarray  # equal to M0 on plateaus
+    M0: tuple
+    M1: tuple  # M0 itself on plateaus
     held_col: int | None = None
 
     @property
     def constant(self):
-        return self.M0 is self.M1 or np.array_equal(self.M0, self.M1)
+        return self.M0 == self.M1
 
     def eval(self, z):
-        """Values at the given z values (array), shape z.shape + M0.shape."""
+        """Values at the given z values (array), shape z.shape + M0's shape."""
         z = np.asarray(z, dtype=float)
+        M0 = np.asarray(self.M0, dtype=float)
         if self.constant:
-            return np.broadcast_to(self.M0, z.shape + self.M0.shape)
+            return np.broadcast_to(M0, z.shape + M0.shape)
         t = (z - self.z_lo) / (self.z_hi - self.z_lo)
         s = _smoothstep(t)
-        return self.M0 + s.reshape(s.shape + (1,) * self.M0.ndim) * (self.M1 - self.M0)
+        return M0 + s.reshape(s.shape + (1,) * M0.ndim) * (np.asarray(self.M1, dtype=float) - M0)
 
 
 def _profile_pieces(values, windows, held=None):
@@ -209,13 +211,13 @@ def _profile_pieces(values, windows, held=None):
         pieces.append(FrameSegment(z_lo, z_hi, values[k], values[k + 1], held[k]))
         cursor = z_hi
     pieces.append(FrameSegment(cursor, POS_INF, values[-1], values[-1]))
-    return pieces
+    return tuple(pieces)
 
 
 def _profile_at(pieces, z):
     """A piecewise z-profile at the z values (array); each piece serves the
     z in its half-open [z_lo, z_hi) and is evaluated once; NaN elsewhere."""
-    out = np.full(z.shape + pieces[0].M0.shape, np.nan)
+    out = np.full(z.shape + np.shape(pieces[0].M0), np.nan)
     for piece in pieces:
         hit = (z >= piece.z_lo) & (z < piece.z_hi)
         if hit.any():
@@ -249,17 +251,13 @@ class _ZStage(NamedTuple):
 
 
 class ModelMap(NamedTuple):
-    n: int
     diagram: RodDiagram
-    slots: dict  # rod index -> slot
     terms: tuple  # per slot, the rod terms ("u", a) | ("v", a) | ("ud", a, b)
-    segments: list  # frame curve M(z): FrameSegment partition of the z axis
-    far_frame: np.ndarray  # frame of the asymptotic region
+    segments: tuple  # frame curve M(z): FrameSegment partition of the z axis
+    far_frame: tuple  # integer frame of the asymptotic region, as matrix rows
     z0: float  # far-field center
-    omega_profile: list  # near-field omega(z): FrameSegment partition of the z axis
-    omega_far: tuple  # (c_north, c_south)
+    omega_profile: tuple  # near-field omega(z): FrameSegment partition of the z axis
     blend_radii: tuple  # (R1, R2)
-    axis_segments: list  # (z_lo, z_hi) per axis rod, for distance queries
 
     # ------------------------------------------------------------------
 
@@ -337,7 +335,7 @@ class ModelMap(NamedTuple):
         arrays of stage indices and weights: the z stage's frame blended
         toward the far frame, M = A(z) + chi (far - A(z))."""
         A = stage.A[at]
-        M = A + chi[:, None, None] * (self.far_frame - A)
+        M = A + chi[:, None, None] * (np.asarray(self.far_frame, dtype=float) - A)
         return M, np.linalg.inv(M), 1.0 / np.linalg.det(M)
 
     def F(self, points):
@@ -352,10 +350,13 @@ class ModelMap(NamedTuple):
         return self._omega(*self._coords(points))
 
     def _omega(self, rho, z, level, at, chi):
+        """Far out, omega runs from the north end plateau's value to the
+        south one's."""
         near = level.omega[at]
         blend = chi > 0.0
         if blend.any():
-            c_north, c_south = map(np.asarray, self.omega_far)
+            ends = self.omega_profile[-1].M0, self.omega_profile[0].M0
+            c_north, c_south = (np.asarray(c, dtype=float) for c in ends)
             theta = np.arctan2(rho[blend], z[blend] - self.z0)  # 0 at the north axis
             span = math.pi - 2.0 * EPSILON
             s_theta = _smoothstep((theta - EPSILON) / span)
@@ -370,7 +371,8 @@ class ModelMap(NamedTuple):
         # hypot is monotone in |dz|, so the hypot of the least z-gap is the
         # least hypot over the segments, bit for bit
         gap = np.full(rho.shape, np.inf)
-        for z_lo, z_hi in self.axis_segments:
+        for i in self.diagram.axis_indices():
+            z_lo, z_hi = self.diagram.rods[i].z
             np.minimum(gap, np.maximum(np.maximum(z_lo - z, z - z_hi), 0.0), out=gap)
         return np.hypot(rho, gap)
 
@@ -422,30 +424,21 @@ def build_model_map(diagram: RodDiagram, corrupt_transition: bool = False) -> Mo
     # far frame: the end structures occupy their slots (one slot if parallel)
     far_frame = _frame({slots[0]: south_v, slots[last]: north_v}, n)
     segments = _build_schedule(diagram, comps, slots, far_frame, width)
-    far_frame = _matrix(far_frame)
     if corrupt_transition:
         segments = _corrupt_first_transition(segments, n)
-
-    omega_profile, c_north, c_south = _omega_pieces(diagram, comps)
 
     z_half = 0.5 * (z_max - z_min)
     R1 = z_half + 2.5 * width
     R2 = z_half + 4.5 * width
 
-    axis_segments = [rods[i].z for i in diagram.axis_indices()]
-
     return ModelMap(
-        n=n,
         diagram=diagram,
-        slots=slots,
         terms=tuple(map(tuple, terms)),
         segments=segments,
-        far_frame=far_frame,
+        far_frame=tuple(zip(*far_frame)),
         z0=z0,
-        omega_profile=omega_profile,
-        omega_far=(c_north, c_south),
+        omega_profile=_omega_pieces(diagram, comps),
         blend_radii=(R1, R2),
-        axis_segments=axis_segments,
     )
 
 
@@ -534,7 +527,7 @@ def _build_schedule(diagram, comps, slots, far_frame, width):
     for ramp in zip(frames, frames[1:]):
         if not _det_keeps_sign((ramp, (far_frame, far_frame)), sign):
             raise ModelMapError("radial frame blend" + _DEGENERATE)
-    return _profile_pieces([_matrix(f) for f in frames], windows, held)
+    return _profile_pieces([tuple(zip(*f)) for f in frames], windows, held)
 
 
 _DEGENERATE = " passes through a degenerate matrix; the diagram needs a different frame completion"
@@ -583,29 +576,30 @@ def _corrupt_first_transition(segments, n):
     moved off the held column."""
     for k, seg in enumerate(segments):
         if not seg.constant and seg.held_col is not None:
-            bad, entry = seg.M1.copy(), ((seg.held_col + 1) % n, seg.held_col)
-            bad[entry] += 1.0
-            if _bareiss_det(bad.astype(int).tolist()) == 0:
-                bad[entry] += 1.0
-            return segments[:k] + [seg._replace(M1=bad)] + segments[k + 1 :]
+            bad, i, j = [list(row) for row in seg.M1], (seg.held_col + 1) % n, seg.held_col
+            bad[i][j] += 1
+            if _bareiss_det([row[:] for row in bad]) == 0:
+                bad[i][j] += 1
+            return segments[:k] + (seg._replace(M1=tuple(map(tuple, bad))),) + segments[k + 1 :]
     raise ModelMapError("no held-column transition available to corrupt")
 
 
 def _omega_pieces(diagram, comps):
-    """Piecewise z-profile of the near-field twist potentials: constant on
-    each axis component, smoothstep ramps over the middle half of each
-    horizon gap.  Returns (pieces, c_north, c_south).
+    """Piecewise z-profile of the near-field twist potentials: each axis
+    component's potential tuple on a plateau, smoothstep ramps over the
+    middle half of each horizon gap.  The end plateaus hold the north and
+    south values that omega takes far out.
     """
     rods = diagram.rods
     # validation makes the potentials equal across every corner
-    consts = [np.array(rods[comp[0]].potential, dtype=float) for comp in comps]
+    consts = [rods[comp[0]].potential for comp in comps]
     windows = []
     for comp, north in zip(comps, comps[1:]):
         gap_lo = rods[comp[-1]].z[1]
         gap_hi = rods[north[0]].z[0]
         span = gap_hi - gap_lo
         windows.append((gap_lo + 0.25 * span, gap_hi - 0.25 * span))
-    return _profile_pieces(consts, windows), consts[-1], consts[0]
+    return _profile_pieces(consts, windows)
 
 
 # ----------------------------------------------------------------------
@@ -788,9 +782,11 @@ def _tension_at(m, points, h):
     """(|tau|, |tau_F part|, |tau_omega part|) arrays at an (N, 2) array of
     points, each from the 5x5 patch of spacing h centered on it."""
     pts = np.asarray(points, dtype=float)
+    if not np.all(np.isfinite(pts)):
+        raise ValueError("stencil needs a finite point")
     # the axis set lies on rho = 0, so clearing the half-plane boundary by
     # the stencil reach 2h also clears the axis set by at least 2h
-    if np.any(pts[:, 0] - 2.0 * h <= 0.0):
+    if not np.all(pts[:, 0] - 2.0 * h > 0.0):
         raise ValueError("stencil leaves the half plane; reduce h or move the point")
     offsets = np.arange(-2, 3) * h
     patches = np.empty((5, 5) + pts.shape)

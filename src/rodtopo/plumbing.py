@@ -21,7 +21,7 @@ from math import gcd
 from typing import NamedTuple, Optional
 
 from .errors import InadmissibleCornerError, PlumbingRelationError
-from .intlin import IntMatrix, _bezout, hermite_normal_form, hermite_pivots, vec_scale
+from .intlin import IntMatrix, _bezout, hermite_normal_form, hermite_pivots
 from .roddiagram import (
     HALF_PLANE,
     CrossSectionTopology,
@@ -158,7 +158,7 @@ def triple_to_bundle(v1, v2, v3) -> Bundle:
         raise ValueError("bundle extraction needs structures in Z^n with n >= 3")
     first = _pair_dual(v1, v2)
     bundle, flipped = _read_triple(v1, v2, v3, first, _pair_dual(v2, v3))
-    _plumbing_vector_det3(v1, v2, vec_scale(-1, v3) if flipped else v3, *bundle.qrp, first[2])
+    _plumbing_vector_det3(v1, v2, tuple(-x for x in v3) if flipped else v3, *bundle.qrp, first[2])
     return bundle
 
 
@@ -479,7 +479,7 @@ def _read_back(rods, i, bundle, vec, first, second, d3):
         raise ValueError("bundle extraction needs structures in Z^n with n >= 3")
     back, flipped = _read_triple(v1, v2, v3, first, second)
     if back != bundle:
-        _plumbing_vector_det3(v1, v2, vec_scale(-1, v3) if flipped else v3, *back.qrp, first[2])
+        _plumbing_vector_det3(v1, v2, tuple(-x for x in v3) if flipped else v3, *back.qrp, first[2])
     elif back.qrp[2] != 0:
         _certify(vec, d3)
     return back

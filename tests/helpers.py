@@ -9,8 +9,6 @@ from math import gcd, inf
 import json
 import random
 
-import numpy as np
-
 from rodtopo.errors import DiagramValidationError
 from rodtopo.intlin import IntMatrix
 from rodtopo.modelmap import FrameSegment, ModelMap
@@ -324,17 +322,13 @@ def weyl_map(diagram):
         terms[slots[i]].append(term)
     finite = [z for r in rods for z in r.z if abs(z) < inf]
     width = max(finite) - min(finite)
-    eye, zero = np.eye(n), np.zeros(n)
+    eye, zero = tuple(tuple(int(i == j) for j in range(n)) for i in range(n)), (0.0,) * n
     return ModelMap(
-        n=n,
         diagram=diagram,
-        slots=slots,
         terms=tuple(map(tuple, terms)),
-        segments=[FrameSegment(-inf, inf, eye, eye)],
+        segments=(FrameSegment(-inf, inf, eye, eye),),
         far_frame=eye,
         z0=0.5 * (min(finite) + max(finite)),
-        omega_profile=[FrameSegment(-inf, inf, zero, zero)],
-        omega_far=(zero, zero),
+        omega_profile=(FrameSegment(-inf, inf, zero, zero),),
         blend_radii=(3.0 * width, 5.0 * width),
-        axis_segments=[rods[i].z for i in axis],
     )

@@ -130,7 +130,10 @@ def test_assert_hermite_checks_the_shape():
     res = hermite_normal_form(A)
     _assert_hermite(res, A)
     # -Q is unimodular and -Q @ A == -H, so only the shape refuses these
-    negated = HermiteResult(-res.H, -res.Q, res.pivots)
+    def neg(M):
+        return IntMatrix([[-x for x in row] for row in M.to_lists()])
+
+    negated = HermiteResult(neg(res.H), neg(res.Q), res.pivots)
     with pytest.raises(AssertionError, match="not in Hermite form"):
         _assert_hermite(negated, A)
     with pytest.raises(AssertionError, match="recorded pivots"):
@@ -354,7 +357,7 @@ def test_internal_results_equal_validated_matrices():
     for _ in range(50):
         A = rand_matrix(rng, rng.randint(1, 4), rng.randint(1, 4))
         h, s = hermite_normal_form(A), smith_normal_form(A)
-        results = [h.H, h.Q, s.S, s.U, s.V, -A, A @ s.V]
+        results = [h.H, h.Q, s.S, s.U, s.V, A @ s.V]
         results.append(IntMatrix.identity(A.rows))
         for M in results:
             validated = IntMatrix(M.to_lists())

@@ -2,6 +2,7 @@ import io
 import json
 import math
 import tracemalloc
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -114,7 +115,7 @@ def reference_frame_factors(m, points):
     blend = chi > 0.0
     if blend.any():
         Mb = M[blend]
-        Mb += chi[blend][:, None, None] * (m.far_frame - Mb)
+        Mb += chi[blend][:, None, None] * (np.asarray(m.far_frame, dtype=float) - Mb)
         M[blend] = Mb
         Minv[blend] = np.linalg.inv(Mb)
         det_inv[blend] = 1.0 / np.linalg.det(Mb)
@@ -124,7 +125,7 @@ def reference_frame_factors(m, points):
 def slot_weights(m, rho, z):
     """d = (e^(U_0), ..., e^(U_(n-1))) at the points, 1 on a slot without
     terms; (..., n)."""
-    d = np.ones(rho.shape + (m.n,))
+    d = np.ones(rho.shape + (m.diagram.n,))
     for k, U in enumerate(m._slot_potentials(rho, z)):
         if U is not None:
             d[..., k] = np.exp(U)
@@ -135,10 +136,11 @@ def reference_piece_value(pieces, z):
     """A z-profile at one z: the single piece whose half-open [z_lo, z_hi)
     holds z, and the ramp formula applied to it."""
     (piece,) = [p for p in pieces if p.z_lo <= z < p.z_hi]
-    if np.array_equal(piece.M0, piece.M1):
-        return piece.M0
+    M0, M1 = (np.asarray(M, dtype=float) for M in (piece.M0, piece.M1))
+    if np.array_equal(M0, M1):
+        return M0
     s = modelmap._smoothstep((z - piece.z_lo) / (piece.z_hi - piece.z_lo))
-    return piece.M0 + s * (piece.M1 - piece.M0)
+    return M0 + s * (M1 - M0)
 
 
 def reference_omega(m, points):
@@ -146,11 +148,12 @@ def reference_omega(m, points):
     pts = np.asarray(points, dtype=float)
     rho, z = pts[..., 0], pts[..., 1]
     near = np.array([reference_piece_value(m.omega_profile, zz) for zz in z.ravel()])
-    near = near.reshape(rho.shape + (m.n,))
+    near = near.reshape(rho.shape + (m.diagram.n,))
     chi = m._blend_weight(rho, z)
     blend = chi > 0.0
     if blend.any():
-        c_north, c_south = map(np.asarray, m.omega_far)
+        ends = m.omega_profile[-1].M0, m.omega_profile[0].M0
+        c_north, c_south = (np.asarray(c, dtype=float) for c in ends)
         theta = np.arctan2(rho[blend], z[blend] - m.z0)
         s_theta = modelmap._smoothstep((theta - modelmap.EPSILON) / (math.pi - 2.0 * modelmap.EPSILON))
         far = c_north + s_theta[:, None] * (c_south - c_north)
@@ -338,6 +341,11 @@ def test_potentials_on_axis_values():
 def test_potentials_singular_point():
     with pytest.raises(ValueError):
         potentials(1.5, 0.0, 1.5)
+    # off the half plane, or not a finite point: once (nan, 0.48...),
+    # (nan, nan) and (-inf, inf)
+    for rho, z in [(-1.0, 0.5), (math.nan, 0.5), (1.0, math.inf), (math.inf, 1.0), (1.0, math.nan)]:
+        with pytest.raises(ValueError, match="not a finite point of the half plane"):
+            potentials(0.0, rho, z)
 
 
 def _axi_laplacian(fn, rho, z, h):
@@ -433,7 +441,7 @@ def test_shared_log_rho_is_bit_identical():
     rho, z = np.meshgrid([0.0, 1e-3, 0.5, 2.0, 40.0], np.linspace(-12.0, 20.0, 65), indexing="ij")
     want = reference_slot_potentials(m, rho, z)
     got = m._slot_potentials(rho, z)
-    assert len(got) == m.n and got[2] is None is want[2]
+    assert len(got) == m.diagram.n and got[2] is None is want[2]
     for got_k, ref in zip(got[:2], want):
         assert np.array_equal(got_k, ref, equal_nan=True)
 
@@ -673,13 +681,11 @@ def test_frame_paths_match_an_independent_root_count(monkeypatch):
         outcomes["built"] += 1
         if k % 10:
             continue
-        far = m.far_frame.astype(int).tolist()
         for seg in m.segments:
-            P0, P1 = seg.M0.astype(int).tolist(), seg.M1.astype(int).tolist()
-            if P0 != P1:
-                assert not has_root(P0, P1)
-                for A in slices(P0, P1, 8):
-                    assert not has_root(A, scaled(far, 8))
+            if not seg.constant:
+                assert not has_root(seg.M0, seg.M1)
+                for A in slices(seg.M0, seg.M1, 8):
+                    assert not has_root(A, scaled(m.far_frame, 8))
     # ROADMAP items 5 and 6 are to turn these rejections into built maps
     assert outcomes == {"built": 371, "transition": 313, "radial": 9}
 
@@ -733,6 +739,12 @@ def test_stencil_domain_errors():
         tension_norm(m, 0.05, 0.5, 0.05)  # stencil leaves the half plane
     with pytest.raises(ValueError):
         tension_norm(m, 0.2, -3.0, 0.1)  # reaches the axis rod at rho = 0
+    # these once gave NaN, the last two with numpy warnings
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for rho, z in [(math.nan, 1.0), (math.inf, 1.0), (1.0, math.nan), (1.0, math.inf)]:
+            with pytest.raises(ValueError, match="stencil"):
+                tension_norm(m, rho, z, 0.05)
 
 
 @pytest.mark.parametrize("h", [0.0, -0.05, math.nan, math.inf])
@@ -828,7 +840,7 @@ def test_frame_factors_match_per_point_reference(diagram, transitions):
     for k, (rho, z) in enumerate(pts):
         A = A_ref[k % len(z_samples)]
         chi = modelmap._smoothstep((math.hypot(rho, z - m.z0) - R1) / (R2 - R1))
-        M_ref = A + chi * (m.far_frame - A)
+        M_ref = A + chi * (np.asarray(m.far_frame, dtype=float) - A)
         d_ref = slot_weights(m, np.array([rho]), np.array([z]))[0]
         assert np.array_equal(M[k], M_ref)
         assert np.array_equal(Minv[k], np.linalg.inv(M_ref))
@@ -907,7 +919,7 @@ def test_omega_span_matches_full_span_stencil(monkeypatch, diagram, transform, h
     # the omega terms are exactly zero outside the span of columns whose
     # patches see w change, so skipping them there moves no bit
     base = build_model_map(diagram)
-    m = transformed_map(base, h_matrices(base.n)[0]) if transform else base
+    m = transformed_map(base, h_matrices(base.diagram.n)[0]) if transform else base
     args = (m, h) + (grid or verifier_grid(base)[1])
     got = tension_field(*args)
     monkeypatch.setattr(modelmap, "_tension_stencil", full_span_tension_stencil)
@@ -959,12 +971,16 @@ def test_omega_terms_only_on_the_span(monkeypatch):
     assert np.nanmax(tau_w[:, span]) > 0.0
 
 
+def axis_rod_intervals(m):
+    return [m.diagram.rods[i].z for i in m.diagram.axis_indices()]
+
+
 def per_segment_distance(m, points):
     """Distance to the axis set as the least hypot over the axis rods."""
     pts = np.asarray(points, dtype=float)
     rho, z = pts[..., 0], pts[..., 1]
     best = np.full(rho.shape, np.inf)
-    for z_lo, z_hi in m.axis_segments:
+    for z_lo, z_hi in axis_rod_intervals(m):
         dz = np.maximum(np.maximum(z_lo - z, z - z_hi), 0.0)
         np.minimum(best, np.hypot(rho, dz), out=best)
     return best
@@ -985,7 +1001,7 @@ def test_distance_to_axis_matches_per_segment_hypot():
         [np.zeros(2000), rng.uniform(0.0, 1e-6, 2000), rng.uniform(0.0, 50.0, 6000)]
     )
     z = rng.uniform(lo - 1e3, hi + 1e3, rho.size)
-    z[:3000] = rng.choice([lo, hi, lo - 1e8, hi + 1e8, *(b for s in m.axis_segments for b in s
+    z[:3000] = rng.choice([lo, hi, lo - 1e8, hi + 1e8, *(b for s in axis_rod_intervals(m) for b in s
                                                          if math.isfinite(b))], 3000)
     pts = np.stack([rho, z], axis=-1)
     got = m.distance_to_axis(pts)
@@ -1024,23 +1040,25 @@ def h_matrices(n):
 def transformed_map(m, h):
     """The model map pushed through the change of coordinates h, F ->
     h F h^T and omega -> h omega, by moving its data: every frame M (the
-    far frame too) becomes h^-T M and every twist potential c becomes h c.
-    Plateau pieces keep M0 is M1."""
+    far frame too) becomes h^-T M and every twist potential c becomes h c,
+    the far ones with the end plateaus.  Plateau pieces keep M0 is M1."""
     h = np.asarray(h, dtype=float)
     h_inv_t = np.linalg.inv(h).T
+
+    def frame(M):
+        return tuple(map(tuple, (h_inv_t @ M).tolist()))
 
     def moved(pieces, act):
         out = []
         for p in pieces:
             M0 = act(p.M0)
             out.append(p._replace(M0=M0, M1=M0 if p.M1 is p.M0 else act(p.M1)))
-        return out
+        return tuple(out)
 
     return m._replace(
-        segments=moved(m.segments, lambda M: h_inv_t @ M),
-        far_frame=h_inv_t @ m.far_frame,
-        omega_profile=moved(m.omega_profile, lambda c: h @ c),
-        omega_far=tuple(h @ c for c in m.omega_far),
+        segments=moved(m.segments, frame),
+        far_frame=frame(m.far_frame),
+        omega_profile=moved(m.omega_profile, lambda c: tuple((h @ c).tolist())),
     )
 
 
@@ -1053,7 +1071,7 @@ def test_transformed_map_moves_fields_by_h(diagram, kind):
     # F -> h F h^T and omega -> h omega at plateau, ramp, blend and far
     # points, to round-off of each point's largest entry
     base = build_model_map(diagram)
-    h = h_matrices(base.n)[kind]
+    h = h_matrices(base.diagram.n)[kind]
     m = transformed_map(base, h)
     _, pts = frame_sample_points(base)
     chi = base._blend_weight(*pts.T)
@@ -1081,7 +1099,7 @@ def test_rank_one_fields_match_stacked_products(diagram, kind):
     # factors; they must agree with the stacked products of the frame
     # factors to round-off (rtol 1e-12), and be exactly symmetric
     base = build_model_map(diagram)
-    m = base if kind is None else transformed_map(base, h_matrices(base.n)[kind])
+    m = base if kind is None else transformed_map(base, h_matrices(base.diagram.n)[kind])
     _, pts = frame_sample_points(base)
     pts = pts[pts[:, 0] <= 2.0]  # rho = 0.5 and 2 on every frame piece
     assert not np.any(base._blend_weight(*pts.T))
@@ -1178,7 +1196,8 @@ def former_omega(self, rho, z, level, at, chi):
     near = modelmap._profile_at(self.omega_profile, level.z)[at]
     blend = chi > 0.0
     if blend.any():
-        c_north, c_south = map(np.asarray, self.omega_far)
+        ends = self.omega_profile[-1].M0, self.omega_profile[0].M0
+        c_north, c_south = (np.asarray(c, dtype=float) for c in ends)
         theta = np.arctan2(rho[blend], z[blend] - self.z0)
         s_theta = modelmap._smoothstep((theta - modelmap.EPSILON) / (math.pi - 2.0 * modelmap.EPSILON))
         far = c_north + s_theta[:, None] * (c_south - c_north)
@@ -1279,8 +1298,11 @@ def test_multi_corner_component_block_assembly():
         ],
     )
     m = build_model_map(d)
-    held = [seg.held_col for seg in m.segments if not seg.constant]
-    assert m.slots[1] in held  # the mid-rod transition holds rod 1's slot
+    # the ramp along rod 1 holds rod 1's structure column at both ends
+    (ramp,) = [seg for seg in m.segments if 0.0 < seg.z_lo < seg.z_hi < 2.0]
+    col = list(d.rods[1].structure.v)
+    assert not ramp.constant
+    assert [row[ramp.held_col] for row in ramp.M0] == col == [row[ramp.held_col] for row in ramp.M1]
     for idx, zm in [(0, -1.0), (1, 1.0), (2, 3.0), (4, 8.0)]:
         F = m.F(np.array([[1e-6, zm]]))[0]
         w, vecs = np.linalg.eigh(F)

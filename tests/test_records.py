@@ -2,8 +2,9 @@
 and equally hashed when their fields are equal, built positionally in the
 field order listed here.  RodDiagram is the one mutable record: it
 validates on construction, compares by (n, shape, rods) and is unhashable.
-The model map's records are immutable too, but hold arrays, dicts or
-lists, so they are unhashable; they are changed by _replace."""
+The model map's records are immutable too and hold exact tuples, so they
+compare by value and are changed by _replace; a FrameSegment hashes, a
+ModelMap, which holds its RodDiagram, does not."""
 
 from pathlib import Path
 
@@ -35,8 +36,7 @@ FIELDS = {
     "FillinPlan": ("horizon_fills", "end_cap", "waypoints", "diagram"),
     "Classification": ("n", "k", "row", "summands", "display"),
     "ModelMap": (
-        "n", "diagram", "slots", "terms", "segments", "far_frame", "z0",
-        "omega_profile", "omega_far", "blend_radii", "axis_segments",
+        "diagram", "terms", "segments", "far_frame", "z0", "omega_profile", "blend_radii",
     ),
     "FrameSegment": ("z_lo", "z_hi", "M0", "M1", "held_col"),
     "TensionReport": (
@@ -45,8 +45,8 @@ FIELDS = {
     ),
 }
 
-# records that hold a RodDiagram, an array, a dict or a list
-UNHASHABLE = {"FillinPlan", "ModelMap", "FrameSegment", "TensionReport"}
+# records that hold a RodDiagram, a dict or a list
+UNHASHABLE = {"FillinPlan", "ModelMap", "TensionReport"}
 
 
 def _samples():
@@ -161,6 +161,11 @@ def test_model_map_records_are_frozen_and_replaceable():
     assert again == report and not again != report
     fields = ", ".join(f"{k}={v!r}" for k, v in report._asdict().items())
     assert repr(report) == f"TensionReport({fields})"
+    # so does a map: two built from one diagram are equal, the negative
+    # control is not, and its pieces sit in a tuple
+    assert build_model_map(diagram) == m
+    assert build_model_map(diagram, corrupt_transition=True) != m
+    assert type(m.segments) is tuple
     for record, name, value in [
         (m, "z0", m.z0 + 1.0),
         (m.segments[0], "z_hi", 0.0),

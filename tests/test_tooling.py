@@ -282,6 +282,35 @@ def test_package_names_and_star_import():
     assert out["missing"] == "AttributeError"
 
 
+# Run in a fresh interpreter: dir(rodtopo), and the modules that calling it adds.
+PACKAGE_DIR_PROBE = """
+import json, sys
+import rodtopo
+before = set(sys.modules)
+names = dir(rodtopo)
+print(json.dumps({"dir": names, "loaded": sorted(set(sys.modules) - before)}))
+"""
+
+
+def test_package_dir_lists_lazy_names():
+    run = subprocess.run(
+        [sys.executable, "-c", PACKAGE_DIR_PROBE],
+        cwd=ROOT,
+        env={**os.environ, "PYTHONPATH": str(ROOT / "src")},
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert run.returncode == 0, run.stderr
+    out = json.loads(run.stdout)
+    # every layer and every re-exported name, as tab completion needs them
+    lazy = {*PACKAGE_EXPORTS, "errors", "cli"}
+    lazy.update(name for names in PACKAGE_EXPORTS.values() for name in names)
+    assert lazy <= set(out["dir"]), sorted(lazy - set(out["dir"]))
+    assert out["dir"] == sorted(out["dir"])
+    assert not [m for m in out["loaded"] if m.partition(".")[0] == "rodtopo"], out["loaded"]
+
+
 # Run in a fresh interpreter: the modules that importing the model map adds.
 MODELMAP_IMPORT_PROBE = """
 import json, sys
