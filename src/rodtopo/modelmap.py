@@ -15,7 +15,9 @@ holding the active rod's structure column of M exactly constant through
 every transition, which is what keeps the tension bounded near the axis.
 Wherever M is constant and omega is constant the map is exactly harmonic;
 the leftover tension lives in the frame transitions and in the angular
-twist-potential interpolation at infinity, which decays like r^(-5/2).
+twist-potential interpolation at infinity.  Its decay exponent there is
+not derived yet; the verifier fits the slope of log |tau| against log r
+along far rays and checks only that against SLOPE_LIMIT.
 """
 
 from __future__ import annotations
@@ -44,12 +46,13 @@ def potentials(a, rho, z):
 
     On the axis above a the first is -inf (e^u = 0); below, the second.
     They are defined at finite points of the closed half plane rho >= 0,
-    except at the point (0, a) itself.
+    except at the point (0, a) itself, for a finite a.
     """
-    rho = float(rho)
-    z = float(z)
+    rho, z, a = float(rho), float(z), float(a)
     if not (rho >= 0.0 and math.isfinite(rho) and math.isfinite(z)):
         raise ValueError(f"({rho}, {z}) is not a finite point of the half plane rho >= 0")
+    if not math.isfinite(a):
+        raise ValueError(f"axis point a = {a} is not finite")
     if rho == 0.0 and z == a:
         raise ValueError("potentials are singular at the axis point itself")
     rho, z = np.asarray(rho), np.asarray(z)
@@ -171,7 +174,7 @@ class FrameSegment(NamedTuple):
     smoothstep ramp from M0 to M1.  The values are exact tuples, so pieces
     compare by value and hash: the frame curve's pieces hold integer
     frames as tuples of matrix rows, the twist-potential profile's pieces
-    the rods' potential tuples.  eval turns them into float arrays."""
+    the rods' potential tuples.  _profile_at evaluates them."""
 
     z_lo: float
     z_hi: float
@@ -182,16 +185,6 @@ class FrameSegment(NamedTuple):
     @property
     def constant(self):
         return self.M0 == self.M1
-
-    def eval(self, z):
-        """Values at the given z values (array), shape z.shape + M0's shape."""
-        z = np.asarray(z, dtype=float)
-        M0 = np.asarray(self.M0, dtype=float)
-        if self.constant:
-            return np.broadcast_to(M0, z.shape + M0.shape)
-        t = (z - self.z_lo) / (self.z_hi - self.z_lo)
-        s = _smoothstep(t)
-        return M0 + s.reshape(s.shape + (1,) * M0.ndim) * (np.asarray(self.M1, dtype=float) - M0)
 
 
 def _profile_pieces(values, windows, held=None):
@@ -216,12 +209,17 @@ def _profile_pieces(values, windows, held=None):
 
 def _profile_at(pieces, z):
     """A piecewise z-profile at the z values (array); each piece serves the
-    z in its half-open [z_lo, z_hi) and is evaluated once; NaN elsewhere."""
+    z in its half-open [z_lo, z_hi), M0 on a plateau and M0 + s (M1 - M0)
+    on a ramp, s the smoothstep across its window; NaN elsewhere."""
     out = np.full(z.shape + np.shape(pieces[0].M0), np.nan)
     for piece in pieces:
         hit = (z >= piece.z_lo) & (z < piece.z_hi)
-        if hit.any():
-            out[hit] = piece.eval(z[hit])
+        M0, M1 = np.asarray(piece.M0, dtype=float), np.asarray(piece.M1, dtype=float)
+        if piece.constant:
+            out[hit] = M0
+        elif hit.any():
+            s = _smoothstep((z[hit] - piece.z_lo) / (piece.z_hi - piece.z_lo))
+            out[hit] = M0 + s.reshape(s.shape + (1,) * M0.ndim) * (M1 - M0)
     return out
 
 
@@ -316,42 +314,19 @@ class ModelMap(NamedTuple):
             rows[:, :, None] * rows[:, None], cols[:, :, None] * cols[:, None],
         )
 
-    def _coords(self, points, level=None):
-        """rho, z, the z stage with each point's index into it, and chi.
-
-        A grid level passes its own z stage, whose z values are the last
-        axis of the points; otherwise the distinct z are found here."""
-        pts = np.asarray(points, dtype=float)
-        rho, z = pts[..., 0], pts[..., 1]
-        if level is None:
-            z_axis, at = np.unique(z, return_inverse=True)
-            level, at = self._z_stage(z_axis), at.reshape(z.shape)
-        else:
-            at = np.broadcast_to(np.arange(level.z.size), z.shape)
-        return rho, z, level, at, self._blend_weight(rho, z)
-
-    def _blended(self, stage, at, chi):
-        """M, M^-1 and det M^-1 at points with chi > 0, given as flat
-        arrays of stage indices and weights: the z stage's frame blended
-        toward the far frame, M = A(z) + chi (far - A(z))."""
-        A = stage.A[at]
-        M = A + chi[:, None, None] * (np.asarray(self.far_frame, dtype=float) - A)
-        return M, np.linalg.inv(M), 1.0 / np.linalg.det(M)
-
+    @np.errstate(divide="ignore", invalid="ignore")  # F^-1 is not finite on the axis
     def F(self, points):
-        """Matrix field at an (N, 2) array of (rho, z) points; (N, n, n),
-        by the tension kernel's rule (see _metric)."""
-        return _metric(self, self._coords(points), inverse=False)[0]
+        """Matrix field at an (N, 2) array of (rho, z) points; (N, n, n)."""
+        return _point_fields(self, points)[0]
 
+    @np.errstate(divide="ignore", invalid="ignore")
     def omega(self, points):
-        """Twist-potential field at an (N, 2) array of points; (N, n).  The zone
-        profile runs once per distinct z (in the z stage), the far profile
-        only where chi > 0."""
-        return self._omega(*self._coords(points))
+        """Twist-potential field at an (N, 2) array of points; (N, n)."""
+        return _point_fields(self, points)[3]
 
     def _omega(self, rho, z, level, at, chi):
-        """Far out, omega runs from the north end plateau's value to the
-        south one's."""
+        """omega at the points of _point_fields.  Far out, omega runs from
+        the north end plateau's value to the south one's."""
         near = level.omega[at]
         blend = chi > 0.0
         if blend.any():
@@ -638,48 +613,48 @@ def _rank_one_sum(outer, weights, shape, at=None):
     return out
 
 
-def _metric(m, coords, on_grid=False, inverse=True):
-    """F, F^-1 (None unless inverse) and det F at the points of coords
-    (see ModelMap._coords), from the frame factors F = M^-T diag(d) M^-1
-    with d_k = e^(U_k).
+def _point_fields(m, points, level=None):
+    """The point stage: F, F^-1, det F and omega at an array of (rho, z)
+    points, from the frame factors F = M^-T diag(d) M^-1, d_k = e^(U_k),
+    of the frame M = A(z) + chi (far - A(z)) blended toward the far frame.
+    chi and the z stage (ModelMap._z_stage) serve F and omega both.  A
+    grid level passes its z stage, whose z values are the points' last
+    axis; otherwise the distinct z of the points are found here.
 
     Where chi = 0 the frame is A(z), so F and F^-1 are sums over the z
     stage's rank-one factors (_ZStage, _rank_one_sum), which a grid level
-    (on_grid) broadcasts along its z axis and a probe batch gathers; no
-    per-point frame, inverse or matrix product is formed there.  Where
-    chi > 0 the blended frame and its inverse are formed per point and
+    broadcasts along its z axis and a probe batch gathers; no per-point
+    frame, inverse or matrix product is formed there.  Where chi > 0 the
+    blended frame and its inverse are formed per point and
     F = M^-T diag(d) M^-1, F^-1 = M diag(1/d) M^T stay stacked products:
     as per-point rank-one sums they moved tau on a grid through the blend
     by 2.3e-10 relative.  det F = prod(d) det(M^-1)^2 needs no
     determinant per point.  A slot without terms has d_k = 1, and no
     exponential, weight or factor of the product is formed for it."""
-    rho, z, stage, at, chi = coords
+    pts = np.asarray(points, dtype=float)
+    rho, z = pts[..., 0], pts[..., 1]
+    gather = None  # a grid level's z stage is broadcast along the points' last axis
+    if level is None:
+        z_axis, gather = np.unique(z, return_inverse=True)
+        level, gather = m._z_stage(z_axis), gather.reshape(z.shape)
+    at = np.broadcast_to(np.arange(level.z.size), z.shape) if gather is None else gather
+    chi = m._blend_weight(rho, z)
+    omega = m._omega(rho, z, level, at, chi)
     d = [None if U is None else np.exp(U) for U in m._slot_potentials(rho, z)]
-    gather = None if on_grid else at
-    F = _rank_one_sum(stage.row_outer, d, rho.shape, gather)
-    Finv = None
-    if inverse:
-        d_inv = [None if w is None else 1.0 / w for w in d]
-        Finv = _rank_one_sum(stage.col_outer, d_inv, rho.shape, gather)
-    det_inv = stage.det_inv[at]
+    F = _rank_one_sum(level.row_outer, d, rho.shape, gather)
+    d_inv = [None if w is None else 1.0 / w for w in d]
+    Finv = _rank_one_sum(level.col_outer, d_inv, rho.shape, gather)
+    det_inv = level.det_inv[at]
     blend = chi > 0.0
     if blend.any():
-        M, Minv, det_inv[blend] = m._blended(stage, at[blend], chi[blend])
-        ones = np.ones(len(Minv))
-        diag = np.stack([ones if w is None else w[blend] for w in d], axis=-1)
-        F[blend] = _congruence(Minv, diag)
-        if inverse:
-            Finv[blend] = _congruence(np.swapaxes(M, -1, -2), 1.0 / diag)
-    return F, Finv, reduce(mul, [w for w in d if w is not None]) * det_inv**2
-
-
-def _point_fields(m, points, level=None):
-    """Point stage of the tension kernel: F, F^-1, det F and omega at an
-    array of points (see _metric); chi and the z stage are found once for
-    both F and omega.  A grid level passes its z stage, whose z values
-    are the points' last axis (see ModelMap._coords)."""
-    coords = m._coords(points, level)
-    return _metric(m, coords, on_grid=level is not None) + (m._omega(*coords),)
+        A = level.A[at[blend]]
+        M = A + chi[blend][:, None, None] * (np.asarray(m.far_frame, dtype=float) - A)
+        det_inv[blend] = 1.0 / np.linalg.det(M)
+        diag = np.stack([np.ones(len(M)) if w is None else w[blend] for w in d], axis=-1)
+        F[blend] = _congruence(np.linalg.inv(M), diag)
+        Finv[blend] = _congruence(np.swapaxes(M, -1, -2), 1.0 / diag)
+    f = reduce(mul, [w for w in d if w is not None]) * det_inv**2
+    return F, Finv, f, omega
 
 
 def _divergence(v_rho, v_z, rho, h):
@@ -719,7 +694,7 @@ def _tension_stencil(F, Finv, f, w, rho, h):
 
     The result covers the block minus a rim of two points; rho holds the
     rho values of the result and broadcasts against its leading axes.
-    F and F^-1 arrive exactly symmetric where chi = 0 (see _metric).  The
+    F and F^-1 arrive exactly symmetric where chi = 0 (_point_fields).  The
     flux H = F^-1 dF stays a stacked matrix product: BLAS forms it with
     fused multiply-adds that a sum over entries would not reproduce bit
     for bit, and on plateaus tau is what is left after terms of order 1
@@ -845,13 +820,20 @@ def tension_field(m, h, rho_max, z_lo, z_hi, excision=None):
 
     Returns (rho_grid, z_grid, tau, tau_f, tau_omega, mask); tau is NaN
     outside the mask.  The grid starts at rho = h, and tau lives on the
-    interior points rho >= 3h.  Besides the returned arrays the memory in
-    use is one strip's (see _tension_strips).
+    interior points rho >= 3h.  Bounds that are not finite, or that leave
+    no interior point, raise ModelMapError.  Besides the returned arrays
+    the memory in use is one strip's (see _tension_strips).
     """
     _check_spacing(h)
+    for name, bound in (("rho_max", rho_max), ("z_lo", z_lo), ("z_hi", z_hi)):
+        if not math.isfinite(bound):
+            raise ModelMapError(f"grid bound {name} = {bound} must be finite")
+    rho, z = _grid_axes(h, rho_max, z_lo, z_hi)
+    for axis, bounds in ((rho, f"rho_max = {rho_max}"), (z, f"z_lo = {z_lo}, z_hi = {z_hi}")):
+        if axis.size < 5:
+            raise ModelMapError(f"grid bounds {bounds} leave no interior point at h = {h}")
     if excision is None:
         excision = EXCISION_FACTOR * h
-    rho, z = _grid_axes(h, rho_max, z_lo, z_hi)
     R_t, Z_t = np.meshgrid(rho[2:-2], z[2:-2], indexing="ij")
     taus = tuple(np.empty(R_t.shape) for _ in range(3))
     mask = np.empty(R_t.shape, dtype=bool)

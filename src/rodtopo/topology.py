@@ -388,17 +388,15 @@ class Classification(NamedTuple):
 
 
 def _render(summands):
+    """The connected sum of the summands of positive integer count; the
+    first one's count is at least 1."""
     parts = []
     for space, count in summands:
-        if isinstance(count, str):
-            parts.append(f"{count}({space})")
-        elif count == 1:
+        if count == 1:
             parts.append(f"({space})" if " " in space else space)
         elif count > 0:
             parts.append(f"{count}({space})")
-    if not parts:
-        return "S^?"
-    if len(parts) == 1 and not isinstance(summands[0][1], str) and summands[0][1] > 1:
+    if len(parts) == 1 and summands[0][1] > 1:
         return "#" + parts[0]
     return " # ".join(parts)
 

@@ -1,6 +1,7 @@
 import io
 import json
 import math
+import re
 import tracemalloc
 import warnings
 from pathlib import Path
@@ -759,6 +760,41 @@ def test_tension_rejects_bad_spacing(h):
         tension_field(m, h, 3.0, -1.0, 3.0)
 
 
+@pytest.mark.parametrize(
+    "bounds, message",
+    [
+        ((INF, -1.0, 3.0), "grid bound rho_max = inf must be finite"),
+        ((math.nan, -1.0, 3.0), "grid bound rho_max = nan must be finite"),
+        ((3.0, -INF, 3.0), "grid bound z_lo = -inf must be finite"),
+        ((3.0, -1.0, math.nan), "grid bound z_hi = nan must be finite"),
+        ((-1.0, -1.0, 3.0), "grid bounds rho_max = -1.0 leave no interior point at h = 0.5"),
+        ((2.0, -1.0, 3.0), "grid bounds rho_max = 2.0 leave no interior point at h = 0.5"),
+        ((3.0, 3.0, -1.0), "grid bounds z_lo = 3.0, z_hi = -1.0 leave no interior point at h = 0.5"),
+        ((3.0, 1.0, 1.0), "grid bounds z_lo = 1.0, z_hi = 1.0 leave no interior point at h = 0.5"),
+        ((3.0, 1.0, 2.5), "grid bounds z_lo = 1.0, z_hi = 2.5 leave no interior point at h = 0.5"),
+    ],
+)
+def test_tension_field_rejects_bad_bounds(bounds, message):
+    # these once raised OverflowError, a bare ValueError, numpy's reshape
+    # or broadcast errors, or returned empty arrays
+    m = build_model_map(no_corner_diagram())
+    with pytest.raises(ModelMapError, match=re.escape(message)):
+        tension_field(m, 0.5, *bounds)
+
+
+def test_tension_field_smallest_grid_has_one_point():
+    # one row or column less than this grid is rejected above
+    m = build_model_map(no_corner_diagram())
+    assert tension_field(m, 0.5, 2.5, 1.0, 3.0)[2].shape == (1, 1)
+
+
+@pytest.mark.parametrize("a", [math.nan, INF, -INF])
+def test_potentials_reject_a_non_finite_axis_point(a):
+    # these once returned (nan, nan) and (inf, -inf)
+    with pytest.raises(ValueError, match=f"axis point a = {a} is not finite"):
+        potentials(a, 1.0, 0.0)
+
+
 def test_det_growth_matches_kaluza_klein_scale():
     m = build_model_map(figure2_diagram())
     rs = np.array([60.0, 120.0, 240.0, 480.0])
@@ -828,13 +864,11 @@ def test_frame_factors_match_per_point_reference(diagram, transitions):
     A_ref = [reference_piece_value(m.segments, z) for z in z_samples]
     assert np.array_equal(m.axis_frames(np.array(z_samples)), A_ref)
     assert np.array_equal(m.omega(pts), reference_omega(m, pts))
-    # the frames the tension kernel reads: the z stage's A(z) and A^-1,
-    # replaced by _blended's frame and inverse where chi > 0
-    rho_all, z_all, stage, at, chi_all = m._coords(pts)
-    M, Minv = stage.A[at], np.linalg.inv(stage.A)[at]
-    blend = chi_all > 0.0
-    M[blend], Minv[blend], _ = m._blended(stage, at[blend], chi_all[blend])
-    d = slot_weights(m, rho_all, z_all)
+    # the fields the tension kernel reads: rank-one sums over the frame
+    # A(z) where chi = 0, stacked products over the blended frame where
+    # chi > 0
+    F, Finv, f, _ = modelmap._point_fields(m, pts)
+    d = slot_weights(m, pts[:, 0], pts[:, 1])
 
     chis = []
     for k, (rho, z) in enumerate(pts):
@@ -842,9 +876,16 @@ def test_frame_factors_match_per_point_reference(diagram, transitions):
         chi = modelmap._smoothstep((math.hypot(rho, z - m.z0) - R1) / (R2 - R1))
         M_ref = A + chi * (np.asarray(m.far_frame, dtype=float) - A)
         d_ref = slot_weights(m, np.array([rho]), np.array([z]))[0]
-        assert np.array_equal(M[k], M_ref)
-        assert np.array_equal(Minv[k], np.linalg.inv(M_ref))
         assert np.array_equal(d[k], d_ref)
+        F_ref = modelmap._congruence(np.linalg.inv(M_ref), d_ref)
+        Finv_ref = modelmap._congruence(M_ref.T, 1.0 / d_ref)
+        if chi > 0.0:
+            assert np.array_equal(F[k], F_ref)
+            assert np.array_equal(Finv[k], Finv_ref)
+        else:
+            np.testing.assert_allclose(F[k], F_ref, rtol=1e-12, atol=0.0)
+            np.testing.assert_allclose(Finv[k], Finv_ref, rtol=1e-12, atol=0.0)
+        np.testing.assert_allclose(f[k], np.linalg.det(F_ref), rtol=1e-12)
         chis.append(chi)
     # the batch covers plateaus, transition windows (figure 2 only), the
     # blend annulus and the far region
