@@ -260,15 +260,18 @@ class ModelMap(NamedTuple):
     # ------------------------------------------------------------------
 
     def _slot_potentials(self, rho, z):
-        """U_k at the points for each slot k, None for a slot without
-        terms, with one logarithm per distinct rod endpoint
-        (_endpoint_log) shared by every term that uses it."""
+        """U_k at the points given by broadcasting rho and z, for each slot
+        k, None for a slot without terms, with one logarithm per distinct
+        rod endpoint (_endpoint_log) shared by every term that uses it.
+        2 log rho is taken once per entry of rho and z - a once per entry
+        of z, so a grid passes a column of rho and a row of z."""
+        shape = np.broadcast_shapes(rho.shape, z.shape)
         log_rho2 = _log_rho2(rho)
         ends = {a for terms in self.terms for term in terms for a in term[1:]}
         logs = {a: _endpoint_log(a, rho, z) for a in ends}
         planes = []
         for terms in self.terms:
-            acc = np.zeros_like(rho) if terms else None
+            acc = np.zeros(shape) if terms else None
             for term in terms:
                 if term[0] == "u":
                     acc += _u_from(*logs[term[1]], log_rho2)
@@ -281,7 +284,7 @@ class ModelMap(NamedTuple):
                     ua, ub = _u_from(*logs[a], log_rho2), _u_from(*logs[b], log_rho2)
                     north = (rho == 0.0) & (z > b)
                     if north.any():
-                        zn = z[north]
+                        zn = np.broadcast_to(z, shape)[north]
                         ua[north] = np.log((zn - b) / (zn - a))
                         ub[north] = 0.0
                     acc += ua - ub
@@ -293,10 +296,17 @@ class ModelMap(NamedTuple):
         return _profile_at(self.segments, np.asarray(z, dtype=float))
 
     def _blend_weight(self, rho, z):
-        """Radial blend weight chi: 0 within R1 of the far-field center,
-        1 beyond R2."""
+        """Radial blend weight chi at the points given by broadcasting rho
+        and z: 0 within R1 of the far-field center, 1 beyond R2.  A batch
+        whose farthest point, bounded from its largest |rho| and
+        |z - z0|, lies inside R1 by more than hypot's rounding gets zeros
+        without a per-point evaluation."""
         R1, R2 = self.blend_radii
-        return _smoothstep((np.hypot(rho, z - self.z0) - R1) / (R2 - R1))
+        dz = z - self.z0
+        reach = np.hypot(np.max(np.abs(rho), initial=0.0), np.max(np.abs(dz), initial=0.0))
+        if reach < R1 * (1.0 - 1e-12):
+            return np.zeros(np.broadcast_shapes(rho.shape, dz.shape))
+        return _smoothstep((np.hypot(rho, dz) - R1) / (R2 - R1))
 
     def _z_stage(self, z_axis):
         """The map's z-only factors at sorted distinct z values (a
@@ -317,22 +327,26 @@ class ModelMap(NamedTuple):
     @np.errstate(divide="ignore", invalid="ignore")  # F^-1 is not finite on the axis
     def F(self, points):
         """Matrix field at an (N, 2) array of (rho, z) points; (N, n, n)."""
-        return _point_fields(self, points)[0]
+        pts = np.asarray(points, dtype=float)
+        return _point_fields(self, pts[..., 0], pts[..., 1])[0]
 
     @np.errstate(divide="ignore", invalid="ignore")
     def omega(self, points):
         """Twist-potential field at an (N, 2) array of points; (N, n)."""
-        return _point_fields(self, points)[3]
+        pts = np.asarray(points, dtype=float)
+        return _point_fields(self, pts[..., 0], pts[..., 1])[3]
 
     def _omega(self, rho, z, level, at, chi):
-        """omega at the points of _point_fields.  Far out, omega runs from
-        the north end plateau's value to the south one's."""
-        near = level.omega[at]
+        """omega at the points of _point_fields, whose index at into the
+        z stage broadcasts against chi.  Far out, omega runs from the
+        north end plateau's value to the south one's."""
+        near = np.broadcast_to(level.omega[at], chi.shape + level.omega.shape[1:]).copy()
         blend = chi > 0.0
         if blend.any():
             ends = self.omega_profile[-1].M0, self.omega_profile[0].M0
             c_north, c_south = (np.asarray(c, dtype=float) for c in ends)
-            theta = np.arctan2(rho[blend], z[blend] - self.z0)  # 0 at the north axis
+            rho, z = (np.broadcast_to(x, chi.shape)[blend] for x in (rho, z))
+            theta = np.arctan2(rho, z - self.z0)  # 0 at the north axis
             span = math.pi - 2.0 * EPSILON
             s_theta = _smoothstep((theta - EPSILON) / span)
             far = c_north + s_theta[:, None] * (c_south - c_north)
@@ -342,10 +356,14 @@ class ModelMap(NamedTuple):
 
     def distance_to_axis(self, points):
         pts = np.asarray(points, dtype=float)
-        rho, z = pts[..., 0], pts[..., 1]
+        return self._axis_distance(pts[..., 0], pts[..., 1])
+
+    def _axis_distance(self, rho, z):
+        """distance_to_axis at the points given by broadcasting rho and z;
+        the z-gap to the axis rods is taken once per entry of z."""
         # hypot is monotone in |dz|, so the hypot of the least z-gap is the
         # least hypot over the segments, bit for bit
-        gap = np.full(rho.shape, np.inf)
+        gap = np.full(z.shape, np.inf)
         for i in self.diagram.axis_indices():
             z_lo, z_hi = self.diagram.rods[i].z
             np.minimum(gap, np.maximum(np.maximum(z_lo - z, z - z_hi), 0.0), out=gap)
@@ -613,13 +631,22 @@ def _rank_one_sum(outer, weights, shape, at=None):
     return out
 
 
-def _point_fields(m, points, level=None):
-    """The point stage: F, F^-1, det F and omega at an array of (rho, z)
-    points, from the frame factors F = M^-T diag(d) M^-1, d_k = e^(U_k),
-    of the frame M = A(z) + chi (far - A(z)) blended toward the far frame.
-    chi and the z stage (ModelMap._z_stage) serve F and omega both.  A
-    grid level passes its z stage, whose z values are the points' last
-    axis; otherwise the distinct z of the points are found here.
+def _point_fields(m, rho, z, level=None):
+    """The point stage: F, F^-1, det F and omega at the (rho, z) points
+    given by broadcasting the arrays rho and z against each other, from
+    the frame factors F = M^-T diag(d) M^-1, d_k = e^(U_k), of the frame
+    M = A(z) + chi (far - A(z)) blended toward the far frame.  chi and
+    the z stage (ModelMap._z_stage) serve F and omega both.  A grid level
+    passes a column of rho, a row of z and its z stage, whose z values
+    are that row; otherwise the distinct z of the points are found here.
+
+    What depends on one coordinate is taken once per entry of its array:
+    2 log rho per rho, z - a and |z - a| per rod endpoint a and z, the
+    z-gap to the axis rods per z (ModelMap._axis_distance), the z
+    stage's omega and 1/det A gathered per z, and the bound by which a
+    batch inside R1 skips the blend weight (ModelMap._blend_weight).
+    Only the hypots, the logarithms, U, d, F and F^-1 are formed per
+    point, and omega and det F filled in from them.
 
     Where chi = 0 the frame is A(z), so F and F^-1 are sums over the z
     stage's rank-one factors (_ZStage, _rank_one_sum), which a grid level
@@ -631,24 +658,24 @@ def _point_fields(m, points, level=None):
     by 2.3e-10 relative.  det F = prod(d) det(M^-1)^2 needs no
     determinant per point.  A slot without terms has d_k = 1, and no
     exponential, weight or factor of the product is formed for it."""
-    pts = np.asarray(points, dtype=float)
-    rho, z = pts[..., 0], pts[..., 1]
+    shape = np.broadcast_shapes(rho.shape, z.shape)
     gather = None  # a grid level's z stage is broadcast along the points' last axis
     if level is None:
         z_axis, gather = np.unique(z, return_inverse=True)
         level, gather = m._z_stage(z_axis), gather.reshape(z.shape)
-    at = np.broadcast_to(np.arange(level.z.size), z.shape) if gather is None else gather
+    at = np.arange(level.z.size) if gather is None else gather  # index into level, per z
     chi = m._blend_weight(rho, z)
     omega = m._omega(rho, z, level, at, chi)
     d = [None if U is None else np.exp(U) for U in m._slot_potentials(rho, z)]
-    F = _rank_one_sum(level.row_outer, d, rho.shape, gather)
+    F = _rank_one_sum(level.row_outer, d, shape, gather)
     d_inv = [None if w is None else 1.0 / w for w in d]
-    Finv = _rank_one_sum(level.col_outer, d_inv, rho.shape, gather)
+    Finv = _rank_one_sum(level.col_outer, d_inv, shape, gather)
     det_inv = level.det_inv[at]
     blend = chi > 0.0
     if blend.any():
-        A = level.A[at[blend]]
+        A = level.A[np.broadcast_to(at, shape)[blend]]
         M = A + chi[blend][:, None, None] * (np.asarray(m.far_frame, dtype=float) - A)
+        det_inv = np.broadcast_to(det_inv, shape).copy()
         det_inv[blend] = 1.0 / np.linalg.det(M)
         diag = np.stack([np.ones(len(M)) if w is None else w[blend] for w in d], axis=-1)
         F[blend] = _congruence(np.linalg.inv(M), diag)
@@ -764,10 +791,9 @@ def _tension_at(m, points, h):
     if not np.all(pts[:, 0] - 2.0 * h > 0.0):
         raise ValueError("stencil leaves the half plane; reduce h or move the point")
     offsets = np.arange(-2, 3) * h
-    patches = np.empty((5, 5) + pts.shape)
-    patches[..., 0] = pts[:, 0] + offsets[:, None, None]
-    patches[..., 1] = pts[:, 1] + offsets[None, :, None]
-    parts = _tension_stencil(*_point_fields(m, patches), pts[:, 0], h)
+    rho = pts[:, 0] + offsets[:, None, None]  # the patches' rows, (5, 1, N)
+    z = pts[:, 1] + offsets[None, :, None]  # their columns, (1, 5, N)
+    parts = _tension_stencil(*_point_fields(m, rho, z), pts[:, 0], h)
     return tuple(part[0, 0] for part in parts)
 
 
@@ -782,18 +808,28 @@ def tension_norm(m, rho, z, h):
 
 
 def _grid_axes(h, rho_max, z_lo, z_hi):
-    rho = (np.arange(int(round(rho_max / h))) + 1.0) * h
-    return rho, z_lo + np.arange(int(round((z_hi - z_lo) / h)) + 1) * h
+    """The rho and z axes of tension_field's grid.  Their lengths are
+    counted in Python integers first, so a spacing too small for an array
+    to hold the grid raises ModelMapError before anything is allocated."""
+    spans = rho_max / h, (z_hi - z_lo) / h
+    if all(math.isfinite(s) for s in spans):
+        rows, cols = int(round(spans[0])), int(round(spans[1])) + 1
+        if max(rows, 0) * max(cols, 0) <= np.iinfo(np.intp).max:
+            return (np.arange(rows) + 1.0) * h, z_lo + np.arange(cols) * h
+    raise ModelMapError(f"grid spacing h = {h} gives more grid points than an array can hold")
 
 
 def _tension_strips(m, h, rho_max, z_lo, z_hi, excision):
     """The tension kernel on tension_field's grid, STRIP_ROWS result rows
     at a time: yields (rows, rho, z, dist, mask, (tau, tau_f, tau_omega))
-    per strip, with the slice of result rows, the distance to the axis
-    set, mask = dist > excision and the parts NaN outside the mask.  Each
-    strip carries its last four rows of point fields into the next, so F
-    is computed once per grid point, and the frame curve's z stage once
-    per call."""
+    per strip, with the slice of result rows, the strip's rho as a column
+    and z as a row (they broadcast to the strip), the distance to the
+    axis set, mask = dist > excision and the parts NaN outside the mask.
+    The point stage and the distance get the grid's axes, not a mesh of
+    points, so what depends on rho or z alone runs once per row or
+    column (_point_fields).  Each strip carries its last four rows of
+    point fields into the next, so F is computed once per grid point,
+    and the frame curve's z stage once per call."""
     rho, z = _grid_axes(h, rho_max, z_lo, z_hi)
     rows = len(rho[2:-2])
     level = m._z_stage(z)
@@ -802,13 +838,12 @@ def _tension_strips(m, h, rho_max, z_lo, z_hi, excision):
         b = min(a + STRIP_ROWS, rows)
         # result rows a..b-1 read grid rows a..b+3; rows a..a+3 are carried
         first = a if fields is None else a + 4
-        R, Z = np.meshgrid(rho[first : b + 4], z, indexing="ij")
-        new = _point_fields(m, np.stack([R, Z], axis=-1), level)
+        new = _point_fields(m, rho[first : b + 4, None], z[None, :], level)
         if fields is not None:
             new = tuple(np.concatenate([old[-4:], part]) for old, part in zip(fields, new))
         fields = new
-        R, Z = np.meshgrid(rho[a + 2 : b + 2], z[2:-2], indexing="ij")
-        dist = m.distance_to_axis(np.stack([R, Z], axis=-1))
+        R, Z = rho[a + 2 : b + 2, None], z[None, 2:-2]
+        dist = m._axis_distance(R, Z)
         keep = dist > excision
         parts = _tension_stencil(*fields, rho[a + 2 : b + 2, None], h)
         yield slice(a, b), R, Z, dist, keep, tuple(np.where(keep, t, np.nan) for t in parts)
@@ -889,7 +924,7 @@ def dump_csv(m, report, path):
         fh.write("rho,z,tau,tau_f,tau_omega\n")
         for _, rho, z, _, _, parts in strips:
             keep = ~np.isnan(parts[0])
-            columns = [a[keep].tolist() for a in (rho, z, *parts)]
+            columns = [np.broadcast_to(a, keep.shape)[keep].tolist() for a in (rho, z, *parts)]
             fh.writelines(map(_CSV_ROW.__mod__, zip(*columns)))
 
 

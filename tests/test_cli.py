@@ -326,6 +326,7 @@ def test_unwritable_output_is_usage_error(capsys, monkeypatch, argv):
         (["--grid-h", "nan"], "h = nan"),
         (["--grid-h", "inf"], "h = inf"),
         (["--grid-h", "5"], "h = 5.0"),  # grid without an interior point
+        (["--grid-h", "1e-300"], "h = 1e-300"),  # grid too large for an array
     ],
 )
 def test_model_verify_rejects_invalid_settings(capsys, no_corner_path, args, setting):

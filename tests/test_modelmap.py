@@ -173,12 +173,19 @@ def per_point_outer_sum(X, w):
     return total
 
 
-def reference_point_fields(m, points, level=None):
-    """Point stage built from the two reference formulas, each with its
-    own chi and its own distinct z; a grid level's z stage is ignored.
-    Where chi = 0, F and F^-1 are the rank-one sums over the rows of M^-1
-    and the columns of M, formed point by point; where chi > 0 they are
-    the stacked products."""
+def mesh_points(rho, z):
+    """The (rho, z) points of two arrays that broadcast against each
+    other, as one (..., 2) array."""
+    return np.stack(np.broadcast_arrays(rho, z), axis=-1)
+
+
+def reference_point_fields(m, rho, z, level=None):
+    """Point stage built from the two reference formulas on the full mesh
+    of points, each with its own chi and its own distinct z; a grid
+    level's z stage is ignored.  Where chi = 0, F and F^-1 are the
+    rank-one sums over the rows of M^-1 and the columns of M, formed point
+    by point; where chi > 0 they are the stacked products."""
+    points = mesh_points(rho, z)
     M, Minv, d, det_inv = reference_frame_factors(m, points)
     Mt = np.swapaxes(M, -1, -2)
     F = per_point_outer_sum(Minv, d)
@@ -190,9 +197,11 @@ def reference_point_fields(m, points, level=None):
     return F, Finv, d.prod(-1) * det_inv**2, reference_omega(m, points)
 
 
-def reference_kernel_point_fields(m, points, level=None):
-    """The former point stage: F and F^-1 as stacked products at every
-    point, and det F taken per point by np.linalg.det."""
+def reference_kernel_point_fields(m, rho, z, level=None):
+    """The former point stage on the full mesh of points: F and F^-1 as
+    stacked products at every point, and det F taken per point by
+    np.linalg.det."""
+    points = mesh_points(rho, z)
     M, Minv, d, _ = reference_frame_factors(m, points)
     F = modelmap._congruence(Minv, d)
     Finv = modelmap._congruence(np.swapaxes(M, -1, -2), 1.0 / d)
@@ -782,6 +791,18 @@ def test_tension_field_rejects_bad_bounds(bounds, message):
         tension_field(m, 0.5, *bounds)
 
 
+@pytest.mark.parametrize("h", [1e-300, 1e-20])
+def test_tension_rejects_a_spacing_too_fine_for_an_array(h):
+    # both once raised numpy's bare "Maximum allowed size exceeded"; the
+    # grid's row and column counts are checked before any array exists
+    m = build_model_map(no_corner_diagram())
+    message = f"grid spacing h = {h} gives more grid points than an array can hold"
+    with pytest.raises(ModelMapError, match=re.escape(message)):
+        tension_field(m, h, 10.0, 0.0, 1.0)
+    with pytest.raises(ModelMapError, match=re.escape(message)):
+        verify_tension(m, h)
+
+
 def test_tension_field_smallest_grid_has_one_point():
     # one row or column less than this grid is rejected above
     m = build_model_map(no_corner_diagram())
@@ -867,7 +888,7 @@ def test_frame_factors_match_per_point_reference(diagram, transitions):
     # the fields the tension kernel reads: rank-one sums over the frame
     # A(z) where chi = 0, stacked products over the blended frame where
     # chi > 0
-    F, Finv, f, _ = modelmap._point_fields(m, pts)
+    F, Finv, f, _ = modelmap._point_fields(m, pts[:, 0], pts[:, 1])
     d = slot_weights(m, pts[:, 0], pts[:, 1])
 
     chis = []
@@ -905,6 +926,61 @@ def test_tension_field_matches_reference_point_stage(monkeypatch, diagram):
     monkeypatch.setattr(modelmap, "_point_fields", reference_point_fields)
     for a, b in zip(got, tension_field(*args)):
         assert np.array_equal(a, b, equal_nan=True)
+
+
+@pytest.mark.parametrize(
+    "diagram, h, grid",
+    [(figure2_diagram(), 0.5, (30.0, -25.0, 35.0)), (parse(PAPER_DIAGRAM.read_text()), 0.1, None)],
+    ids=["figure2-blended", "paper-verifier-grid"],
+)
+def test_point_stage_on_grid_axes_matches_full_mesh(diagram, h, grid):
+    # a column of rho and a row of z give the fields of the full mesh of
+    # their points bit for bit, with the grid level's z stage and without
+    m = build_model_map(diagram)
+    rho, z = modelmap._grid_axes(h, *(grid or verifier_grid(m)[1]))
+    R, Z = np.meshgrid(rho, z, indexing="ij")
+    for level in (m._z_stage(z), None):
+        got = modelmap._point_fields(m, rho[:, None], z[None, :], level)
+        assert_same_bits(got, modelmap._point_fields(m, R, Z, level))
+    # the figure-2 grid crosses the radial blend, the paper's lies inside it
+    chi = m._blend_weight(R, Z)
+    assert np.any(chi == 0.0) and np.any(chi > 0.0) == (grid is not None)
+
+
+def test_verifier_grid_takes_rho_per_row_and_z_per_column(monkeypatch):
+    # every strip hands the point stage and the distance a column of rho
+    # and a row of z, so 2 log rho runs once per grid row, and z - a and
+    # the z-gap to the axis rods once per grid column
+    m = build_model_map(parse(PAPER_DIAGRAM.read_text()))
+    h, grid = 0.1, verifier_grid(m)[1]
+    rho, z = modelmap._grid_axes(h, *grid)
+    logs, ends, gaps = [], [], []
+    log_rho2, endpoint_log = modelmap._log_rho2, modelmap._endpoint_log
+    axis_distance = modelmap.ModelMap._axis_distance
+
+    def logging(r):
+        logs.append(r.shape)
+        return log_rho2(r)
+
+    def ending(a, r, zz):
+        ends.append((r.shape, zz.shape))
+        return endpoint_log(a, r, zz)
+
+    def gapping(self, r, zz):
+        gaps.append((r.shape, zz.shape))
+        return axis_distance(self, r, zz)
+
+    monkeypatch.setattr(modelmap, "_log_rho2", logging)
+    monkeypatch.setattr(modelmap, "_endpoint_log", ending)
+    monkeypatch.setattr(modelmap.ModelMap, "_axis_distance", gapping)
+    tau = tension_field(m, h, *grid)[2]
+    strips = -(-tau.shape[0] // modelmap.STRIP_ROWS)
+    assert strips > 1 and len(logs) == len(gaps) == strips
+    assert all(cols == 1 for _, cols in logs) and sum(rows for rows, _ in logs) == rho.size
+    assert all(r == (r[0], 1) and zz == (1, z.size) for r, zz in ends)
+    assert len(ends) == strips * len({a for t in m.terms for term in t for a in term[1:]})
+    assert all(r == (r[0], 1) and zz == (1, z.size - 4) for r, zz in gaps)
+    assert sum(r[0] for r, _ in gaps) == tau.shape[0]
 
 
 @pytest.mark.parametrize(
@@ -1065,7 +1141,7 @@ def test_det_f_from_frame_factors(h_matrix):
     _, pts = frame_sample_points(base)
     chi = base._blend_weight(*pts.T)
     assert any(0.0 < c < 1.0 for c in chi) and 1.0 in chi
-    np.testing.assert_allclose(modelmap._point_fields(m, pts)[2], det_f(m, pts), rtol=1e-12)
+    np.testing.assert_allclose(modelmap._point_fields(m, *pts.T)[2], det_f(m, pts), rtol=1e-12)
 
 
 def h_matrices(n):
@@ -1144,7 +1220,7 @@ def test_rank_one_fields_match_stacked_products(diagram, kind):
     _, pts = frame_sample_points(base)
     pts = pts[pts[:, 0] <= 2.0]  # rho = 0.5 and 2 on every frame piece
     assert not np.any(base._blend_weight(*pts.T))
-    F, Finv, _, _ = modelmap._point_fields(m, pts)
+    F, Finv, _, _ = modelmap._point_fields(m, *pts.T)
     M, Minv, d, _ = reference_frame_factors(m, pts)
     np.testing.assert_allclose(F, modelmap._congruence(Minv, d), rtol=1e-12, atol=0.0)
     np.testing.assert_allclose(
@@ -1193,15 +1269,44 @@ def test_point_stage_computes_blend_weight_once(monkeypatch):
     real = modelmap.ModelMap._blend_weight
 
     def counting(self, rho, z):
-        calls.append(rho.shape)
+        calls.append((rho.shape, z.shape))
         return real(self, rho, z)
 
     monkeypatch.setattr(modelmap.ModelMap, "_blend_weight", counting)
-    pts = np.stack(np.meshgrid([0.5, 20.0, 40.0], [-9.0, 3.0, 30.0], indexing="ij"), axis=-1)
-    modelmap._point_fields(m, pts)
-    assert calls == [(3, 3)]
-    modelmap._point_fields(transformed_map(m, np.eye(3)), pts)
+    rho, z = np.array([[0.5], [20.0], [40.0]]), np.array([[-9.0, 3.0, 30.0]])
+    modelmap._point_fields(m, rho, z)
+    assert calls == [((3, 1), (1, 3))]
+    modelmap._point_fields(transformed_map(m, np.eye(3)), rho, z)
     assert len(calls) == 2
+
+
+def test_blend_weight_skips_batches_inside_r1(monkeypatch):
+    # chi is the smoothstep of (r - R1) / (R2 - R1) bit for bit on
+    # batches reaching to just inside R1, to R1 and one ulp past it, and
+    # only the last has chi > 0; a batch inside R1 by more than rounding
+    # gets its zeros without the smoothstep
+    m = build_model_map(parse(PAPER_DIAGRAM.read_text()))
+    R1, R2 = m.blend_radii
+    smoothstep = modelmap._smoothstep
+    calls = []
+
+    def counting(t):
+        calls.append(t.shape)
+        return smoothstep(t)
+
+    monkeypatch.setattr(modelmap, "_smoothstep", counting)
+    z = np.full(3, m.z0)  # the farthest point of a batch is its last
+    reaches = [0.5 * R1, np.nextafter(R1, 0.0), R1, np.nextafter(R1, INF)]
+    for reach in reaches:
+        rho = np.array([0.0, 0.5 * reach, reach])
+        chi = m._blend_weight(rho, z)
+        want = smoothstep((np.hypot(rho, z - m.z0) - R1) / (R2 - R1))
+        assert chi.tobytes() == want.tobytes()
+        assert np.any(chi > 0.0) == (reach > R1)
+    assert calls == [(3,)] * 3  # every batch but the first
+    # a grid's column of rho and row of z bound its reach the same way
+    chi = m._blend_weight(np.array([[1.0], [0.4 * R1]]), m.z0 + np.array([[-0.5 * R1, 0.5 * R1]]))
+    assert chi.shape == (2, 2) and not chi.any() and len(calls) == 3
 
 
 def test_tension_field_inverts_frames_once_per_z(monkeypatch):
@@ -1234,7 +1339,7 @@ def former_omega(self, rho, z, level, at, chi):
     """ModelMap._omega as it was before the z stage carried the near-field
     profile: the profile evaluated on the level's whole z axis at every
     call, so once per strip of a grid."""
-    near = modelmap._profile_at(self.omega_profile, level.z)[at]
+    near = modelmap._profile_at(self.omega_profile, level.z)[np.broadcast_to(at, chi.shape)]
     blend = chi > 0.0
     if blend.any():
         ends = self.omega_profile[-1].M0, self.omega_profile[0].M0
