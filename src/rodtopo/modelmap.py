@@ -23,6 +23,7 @@ along far rays and checks only that against SLOPE_LIMIT.
 from __future__ import annotations
 
 import math
+import numbers
 from collections import defaultdict
 from functools import reduce
 from itertools import product
@@ -87,6 +88,17 @@ def _v_from(dz, L, log_rho2):
     """v_a = log(r_a + (z - a)), _u_from mirrored in z."""
     with np.errstate(invalid="ignore"):
         return np.where(dz <= 0, log_rho2 - L, L)
+
+
+def _half_plane_points(points, what):
+    """The points as a float array of (rho, z) pairs.  A point that is
+    not finite, or has rho < 0, raises ValueError naming what needs it."""
+    pts = np.asarray(points, dtype=float)
+    if not np.all(np.isfinite(pts)):
+        raise ValueError(f"{what} needs a finite point")
+    if not np.all(pts[..., 0] >= 0.0):
+        raise ValueError(f"{what} needs a point of the half plane rho >= 0")
+    return pts
 
 
 def _smoothstep(t):
@@ -327,20 +339,20 @@ class ModelMap(NamedTuple):
     @np.errstate(divide="ignore", invalid="ignore")  # F^-1 is not finite on the axis
     def F(self, points):
         """Matrix field at an (N, 2) array of (rho, z) points; (N, n, n)."""
-        pts = np.asarray(points, dtype=float)
+        pts = _half_plane_points(points, "F")
         return _point_fields(self, pts[..., 0], pts[..., 1])[0]
 
     @np.errstate(divide="ignore", invalid="ignore")
     def omega(self, points):
         """Twist-potential field at an (N, 2) array of points; (N, n)."""
-        pts = np.asarray(points, dtype=float)
+        pts = _half_plane_points(points, "omega")
         return _point_fields(self, pts[..., 0], pts[..., 1])[3]
 
-    def _omega(self, rho, z, level, at, chi):
+    def _omega(self, rho, z, level, at, chi, out):
         """omega at the points of _point_fields, whose index at into the
-        z stage broadcasts against chi.  Far out, omega runs from the
-        north end plateau's value to the south one's."""
-        near = np.broadcast_to(level.omega[at], chi.shape + level.omega.shape[1:]).copy()
+        z stage broadcasts against chi, written into out.  Far out, omega
+        runs from the north end plateau's value to the south one's."""
+        out[...] = level.omega[at]  # the near field, broadcast to the points
         blend = chi > 0.0
         if blend.any():
             ends = self.omega_profile[-1].M0, self.omega_profile[0].M0
@@ -351,11 +363,11 @@ class ModelMap(NamedTuple):
             s_theta = _smoothstep((theta - EPSILON) / span)
             far = c_north + s_theta[:, None] * (c_south - c_north)
             c = chi[blend][:, None]
-            near[blend] = (1.0 - c) * near[blend] + c * far
-        return near
+            out[blend] = (1.0 - c) * out[blend] + c * far
+        return out
 
     def distance_to_axis(self, points):
-        pts = np.asarray(points, dtype=float)
+        pts = _half_plane_points(points, "distance_to_axis")
         return self._axis_distance(pts[..., 0], pts[..., 1])
 
     def _axis_distance(self, rho, z):
@@ -607,33 +619,46 @@ def _congruence(X, d):
     return np.swapaxes(X, -1, -2) @ (d[..., None] * X)
 
 
-def _rank_one_sum(outer, weights, shape, at=None):
+def _rank_one_sum(outer, weights, out, at=None):
     """sum_k w_k o_k over rank-one factors outer[k, i, j] (z last, see
     _ZStage; gathered to the points by the index array at unless it is
-    None) with one weight plane of the given shape per slot, or None for
-    w_k = 1.  Each entry i <= j is one plane of the points, the ordered
-    sum w_0 o_0 + w_1 o_1 + ..., in which a factor of weight 1 is added
-    as it is, mirrored into (j, i), so the result is exactly symmetric;
-    shape + (n, n)."""
+    None) with one weight plane of the points per slot, or None for
+    w_k = 1, written into out, whose leading axes are the points'.  Each
+    entry i <= j is one plane of the points, the ordered sum
+    w_0 o_0 + w_1 o_1 + ..., in which a factor of weight 1 is added as it
+    is, mirrored into (j, i), so the result is exactly symmetric."""
     n = outer.shape[0]
-    out = np.empty(shape + (n, n))
     for i in range(n):
         for j in range(i, n):
             o = outer[:, i, j] if at is None else outer[:, i, j][:, at]
-            plane = np.empty(shape)
+            plane = np.empty(out.shape[:-2])
             if weights[0] is None:
                 plane[...] = o[0]
             else:
                 np.multiply(weights[0], o[0], out=plane)
             for w, o_k in zip(weights[1:], o[1:]):
                 plane += o_k if w is None else w * o_k
-            out[..., i, j] = out[..., j, i] = plane
+            out[..., i, j] = plane
+            if i != j:
+                out[..., j, i] = plane
     return out
 
 
-def _point_fields(m, rho, z, level=None):
+def _empty_fields(shape, n):
+    """Uninitialized arrays for the point fields (F, F^-1, det F, omega)
+    of rank n at points of the given shape.  F and F^-1 share one block,
+    a strip's largest: glibc's malloc raises its trim threshold to twice
+    the largest mapped block it frees, and at that size the heap that the
+    stencil's temporaries free is kept rather than returned to the system
+    and faulted in again on the next strip."""
+    F_Finv = np.empty((2,) + shape + (n, n))
+    return F_Finv[0], F_Finv[1], np.empty(shape), np.empty(shape + (n,))
+
+
+def _point_fields(m, rho, z, level=None, out=None):
     """The point stage: F, F^-1, det F and omega at the (rho, z) points
-    given by broadcasting the arrays rho and z against each other, from
+    given by broadcasting the arrays rho and z against each other,
+    written into out (a tuple as from _empty_fields) if it is given, from
     the frame factors F = M^-T diag(d) M^-1, d_k = e^(U_k), of the frame
     M = A(z) + chi (far - A(z)) blended toward the far frame.  chi and
     the z stage (ModelMap._z_stage) serve F and omega both.  A grid level
@@ -659,17 +684,18 @@ def _point_fields(m, rho, z, level=None):
     determinant per point.  A slot without terms has d_k = 1, and no
     exponential, weight or factor of the product is formed for it."""
     shape = np.broadcast_shapes(rho.shape, z.shape)
+    F, Finv, f, omega = out or _empty_fields(shape, m.diagram.n)
     gather = None  # a grid level's z stage is broadcast along the points' last axis
     if level is None:
         z_axis, gather = np.unique(z, return_inverse=True)
         level, gather = m._z_stage(z_axis), gather.reshape(z.shape)
     at = np.arange(level.z.size) if gather is None else gather  # index into level, per z
     chi = m._blend_weight(rho, z)
-    omega = m._omega(rho, z, level, at, chi)
+    m._omega(rho, z, level, at, chi, omega)
     d = [None if U is None else np.exp(U) for U in m._slot_potentials(rho, z)]
-    F = _rank_one_sum(level.row_outer, d, shape, gather)
+    _rank_one_sum(level.row_outer, d, F, gather)
     d_inv = [None if w is None else 1.0 / w for w in d]
-    Finv = _rank_one_sum(level.col_outer, d_inv, shape, gather)
+    _rank_one_sum(level.col_outer, d_inv, Finv, gather)
     det_inv = level.det_inv[at]
     blend = chi > 0.0
     if blend.any():
@@ -680,7 +706,7 @@ def _point_fields(m, rho, z, level=None):
         diag = np.stack([np.ones(len(M)) if w is None else w[blend] for w in d], axis=-1)
         F[blend] = _congruence(np.linalg.inv(M), diag)
         Finv[blend] = _congruence(np.swapaxes(M, -1, -2), 1.0 / diag)
-    f = reduce(mul, [w for w in d if w is not None]) * det_inv**2
+    np.multiply(reduce(mul, [w for w in d if w is not None]), det_inv**2, out=f)
     return F, Finv, f, omega
 
 
@@ -783,9 +809,7 @@ def _tension_stencil(F, Finv, f, w, rho, h):
 def _tension_at(m, points, h):
     """(|tau|, |tau_F part|, |tau_omega part|) arrays at an (N, 2) array of
     points, each from the 5x5 patch of spacing h centered on it."""
-    pts = np.asarray(points, dtype=float)
-    if not np.all(np.isfinite(pts)):
-        raise ValueError("stencil needs a finite point")
+    pts = _half_plane_points(points, "stencil")
     # the axis set lies on rho = 0, so clearing the half-plane boundary by
     # the stencil reach 2h also clears the axis set by at least 2h
     if not np.all(pts[:, 0] - 2.0 * h > 0.0):
@@ -793,6 +817,10 @@ def _tension_at(m, points, h):
     offsets = np.arange(-2, 3) * h
     rho = pts[:, 0] + offsets[:, None, None]  # the patches' rows, (5, 1, N)
     z = pts[:, 1] + offsets[None, :, None]  # their columns, (1, 5, N)
+    # far from 0, h may fall below the spacing of doubles, and a patch
+    # whose coordinates coincide would give tau = 0
+    if not (np.all(rho[1:] > rho[:-1]) and np.all(z[:, 1:] > z[:, :-1])):
+        raise ValueError(f"stencil points coincide: h = {h} is below the float resolution there")
     parts = _tension_stencil(*_point_fields(m, rho, z), pts[:, 0], h)
     return tuple(part[0, 0] for part in parts)
 
@@ -810,43 +838,118 @@ def tension_norm(m, rho, z, h):
 def _grid_axes(h, rho_max, z_lo, z_hi):
     """The rho and z axes of tension_field's grid.  Their lengths are
     counted in Python integers first, so a spacing too small for an array
-    to hold the grid raises ModelMapError before anything is allocated."""
+    to hold the grid raises ModelMapError before anything is allocated.
+    Bounds so far from 0 that adjacent z values coincide raise it too."""
     spans = rho_max / h, (z_hi - z_lo) / h
     if all(math.isfinite(s) for s in spans):
         rows, cols = int(round(spans[0])), int(round(spans[1])) + 1
         if max(rows, 0) * max(cols, 0) <= np.iinfo(np.intp).max:
-            return (np.arange(rows) + 1.0) * h, z_lo + np.arange(cols) * h
+            z = z_lo + np.arange(cols) * h
+            # far from 0, h may fall below the spacing of doubles
+            if np.any(z[1:] <= z[:-1]):
+                raise ModelMapError(
+                    f"grid bounds z_lo = {z_lo}, z_hi = {z_hi} put adjacent grid points "
+                    f"closer than float resolution at h = {h}"
+                )
+            return (np.arange(rows) + 1.0) * h, z
     raise ModelMapError(f"grid spacing h = {h} gives more grid points than an array can hold")
 
 
-def _tension_strips(m, h, rho_max, z_lo, z_hi, excision):
-    """The tension kernel on tension_field's grid, STRIP_ROWS result rows
-    at a time: yields (rows, rho, z, dist, mask, (tau, tau_f, tau_omega))
-    per strip, with the slice of result rows, the strip's rho as a column
-    and z as a row (they broadcast to the strip), the distance to the
-    axis set, mask = dist > excision and the parts NaN outside the mask.
-    The point stage and the distance get the grid's axes, not a mesh of
-    points, so what depends on rho or z alone runs once per row or
-    column (_point_fields).  Each strip carries its last four rows of
-    point fields into the next, so F is computed once per grid point,
-    and the frame curve's z stage once per call."""
-    rho, z = _grid_axes(h, rho_max, z_lo, z_hi)
-    rows = len(rho[2:-2])
-    level = m._z_stage(z)
-    fields = None
-    for a in range(0, rows, STRIP_ROWS):
-        b = min(a + STRIP_ROWS, rows)
-        # result rows a..b-1 read grid rows a..b+3; rows a..a+3 are carried
-        first = a if fields is None else a + 4
-        new = _point_fields(m, rho[first : b + 4, None], z[None, :], level)
-        if fields is not None:
-            new = tuple(np.concatenate([old[-4:], part]) for old, part in zip(fields, new))
-        fields = new
-        R, Z = rho[a + 2 : b + 2, None], z[None, 2:-2]
+class _Level:
+    """One grid level of a strip pass (_tension_strips): spacing h, the
+    axes rho and z that its point fields are filled on, the rows and
+    columns of its own grid (_grid_axes) that its stencil reads, the
+    excision radius, and its strip, the point fields of the grid rows
+    start..stop-1."""
+
+    def __init__(self, m, h, grid, excision):
+        self.m, self.h, self.excision = m, h, excision
+        self.rho, self.z = _grid_axes(h, *grid)
+        self.rows, self.cols = self.rho.size, self.z.size
+        self.start = self.stop = 0
+        self.fields = None
+
+    def extend(self, count):
+        """Move on to a fresh strip: the last four rows of the strip before
+        (all of them if it has fewer) in its head, then count new grid
+        rows, whose arrays are returned to be filled."""
+        head = 0 if self.fields is None else min(len(self.fields[0]), 4)
+        fields = _empty_fields((head + count, self.z.size), self.m.diagram.n)
+        for new, old in zip(fields, self.fields or ()):
+            new[:head] = old[len(old) - head :]
+        self.fields, self.start, self.stop = fields, self.stop - head, self.stop + count
+        return tuple(f[head:] for f in fields)
+
+    def take(self, block, p0):
+        """Copy this level's grid rows among the pass rows p0, p0 + 1, ...
+        of block, from a pass over the grid of half its spacing, into a
+        fresh strip and return the strip's result; None if block holds no
+        row of this level.  Grid row i is pass row 2i + 1, and grid column
+        j pass column 2j."""
+        i0, i1 = self.stop, min((p0 + len(block[0])) // 2, self.rows)
+        if i1 <= i0:
+            return None
+        rows, cols = slice(2 * i0 + 1 - p0, 2 * i1 - p0, 2), slice(0, 2 * self.cols - 1, 2)
+        for dst, src in zip(self.extend(i1 - i0), block):
+            dst[...] = src[rows, cols]
+        return self.result()
+
+    def result(self):
+        """The strip's stencil on its own grid's rows and columns, as
+        _tension_strips yields it; None while the strip holds fewer than
+        the five rows of one result row."""
+        a, b, m = self.start, min(self.stop, self.rows) - 4, self.m  # result rows a..b-1
+        if b <= a:
+            return None
+        R, Z = self.rho[a + 2 : b + 2, None], self.z[None, 2 : self.cols - 2]
         dist = m._axis_distance(R, Z)
-        keep = dist > excision
-        parts = _tension_stencil(*fields, rho[a + 2 : b + 2, None], h)
-        yield slice(a, b), R, Z, dist, keep, tuple(np.where(keep, t, np.nan) for t in parts)
+        keep = dist > self.excision
+        block = (f[: b + 4 - a, : self.cols] for f in self.fields)
+        parts = _tension_stencil(*block, R, self.h)
+        parts = tuple(np.where(keep, t, np.nan) for t in parts)
+        return self.h, slice(a, b), R, Z, dist, keep, parts
+
+
+def _tension_strips(m, h, grid, excision, fine_excision=None):
+    """The tension kernel on tension_field's grid of spacing h over
+    grid = (rho_max, z_lo, z_hi), strip by strip: yields (h, rows, rho,
+    z, dist, mask, (tau, tau_f, tau_omega)) per strip, with the slice of
+    result rows, the strip's rho as a column and z as a row (they
+    broadcast to the strip), the distance to the axis set,
+    mask = dist > excision and the parts NaN outside the mask.  Given a
+    fine_excision, the same pass also yields the strips of the h/2 grid,
+    whose first item is h/2 and whose mask is dist > fine_excision.
+
+    The pass runs the z stage once and the point stage once per row of
+    its grid (the h/2 grid if there is one), STRIP_ROWS result rows at a
+    time, writing into fresh strips that carry four rows over
+    (_Level.extend).  The grid's axes go in, not a mesh of points, so
+    what depends on rho or z alone runs once per row or column
+    (_point_fields).  The h grid's points are, bit for bit, the h/2
+    grid's odd rows and even columns, so the h level copies its point
+    fields from each new block of the pass (_Level.take) and evaluates
+    none itself.  _grid_axes rounds, so the h grid's last row or column
+    may lie one h/2 step past the h/2 grid: the pass covers that step
+    too, and the h/2 stencil does not read it."""
+    coarse = driver = _Level(m, h, grid, excision)  # the pass runs over the driver's grid
+    if fine_excision is not None:
+        driver = _Level(m, h / 2.0, grid, fine_excision)
+        if 2 * coarse.rows > driver.rows:
+            driver.rho = np.append(driver.rho, coarse.rho[-1])
+        if 2 * coarse.cols - 1 > driver.cols:
+            driver.z = np.append(driver.z, coarse.z[-1])
+    stage = m._z_stage(driver.z)
+    while driver.stop < driver.rho.size:
+        p0 = driver.stop
+        count = STRIP_ROWS + (0 if driver.fields else 4)  # four rows come from the strip before
+        new = driver.extend(min(count, driver.rho.size - p0))
+        _point_fields(m, driver.rho[p0 : driver.stop, None], driver.z[None, :], stage, new)
+        strip = driver.result()
+        if strip is not None:
+            yield strip
+        strip = None if driver is coarse else coarse.take(new, p0)
+        if strip is not None:
+            yield strip
 
 
 def tension_field(m, h, rho_max, z_lo, z_hi, excision=None):
@@ -855,9 +958,11 @@ def tension_field(m, h, rho_max, z_lo, z_hi, excision=None):
 
     Returns (rho_grid, z_grid, tau, tau_f, tau_omega, mask); tau is NaN
     outside the mask.  The grid starts at rho = h, and tau lives on the
-    interior points rho >= 3h.  Bounds that are not finite, or that leave
-    no interior point, raise ModelMapError.  Besides the returned arrays
-    the memory in use is one strip's (see _tension_strips).
+    interior points rho >= 3h.  Bounds that are not finite, that leave
+    no interior point or whose grid points coincide, and an excision
+    radius that is not a finite number >= 0, raise ModelMapError.  Besides
+    the returned arrays the memory in use is one strip's (see
+    _tension_strips).
     """
     _check_spacing(h)
     for name, bound in (("rho_max", rho_max), ("z_lo", z_lo), ("z_hi", z_hi)):
@@ -869,10 +974,12 @@ def tension_field(m, h, rho_max, z_lo, z_hi, excision=None):
             raise ModelMapError(f"grid bounds {bounds} leave no interior point at h = {h}")
     if excision is None:
         excision = EXCISION_FACTOR * h
+    elif not (isinstance(excision, numbers.Real) and math.isfinite(excision) and excision >= 0.0):
+        raise ModelMapError(f"excision radius excision = {excision} must be a finite number >= 0")
     R_t, Z_t = np.meshgrid(rho[2:-2], z[2:-2], indexing="ij")
     taus = tuple(np.empty(R_t.shape) for _ in range(3))
     mask = np.empty(R_t.shape, dtype=bool)
-    for rows, _, _, _, keep, parts in _tension_strips(m, h, rho_max, z_lo, z_hi, excision):
+    for _, rows, _, _, _, keep, parts in _tension_strips(m, h, (rho_max, z_lo, z_hi), excision):
         mask[rows] = keep
         for out, part in zip(taus, parts):
             out[rows] = part
@@ -919,10 +1026,10 @@ def dump_csv(m, report, path):
     """Write the tension field of the map m on the spacing-h grid of its
     report, outside the excision radius, strip by strip."""
     d = report.domain
-    strips = _tension_strips(m, report.h, d["rho_max"], d["z_lo"], d["z_hi"], report.excision_radius)
+    grid = d["rho_max"], d["z_lo"], d["z_hi"]
     with open(path, "w") as fh:
         fh.write("rho,z,tau,tau_f,tau_omega\n")
-        for _, rho, z, _, _, parts in strips:
+        for _, _, rho, z, _, _, parts in _tension_strips(m, report.h, grid, report.excision_radius):
             keep = ~np.isnan(parts[0])
             columns = [np.broadcast_to(a, keep.shape)[keep].tolist() for a in (rho, z, *parts)]
             fh.writelines(map(_CSV_ROW.__mod__, zip(*columns)))
@@ -940,6 +1047,11 @@ def verify_tension(m: ModelMap, h=0.05) -> TensionReport:
     points.  Points within EXCISION_FACTOR * h of the axis set are
     excised.  A tension value that overflows to inf or NaN raises
     ModelMapError naming it.
+
+    The annulus sups at h and h/2 come from one strip pass over the h/2
+    grid (_annulus_sups, _tension_strips): the point stage runs once per
+    h/2 grid row, and the h grid reads its point fields, its odd rows and
+    even columns, from there.
     """
     _check_spacing(h)
     lo, hi = _finite_extent(m.diagram)
@@ -962,13 +1074,12 @@ def verify_tension(m: ModelMap, h=0.05) -> TensionReport:
     # the h/2 field is only compared there, so its mask is that compact
     clearance = max(SUP_CLEARANCE, excision)
     grid = (rho_max, z_lo, z_hi)
-    (sups_ex, sups1), kept = _annulus_sups(m, h, grid, annuli_bounds, (excision, clearance))
+    (sups_ex, sups1, sups2), kept = _annulus_sups(m, h, grid, annuli_bounds, excision, clearance)
     if not kept:
         raise ModelMapError(
             f"the grid at h = {h} has no interior point outside the "
             f"excision radius {excision}"
         )
-    (sups2,), _ = _annulus_sups(m, h / 2.0, grid, annuli_bounds, (clearance,))
     annuli = []
     for (r_lo, r_hi), sup_ex, sup1, sup2 in zip(annuli_bounds, sups_ex, sups1, sups2):
         for key, sup in (("sup_excision", sup_ex), ("sup_coarse", sup1), ("sup_fine", sup2)):
@@ -1011,25 +1122,30 @@ def verify_tension(m: ModelMap, h=0.05) -> TensionReport:
     )
 
 
-def _annulus_sups(m, h, grid, bounds, clearances):
-    """Per clearance and annulus (radii about the far-field center), the
-    sup of |tau| at spacing h over the grid points farther than that
-    clearance from the axis set, 0.0 if there are none; and whether the
-    grid has any point outside the first (smallest) clearance, which is
-    the field's excision radius.  The field is reduced strip by strip."""
-    tops = [[[] for _ in bounds] for _ in clearances]
+def _annulus_sups(m, h, grid, bounds, excision, clearance):
+    """Per annulus (radii about the far-field center), the sups of |tau|
+    over the grid points farther than a clearance from the axis set, 0.0
+    where there are none: at spacing h beyond the excision radius and
+    beyond the clearance, and at h/2 beyond the clearance; and whether the
+    h grid has any point beyond the excision radius.  Both grids come
+    from one strip pass (_tension_strips), and each strip is reduced as
+    it comes."""
+    sets = ((h, excision), (h, clearance), (h / 2.0, clearance))  # (grid spacing, clearance)
+    tops = [[[] for _ in bounds] for _ in sets]
     kept = False
-    for _, rho, z, dist, keep, (tau, _, _) in _tension_strips(m, h, *grid, clearances[0]):
-        kept = kept or bool(keep.any())
+    strips = _tension_strips(m, h, grid, excision, clearance)
+    for spacing, _, rho, z, dist, keep, (tau, _, _) in strips:
+        kept = kept or (spacing == h and bool(keep.any()))
         radius = np.hypot(rho, z - m.z0)
+        level_sets = [(top, c) for top, (s, c) in zip(tops, sets) if s == spacing]
         for j, (r_lo, r_hi) in enumerate(bounds):
             ring = (radius >= r_lo) & (radius < r_hi)
-            for i, c in enumerate(clearances):
+            for top, c in level_sets:
                 values = tau[ring & (dist > c)]
                 if values.size:
                     # every point farther than c is kept, so a NaN here
                     # is an overflow and must reach _require_finite
-                    tops[i][j].append(values.max())
+                    top[j].append(values.max())
     # max is exact and order-free, so the sup of the strip sups is the sup
     return [[float(np.max(t)) if t else 0.0 for t in row] for row in tops], kept
 

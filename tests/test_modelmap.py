@@ -179,7 +179,15 @@ def mesh_points(rho, z):
     return np.stack(np.broadcast_arrays(rho, z), axis=-1)
 
 
-def reference_point_fields(m, rho, z, level=None):
+def written_into(out, fields):
+    """The point fields, written into out first if it is given, as
+    _point_fields does."""
+    for dst, src in zip(out or (), fields):
+        dst[...] = src
+    return fields
+
+
+def reference_point_fields(m, rho, z, level=None, out=None):
     """Point stage built from the two reference formulas on the full mesh
     of points, each with its own chi and its own distinct z; a grid
     level's z stage is ignored.  Where chi = 0, F and F^-1 are the
@@ -194,10 +202,10 @@ def reference_point_fields(m, rho, z, level=None):
     blend = m._blend_weight(pts[..., 0], pts[..., 1]) > 0.0
     F[blend] = modelmap._congruence(Minv[blend], d[blend])
     Finv[blend] = modelmap._congruence(Mt[blend], 1.0 / d[blend])
-    return F, Finv, d.prod(-1) * det_inv**2, reference_omega(m, points)
+    return written_into(out, (F, Finv, d.prod(-1) * det_inv**2, reference_omega(m, points)))
 
 
-def reference_kernel_point_fields(m, rho, z, level=None):
+def reference_kernel_point_fields(m, rho, z, level=None, out=None):
     """The former point stage on the full mesh of points: F and F^-1 as
     stacked products at every point, and det F taken per point by
     np.linalg.det."""
@@ -205,7 +213,7 @@ def reference_kernel_point_fields(m, rho, z, level=None):
     M, Minv, d, _ = reference_frame_factors(m, points)
     F = modelmap._congruence(Minv, d)
     Finv = modelmap._congruence(np.swapaxes(M, -1, -2), 1.0 / d)
-    return F, Finv, np.linalg.det(F), reference_omega(m, points)
+    return written_into(out, (F, Finv, np.linalg.det(F), reference_omega(m, points)))
 
 
 def reference_tension_stencil(F, Finv, f, w, rho, h):
@@ -755,6 +763,11 @@ def test_stencil_domain_errors():
         for rho, z in [(math.nan, 1.0), (math.inf, 1.0), (1.0, math.nan), (1.0, math.inf)]:
             with pytest.raises(ValueError, match="stencil"):
                 tension_norm(m, rho, z, 0.05)
+    # these once gave 0.0: h is below the spacing of doubles there, so the
+    # five rows or columns of the stencil were one
+    for rho, z in [(1e16, 3.0), (1e17, 1.0), (1.0, 1e17), (2.0, 1e300)]:
+        with pytest.raises(ValueError, match="stencil points coincide"):
+            tension_norm(m, rho, z, 0.1)
 
 
 @pytest.mark.parametrize("h", [0.0, -0.05, math.nan, math.inf])
@@ -781,14 +794,47 @@ def test_tension_rejects_bad_spacing(h):
         ((3.0, 3.0, -1.0), "grid bounds z_lo = 3.0, z_hi = -1.0 leave no interior point at h = 0.5"),
         ((3.0, 1.0, 1.0), "grid bounds z_lo = 1.0, z_hi = 1.0 leave no interior point at h = 0.5"),
         ((3.0, 1.0, 2.5), "grid bounds z_lo = 1.0, z_hi = 2.5 leave no interior point at h = 0.5"),
+        (
+            (3.0, 1e17, 1e17 + 20.0),
+            f"grid bounds z_lo = {1e17}, z_hi = {1e17 + 20.0} put adjacent grid points closer "
+            "than float resolution at h = 0.5",
+        ),
     ],
 )
 def test_tension_field_rejects_bad_bounds(bounds, message):
     # these once raised OverflowError, a bare ValueError, numpy's reshape
-    # or broadcast errors, or returned empty arrays
+    # or broadcast errors, or returned empty arrays; the last gave a grid
+    # with two distinct z values and tau = 0
     m = build_model_map(no_corner_diagram())
     with pytest.raises(ModelMapError, match=re.escape(message)):
         tension_field(m, 0.5, *bounds)
+
+
+@pytest.mark.parametrize("excision", [math.nan, INF, -1.0, "a"])
+def test_tension_field_rejects_a_bad_excision(excision):
+    # NaN once excised every point, and "a" raised numpy's UFuncTypeError
+    m = build_model_map(no_corner_diagram())
+    message = f"excision radius excision = {excision} must be a finite number >= 0"
+    with pytest.raises(ModelMapError, match=re.escape(message)):
+        tension_field(m, 0.5, 3.0, -1.0, 3.0, excision=excision)
+
+
+@pytest.mark.parametrize(
+    "point, message",
+    [
+        ((-1.0, 1.0), "needs a point of the half plane rho >= 0"),
+        ((-5.0, 1.0), "needs a point of the half plane rho >= 0"),
+        ((math.nan, 1.0), "needs a finite point"),
+        ((1.0, INF), "needs a finite point"),
+    ],
+)
+def test_map_fields_reject_points_off_the_half_plane(point, message):
+    # F and omega once gave NaN rows or zeros there, and distance_to_axis
+    # gave |rho|
+    m = build_model_map(figure2_diagram())
+    for name in ("F", "omega", "distance_to_axis"):
+        with pytest.raises(ValueError, match=re.escape(f"{name} {message}")):
+            getattr(m, name)(np.array([point]))
 
 
 @pytest.mark.parametrize("h", [1e-300, 1e-20])
@@ -1335,7 +1381,7 @@ def test_tension_field_inverts_frames_once_per_z(monkeypatch):
     assert sum(inverted) <= z.size + blended
 
 
-def former_omega(self, rho, z, level, at, chi):
+def former_omega(self, rho, z, level, at, chi, out):
     """ModelMap._omega as it was before the z stage carried the near-field
     profile: the profile evaluated on the level's whole z axis at every
     call, so once per strip of a grid."""
@@ -1349,7 +1395,8 @@ def former_omega(self, rho, z, level, at, chi):
         far = c_north + s_theta[:, None] * (c_south - c_north)
         c = chi[blend][:, None]
         near[blend] = (1.0 - c) * near[blend] + c * far
-    return near
+    out[...] = near
+    return out
 
 
 def test_omega_profile_evaluated_once_per_grid_level(monkeypatch):
@@ -1570,17 +1617,56 @@ def test_csv_dump_matches_tension_field(tmp_path):
 
 
 @pytest.mark.parametrize(
-    "diagram",
-    [parse(PAPER_DIAGRAM.read_text()), no_corner_diagram(), rank_two_counterexample()],
-    ids=["paper", "no-corner", "rank-two"],
+    "diagram, h",
+    [
+        (parse(PAPER_DIAGRAM.read_text()), 0.2),
+        (no_corner_diagram(), 0.2),
+        (rank_two_counterexample(), 0.2),
+        # the grids do not nest: the h grid's last row (h = 0.15) or last
+        # column (h = 0.3) lies one h/2 step past the h/2 grid
+        (parse(PAPER_DIAGRAM.read_text()), 0.15),
+        (parse(PAPER_DIAGRAM.read_text()), 0.3),
+    ],
+    ids=["paper", "no-corner", "rank-two", "paper-h0.15", "paper-h0.3"],
 )
-def test_streamed_annuli_match_full_grid_reference(monkeypatch, diagram):
+def test_streamed_annuli_match_full_grid_reference(monkeypatch, diagram, h):
     m = build_model_map(diagram)
-    want = reference_annuli(m, 0.2)
+    want = reference_annuli(m, h)
     # 10**4 rows is more than either grid has
     for strip_rows in (modelmap.STRIP_ROWS, 1, 10**4):
         monkeypatch.setattr(modelmap, "STRIP_ROWS", strip_rows)
-        assert verify_tension(m, h=0.2).annuli == want
+        assert verify_tension(m, h=h).annuli == want
+
+
+def test_verifier_runs_one_point_pass_for_both_grids(monkeypatch):
+    # the h grid's points are the h/2 grid's odd rows and even columns, so
+    # one verify_tension call evaluates the point stage once per h/2 grid
+    # row (plus the h grid's last row where it lies past the h/2 grid) and
+    # builds one z stage for both grids
+    m = build_model_map(parse(PAPER_DIAGRAM.read_text()))
+    h = 0.1
+    rows, levels, stages = [], [], []
+    point_fields, z_stage = modelmap._point_fields, modelmap.ModelMap._z_stage
+
+    def counting(mm, rho, z, level=None, out=None):
+        if level is not None:
+            rows.append(rho.shape[0])
+        levels.append(level)
+        return point_fields(mm, rho, z, level, out)
+
+    def staging(self, z_axis):
+        stages.append(z_axis.size)
+        return z_stage(self, z_axis)
+
+    monkeypatch.setattr(modelmap, "_point_fields", counting)
+    monkeypatch.setattr(modelmap.ModelMap, "_z_stage", staging)
+    verify_tension(m, h)
+    fine_rows = modelmap._grid_axes(h / 2.0, *verifier_grid(m)[1])[0].size
+    assert len(rows) > 1 and fine_rows <= sum(rows) <= fine_rows + 1
+    grid_levels = [level for level in levels if level is not None]
+    assert all(level is grid_levels[0] for level in grid_levels)
+    # one z stage for the grids, and one per probe batch (_tension_at)
+    assert len(stages) == 1 + levels.count(None)
 
 
 def test_verify_tension_memory_bounded_by_strip():
