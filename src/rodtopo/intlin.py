@@ -69,9 +69,7 @@ class IntMatrix:
     def identity(cls, n):
         if n < 1:
             raise ValueError("matrix must have at least one row and one column")
-        return cls._trusted(
-            tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
-        )
+        return cls._trusted(tuple(map(tuple, _identity_lists(n))))
 
     def __getitem__(self, key):
         i, j = key
@@ -131,6 +129,14 @@ class IntMatrix:
         if not self.is_unimodular():
             raise ValueError("matrix is not unimodular")
         return hermite_normal_form(self).Q
+
+
+def _identity_lists(n):
+    """The n x n identity as a list of row lists, a normal form's start."""
+    rows = [[0] * n for _ in range(n)]
+    for i in range(n):
+        rows[i][i] = 1
+    return rows
 
 
 def _bareiss_det(a):
@@ -217,7 +223,7 @@ def hermite_normal_form(A: IntMatrix) -> HermiteResult:
     """
     m, k = A.rows, A.cols
     h = A.to_lists()
-    q = IntMatrix.identity(m).to_lists()
+    q = _identity_lists(m)
     pr = 0
     pivots = []
     for col in range(k):
@@ -303,8 +309,8 @@ def smith_normal_form(A: IntMatrix) -> SmithResult:
     """
     m, k = A.rows, A.cols
     a = A.to_lists()
-    u = IntMatrix.identity(m).to_lists()
-    v = IntMatrix.identity(k).to_lists()
+    u = _identity_lists(m)
+    v = _identity_lists(k)
 
     def row_combine(i1, i2, x, y, c, d):
         a[i1], a[i2] = (

@@ -612,6 +612,15 @@ def _omega_pieces(diagram, comps):
 
 
 STRIP_ROWS = 16  # rho rows of tension_field's output computed per strip
+SPACING_RTOL = 1e-6  # relative error allowed in a stencil or grid spacing
+
+
+def _spaced_by(x, h, axis):
+    """True iff the values of x along axis step by h, each step to within
+    SPACING_RTOL * h.  Far from 0, h may be too fine for the doubles
+    there: adjacent coordinates then coincide or round unevenly, and the
+    centered differences, which divide by 2h, would be silently wrong."""
+    return bool(np.all(np.abs(np.diff(x, axis=axis) - h) <= SPACING_RTOL * h))
 
 
 def _congruence(X, d):
@@ -817,10 +826,10 @@ def _tension_at(m, points, h):
     offsets = np.arange(-2, 3) * h
     rho = pts[:, 0] + offsets[:, None, None]  # the patches' rows, (5, 1, N)
     z = pts[:, 1] + offsets[None, :, None]  # their columns, (1, 5, N)
-    # far from 0, h may fall below the spacing of doubles, and a patch
-    # whose coordinates coincide would give tau = 0
-    if not (np.all(rho[1:] > rho[:-1]) and np.all(z[:, 1:] > z[:, :-1])):
-        raise ValueError(f"stencil points coincide: h = {h} is below the float resolution there")
+    if not (_spaced_by(rho, h, 0) and _spaced_by(z, h, 1)):
+        raise ValueError(
+            f"stencil points are not spaced evenly: h = {h} is too fine for the float resolution there"
+        )
     parts = _tension_stencil(*_point_fields(m, rho, z), pts[:, 0], h)
     return tuple(part[0, 0] for part in parts)
 
@@ -839,17 +848,17 @@ def _grid_axes(h, rho_max, z_lo, z_hi):
     """The rho and z axes of tension_field's grid.  Their lengths are
     counted in Python integers first, so a spacing too small for an array
     to hold the grid raises ModelMapError before anything is allocated.
-    Bounds so far from 0 that adjacent z values coincide raise it too."""
+    Bounds so far from 0 that the z values do not step by h (see
+    _spaced_by) raise it too."""
     spans = rho_max / h, (z_hi - z_lo) / h
     if all(math.isfinite(s) for s in spans):
         rows, cols = int(round(spans[0])), int(round(spans[1])) + 1
         if max(rows, 0) * max(cols, 0) <= np.iinfo(np.intp).max:
             z = z_lo + np.arange(cols) * h
-            # far from 0, h may fall below the spacing of doubles
-            if np.any(z[1:] <= z[:-1]):
+            if not _spaced_by(z, h, 0):
                 raise ModelMapError(
-                    f"grid bounds z_lo = {z_lo}, z_hi = {z_hi} put adjacent grid points "
-                    f"closer than float resolution at h = {h}"
+                    f"grid bounds z_lo = {z_lo}, z_hi = {z_hi} space adjacent grid points "
+                    f"unevenly: h = {h} is too fine for the float resolution there"
                 )
             return (np.arange(rows) + 1.0) * h, z
     raise ModelMapError(f"grid spacing h = {h} gives more grid points than an array can hold")
@@ -959,7 +968,7 @@ def tension_field(m, h, rho_max, z_lo, z_hi, excision=None):
     Returns (rho_grid, z_grid, tau, tau_f, tau_omega, mask); tau is NaN
     outside the mask.  The grid starts at rho = h, and tau lives on the
     interior points rho >= 3h.  Bounds that are not finite, that leave
-    no interior point or whose grid points coincide, and an excision
+    no interior point or whose grid points do not step by h, and an excision
     radius that is not a finite number >= 0, raise ModelMapError.  Besides
     the returned arrays the memory in use is one strip's (see
     _tension_strips).

@@ -35,7 +35,7 @@ class RodStructure(NamedTuple):
     @classmethod
     def from_raw(cls, components):
         raw = _int_vector(components)
-        if not is_primitive_vector(raw):
+        if gcd(*raw) != 1:
             raise ValueError(f"structure {raw} is not primitive")
         return cls(_normalize_sign(raw))
 
@@ -132,16 +132,21 @@ def _torus_name(k):
 
 
 class RodDiagram:
-    """A rod diagram, validated when built.  ``rods`` must not change
-    after construction: the corner list is taken from it once."""
+    """A rod diagram, validated when built.  It computes each exact
+    invariant at most once and keeps it: the corner list, the first
+    inadmissible corner, the asymptotic end and pi_1 (see
+    topology.fundamental_group; compactify hands its disk the pi_1 it
+    certified).  So ``rods`` must not change after construction."""
 
-    __slots__ = ("n", "shape", "rods", "_corners")  # __eq__ without __hash__: unhashable
+    # __eq__ without __hash__: unhashable.  None in a cache slot means not
+    # yet computed; _bad_corner holds () when every corner is admissible
+    __slots__ = ("n", "shape", "rods", "_corners", "_bad_corner", "_end", "_pi1")
 
     def __init__(self, n, shape, rods):
         self.n = n
         self.shape = shape  # "half_plane" | "disk"
         self.rods = rods  # list of Rod
-        self._corners = None
+        self._corners = self._bad_corner = self._end = self._pi1 = None
         self.validate()
 
     def __eq__(self, other):
@@ -191,11 +196,15 @@ class RodDiagram:
     def inadmissible_corner(self):
         """(i, j, Det_2) of the first corner whose structures have
         Det_2 != 1, or None if every corner is admissible."""
-        for i, j in self.corners():
-            d = det2(self.rods[i].structure, self.rods[j].structure)
-            if d != 1:
-                return i, j, d
-        return None
+        if self._bad_corner is None:
+            bad = ()
+            for i, j in self.corners():
+                d = _det2(self.rods[i].structure.v, self.rods[j].structure.v)
+                if d != 1:
+                    bad = i, j, d
+                    break
+            self._bad_corner = bad
+        return self._bad_corner or None
 
     def horizon_flankings(self):
         """For each horizon rod, (index, left axis index, right axis index)."""
@@ -452,7 +461,12 @@ def parse(text: str) -> RodDiagram:
 def det2(v, w) -> int:
     """Det_2 of [v w]: the gcd of its 2 x 2 minors (0 for parallel
     vectors), taken in combinations order and stopped at gcd 1."""
-    v, w = _as_vector(v), _as_vector(w)
+    return _det2(_as_vector(v), _as_vector(w))
+
+
+def _det2(v, w):
+    """det2 of tuples of ints, which it does not convert or check again;
+    ragged or too short ones raise det2's ValueError."""
     n = len(v)
     if len(w) != n:
         raise ValueError("ragged columns")
@@ -508,7 +522,7 @@ def cross_section_topology(v, w, n: int) -> CrossSectionTopology:
     if len(v) != n or len(w) != n:
         raise ValueError("structures must have length n")
     _require_primitive(v, w, DiagramValidationError)
-    d = det2(v, w)
+    d = _det2(v, w)
     if d == 0:
         return CrossSectionTopology.ring(n - 2)
     if d == 1:
@@ -523,6 +537,8 @@ def asymptotic_end(diagram: RodDiagram) -> CrossSectionTopology:
     R_+ x cross-section."""
     if diagram.shape != HALF_PLANE:
         raise ValueError("asymptotic end is defined for half-plane diagrams only")
-    v = diagram.rods[0].structure
-    w = diagram.rods[-1].structure
-    return cross_section_topology(v, w, diagram.n)
+    if diagram._end is None:
+        v = diagram.rods[0].structure
+        w = diagram.rods[-1].structure
+        diagram._end = cross_section_topology(v, w, diagram.n)
+    return diagram._end

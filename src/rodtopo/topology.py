@@ -28,8 +28,8 @@ from .roddiagram import (
     Rod,
     RodDiagram,
     asymptotic_end,
-    det2,
     _as_vector,
+    _det2,
     _plane_reading,
     _require_primitive,
 )
@@ -78,8 +78,10 @@ class AbelianGroup(_AbelianGroup):
 
 def fundamental_group(diagram: RodDiagram) -> AbelianGroup:
     """pi_1 of the total space: Z^n / span_Z of the rod structures (see
-    _quotient)."""
-    return _quotient(diagram.n, [s.v for s in diagram.structures()])
+    _quotient), computed once per diagram."""
+    if diagram._pi1 is None:
+        diagram._pi1 = _quotient(diagram.n, [s.v for s in diagram.structures()])
+    return diagram._pi1
 
 
 def _quotient(n, vs):
@@ -158,7 +160,7 @@ def fillin_path(v, w):
     """
     v, w = _as_vector(v), _as_vector(w)
     _require_primitive(v, w, CompactifyError)
-    p = det2(v, w)
+    p = _det2(v, w)
     if p == 0:
         # parallel structures: route through a basis-completing vector
         res = hermite_normal_form(IntMatrix.from_columns([v, w]))
@@ -220,8 +222,9 @@ class FillinPlan(NamedTuple):
 
 
 def _gap_fill(v, w):
-    """Fill kind and inserted interior vectors for a gap flanked by v, w."""
-    d = det2(v, w)
+    """Fill kind and inserted interior vectors for a gap flanked by the
+    structure tuples v, w."""
+    d = _det2(v, w)
     if d == 0:
         return "merge", ()
     if d == 1:
@@ -288,7 +291,8 @@ def compactify(diagram: RodDiagram) -> FillinPlan:
     end_cap = Fill("end", None, end_kind, end_inserted)
 
     waypoints = ()
-    if not _quotient(diagram.n, structures).trivial:
+    pi1 = _quotient(diagram.n, structures)
+    if not pi1.trivial:
         # reroute the end cap through every basis direction missing from
         # the span of the walk that survives the reroute
         base = structures[: len(structures) - len(end_inserted)]
@@ -300,7 +304,8 @@ def compactify(diagram: RodDiagram) -> FillinPlan:
         end_inserted = _chain_through(base[-1], waypoints, base[0])
         end_cap = Fill("end", None, "chain", end_inserted)
         structures = base + list(end_inserted)
-        if not _quotient(diagram.n, structures).trivial:
+        pi1 = _quotient(diagram.n, structures)
+        if not pi1.trivial:
             raise CompactifyError(f"augmentation through {waypoints} failed to kill pi_1")
 
     # Every corner of the walk, the closing one included, has Det_2 = 1
@@ -309,8 +314,12 @@ def compactify(diagram: RodDiagram) -> FillinPlan:
     # has Det_2 = 1 (see fillin_path).  A merge (Det_2 = 0, which for
     # sign-normalized primitive structures means equal neighbours) drops
     # one of two equal structures, so the corner it leaves is one of those
-    # kinds, and the input structures survive in cyclic order.
-    return FillinPlan(tuple(horizon_fills), end_cap, waypoints, _build_disk(diagram.n, structures))
+    # kinds, and the input structures survive in cyclic order.  The disk's
+    # structures are the walk's up to sign, so they span the same lattice
+    # and its pi_1 is the one just certified.
+    disk = _build_disk(diagram.n, structures)
+    disk._pi1 = pi1
+    return FillinPlan(tuple(horizon_fills), end_cap, waypoints, disk)
 
 
 def _build_disk(n, structures):

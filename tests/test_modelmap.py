@@ -764,9 +764,11 @@ def test_stencil_domain_errors():
             with pytest.raises(ValueError, match="stencil"):
                 tension_norm(m, rho, z, 0.05)
     # these once gave 0.0: h is below the spacing of doubles there, so the
-    # five rows or columns of the stencil were one
-    for rho, z in [(1e16, 3.0), (1e17, 1.0), (1.0, 1e17), (2.0, 1e300)]:
-        with pytest.raises(ValueError, match="stencil points coincide"):
+    # five rows or columns of the stencil were one, or (the last two) they
+    # were spaced 0.0625 and 0.125, or 0.125, and divided by 2h all the same
+    for rho, z in [(1e16, 3.0), (1e17, 1.0), (1.0, 1e17), (2.0, 1e300), (5 + 2**48, 3.0),
+                   (5.0, 1e15)]:
+        with pytest.raises(ValueError, match="stencil points are not spaced evenly"):
             tension_norm(m, rho, z, 0.1)
 
 
@@ -796,18 +798,25 @@ def test_tension_rejects_bad_spacing(h):
         ((3.0, 1.0, 2.5), "grid bounds z_lo = 1.0, z_hi = 2.5 leave no interior point at h = 0.5"),
         (
             (3.0, 1e17, 1e17 + 20.0),
-            f"grid bounds z_lo = {1e17}, z_hi = {1e17 + 20.0} put adjacent grid points closer "
-            "than float resolution at h = 0.5",
+            f"grid bounds z_lo = {1e17}, z_hi = {1e17 + 20.0} space adjacent grid points "
+            "unevenly: h = 0.5 is too fine for the float resolution there",
+        ),
+        (
+            (3.0, 1e15, 1e15 + 6.0, 0.3),
+            f"grid bounds z_lo = {1e15}, z_hi = {1e15 + 6.0} space adjacent grid points "
+            "unevenly: h = 0.3 is too fine for the float resolution there",
         ),
     ],
 )
 def test_tension_field_rejects_bad_bounds(bounds, message):
     # these once raised OverflowError, a bare ValueError, numpy's reshape
-    # or broadcast errors, or returned empty arrays; the last gave a grid
-    # with two distinct z values and tau = 0
+    # or broadcast errors, or returned empty arrays; the last two gave a
+    # grid with two distinct z values, or z spaced 0.25 and 0.375, and
+    # tau = 0.  A fourth entry is the spacing h, 0.5 if absent.
     m = build_model_map(no_corner_diagram())
+    rho_max, z_lo, z_hi, h = (*bounds, 0.5)[:4]
     with pytest.raises(ModelMapError, match=re.escape(message)):
-        tension_field(m, 0.5, *bounds)
+        tension_field(m, h, rho_max, z_lo, z_hi)
 
 
 @pytest.mark.parametrize("excision", [math.nan, INF, -1.0, "a"])

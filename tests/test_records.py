@@ -2,6 +2,8 @@
 and equally hashed when their fields are equal, built positionally in the
 field order listed here.  RodDiagram is the one mutable record: it
 validates on construction, compares by (n, shape, rods) and is unhashable.
+It caches its corner list, corner check, asymptotic end and pi_1, each
+computed once, so its rods must not change after construction.
 The model map's records are immutable too and hold exact tuples, so they
 compare by value and are changed by _replace; a FrameSegment hashes, a
 ModelMap, which holds its RodDiagram, does not."""

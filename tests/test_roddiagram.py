@@ -15,6 +15,7 @@ from rodtopo.intlin import (
     hermite_normal_form,
     is_primitive_vector,
 )
+from rodtopo.plumbing import doc_decomposition
 from rodtopo.roddiagram import (
     Rod,
     RodDiagram,
@@ -25,6 +26,7 @@ from rodtopo.roddiagram import (
     parse,
     _plane_reading,
 )
+from rodtopo.topology import AbelianGroup, compactify, end_pi1
 
 from helpers import (
     long_integer_text,
@@ -286,6 +288,10 @@ def test_det2_rejects_ragged_empty_and_float_input():
         det2((1.5, 0, 0), (0, 1, 0))
     with pytest.raises(ValueError, match="out of range"):
         det2((1,), (2,))
+    # cross_section_topology takes Det_2 of its converted vectors directly,
+    # with det2's shape error
+    with pytest.raises(ValueError, match="out of range"):
+        cross_section_topology((1,), (-1,), 1)
 
 
 def test_det2_matches_determinant_divisor():
@@ -436,5 +442,33 @@ def test_asymptotic_end_parallel_case():
 
 def test_asymptotic_end_rejects_disk():
     d = RodDiagram(2, "disk", [Rod.axis((1, 0)), Rod.axis((0, 1))])
-    with pytest.raises(ValueError):
-        asymptotic_end(d)
+    for _ in range(2):  # the refusal is not cached as a value
+        with pytest.raises(ValueError):
+            asymptotic_end(d)
+
+
+def test_end_and_corner_check_are_computed_once_per_diagram(monkeypatch):
+    d = figure4()
+    calls = []
+    cross_section, kernel = roddiagram.cross_section_topology, roddiagram._det2
+
+    def counting_cross_section(v, w, n):
+        calls.append("end")
+        return cross_section(v, w, n)
+
+    def counting_det2(v, w):
+        calls.append("det2")
+        return kernel(v, w)
+
+    monkeypatch.setattr(roddiagram, "cross_section_topology", counting_cross_section)
+    monkeypatch.setattr(roddiagram, "_det2", counting_det2)
+    end = asymptotic_end(d)
+    assert d.inadmissible_corner() is None
+    assert calls.count("end") == 1 and calls.count("det2") == 1 + len(d.corners())
+    calls.clear()
+    # the three end readers and the two corner gates read the cached values
+    assert end_pi1(d) == AbelianGroup(1, ())
+    assert doc_decomposition(d).pieces[-1].end == end
+    compactify(d)
+    assert asymptotic_end(d) == end and d.inadmissible_corner() is None
+    assert calls == []

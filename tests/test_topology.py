@@ -1,3 +1,4 @@
+import json
 import random
 from pathlib import Path
 
@@ -12,7 +13,7 @@ from rodtopo.intlin import (
     is_primitive_vector,
     smith_normal_form,
 )
-from rodtopo.roddiagram import Rod, RodDiagram, det2, parse
+from rodtopo.roddiagram import Rod, RodDiagram, asymptotic_end, det2, parse
 from rodtopo.topology import (
     AbelianGroup,
     betti2,
@@ -25,6 +26,7 @@ from rodtopo.topology import (
 )
 
 from helpers import (
+    INADMISSIBLE_CORNER,
     minor_gcd,
     normalize_sign,
     rand_admissible_half_plane,
@@ -236,6 +238,11 @@ def test_fillin_errors_raise():
         fillin_path((2, 0), (1, 0))
     with pytest.raises(CompactifyError, match=r"^second structure \(0, 0\) is not primitive$"):
         fillin_path((1, 0), (0, 0))
+    # the shape errors are det2's
+    with pytest.raises(ValueError, match="ragged columns"):
+        fillin_path((1, 0, 0), (0, 1))
+    with pytest.raises(ValueError, match="out of range"):
+        fillin_path((1,), (-1,))
 
 
 def test_forged_plane_reading_is_refused(monkeypatch):
@@ -452,6 +459,52 @@ def test_compactify_gates_its_input_once_and_builds_one_disk(monkeypatch):
         assert calls == ["gate", "disk"]
 
 
+def test_one_pi1_serves_compactify_and_its_disk_readers(monkeypatch):
+    bundled = [parse(p.read_text()) for p in sorted(DIAGRAMS.glob("*.json"))]
+    diagrams = _compactify_corpus() + [d for d in bundled if d.shape == "half_plane"]
+    quotients = []
+    quotient = topology._quotient
+
+    def counting_quotient(n, vs):
+        quotients.append(len(vs))
+        return quotient(n, vs)
+
+    monkeypatch.setattr(topology, "_quotient", counting_quotient)
+    for d in diagrams:
+        quotients.clear()
+        plan = compactify(d)
+        computed = len(quotients)
+        # one walk is certified, or two when the end cap is rerouted
+        assert computed == 1 + bool(plan.waypoints)
+        assert is_simply_connected(plan.diagram)
+        assert classify(plan.diagram, spin=False).n == d.n
+        assert len(quotients) == computed
+
+
+def test_cached_invariants_match_a_fresh_diagram():
+    # every value a diagram caches, and the pi_1 compactify hands its
+    # disk, equals the one recomputed on a new diagram of the same rods
+    bundled = [parse(p.read_text()) for p in sorted(DIAGRAMS.glob("*.json"))]
+    diagrams = bundled + [parse(json.dumps(INADMISSIBLE_CORNER))] + _compactify_corpus()
+    augmented = 0
+    for d in diagrams:
+        checked = [d]
+        if d.shape == "half_plane":
+            want = asymptotic_end(RodDiagram(d.n, d.shape, list(d.rods)))
+            assert asymptotic_end(d) == asymptotic_end(d) == want
+            assert end_pi1(d) == end_pi1(RodDiagram(d.n, d.shape, list(d.rods)))
+            if d.inadmissible_corner() is None:
+                plan = compactify(d)
+                checked.append(plan.diagram)
+                augmented += bool(plan.waypoints)
+        for x in checked:
+            fresh = RodDiagram(x.n, x.shape, list(x.rods))
+            assert fundamental_group(x) == fundamental_group(x) == fundamental_group(fresh)
+            assert x.inadmissible_corner() == x.inadmissible_corner() == fresh.inadmissible_corner()
+    assert augmented >= 40
+    assert sum(d.inadmissible_corner() is not None for d in diagrams) == 1
+
+
 def _disk(n, vectors):
     return RodDiagram(n, "disk", [Rod.axis(v) for v in vectors])
 
@@ -596,6 +649,12 @@ def test_betti2_requires_simply_connected():
     d = RodDiagram(2, "disk", [Rod.axis((1, 0)), Rod.axis((1, 2))])
     with pytest.raises(ClassifyError):
         betti2(d)
+    # admissible corners, but the structures span a plane of Z^3: the
+    # cached pi_1 is read, and refused, on every call
+    d = RodDiagram(3, "disk", [Rod.axis(v) for v in ((1, 0, 0), (0, 1, 0), (1, 1, 0))])
+    for _ in range(2):
+        with pytest.raises(ClassifyError, match=r"not simply connected \(pi_1 = Z\)"):
+            classify(d, spin=False)
 
 
 def test_classify_chart_rows():
