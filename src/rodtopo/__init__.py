@@ -10,16 +10,18 @@ The package splits into:
   decomposition of the domain of outer communication
 - ``topology``   fundamental groups, fill-in chains, compactification,
   and the low-dimensional classification chart
-- ``modelmap``   region-wise model maps on the half plane and the
-  numerical tension verifier
+- ``modelbuild`` region-wise model maps on the half plane: the records
+  and their exact build from the rod data
+- ``modelmap``   float evaluation of model maps and the numerical tension
+  verifier, the one layer that needs numpy
 - ``cli``        the ``rodtopo`` command-line front end
 
 Every layer is loaded on first use: on first access to ``rodtopo.<layer>``
 or to a name re-exported from it.  Importing ``rodtopo`` loads no layer,
 and each CLI subcommand loads only the layers it calls, so only
 ``model-verify`` loads ``modelmap`` and with it numpy.
-``from rodtopo import *`` binds the exact layers' names, not the model
-map's, and so loads no numpy either.
+``from rodtopo import *`` binds every layer's names but the verifier's,
+``ModelMap`` and ``build_model_map`` included, and so loads no numpy.
 """
 
 import importlib
@@ -44,10 +46,8 @@ _EXPORTS = {
         "AbelianGroup", "FillinPlan", "betti2", "classify", "compactify", "end_pi1",
         "fillin_path", "fundamental_group", "is_simply_connected",
     ),
-    "modelmap": (
-        "ModelMap", "TensionReport", "build_model_map", "potentials", "tension_norm",
-        "verify_tension",
-    ),
+    "modelbuild": ("ModelMap", "build_model_map"),
+    "modelmap": ("TensionReport", "potentials", "tension_norm", "verify_tension"),
     "errors": (),
     "cli": (),
 }

@@ -11,8 +11,9 @@ Each subcommand imports the layers it calls when it runs, beyond the
 ``intlin`` and ``roddiagram`` that every one of them needs to read its
 diagram: ``decompose`` loads ``plumbing``, ``analyze``, ``pi1``, ``fillin``,
 ``compactify`` and ``classify`` load ``topology``, and only
-``model-verify`` loads ``modelmap`` and with it numpy.  The import runs at
-call time, so a stand-in bound on a layer's module is the one called.
+``model-verify`` loads ``modelbuild``, and then, if the map builds,
+``modelmap`` and with it numpy.  The import runs at call time, so a
+stand-in bound on a layer's module is the one called.
 """
 
 from __future__ import annotations
@@ -236,10 +237,12 @@ def _cmd_classify(args):
 
 
 def _cmd_model_verify(args):
+    from . import modelbuild
     diagram = parse(_load(args.input))
     for path in (args.out, args.dump_csv):
         if path:
             _require_directory(path)
+    m = modelbuild.build_model_map(diagram)  # exact: a rejection needs no numpy
     try:
         from . import modelmap
     except ModuleNotFoundError as e:
@@ -247,7 +250,6 @@ def _cmd_model_verify(args):
             raise
         raise UsageError("model-verify needs numpy, which is not installed") from None
 
-    m = modelmap.build_model_map(diagram)
     rep = modelmap.verify_tension(m, h=args.grid_h)
     payload = rep.to_json_dict()
     if args.dump_csv:

@@ -1,40 +1,27 @@
-"""Model maps on the (rho, z) half plane and their tension diagnostics.
+"""Float evaluation of model maps on the (rho, z) half plane (one point
+stage, _point_fields, turns the records of rodtopo.modelbuild into F,
+F^-1, det F and omega), and the tension verifier.
 
-The map is assembled from two ingredients.  A diagonal field
-``diag(e^(U_0), ..., e^(U_(n-1)))``, the generalized Weyl form, carries one
-harmonic potential per slot: U_k sums the rod potentials of the rods in
-slot k, and U_k = 0 on a slot that holds no rod.  The rods are split
-between slots 0 and 1 so that adjacent rods use different slots, which
-pins the degeneracy pattern: e^(U_k) vanishes exactly on the slot-k rods.
-A piecewise matrix curve M(z) of frames then rotates the diagonal kernel
-directions onto the actual rod structures,
-
-    F(rho, z) = M(z)^-T  diag(e^(U_0), ..., e^(U_(n-1)))  M(z)^-1 ,
-
-holding the active rod's structure column of M exactly constant through
-every transition, which is what keeps the tension bounded near the axis.
-Wherever M is constant and omega is constant the map is exactly harmonic;
-the leftover tension lives in the frame transitions and in the angular
-twist-potential interpolation at infinity.  Its decay exponent there is
-not derived yet; the verifier fits the slope of log |tau| against log r
-along far rays and checks only that against SLOPE_LIMIT.
+Wherever M is constant and omega is constant the map is exactly
+harmonic; the leftover tension lives in the frame transitions and in the
+angular twist-potential interpolation at infinity.  Its decay exponent
+there is not derived yet; the verifier fits the slope of log |tau|
+against log r along far rays and checks only that against SLOPE_LIMIT.
 """
 
 from __future__ import annotations
 
 import math
 import numbers
-from collections import defaultdict
 from functools import reduce
-from itertools import product
 from operator import mul
 from typing import NamedTuple
 
 import numpy as np
 
 from .errors import ModelMapError
-from .intlin import IntMatrix, _bareiss_det, hermite_normal_form
-from .roddiagram import HALF_PLANE, NEG_INF, POS_INF, RodDiagram
+from .modelbuild import ModelMap, _finite_extent
+from .modelbuild import build_model_map as build_model_map
 
 
 # ----------------------------------------------------------------------
@@ -90,133 +77,10 @@ def _v_from(dz, L, log_rho2):
         return np.where(dz <= 0, log_rho2 - L, L)
 
 
-def _half_plane_points(points, what):
-    """The points as a float array of (rho, z) pairs.  A point that is
-    not finite, or has rho < 0, raises ValueError naming what needs it."""
-    pts = np.asarray(points, dtype=float)
-    if not np.all(np.isfinite(pts)):
-        raise ValueError(f"{what} needs a finite point")
-    if not np.all(pts[..., 0] >= 0.0):
-        raise ValueError(f"{what} needs a point of the half plane rho >= 0")
-    return pts
-
-
 def _smoothstep(t):
     """C^2 quintic smoothstep on [0, 1]."""
     t = np.clip(t, 0.0, 1.0)
     return t * t * t * (t * (6.0 * t - 15.0) + 10.0)
-
-
-# ----------------------------------------------------------------------
-# frames
-
-
-def _frame(slot_cols, n):
-    """Integer frame, as a tuple of columns, with the vector slot_cols[c]
-    in each column c given; the other columns are standard basis vectors,
-    chosen greedily to keep the columns independent, left to right."""
-    cols = [tuple(slot_cols[c]) for c in sorted(slot_cols)]
-    for i in range(n):
-        e = tuple(int(j == i) for j in range(n))
-        if len(cols) < n and (
-            hermite_normal_form(IntMatrix.from_columns(cols + [e])).rank > len(cols)
-        ):
-            cols.append(e)
-    if len(cols) != n:
-        raise ModelMapError("could not complete the frame to a basis")
-    completion = iter(cols[len(slot_cols):])
-    return tuple(tuple(slot_cols[c]) if c in slot_cols else next(completion) for c in range(n))
-
-
-def _det(frame):
-    return _bareiss_det([list(col) for col in frame])
-
-
-def _flip(frame, c):
-    """The frame with column c negated."""
-    return frame[:c] + (tuple(-x for x in frame[c]),) + frame[c + 1 :]
-
-
-def _add(P, Q):
-    return tuple(tuple(x + y for x, y in zip(p, q)) for p, q in zip(P, Q))
-
-
-def _halves(rows):
-    """The halves of a patch along its outer corner index, every corner
-    doubled to keep the midpoint integral; the patch if it is constant."""
-    lo, hi = rows
-    if lo == hi:
-        return [rows]
-    mid = tuple(_add(P, Q) for P, Q in zip(lo, hi))
-    return (tuple(_add(P, P) for P in lo), mid), (mid, tuple(_add(Q, Q) for Q in hi))
-
-
-CERTIFICATE_DEPTH = 6  # halvings per axis before an undecided patch is rejected
-
-
-def _det_keeps_sign(corners, sign, level=0):
-    """Whether det has the sign of ``sign`` everywhere on a patch of frames.
-
-    The patch is, column by column, the bilinear interpolation over
-    (s, chi) in [0, 1]^2 of the integer frames ``corners = ((P00, P10),
-    (P01, P11))``.  As det is multilinear in the columns, its tensor
-    Bernstein coefficients, times positive binomials, are integer sums of
-    det over the ways of taking each column from one corner.  If they all
-    have the sign, that proves it; a corner det of 0 or the other sign
-    refutes it at that exact point; otherwise the patch is halved along
-    each axis it varies in, at most CERTIFICATE_DEPTH times.
-    """
-    s_axis, chi_axis = (range(1 + (a[0] != a[1])) for a in (tuple(zip(*corners)), corners))
-    if any(sign * _det(corners[j][i]) <= 0 for j in chi_axis for i in s_axis):
-        return False
-    coeffs = defaultdict(int)
-    for picks in product([(i, j) for j in chi_axis for i in s_axis], repeat=len(corners[0][0])):
-        key = (sum(i for i, _ in picks), sum(j for _, j in picks))
-        coeffs[key] += _det([corners[j][i][k] for k, (i, j) in enumerate(picks)])
-    if all(sign * c > 0 for c in coeffs.values()):
-        return True
-    if level >= CERTIFICATE_DEPTH:
-        return False
-    parts = [tuple(zip(*q)) for half in _halves(corners) for q in _halves(tuple(zip(*half)))]
-    return all(_det_keeps_sign(p, sign, level + 1) for p in parts)
-
-
-class FrameSegment(NamedTuple):
-    """One piece of a piecewise z-profile on [z_lo, z_hi): a plateau, or a
-    smoothstep ramp from M0 to M1.  The values are exact tuples, so pieces
-    compare by value and hash: the frame curve's pieces hold integer
-    frames as tuples of matrix rows, the twist-potential profile's pieces
-    the rods' potential tuples.  _profile_at evaluates them."""
-
-    z_lo: float
-    z_hi: float
-    M0: tuple
-    M1: tuple  # M0 itself on plateaus
-    held_col: int | None = None
-
-    @property
-    def constant(self):
-        return self.M0 == self.M1
-
-
-def _profile_pieces(values, windows, held=None):
-    """Piecewise z-profile: plateaus of the given values, south to north,
-    joined by smoothstep ramps over the given (z_lo, z_hi) windows; ramp k
-    runs from values[k] to values[k + 1] and holds column held[k]."""
-    held = held or [None] * len(windows)
-    pieces = []
-    cursor = NEG_INF
-    for k, (z_lo, z_hi) in enumerate(windows):
-        if z_lo < cursor - 1e-12:
-            raise ModelMapError(
-                "frame transition windows overlap; rod intervals are too "
-                "short for the transition layout"
-            )
-        pieces.append(FrameSegment(cursor, z_lo, values[k], values[k]))
-        pieces.append(FrameSegment(z_lo, z_hi, values[k], values[k + 1], held[k]))
-        cursor = z_hi
-    pieces.append(FrameSegment(cursor, POS_INF, values[-1], values[-1]))
-    return tuple(pieces)
 
 
 def _profile_at(pieces, z):
@@ -260,351 +124,97 @@ class _ZStage(NamedTuple):
     col_outer: np.ndarray
 
 
-class ModelMap(NamedTuple):
-    diagram: RodDiagram
-    terms: tuple  # per slot, the rod terms ("u", a) | ("v", a) | ("ud", a, b)
-    segments: tuple  # frame curve M(z): FrameSegment partition of the z axis
-    far_frame: tuple  # integer frame of the asymptotic region, as matrix rows
-    z0: float  # far-field center
-    omega_profile: tuple  # near-field omega(z): FrameSegment partition of the z axis
-    blend_radii: tuple  # (R1, R2)
-
-    # ------------------------------------------------------------------
-
-    def _slot_potentials(self, rho, z):
-        """U_k at the points given by broadcasting rho and z, for each slot
-        k, None for a slot without terms, with one logarithm per distinct
-        rod endpoint (_endpoint_log) shared by every term that uses it.
-        2 log rho is taken once per entry of rho and z - a once per entry
-        of z, so a grid passes a column of rho and a row of z."""
-        shape = np.broadcast_shapes(rho.shape, z.shape)
-        log_rho2 = _log_rho2(rho)
-        ends = {a for terms in self.terms for term in terms for a in term[1:]}
-        logs = {a: _endpoint_log(a, rho, z) for a in ends}
-        planes = []
-        for terms in self.terms:
-            acc = np.zeros(shape) if terms else None
-            for term in terms:
-                if term[0] == "u":
-                    acc += _u_from(*logs[term[1]], log_rho2)
-                elif term[0] == "v":
-                    acc += _v_from(*logs[term[1]], log_rho2)
-                else:
-                    # on the axis north of the rod both terms are -inf; the
-                    # difference there is its limit log((z - b) / (z - a))
-                    _, a, b = term
-                    ua, ub = _u_from(*logs[a], log_rho2), _u_from(*logs[b], log_rho2)
-                    north = (rho == 0.0) & (z > b)
-                    if north.any():
-                        zn = np.broadcast_to(z, shape)[north]
-                        ua[north] = np.log((zn - b) / (zn - a))
-                        ub[north] = 0.0
-                    acc += ua - ub
-            planes.append(acc)
-        return planes
-
-    def axis_frames(self, z):
-        """Frame curve M(z) used near the axis, before the radial blend."""
-        return _profile_at(self.segments, np.asarray(z, dtype=float))
-
-    def _blend_weight(self, rho, z):
-        """Radial blend weight chi at the points given by broadcasting rho
-        and z: 0 within R1 of the far-field center, 1 beyond R2.  A batch
-        whose farthest point, bounded from its largest |rho| and
-        |z - z0|, lies inside R1 by more than hypot's rounding gets zeros
-        without a per-point evaluation."""
-        R1, R2 = self.blend_radii
-        dz = z - self.z0
-        reach = np.hypot(np.max(np.abs(rho), initial=0.0), np.max(np.abs(dz), initial=0.0))
-        if reach < R1 * (1.0 - 1e-12):
-            return np.zeros(np.broadcast_shapes(rho.shape, dz.shape))
-        return _smoothstep((np.hypot(rho, dz) - R1) / (R2 - R1))
-
-    def _z_stage(self, z_axis):
-        """The map's z-only factors at sorted distinct z values (a
-        _ZStage): the near-field omega profile, one inverse and one
-        determinant of the frame curve per z, and the rank-one factors
-        that give F and F^-1 wherever chi = 0.  The tension kernel
-        evaluates it once per grid level, or once per distinct z of a
-        probe batch."""
-        A = self.axis_frames(z_axis)
-        rows = np.moveaxis(np.linalg.inv(A), 0, -1)  # rows[k, i] = a_k[i], z last
-        cols = np.moveaxis(A, 0, -1).swapaxes(0, 1)  # cols[k, i] = m_k[i]
-        return _ZStage(
-            z_axis, _profile_at(self.omega_profile, z_axis),
-            A, 1.0 / np.linalg.det(A),
-            rows[:, :, None] * rows[:, None], cols[:, :, None] * cols[:, None],
-        )
-
-    @np.errstate(divide="ignore", invalid="ignore")  # F^-1 is not finite on the axis
-    def F(self, points):
-        """Matrix field at an (N, 2) array of (rho, z) points; (N, n, n)."""
-        pts = _half_plane_points(points, "F")
-        return _point_fields(self, pts[..., 0], pts[..., 1])[0]
-
-    @np.errstate(divide="ignore", invalid="ignore")
-    def omega(self, points):
-        """Twist-potential field at an (N, 2) array of points; (N, n)."""
-        pts = _half_plane_points(points, "omega")
-        return _point_fields(self, pts[..., 0], pts[..., 1])[3]
-
-    def _omega(self, rho, z, level, at, chi, out):
-        """omega at the points of _point_fields, whose index at into the
-        z stage broadcasts against chi, written into out.  Far out, omega
-        runs from the north end plateau's value to the south one's."""
-        out[...] = level.omega[at]  # the near field, broadcast to the points
-        blend = chi > 0.0
-        if blend.any():
-            ends = self.omega_profile[-1].M0, self.omega_profile[0].M0
-            c_north, c_south = (np.asarray(c, dtype=float) for c in ends)
-            rho, z = (np.broadcast_to(x, chi.shape)[blend] for x in (rho, z))
-            theta = np.arctan2(rho, z - self.z0)  # 0 at the north axis
-            span = math.pi - 2.0 * EPSILON
-            s_theta = _smoothstep((theta - EPSILON) / span)
-            far = c_north + s_theta[:, None] * (c_south - c_north)
-            c = chi[blend][:, None]
-            out[blend] = (1.0 - c) * out[blend] + c * far
-        return out
-
-    def distance_to_axis(self, points):
-        pts = _half_plane_points(points, "distance_to_axis")
-        return self._axis_distance(pts[..., 0], pts[..., 1])
-
-    def _axis_distance(self, rho, z):
-        """distance_to_axis at the points given by broadcasting rho and z;
-        the z-gap to the axis rods is taken once per entry of z."""
-        # hypot is monotone in |dz|, so the hypot of the least z-gap is the
-        # least hypot over the segments, bit for bit
-        gap = np.full(z.shape, np.inf)
-        for i in self.diagram.axis_indices():
-            z_lo, z_hi = self.diagram.rods[i].z
-            np.minimum(gap, np.maximum(np.maximum(z_lo - z, z - z_hi), 0.0), out=gap)
-        return np.hypot(rho, gap)
+def _slot_potentials(m, rho, z):
+    """U_k at the points given by broadcasting rho and z, for each slot
+    k, None for a slot without terms, with one logarithm per distinct
+    rod endpoint (_endpoint_log) shared by every term that uses it.
+    2 log rho is taken once per entry of rho and z - a once per entry
+    of z, so a grid passes a column of rho and a row of z."""
+    shape = np.broadcast_shapes(rho.shape, z.shape)
+    log_rho2 = _log_rho2(rho)
+    ends = {a for terms in m.terms for term in terms for a in term[1:]}
+    logs = {a: _endpoint_log(a, rho, z) for a in ends}
+    planes = []
+    for terms in m.terms:
+        acc = np.zeros(shape) if terms else None
+        for term in terms:
+            if term[0] == "u":
+                acc += _u_from(*logs[term[1]], log_rho2)
+            elif term[0] == "v":
+                acc += _v_from(*logs[term[1]], log_rho2)
+            else:
+                # on the axis north of the rod both terms are -inf; the
+                # difference there is its limit log((z - b) / (z - a))
+                _, a, b = term
+                ua, ub = _u_from(*logs[a], log_rho2), _u_from(*logs[b], log_rho2)
+                north = (rho == 0.0) & (z > b)
+                if north.any():
+                    zn = np.broadcast_to(z, shape)[north]
+                    ua[north] = np.log((zn - b) / (zn - a))
+                    ub[north] = 0.0
+                acc += ua - ub
+        planes.append(acc)
+    return planes
 
 
-# ----------------------------------------------------------------------
-# construction
+def _blend_weight(m, rho, z):
+    """Radial blend weight chi at the points given by broadcasting rho
+    and z: 0 within R1 of the far-field center, 1 beyond R2.  A batch
+    whose farthest point, bounded from its largest |rho| and |z - z0|,
+    lies inside R1 by more than hypot's rounding gets zeros without a
+    per-point evaluation."""
+    R1, R2 = m.blend_radii
+    dz = z - m.z0
+    reach = np.hypot(np.max(np.abs(rho), initial=0.0), np.max(np.abs(dz), initial=0.0))
+    if reach < R1 * (1.0 - 1e-12):
+        return np.zeros(np.broadcast_shapes(rho.shape, dz.shape))
+    return _smoothstep((np.hypot(rho, dz) - R1) / (R2 - R1))
 
 
-def build_model_map(diagram: RodDiagram, corrupt_transition: bool = False) -> ModelMap:
-    """Model map for an admissible rod data set with nondegenerate horizons.
-
-    The diagram must be a half-plane diagram carrying z-intervals on every
-    rod and potential constants on every axis rod.  Every frame is an
-    integer matrix, and the build proves in integers (_det_keeps_sign) that
-    det keeps one sign on each transition ramp and on the radial blend of
-    each frame piece toward the far frame; a path where det vanishes,
-    changes sign, or stays undecided is rejected.  Far out, the twist
-    potentials run from the north to the south end value over the polar
-    angle, constant within EPSILON radians of each pole.
-    ``corrupt_transition`` deliberately violates the constant-column
-    constraint of the southern frame curve (a negative control for the
-    tension verifier: the tension then blows up near the axis inside that
-    transition).
-    """
-    _check_model_input(diagram)
-    n = diagram.n
-
-    comps = diagram.axis_components()
-    rods = diagram.rods
-    last = len(rods) - 1
-    south_v = rods[0].structure.v
-    north_v = rods[-1].structure.v
-    ends_parallel = south_v == north_v
-
-    slots = _assign_slots(diagram, comps, ends_parallel)
-
-    terms = [[] for _ in range(n)]
-    for i in diagram.axis_indices():
-        z_lo, z_hi = rods[i].z
-        term = (
-            ("v", z_hi) if z_lo == NEG_INF else ("u", z_lo) if z_hi == POS_INF else ("ud", z_lo, z_hi)
-        )
-        terms[slots[i]].append(term)
-
-    z_min, z_max = _finite_extent(diagram)
-    z0 = 0.5 * (z_min + z_max)
-    width = max(z_max - z_min, 1.0)
-
-    # far frame: the end structures occupy their slots (one slot if parallel)
-    far_frame = _frame({slots[0]: south_v, slots[last]: north_v}, n)
-    segments = _build_schedule(diagram, comps, slots, far_frame, width)
-    if corrupt_transition:
-        segments = _corrupt_first_transition(segments, n)
-
-    z_half = 0.5 * (z_max - z_min)
-    R1 = z_half + 2.5 * width
-    R2 = z_half + 4.5 * width
-
-    return ModelMap(
-        diagram=diagram,
-        terms=tuple(map(tuple, terms)),
-        segments=segments,
-        far_frame=tuple(zip(*far_frame)),
-        z0=z0,
-        omega_profile=_omega_pieces(diagram, comps),
-        blend_radii=(R1, R2),
+def _z_stage(m, z_axis):
+    """The map's z-only factors at sorted distinct z values (a _ZStage):
+    the near-field omega profile, one inverse and one determinant of the
+    frame curve per z, and the rank-one factors that give F and F^-1
+    wherever chi = 0; once per strip pass, or per probe batch."""
+    A = _profile_at(m.segments, z_axis)
+    rows = np.moveaxis(np.linalg.inv(A), 0, -1)  # rows[k, i] = a_k[i], z last
+    cols = np.moveaxis(A, 0, -1).swapaxes(0, 1)  # cols[k, i] = m_k[i]
+    return _ZStage(
+        z_axis, _profile_at(m.omega_profile, z_axis),
+        A, 1.0 / np.linalg.det(A),
+        rows[:, :, None] * rows[:, None], cols[:, :, None] * cols[:, None],
     )
 
 
-def _check_model_input(diagram):
-    if diagram.shape != HALF_PLANE:
-        raise ModelMapError("model maps are built over half-plane diagrams")
-    if not diagram.has_geometry():
-        raise ModelMapError("missing geometry: every rod needs a z-interval")
-    for i in diagram.axis_indices():
-        if diagram.rods[i].potential is None:
-            raise ModelMapError(f"rod {i}: missing potential constant")
-    bad = diagram.inadmissible_corner()
-    if bad:
-        raise ModelMapError("corner between rods %d and %d is inadmissible (Det_2 = %d)" % bad)
+def _omega(m, rho, z, level, at, chi, out):
+    """omega at the points of _point_fields, whose index at into the z
+    stage broadcasts against chi, written into out.  Far out, omega runs
+    from the north end plateau's value to the south one's."""
+    out[...] = level.omega[at]  # the near field, broadcast to the points
+    blend = chi > 0.0
+    if blend.any():
+        ends = m.omega_profile[-1].M0, m.omega_profile[0].M0
+        c_north, c_south = (np.asarray(c, dtype=float) for c in ends)
+        rho, z = (np.broadcast_to(x, chi.shape)[blend] for x in (rho, z))
+        theta = np.arctan2(rho, z - m.z0)  # 0 at the north axis
+        span = math.pi - 2.0 * EPSILON
+        s_theta = _smoothstep((theta - EPSILON) / span)
+        far = c_north + s_theta[:, None] * (c_south - c_north)
+        c = chi[blend][:, None]
+        out[blend] = (1.0 - c) * out[blend] + c * far
+    return out
 
 
-def _finite_extent(diagram):
-    """The least and the greatest finite rod endpoint."""
-    finite = [z for rod in diagram.rods for z in rod.z if math.isfinite(z)]
-    return min(finite), max(finite)
-
-
-def _assign_slots(diagram, comps, ends_parallel):
-    last = len(diagram.rods) - 1
-    slots = {}
-    for comp in comps:
-        # the north component is pinned by the far region (slot 0) and
-        # alternates southwards; the south one starts in the slot its end
-        # rod takes in the far frame
-        order = comp[::-1] if comp[-1] == last else comp
-        first = int(comp[0] == 0 and comp[-1] != last and not ends_parallel)
-        for pos, i in enumerate(order):
-            slots[i] = (first + pos) % 2
-    if slots[0] != (0 if ends_parallel else 1):
-        raise ModelMapError(
-            "slot parity of the component joining both semi-infinite rods "
-            "conflicts with the asymptotic region; apply a coordinate change "
-            "or insert a horizon to decouple the ends"
-        )
-    return slots
-
-
-def _comp_frames(diagram, comp, slots):
-    """Anchor frames of one axis component, south to north: one per
-    corner, holding both of its rods, or one for a lone rod."""
-    rods = diagram.rods
-    pairs = list(zip(comp, comp[1:])) or [comp]
-    return [_frame({slots[i]: rods[i].structure.v for i in pair}, diagram.n) for pair in pairs]
-
-
-def _build_schedule(diagram, comps, slots, far_frame, width):
-    """Piecewise frame curve: plateaus joined by smoothstep transitions.
-
-    The frames run south to north, from the far frame back to it; between
-    consecutive frames lie a transition window and the column that the
-    transition holds (None across a horizon).
-    """
-    rods = diagram.rods
-    last = len(rods) - 1
-    b0 = rods[0].z[1]
-    frames = [far_frame]
-    windows = [(b0 - 1.6 * width, b0 - 0.6 * width)]
-    held = [slots[0]]
-    for ci, comp in enumerate(comps):
-        frames += _comp_frames(diagram, comp, slots)
-        for i in comp[1:-1]:  # transitions inside a component run along its inner rods
-            z_lo, z_hi = rods[i].z
-            span = z_hi - z_lo
-            windows.append((z_lo + 0.3 * span, z_hi - 0.3 * span))
-            held.append(slots[i])
-        if ci + 1 < len(comps):
-            # validation forbids adjacent horizons: one rod fills the gap
-            hz = rods[comp[-1] + 1].z
-            span = hz[1] - hz[0]
-            windows.append((hz[0] + 0.2 * span, hz[1] - 0.2 * span))
-            held.append(None)
-
-    a_last = rods[last].z[0]
-    windows.append((a_last + 0.6 * width, a_last + 1.6 * width))
-    held.append(slots[last])
-    frames.append(far_frame)
-
-    sign = _normalize_chain(frames, held)
-    # the radial blend walks each frame of a ramp toward the far frame;
-    # the plateaus are the ramps' edges s = 0 and s = 1
-    for ramp in zip(frames, frames[1:]):
-        if not _det_keeps_sign((ramp, (far_frame, far_frame)), sign):
-            raise ModelMapError("radial frame blend" + _DEGENERATE)
-    return _profile_pieces([tuple(zip(*f)) for f in frames], windows, held)
-
-
-_DEGENERATE = " passes through a degenerate matrix; the diagram needs a different frame completion"
-_OBSTRUCTION = (
-    " obstruction at the asymptotic end; apply a unimodular change of coordinates first"
-)
-
-
-def _normalize_chain(frames, held):
-    """Fix held-column signs and determinant signs along the frames, prove
-    each ramp between them invertible, and return the first frame's det.
-
-    Walking north, each frame may be adjusted by column negations: the
-    column held[k - 1] must match the previous frame exactly, and
-    determinants must keep one sign.  The final frame is the far frame
-    again and cannot be adjusted; an unresolvable sign there is reported.
-    """
-    n = len(frames[0])
-    target = _det(frames[0])
-    for k in range(1, len(frames)):
-        prev, col = frames[k - 1], held[k - 1]
-        is_last = k == len(frames) - 1
-        if col is not None and frames[k][col] != prev[col]:
-            if _flip(frames[k], col)[col] != prev[col]:
-                raise ModelMapError("held column mismatch between frames")
-            if is_last:
-                raise ModelMapError("frame sign" + _OBSTRUCTION)
-            frames[k] = _flip(frames[k], col)
-        if _det(frames[k]) * target < 0:
-            if is_last:
-                raise ModelMapError("frame determinant sign" + _OBSTRUCTION)
-            # prefer a column held by neither adjacent transition; flipping
-            # a column held by the next one just propagates northwards
-            next_held = held[k] if k < len(held) else None
-            candidates = [c for c in range(n - 1, -1, -1) if c != col]
-            flip = next((c for c in candidates if c != next_held), candidates[0])
-            frames[k] = _flip(frames[k], flip)
-        ramp = (prev, frames[k])
-        if ramp[0] != ramp[1] and not _det_keeps_sign((ramp, ramp), target):
-            raise ModelMapError("frame transition" + _DEGENERATE)
-    return target
-
-
-def _corrupt_first_transition(segments, n):
-    """The frame curve with the end frame of its first held-column ramp
-    moved off the held column."""
-    for k, seg in enumerate(segments):
-        if not seg.constant and seg.held_col is not None:
-            bad, i, j = [list(row) for row in seg.M1], (seg.held_col + 1) % n, seg.held_col
-            bad[i][j] += 1
-            if _bareiss_det([row[:] for row in bad]) == 0:
-                bad[i][j] += 1
-            return segments[:k] + (seg._replace(M1=tuple(map(tuple, bad))),) + segments[k + 1 :]
-    raise ModelMapError("no held-column transition available to corrupt")
-
-
-def _omega_pieces(diagram, comps):
-    """Piecewise z-profile of the near-field twist potentials: each axis
-    component's potential tuple on a plateau, smoothstep ramps over the
-    middle half of each horizon gap.  The end plateaus hold the north and
-    south values that omega takes far out.
-    """
-    rods = diagram.rods
-    # validation makes the potentials equal across every corner
-    consts = [rods[comp[0]].potential for comp in comps]
-    windows = []
-    for comp, north in zip(comps, comps[1:]):
-        gap_lo = rods[comp[-1]].z[1]
-        gap_hi = rods[north[0]].z[0]
-        span = gap_hi - gap_lo
-        windows.append((gap_lo + 0.25 * span, gap_hi - 0.25 * span))
-    return _profile_pieces(consts, windows)
+def _axis_distance(m, rho, z):
+    """Distance to the axis set at the points given by broadcasting rho
+    and z; the z-gap to the axis rods is taken once per entry of z."""
+    # hypot is monotone in |dz|, so the hypot of the least z-gap is the
+    # least hypot over the segments, bit for bit
+    gap = np.full(z.shape, np.inf)
+    for i in m.diagram.axis_indices():
+        z_lo, z_hi = m.diagram.rods[i].z
+        np.minimum(gap, np.maximum(np.maximum(z_lo - z, z - z_hi), 0.0), out=gap)
+    return np.hypot(rho, gap)
 
 
 # ----------------------------------------------------------------------
@@ -628,18 +238,18 @@ def _congruence(X, d):
     return np.swapaxes(X, -1, -2) @ (d[..., None] * X)
 
 
-def _rank_one_sum(outer, weights, out, at=None):
+def _rank_one_sum(outer, weights, out, at):
     """sum_k w_k o_k over rank-one factors outer[k, i, j] (z last, see
-    _ZStage; gathered to the points by the index array at unless it is
-    None) with one weight plane of the points per slot, or None for
-    w_k = 1, written into out, whose leading axes are the points'.  Each
+    _ZStage; gathered to the points by the index array at) with one
+    weight plane of the points per slot, or None for w_k = 1, written
+    into out, whose leading axes are the points'.  Each
     entry i <= j is one plane of the points, the ordered sum
     w_0 o_0 + w_1 o_1 + ..., in which a factor of weight 1 is added as it
     is, mirrored into (j, i), so the result is exactly symmetric."""
     n = outer.shape[0]
     for i in range(n):
         for j in range(i, n):
-            o = outer[:, i, j] if at is None else outer[:, i, j][:, at]
+            o = outer[:, i, j][:, at]
             plane = np.empty(out.shape[:-2])
             if weights[0] is None:
                 plane[...] = o[0]
@@ -670,22 +280,23 @@ def _point_fields(m, rho, z, level=None, out=None):
     written into out (a tuple as from _empty_fields) if it is given, from
     the frame factors F = M^-T diag(d) M^-1, d_k = e^(U_k), of the frame
     M = A(z) + chi (far - A(z)) blended toward the far frame.  chi and
-    the z stage (ModelMap._z_stage) serve F and omega both.  A grid level
-    passes a column of rho, a row of z and its z stage, whose z values
-    are that row; otherwise the distinct z of the points are found here.
+    the z stage (_z_stage) serve F and omega both, read through one index
+    array into the z stage.  A grid level passes a column of rho, a row
+    of z and its z stage, whose z values are that row, and indexes it in
+    order; otherwise the distinct z of the points are found here.
 
     What depends on one coordinate is taken once per entry of its array:
     2 log rho per rho, z - a and |z - a| per rod endpoint a and z, the
-    z-gap to the axis rods per z (ModelMap._axis_distance), the z
-    stage's omega and 1/det A gathered per z, and the bound by which a
-    batch inside R1 skips the blend weight (ModelMap._blend_weight).
-    Only the hypots, the logarithms, U, d, F and F^-1 are formed per
-    point, and omega and det F filled in from them.
+    z-gap to the axis rods per z (_axis_distance), the z stage's omega
+    and 1/det A gathered per z, and the bound by which a batch inside R1
+    skips the blend weight (_blend_weight).  Only the hypots, the
+    logarithms, U, d, F and F^-1 are formed per point, and omega and
+    det F filled in from them.
 
     Where chi = 0 the frame is A(z), so F and F^-1 are sums over the z
-    stage's rank-one factors (_ZStage, _rank_one_sum), which a grid level
-    broadcasts along its z axis and a probe batch gathers; no per-point
-    frame, inverse or matrix product is formed there.  Where chi > 0 the
+    stage's rank-one factors (_ZStage, _rank_one_sum), gathered to the
+    points' z; no per-point frame, inverse or matrix product is formed
+    there.  Where chi > 0 the
     blended frame and its inverse are formed per point and
     F = M^-T diag(d) M^-1, F^-1 = M diag(1/d) M^T stay stacked products:
     as per-point rank-one sums they moved tau on a grid through the blend
@@ -694,17 +305,17 @@ def _point_fields(m, rho, z, level=None, out=None):
     exponential, weight or factor of the product is formed for it."""
     shape = np.broadcast_shapes(rho.shape, z.shape)
     F, Finv, f, omega = out or _empty_fields(shape, m.diagram.n)
-    gather = None  # a grid level's z stage is broadcast along the points' last axis
     if level is None:
-        z_axis, gather = np.unique(z, return_inverse=True)
-        level, gather = m._z_stage(z_axis), gather.reshape(z.shape)
-    at = np.arange(level.z.size) if gather is None else gather  # index into level, per z
-    chi = m._blend_weight(rho, z)
-    m._omega(rho, z, level, at, chi, omega)
-    d = [None if U is None else np.exp(U) for U in m._slot_potentials(rho, z)]
-    _rank_one_sum(level.row_outer, d, F, gather)
+        z_axis, at = np.unique(z, return_inverse=True)
+        level, at = _z_stage(m, z_axis), at.reshape(z.shape)
+    else:
+        at = np.arange(level.z.size)  # a grid level's z is the points' last axis
+    chi = _blend_weight(m, rho, z)
+    _omega(m, rho, z, level, at, chi, omega)
+    d = [None if U is None else np.exp(U) for U in _slot_potentials(m, rho, z)]
+    _rank_one_sum(level.row_outer, d, F, at)
     d_inv = [None if w is None else 1.0 / w for w in d]
-    _rank_one_sum(level.col_outer, d_inv, Finv, gather)
+    _rank_one_sum(level.col_outer, d_inv, Finv, at)
     det_inv = level.det_inv[at]
     blend = chi > 0.0
     if blend.any():
@@ -818,7 +429,11 @@ def _tension_stencil(F, Finv, f, w, rho, h):
 def _tension_at(m, points, h):
     """(|tau|, |tau_F part|, |tau_omega part|) arrays at an (N, 2) array of
     points, each from the 5x5 patch of spacing h centered on it."""
-    pts = _half_plane_points(points, "stencil")
+    pts = np.asarray(points, dtype=float)
+    if not np.all(np.isfinite(pts)):
+        raise ValueError("stencil needs a finite point")
+    if not np.all(pts[:, 0] >= 0.0):
+        raise ValueError("stencil needs a point of the half plane rho >= 0")
     # the axis set lies on rho = 0, so clearing the half-plane boundary by
     # the stencil reach 2h also clears the axis set by at least 2h
     if not np.all(pts[:, 0] - 2.0 * h > 0.0):
@@ -911,7 +526,7 @@ class _Level:
         if b <= a:
             return None
         R, Z = self.rho[a + 2 : b + 2, None], self.z[None, 2 : self.cols - 2]
-        dist = m._axis_distance(R, Z)
+        dist = _axis_distance(m, R, Z)
         keep = dist > self.excision
         block = (f[: b + 4 - a, : self.cols] for f in self.fields)
         parts = _tension_stencil(*block, R, self.h)
@@ -947,7 +562,7 @@ def _tension_strips(m, h, grid, excision, fine_excision=None):
             driver.rho = np.append(driver.rho, coarse.rho[-1])
         if 2 * coarse.cols - 1 > driver.cols:
             driver.z = np.append(driver.z, coarse.z[-1])
-    stage = m._z_stage(driver.z)
+    stage = _z_stage(m, driver.z)
     while driver.stop < driver.rho.size:
         p0 = driver.stop
         count = STRIP_ROWS + (0 if driver.fields else 4)  # four rows come from the strip before
@@ -1056,11 +671,6 @@ def verify_tension(m: ModelMap, h=0.05) -> TensionReport:
     points.  Points within EXCISION_FACTOR * h of the axis set are
     excised.  A tension value that overflows to inf or NaN raises
     ModelMapError naming it.
-
-    The annulus sups at h and h/2 come from one strip pass over the h/2
-    grid (_annulus_sups, _tension_strips): the point stage runs once per
-    h/2 grid row, and the h grid reads its point fields, its odd rows and
-    even columns, from there.
     """
     _check_spacing(h)
     lo, hi = _finite_extent(m.diagram)

@@ -11,7 +11,7 @@ import random
 
 from rodtopo.errors import DiagramValidationError
 from rodtopo.intlin import IntMatrix
-from rodtopo.modelmap import FrameSegment, ModelMap
+from rodtopo.modelbuild import FrameSegment, ModelMap
 from rodtopo.roddiagram import Rod, RodDiagram, parse
 
 

@@ -3,7 +3,7 @@ from pathlib import Path
 
 import pytest
 
-from rodtopo import modelmap
+from rodtopo import modelbuild, modelmap
 from rodtopo.cli import _build_parser, main
 
 from helpers import (
@@ -287,9 +287,9 @@ PAPER_DIAGRAM = str(Path(__file__).resolve().parent.parent / "diagrams" / "two-h
 
 def test_model_verify_failed_verification_exit_code(capsys, monkeypatch):
     # a map that is built but fails verification exits 3, not 1 ("cannot build")
-    real = modelmap.build_model_map
+    real = modelbuild.build_model_map
     monkeypatch.setattr(
-        modelmap, "build_model_map", lambda d, **kw: real(d, corrupt_transition=True, **kw)
+        modelbuild, "build_model_map", lambda d, **kw: real(d, corrupt_transition=True, **kw)
     )
     code, out = run_json(capsys, "model-verify", PAPER_DIAGRAM, "--grid-h", "0.1")
     assert code == 3

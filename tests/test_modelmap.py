@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from rodtopo import modelmap
+from rodtopo import modelbuild, modelmap
 from rodtopo.errors import ModelMapError
 from rodtopo.roddiagram import Rod, RodDiagram, parse
 from rodtopo.modelmap import (
@@ -96,8 +96,21 @@ def tension_parts(m, rho, z, h):
     return tuple(float(part[0]) for part in modelmap._tension_at(m, [(rho, z)], h))
 
 
+def fields_at(m, points):
+    """(F, F^-1, det F, omega) at an (..., 2) array of (rho, z) points,
+    from the point stage; F^-1 is not finite on the axis."""
+    pts = np.asarray(points, dtype=float)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return modelmap._point_fields(m, pts[..., 0], pts[..., 1])
+
+
 def det_f(m, points):
-    return np.linalg.det(m.F(points))
+    return np.linalg.det(fields_at(m, points)[0])
+
+
+def axis_distance(m, points):
+    pts = np.asarray(points, dtype=float)
+    return modelmap._axis_distance(m, pts[..., 0], pts[..., 1])
 
 
 def reference_frame_factors(m, points):
@@ -108,11 +121,11 @@ def reference_frame_factors(m, points):
     rho, z = pts[..., 0], pts[..., 1]
     z_axis, at = np.unique(z, return_inverse=True)
     at = at.reshape(z.shape)
-    A = m.axis_frames(z_axis)
+    A = modelmap._profile_at(m.segments, z_axis)
     M = A[at]
     Minv = np.linalg.inv(A)[at]
     det_inv = (1.0 / np.linalg.det(A))[at]
-    chi = m._blend_weight(rho, z)
+    chi = modelmap._blend_weight(m, rho, z)
     blend = chi > 0.0
     if blend.any():
         Mb = M[blend]
@@ -127,7 +140,7 @@ def slot_weights(m, rho, z):
     """d = (e^(U_0), ..., e^(U_(n-1))) at the points, 1 on a slot without
     terms; (..., n)."""
     d = np.ones(rho.shape + (m.diagram.n,))
-    for k, U in enumerate(m._slot_potentials(rho, z)):
+    for k, U in enumerate(modelmap._slot_potentials(m, rho, z)):
         if U is not None:
             d[..., k] = np.exp(U)
     return d
@@ -150,7 +163,7 @@ def reference_omega(m, points):
     rho, z = pts[..., 0], pts[..., 1]
     near = np.array([reference_piece_value(m.omega_profile, zz) for zz in z.ravel()])
     near = near.reshape(rho.shape + (m.diagram.n,))
-    chi = m._blend_weight(rho, z)
+    chi = modelmap._blend_weight(m, rho, z)
     blend = chi > 0.0
     if blend.any():
         ends = m.omega_profile[-1].M0, m.omega_profile[0].M0
@@ -199,7 +212,7 @@ def reference_point_fields(m, rho, z, level=None, out=None):
     F = per_point_outer_sum(Minv, d)
     Finv = per_point_outer_sum(Mt, 1.0 / d)
     pts = np.asarray(points, dtype=float)
-    blend = m._blend_weight(pts[..., 0], pts[..., 1]) > 0.0
+    blend = modelmap._blend_weight(m, pts[..., 0], pts[..., 1]) > 0.0
     F[blend] = modelmap._congruence(Minv[blend], d[blend])
     Finv[blend] = modelmap._congruence(Mt[blend], 1.0 / d[blend])
     return written_into(out, (F, Finv, d.prod(-1) * det_inv**2, reference_omega(m, points)))
@@ -300,7 +313,7 @@ def full_span_tension_stencil(F, Finv, f, w, rho, h):
 def verifier_grid(m):
     """The width of the diagram's finite extent and verify_tension's grid
     (rho_max, z_lo, z_hi)."""
-    lo, hi = modelmap._finite_extent(m.diagram)
+    lo, hi = modelbuild._finite_extent(m.diagram)
     width = max(hi - lo, 1.0)
     return width, (width + 2.0, lo - 1.8 * width, hi + 1.8 * width)
 
@@ -315,7 +328,7 @@ def reference_annuli(m, h):
     R1, Z1, T1, _, _, M1 = tension_field(m, h, rho_max, z_lo, z_hi, excision=excision)
     R2, Z2, T2, _, _, M2 = tension_field(m, h / 2.0, rho_max, z_lo, z_hi, excision=clearance)
     center_r1 = np.hypot(R1, Z1 - m.z0)
-    dist1 = m.distance_to_axis(np.stack([R1, Z1], axis=-1))
+    dist1 = axis_distance(m, np.stack([R1, Z1], axis=-1))
     center_r2 = np.hypot(R2, Z2 - m.z0)
     annuli = []
     for r_lo, r_hi in [
@@ -458,7 +471,7 @@ def test_shared_log_rho_is_bit_identical():
     m = build_model_map(figure2_diagram())
     rho, z = np.meshgrid([0.0, 1e-3, 0.5, 2.0, 40.0], np.linspace(-12.0, 20.0, 65), indexing="ij")
     want = reference_slot_potentials(m, rho, z)
-    got = m._slot_potentials(rho, z)
+    got = modelmap._slot_potentials(m, rho, z)
     assert len(got) == m.diagram.n and got[2] is None is want[2]
     for got_k, ref in zip(got[:2], want):
         assert np.array_equal(got_k, ref, equal_nan=True)
@@ -478,12 +491,12 @@ def test_generalized_weyl_map_is_exact(n, empty_slot):
     if empty_slot is not None:
         m = m._replace(terms=tuple(() if k == empty_slot else t for k, t in enumerate(m.terms)))
     rho, z = np.meshgrid([0.05, 0.5, 2.0, 40.0, 60.0, 200.0], np.linspace(-30.0, 40.0, 57))
-    chi = m._blend_weight(rho, z)
+    chi = modelmap._blend_weight(m, rho, z)
     assert np.any(chi == 0.0) and np.any((0.0 < chi) & (chi < 1.0)) and np.any(chi == 1.0)
     want = np.zeros(rho.shape + (n, n))
     for k, U in enumerate(reference_slot_potentials(m, rho, z)):
         want[..., k, k] = 1.0 if U is None else np.exp(U)
-    assert np.array_equal(m.F(np.stack([rho, z], axis=-1)), want)
+    assert np.array_equal(fields_at(m, np.stack([rho, z], axis=-1))[0], want)
 
     probes = [(r, zz) for r in (0.5, 2.0) for zz in np.arange(-1.0, 11.0, 1.25)]
     sups = [modelmap._tension_at(m, probes, h)[0].max() for h in (0.1, 0.05, 0.025)]
@@ -507,7 +520,7 @@ def test_kernel_alignment_on_rod_tubes():
     m = build_model_map(d)
     mids = {0: -1.0, 1: 0.75, 3: 4.75, 5: 10.0}
     for idx, zm in mids.items():
-        F = m.F(np.array([[1e-6, zm]]))[0]
+        F = fields_at(m, np.array([[1e-6, zm]]))[0][0]
         w, vecs = np.linalg.eigh(F)
         kernel = vecs[:, 0]
         structure = np.array(d.rods[idx].structure.v, dtype=float)
@@ -524,12 +537,12 @@ def test_map_finite_and_positive_off_axis():
     pts = np.column_stack(
         [rng.uniform(0.05, 30.0, 300), rng.uniform(-25.0, 35.0, 300)]
     )
-    pts = pts[m.distance_to_axis(pts) > 0.05]
-    F = m.F(pts)
+    pts = pts[axis_distance(m, pts) > 0.05]
+    F = fields_at(m, pts)[0]
     assert np.all(np.isfinite(F))
     eig = np.linalg.eigvalsh(F)
     assert np.all(eig > 0)
-    w = m.omega(pts)
+    w = fields_at(m, pts)[3]
     assert np.all(np.isfinite(w))
 
 
@@ -538,10 +551,10 @@ def test_omega_constant_on_tubes():
     m = build_model_map(d)
     # on the middle rod tube the potential constant is (0.3, 0, 0.1)
     pts = np.array([[0.1, 4.3], [0.2, 5.0], [0.05, 4.9]])
-    w = m.omega(pts)
+    w = fields_at(m, pts)[3]
     assert np.allclose(w, [0.3, 0.0, 0.1])
     # far north axis: the north constant
-    w = m.omega(np.array([[0.5, 80.0]]))
+    w = fields_at(m, np.array([[0.5, 80.0]]))[3]
     assert np.allclose(w, [1.0, 0.5, 0.0])
 
 
@@ -592,13 +605,13 @@ def ramp(M0, M1):
 def det_calls(monkeypatch):
     """Record every (matrix, det) the certificate evaluates, in order."""
     calls = []
-    real = modelmap._bareiss_det
+    real = modelbuild._bareiss_det
 
     def spy(rows):
         calls.append(([list(r) for r in rows], real([list(r) for r in rows])))
         return calls[-1][1]
 
-    monkeypatch.setattr(modelmap, "_bareiss_det", spy)
+    monkeypatch.setattr(modelbuild, "_bareiss_det", spy)
     return calls
 
 
@@ -606,7 +619,7 @@ def test_certificate_rejects_a_ramp_at_its_exact_zero(monkeypatch):
     # det(I + s (diag(-1, -1, 1) - I)) = (1 - 2s)^2 vanishes at s = 1/2,
     # which the first halving doubles to the corner diag(0, 0, 2)
     calls = det_calls(monkeypatch)
-    assert not modelmap._det_keeps_sign(ramp(np.eye(3, dtype=int), np.diag([-1, -1, 1])), 1)
+    assert not modelbuild._det_keeps_sign(ramp(np.eye(3, dtype=int), np.diag([-1, -1, 1])), 1)
     assert calls[-1] == ([[0, 0, 0], [0, 0, 0], [0, 0, 2]], 0)
 
 
@@ -616,7 +629,7 @@ def test_certificate_rejects_the_fixture_ramp_at_three_eighths(monkeypatch):
     M0 = np.array([[1, 1, -1], [-1, -1, 0], [0, 1, 0]])
     M1 = np.array([[1, 1, 0], [0, 0, 1], [2, 0, 0]])
     calls = det_calls(monkeypatch)
-    assert not modelmap._det_keeps_sign(ramp(M0, M1), 1)
+    assert not modelbuild._det_keeps_sign(ramp(M0, M1), 1)
     rows, det = calls[-1]
     assert np.array_equal(np.array(rows).T, 5 * M0 + 3 * M1) and det < 0
 
@@ -625,9 +638,9 @@ def test_certificate_subdivides_a_path_that_comes_near_zero(monkeypatch):
     # det(I + s (M1 - I)) = 1 - 4s + 5s^2 > 0 has a negative Bernstein
     # coefficient on [0, 1], so only halving certifies it
     M1 = np.array([[-1, -1, 0], [1, -1, 0], [0, 0, 1]])
-    assert modelmap._det_keeps_sign(ramp(np.eye(3, dtype=int), M1), 1)
-    monkeypatch.setattr(modelmap, "CERTIFICATE_DEPTH", 0)
-    assert not modelmap._det_keeps_sign(ramp(np.eye(3, dtype=int), M1), 1)
+    assert modelbuild._det_keeps_sign(ramp(np.eye(3, dtype=int), M1), 1)
+    monkeypatch.setattr(modelbuild, "CERTIFICATE_DEPTH", 0)
+    assert not modelbuild._det_keeps_sign(ramp(np.eye(3, dtype=int), M1), 1)
 
 
 def test_certificate_covers_a_plateau_patch():
@@ -635,10 +648,10 @@ def test_certificate_covers_a_plateau_patch():
     # far are SINGULAR_BLEND_RUN's plateau and far frames, det -1 each
     far = ((2, -1, 2), (1, 1, -1), (1, 0, 0))
     A = ((2, -1, 0), (1, -1, 0), (0, 0, 1))
-    assert not modelmap._det_keeps_sign(((A, A), (far, far)), -1)
+    assert not modelbuild._det_keeps_sign(((A, A), (far, far)), -1)
     B = ((1, 0, 0), (0, 1, 0), (0, 0, -1))  # det(B + chi (far - B)) = 2 chi^3 - 2 chi^2 - 1
-    assert modelmap._det_keeps_sign(((B, B), (far, far)), -1)
-    assert modelmap._det_keeps_sign(((far, far), (far, far)), -1)
+    assert modelbuild._det_keeps_sign(((B, B), (far, far)), -1)
+    assert modelbuild._det_keeps_sign(((far, far), (far, far)), -1)
 
 
 def test_frame_paths_match_an_independent_root_count(monkeypatch):
@@ -670,7 +683,7 @@ def test_frame_paths_match_an_independent_root_count(monkeypatch):
         return [[q * a for a in row] for row in P]
 
     rejected = []
-    real = modelmap._det_keeps_sign
+    real = modelbuild._det_keeps_sign
 
     def record(corners, sign, level=0):
         ok = real(corners, sign, level)
@@ -678,7 +691,7 @@ def test_frame_paths_match_an_independent_root_count(monkeypatch):
             rejected.append(corners)
         return ok
 
-    monkeypatch.setattr(modelmap, "_det_keeps_sign", record)
+    monkeypatch.setattr(modelbuild, "_det_keeps_sign", record)
     outcomes = {"built": 0, "transition": 0, "radial": 0}
     for k, d in enumerate(frame_corpus(1000)):
         rejected.clear()
@@ -838,12 +851,11 @@ def test_tension_field_rejects_a_bad_excision(excision):
     ],
 )
 def test_map_fields_reject_points_off_the_half_plane(point, message):
-    # F and omega once gave NaN rows or zeros there, and distance_to_axis
-    # gave |rho|
+    # the stencil reads the map's fields at the point, which must be a
+    # finite point of the half plane
     m = build_model_map(figure2_diagram())
-    for name in ("F", "omega", "distance_to_axis"):
-        with pytest.raises(ValueError, match=re.escape(f"{name} {message}")):
-            getattr(m, name)(np.array([point]))
+    with pytest.raises(ValueError, match=re.escape(f"stencil {message}")):
+        tension_norm(m, *point, 0.05)
 
 
 @pytest.mark.parametrize("h", [1e-300, 1e-20])
@@ -905,10 +917,10 @@ def test_tension_field_independent_of_strip_height(monkeypatch):
 def test_F_is_finite_on_the_axis_north_of_a_finite_slot_rod():
     m = build_model_map(figure2_diagram())
     for z in (4.75, 10.0):
-        on_axis = m.F(np.array([(0.0, z)]))
+        on_axis = fields_at(m, np.array([(0.0, z)]))[0]
         assert np.all(np.isfinite(on_axis))
         # the limit of the ("ud", a, b) term as rho -> 0
-        np.testing.assert_allclose(on_axis, m.F(np.array([(1e-300, z)])), rtol=1e-12)
+        np.testing.assert_allclose(on_axis, fields_at(m, np.array([(1e-300, z)]))[0], rtol=1e-12)
 
 
 def frame_sample_points(m):
@@ -938,8 +950,8 @@ def test_frame_factors_match_per_point_reference(diagram, transitions):
     R1, R2 = m.blend_radii
     z_samples, pts = frame_sample_points(m)
     A_ref = [reference_piece_value(m.segments, z) for z in z_samples]
-    assert np.array_equal(m.axis_frames(np.array(z_samples)), A_ref)
-    assert np.array_equal(m.omega(pts), reference_omega(m, pts))
+    assert np.array_equal(modelmap._profile_at(m.segments, np.array(z_samples)), A_ref)
+    assert np.array_equal(fields_at(m, pts)[3], reference_omega(m, pts))
     # the fields the tension kernel reads: rank-one sums over the frame
     # A(z) where chi = 0, stacked products over the blended frame where
     # chi > 0
@@ -994,11 +1006,11 @@ def test_point_stage_on_grid_axes_matches_full_mesh(diagram, h, grid):
     m = build_model_map(diagram)
     rho, z = modelmap._grid_axes(h, *(grid or verifier_grid(m)[1]))
     R, Z = np.meshgrid(rho, z, indexing="ij")
-    for level in (m._z_stage(z), None):
+    for level in (modelmap._z_stage(m, z), None):
         got = modelmap._point_fields(m, rho[:, None], z[None, :], level)
         assert_same_bits(got, modelmap._point_fields(m, R, Z, level))
     # the figure-2 grid crosses the radial blend, the paper's lies inside it
-    chi = m._blend_weight(R, Z)
+    chi = modelmap._blend_weight(m, R, Z)
     assert np.any(chi == 0.0) and np.any(chi > 0.0) == (grid is not None)
 
 
@@ -1011,7 +1023,7 @@ def test_verifier_grid_takes_rho_per_row_and_z_per_column(monkeypatch):
     rho, z = modelmap._grid_axes(h, *grid)
     logs, ends, gaps = [], [], []
     log_rho2, endpoint_log = modelmap._log_rho2, modelmap._endpoint_log
-    axis_distance = modelmap.ModelMap._axis_distance
+    axis_distance = modelmap._axis_distance
 
     def logging(r):
         logs.append(r.shape)
@@ -1021,13 +1033,13 @@ def test_verifier_grid_takes_rho_per_row_and_z_per_column(monkeypatch):
         ends.append((r.shape, zz.shape))
         return endpoint_log(a, r, zz)
 
-    def gapping(self, r, zz):
+    def gapping(mm, r, zz):
         gaps.append((r.shape, zz.shape))
-        return axis_distance(self, r, zz)
+        return axis_distance(mm, r, zz)
 
     monkeypatch.setattr(modelmap, "_log_rho2", logging)
     monkeypatch.setattr(modelmap, "_endpoint_log", ending)
-    monkeypatch.setattr(modelmap.ModelMap, "_axis_distance", gapping)
+    monkeypatch.setattr(modelmap, "_axis_distance", gapping)
     tau = tension_field(m, h, *grid)[2]
     strips = -(-tau.shape[0] // modelmap.STRIP_ROWS)
     assert strips > 1 and len(logs) == len(gaps) == strips
@@ -1102,7 +1114,7 @@ def test_omega_span_matches_full_span_stencil(monkeypatch, diagram, transform, h
 
 def test_omega_span_matches_full_span_stencil_at_rays_and_probes(monkeypatch):
     m = build_model_map(parse(PAPER_DIAGRAM.read_text()))
-    lo, hi = modelmap._finite_extent(m.diagram)
+    lo, hi = modelbuild._finite_extent(m.diagram)
     _, _, rays = modelmap._decay_rays(m)
     probes = modelmap._convergence_probes(m, 0.05, lo, hi, max(hi - lo, 1.0))
     points = rays + probes
@@ -1120,7 +1132,7 @@ def test_omega_terms_only_on_the_span(monkeypatch):
     h, grid = 0.1, verifier_grid(m)[1]
     rho, z = modelmap._grid_axes(h, *grid)
     R, Z = np.meshgrid(rho, z, indexing="ij")
-    span = modelmap._omega_span(m.omega(np.stack([R, Z], axis=-1)))
+    span = modelmap._omega_span(fields_at(m, np.stack([R, Z], axis=-1))[3])
     columns = []
     divergence = modelmap._divergence
 
@@ -1166,9 +1178,9 @@ def test_distance_to_axis_matches_per_segment_hypot():
         rho, z = modelmap._grid_axes(h, *verifier_grid(m)[1])
         R, Z = np.meshgrid(rho, z, indexing="ij")
         pts = np.stack([R, Z], axis=-1)
-        assert np.array_equal(m.distance_to_axis(pts), per_segment_distance(m, pts))
+        assert np.array_equal(axis_distance(m, pts), per_segment_distance(m, pts))
     rng = np.random.default_rng(55)
-    lo, hi = modelmap._finite_extent(m.diagram)
+    lo, hi = modelbuild._finite_extent(m.diagram)
     rho = np.concatenate(
         [np.zeros(2000), rng.uniform(0.0, 1e-6, 2000), rng.uniform(0.0, 50.0, 6000)]
     )
@@ -1176,7 +1188,7 @@ def test_distance_to_axis_matches_per_segment_hypot():
     z[:3000] = rng.choice([lo, hi, lo - 1e8, hi + 1e8, *(b for s in axis_rod_intervals(m) for b in s
                                                          if math.isfinite(b))], 3000)
     pts = np.stack([rho, z], axis=-1)
-    got = m.distance_to_axis(pts)
+    got = axis_distance(m, pts)
     assert np.array_equal(got, per_segment_distance(m, pts))
     # points on the end rods and beyond lie on the axis set
     assert np.any(got == 0.0) and np.all(np.isfinite(got))
@@ -1194,7 +1206,7 @@ def test_det_f_from_frame_factors(h_matrix):
     base = build_model_map(figure2_diagram())
     m = base if h_matrix is None else transformed_map(base, h_matrix)
     _, pts = frame_sample_points(base)
-    chi = base._blend_weight(*pts.T)
+    chi = modelmap._blend_weight(base, *pts.T)
     assert any(0.0 < c < 1.0 for c in chi) and 1.0 in chi
     np.testing.assert_allclose(modelmap._point_fields(m, *pts.T)[2], det_f(m, pts), rtol=1e-12)
 
@@ -1246,7 +1258,7 @@ def test_transformed_map_moves_fields_by_h(diagram, kind):
     h = h_matrices(base.diagram.n)[kind]
     m = transformed_map(base, h)
     _, pts = frame_sample_points(base)
-    chi = base._blend_weight(*pts.T)
+    chi = modelmap._blend_weight(base, *pts.T)
     ramp = np.zeros(len(pts), dtype=bool)
     for seg in base.segments:
         if not seg.constant:
@@ -1255,7 +1267,8 @@ def test_transformed_map_moves_fields_by_h(diagram, kind):
     assert np.any((0.0 < chi) & (chi < 1.0)) and np.any(chi == 1.0)
     pairs = zip(base.segments + base.omega_profile, m.segments + m.omega_profile)
     assert all((p.M0 is p.M1) == (q.M0 is q.M1) for p, q in pairs)
-    for got, want in [(m.F(pts), h @ base.F(pts) @ h.T), (m.omega(pts), base.omega(pts) @ h.T)]:
+    (F, _, _, w), (F_base, _, _, w_base) = fields_at(m, pts), fields_at(base, pts)
+    for got, want in [(F, h @ F_base @ h.T), (w, w_base @ h.T)]:
         axes = tuple(range(1, want.ndim))
         scale = np.abs(want).max(axis=axes, keepdims=True)
         assert np.all(np.abs(got - want) <= 1e-13 * scale)
@@ -1274,7 +1287,7 @@ def test_rank_one_fields_match_stacked_products(diagram, kind):
     m = base if kind is None else transformed_map(base, h_matrices(base.diagram.n)[kind])
     _, pts = frame_sample_points(base)
     pts = pts[pts[:, 0] <= 2.0]  # rho = 0.5 and 2 on every frame piece
-    assert not np.any(base._blend_weight(*pts.T))
+    assert not np.any(modelmap._blend_weight(base, *pts.T))
     F, Finv, _, _ = modelmap._point_fields(m, *pts.T)
     M, Minv, d, _ = reference_frame_factors(m, pts)
     np.testing.assert_allclose(F, modelmap._congruence(Minv, d), rtol=1e-12, atol=0.0)
@@ -1300,7 +1313,7 @@ def test_tension_field_stacks_products_only_where_blended(monkeypatch):
     monkeypatch.setattr(modelmap, "_congruence", counting)
     tension_field(m, h, rho_max, z_lo, z_hi)
     rho, z = modelmap._grid_axes(h, rho_max, z_lo, z_hi)
-    blended = np.count_nonzero(m._blend_weight(rho[:, None], z[None, :]) > 0.0)
+    blended = np.count_nonzero(modelmap._blend_weight(m, rho[:, None], z[None, :]) > 0.0)
     assert 0 < blended < rho.size * z.size
     assert all(len(shape) == 1 for shape in stacked)
     assert sum(shape[0] for shape in stacked) == 2 * blended
@@ -1321,13 +1334,13 @@ def test_tension_field_invariant_under_unimodular_transform():
 def test_point_stage_computes_blend_weight_once(monkeypatch):
     m = build_model_map(figure2_diagram())
     calls = []
-    real = modelmap.ModelMap._blend_weight
+    real = modelmap._blend_weight
 
-    def counting(self, rho, z):
+    def counting(mm, rho, z):
         calls.append((rho.shape, z.shape))
-        return real(self, rho, z)
+        return real(mm, rho, z)
 
-    monkeypatch.setattr(modelmap.ModelMap, "_blend_weight", counting)
+    monkeypatch.setattr(modelmap, "_blend_weight", counting)
     rho, z = np.array([[0.5], [20.0], [40.0]]), np.array([[-9.0, 3.0, 30.0]])
     modelmap._point_fields(m, rho, z)
     assert calls == [((3, 1), (1, 3))]
@@ -1354,13 +1367,13 @@ def test_blend_weight_skips_batches_inside_r1(monkeypatch):
     reaches = [0.5 * R1, np.nextafter(R1, 0.0), R1, np.nextafter(R1, INF)]
     for reach in reaches:
         rho = np.array([0.0, 0.5 * reach, reach])
-        chi = m._blend_weight(rho, z)
+        chi = modelmap._blend_weight(m, rho, z)
         want = smoothstep((np.hypot(rho, z - m.z0) - R1) / (R2 - R1))
         assert chi.tobytes() == want.tobytes()
         assert np.any(chi > 0.0) == (reach > R1)
     assert calls == [(3,)] * 3  # every batch but the first
     # a grid's column of rho and row of z bound its reach the same way
-    chi = m._blend_weight(np.array([[1.0], [0.4 * R1]]), m.z0 + np.array([[-0.5 * R1, 0.5 * R1]]))
+    chi = modelmap._blend_weight(m, np.array([[1.0], [0.4 * R1]]), m.z0 + np.array([[-0.5 * R1, 0.5 * R1]]))
     assert chi.shape == (2, 2) and not chi.any() and len(calls) == 3
 
 
@@ -1390,16 +1403,16 @@ def test_tension_field_inverts_frames_once_per_z(monkeypatch):
     assert sum(inverted) <= z.size + blended
 
 
-def former_omega(self, rho, z, level, at, chi, out):
-    """ModelMap._omega as it was before the z stage carried the near-field
+def former_omega(m, rho, z, level, at, chi, out):
+    """modelmap._omega as it was before the z stage carried the near-field
     profile: the profile evaluated on the level's whole z axis at every
     call, so once per strip of a grid."""
-    near = modelmap._profile_at(self.omega_profile, level.z)[np.broadcast_to(at, chi.shape)]
+    near = modelmap._profile_at(m.omega_profile, level.z)[np.broadcast_to(at, chi.shape)]
     blend = chi > 0.0
     if blend.any():
-        ends = self.omega_profile[-1].M0, self.omega_profile[0].M0
+        ends = m.omega_profile[-1].M0, m.omega_profile[0].M0
         c_north, c_south = (np.asarray(c, dtype=float) for c in ends)
-        theta = np.arctan2(rho[blend], z[blend] - self.z0)
+        theta = np.arctan2(rho[blend], z[blend] - m.z0)
         s_theta = modelmap._smoothstep((theta - modelmap.EPSILON) / (math.pi - 2.0 * modelmap.EPSILON))
         far = c_north + s_theta[:, None] * (c_south - c_north)
         c = chi[blend][:, None]
@@ -1426,7 +1439,7 @@ def test_omega_profile_evaluated_once_per_grid_level(monkeypatch):
     assert got[2].shape[0] > modelmap.STRIP_ROWS  # more than one strip
     assert len(profiled) == 1
     monkeypatch.undo()
-    monkeypatch.setattr(modelmap.ModelMap, "_omega", former_omega)
+    monkeypatch.setattr(modelmap, "_omega", former_omega)
     for a, b in zip(got, tension_field(*args)):
         assert np.array_equal(a, b, equal_nan=True)
 
@@ -1506,7 +1519,7 @@ def test_multi_corner_component_block_assembly():
     assert not ramp.constant
     assert [row[ramp.held_col] for row in ramp.M0] == col == [row[ramp.held_col] for row in ramp.M1]
     for idx, zm in [(0, -1.0), (1, 1.0), (2, 3.0), (4, 8.0)]:
-        F = m.F(np.array([[1e-6, zm]]))[0]
+        F = fields_at(m, np.array([[1e-6, zm]]))[0][0]
         w, vecs = np.linalg.eigh(F)
         s = np.array(d.rods[idx].structure.v, dtype=float)
         cosine = abs(vecs[:, 0] @ s) / (np.linalg.norm(vecs[:, 0]) * np.linalg.norm(s))
@@ -1521,7 +1534,7 @@ def test_rank_two_counterexample_geometry():
     d = rank_two_counterexample()
     m = build_model_map(d)
     for idx, zm in [(0, -1.0), (2, 2.25), (4, 6.0)]:
-        F = m.F(np.array([[1e-6, zm]]))[0]
+        F = fields_at(m, np.array([[1e-6, zm]]))[0][0]
         w, vecs = np.linalg.eigh(F)
         s = np.array(d.rods[idx].structure.v, dtype=float)
         cosine = abs(vecs[:, 0] @ s) / (np.linalg.norm(vecs[:, 0]) * np.linalg.norm(s))
@@ -1547,7 +1560,7 @@ def test_no_horizon_diagram_with_parallel_ends():
     )
     m = build_model_map(d)
     for idx, zm in [(0, -1.0), (1, 1.0), (2, 3.0)]:
-        F = m.F(np.array([[1e-6, zm]]))[0]
+        F = fields_at(m, np.array([[1e-6, zm]]))[0][0]
         w, vecs = np.linalg.eigh(F)
         s = np.array(d.rods[idx].structure.v, dtype=float)
         cosine = abs(vecs[:, 0] @ s) / (np.linalg.norm(vecs[:, 0]) * np.linalg.norm(s))
@@ -1655,7 +1668,7 @@ def test_verifier_runs_one_point_pass_for_both_grids(monkeypatch):
     m = build_model_map(parse(PAPER_DIAGRAM.read_text()))
     h = 0.1
     rows, levels, stages = [], [], []
-    point_fields, z_stage = modelmap._point_fields, modelmap.ModelMap._z_stage
+    point_fields, z_stage = modelmap._point_fields, modelmap._z_stage
 
     def counting(mm, rho, z, level=None, out=None):
         if level is not None:
@@ -1663,12 +1676,12 @@ def test_verifier_runs_one_point_pass_for_both_grids(monkeypatch):
         levels.append(level)
         return point_fields(mm, rho, z, level, out)
 
-    def staging(self, z_axis):
+    def staging(mm, z_axis):
         stages.append(z_axis.size)
-        return z_stage(self, z_axis)
+        return z_stage(mm, z_axis)
 
     monkeypatch.setattr(modelmap, "_point_fields", counting)
-    monkeypatch.setattr(modelmap.ModelMap, "_z_stage", staging)
+    monkeypatch.setattr(modelmap, "_z_stage", staging)
     verify_tension(m, h)
     fine_rows = modelmap._grid_axes(h / 2.0, *verifier_grid(m)[1])[0].size
     assert len(rows) > 1 and fine_rows <= sum(rows) <= fine_rows + 1

@@ -32,7 +32,8 @@ def test_library_has_no_bare_asserts():
 def test_library_imports_are_all_used():
     # a name imported at module level and read nowhere in the module is
     # left over from a deletion; the package's __init__ re-exports names
-    # on purpose, so it is not scanned
+    # on purpose, so it is not scanned, and so does an import of the form
+    # "name as name"
     found = []
     for path in sorted(PACKAGE.glob("*.py")):
         if path.name == "__init__.py":
@@ -44,8 +45,8 @@ def test_library_imports_are_all_used():
                 isinstance(node, ast.ImportFrom) and node.module != "__future__"
             ):
                 for alias in node.names:
-                    name = alias.asname or alias.name.split(".")[0]
-                    imported[name] = node.lineno
+                    if alias.asname != alias.name:
+                        imported[alias.asname or alias.name.split(".")[0]] = node.lineno
         used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
         found += [f"{path.name}:{line} {name}" for name, line in imported.items()
                   if name not in used]
@@ -199,7 +200,14 @@ def test_exact_subcommands_do_not_load_numpy():
     assert len(out["codes"]) == diagrams * len(EXACT_SUBCOMMANDS)
     assert set(out["codes"]) <= {0, 1}  # 1: the diagram is outside the command's domain
     assert 0 in out["codes"][len(EXACT_SUBCOMMANDS) - 1 :: len(EXACT_SUBCOMMANDS)]  # classify
-    assert not {"numpy", "rodtopo.modelmap"} & set(out["loaded"]), out["loaded"]
+    assert not {"numpy", "rodtopo.modelbuild", "rodtopo.modelmap"} & set(out["loaded"]), out["loaded"]
+    # the model map's exact build loads no numpy either
+    probe = ("import sys, rodtopo.modelbuild as mb, rodtopo.roddiagram as rd; "
+             "mb.build_model_map(rd.parse(open('diagrams/two-horizon-one-corner.json').read())); "
+             "sys.exit('numpy' in sys.modules)")
+    run = subprocess.run([sys.executable, "-c", probe], cwd=ROOT,
+                         env={**os.environ, "PYTHONPATH": str(ROOT / "src")}, timeout=120)
+    assert run.returncode == 0
     # each in a fresh interpreter: no subcommand loads both plumbing and topology
     for cmd, layer, other in [("decompose", "plumbing", "topology"), ("analyze", "topology", "plumbing")]:
         out = _no_numpy_probe([[cmd]])
@@ -225,15 +233,13 @@ PACKAGE_EXPORTS = {
         "AbelianGroup", "FillinPlan", "betti2", "classify", "compactify", "end_pi1",
         "fillin_path", "fundamental_group", "is_simply_connected",
     ],
-    "modelmap": [
-        "ModelMap", "TensionReport", "build_model_map", "potentials", "tension_norm",
-        "verify_tension",
-    ],
+    "modelbuild": ["ModelMap", "build_model_map"],
+    "modelmap": ["TensionReport", "potentials", "tension_norm", "verify_tension"],
 }
 
 # Run in a fresh interpreter: layers reached through the package, the names
 # a star import binds and whether it loaded numpy, then every re-exported
-# name against its defining layer's (the model map's last: it loads numpy),
+# name against its defining layer's (the verifier's last: it loads numpy),
 # and a name the package does not have.
 PACKAGE_NAMES_PROBE = """
 import importlib, json, sys
@@ -272,7 +278,8 @@ def test_package_names_and_star_import():
     assert run.returncode == 0, run.stderr
     out = json.loads(run.stdout)
     assert out["layers"] == ["rodtopo.topology", "rodtopo.cli", "rodtopo.modelmap"]
-    # a star import binds the exact layers' names, and loads no numpy
+    # a star import binds the exact layers' names, the model map's build
+    # among them, and loads no numpy
     exact = {name for layer, names in PACKAGE_EXPORTS.items() if layer != "modelmap" for name in names}
     assert exact <= set(out["star"]), sorted(exact - set(out["star"]))
     assert not set(out["star"]) & set(PACKAGE_EXPORTS["modelmap"])
@@ -338,22 +345,87 @@ def test_modelmap_import_loads_no_dataclasses():
 
 
 def test_model_verify_without_numpy_is_a_usage_error():
-    # numpy made unimportable: model-verify refuses with one error line and
-    # exit 2, as for any other unusable invocation, and no traceback
-    probe = ("import sys; sys.modules['numpy'] = None; from rodtopo.cli import main; "
-             "sys.exit(main(sys.argv[1:]))")
-    run = subprocess.run(
-        [sys.executable, "-c", probe, "model-verify", "diagrams/two-horizon-one-corner.json"],
-        cwd=ROOT,
-        env={**os.environ, "PYTHONPATH": str(ROOT / "src")},
-        capture_output=True,
-        text=True,
-        timeout=120,
-    )
+    # numpy made unimportable: model-verify refuses a map it can build with
+    # one error line and exit 2, as for any other unusable invocation, and
+    # no traceback; a diagram that cannot be built is rejected as it is
+    # with numpy, since the build is exact
+    def model_verify(path, numpy):
+        probe = ("import sys; " + "sys.modules['numpy'] = None; " * (not numpy)
+                 + "from rodtopo.cli import main; sys.exit(main(sys.argv[1:]))")
+        return subprocess.run(
+            [sys.executable, "-c", probe, "model-verify", path],
+            cwd=ROOT,
+            env={**os.environ, "PYTHONPATH": str(ROOT / "src")},
+            capture_output=True,
+            text=True,
+            timeout=120,
+        )
+
+    run = model_verify("diagrams/two-horizon-one-corner.json", numpy=False)
     assert run.returncode == 2
     assert run.stdout == ""
     assert "Traceback" not in run.stderr
     assert run.stderr.splitlines() == ["error: model-verify needs numpy, which is not installed"]
+    for name, reason in [("counterexample", "missing geometry"), ("plumbed-doc", "missing geometry"),
+                         ("plumbed-doc-closed", "half-plane")]:
+        bare, full = (model_verify(f"diagrams/{name}.json", numpy) for numpy in (False, True))
+        assert (bare.returncode, bare.stdout, bare.stderr) == (1, "", full.stderr), name
+        assert full.returncode == 1 and reason in full.stderr, name
+
+
+# Run in a fresh interpreter with numpy made unimportable: the outcome of
+# building each diagram of frame_corpus(1000), and the first message of
+# each kind of rejection.
+CORPUS_BUILD_PROBE = """
+import json, sys
+sys.modules["numpy"] = None
+from helpers import frame_corpus
+from rodtopo.errors import ModelMapError
+from rodtopo.modelbuild import build_model_map
+
+kinds = ("frame transition", "inadmissible", "slot parity", "radial frame blend")
+counts, first = {}, {}
+for diagram in frame_corpus(1000):
+    try:
+        build_model_map(diagram)
+        kind = "built"
+    except ModelMapError as e:
+        kind = next((k for k in kinds if k in str(e)), str(e))
+        first.setdefault(kind, str(e))
+    counts[kind] = counts.get(kind, 0) + 1
+print(json.dumps({"counts": counts, "first": first}))
+"""
+
+
+def test_frame_corpus_builds_without_numpy():
+    # the model map's build is exact: the whole corpus builds or is
+    # rejected without numpy.  ROADMAP items 5, 6 and 14 are to turn the
+    # rejections of admissible diagrams into built maps
+    run = subprocess.run(
+        [sys.executable, "-c", CORPUS_BUILD_PROBE],
+        cwd=ROOT,
+        env={**os.environ, "PYTHONPATH": os.pathsep.join([str(ROOT / "src"), str(ROOT / "tests")])},
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert run.returncode == 0, run.stderr
+    out = json.loads(run.stdout)
+    assert out["counts"] == {
+        "built": 371, "frame transition": 313, "inadmissible": 256, "slot parity": 51,
+        "radial frame blend": 9,
+    }
+    # a rejected frame path names its ramp, the ramp's z-window and its frames' dets
+    assert out["first"]["frame transition"] == (
+        "frame transition passes through a degenerate matrix on ramp 2 of 5 from the south "
+        "(z in [1.4, 2.6], between frames of det 1 and 1); the diagram needs a different "
+        "frame completion"
+    )
+    assert out["first"]["radial frame blend"] == (
+        "radial frame blend passes through a degenerate matrix on ramp 2 of 4 from the south "
+        "(z in [1.8, 2.7], between frames of det 2 and 4); the diagram needs a different "
+        "frame completion"
+    )
 
 
 # Run in a fresh interpreter, with every warning shown: each (input,
