@@ -1,15 +1,19 @@
 """Command-line front end.
 
-Every subcommand reads one rod-diagram JSON file, runs the corresponding
-analysis, and writes a deterministic report (JSON or text) to stdout or a
-file.  Exit codes: 0 success, 1 validation or relation failure (for
-``model-verify``: the model map cannot be built), 2 usage error (including
-an input that cannot be read or an output that cannot be written), 3 the
-model map was built but failed the tension verification.
+Every subcommand is a function of the parsed arguments and of one parsed
+rod diagram: it runs its analysis and returns a JSON payload, the lines of
+its text report and an exit code.  ``main`` owns all input and output: it
+reads and parses the diagram, writes the report (JSON or text, to stdout or
+``--out``) and picks the exit code.  Exit codes: 0 success, 1 validation or
+relation failure (for ``model-verify``: the model map cannot be built), 2
+usage error (including an input that cannot be read or an output that
+cannot be written), 3 the model map was built but failed the tension
+verification.  ``model-verify`` alone writes a second file, ``--dump-csv``,
+and checks both of its output directories before it evaluates any grid.
 
 Each subcommand imports the layers it calls when it runs, beyond the
-``intlin`` and ``roddiagram`` that every one of them needs to read its
-diagram: ``decompose`` loads ``plumbing``, ``analyze``, ``pi1``, ``fillin``,
+``intlin`` and ``roddiagram`` that ``main`` needs to read the diagram:
+``decompose`` loads ``plumbing``, ``analyze``, ``pi1``, ``fillin``,
 ``compactify`` and ``classify`` load ``topology``, and only
 ``model-verify`` loads ``modelbuild``, and then, if the map builds,
 ``modelmap`` and with it numpy.  The import runs at call time, so a
@@ -91,34 +95,30 @@ def _diagram_text(diagram):
 
 
 # ----------------------------------------------------------------------
-# subcommands
+# subcommands: (args, diagram) -> (JSON payload, text lines, exit code)
 
 
-def _cmd_validate(args):
-    diagram = parse(_load(args.input))
+def _cmd_validate(args, diagram):
     payload = {"valid": True, "diagram": diagram.to_json_dict()}
-    _emit(args, payload, ["valid"] + _diagram_text(diagram))
-    return 0
+    return payload, ["valid"] + _diagram_text(diagram), 0
 
 
-def _cmd_hnf(args):
-    diagram = parse(_load(args.input))
+def _cmd_hnf(args, diagram):
     res = hermite_normal_form(diagram.structure_matrix())
     payload = {
         "H": res.H.to_lists(),
         "Q": res.Q.to_lists(),
         "pivots": [list(p) for p in res.pivots],
     }
-    lines = ["H (columns are the transformed structures):"]
-    lines += ["  " + " ".join(f"{x:4d}" for x in row) for row in res.H.to_lists()]
-    lines.append("Q (transformation matrix):")
-    lines += ["  " + " ".join(f"{x:4d}" for x in row) for row in res.Q.to_lists()]
-    _emit(args, payload, lines)
-    return 0
+    lines = []
+    for key, title in (("H", "columns are the transformed structures"),
+                       ("Q", "transformation matrix")):
+        lines.append(f"{key} ({title}):")
+        lines += ["  " + " ".join(f"{x:4d}" for x in row) for row in payload[key]]
+    return payload, lines, 0
 
 
-def _cmd_snf(args):
-    diagram = parse(_load(args.input))
+def _cmd_snf(args, diagram):
     res = smith_normal_form(diagram.structure_matrix())
     payload = {
         "S": res.S.to_lists(),
@@ -126,23 +126,16 @@ def _cmd_snf(args):
         "V": res.V.to_lists(),
         "divisors": list(res.divisors),
     }
-    lines = [f"elementary divisors: {list(res.divisors)}"]
-    _emit(args, payload, lines)
-    return 0
+    return payload, [f"elementary divisors: {list(res.divisors)}"], 0
 
 
-def _cmd_detk(args):
-    diagram = parse(_load(args.input))
-    A = diagram.structure_matrix()
-    value = determinant_divisor(A, args.k)
-    payload = {"k": args.k, "value": value}
-    _emit(args, payload, [f"Det_{args.k} = {value}"])
-    return 0
+def _cmd_detk(args, diagram):
+    value = determinant_divisor(diagram.structure_matrix(), args.k)
+    return {"k": args.k, "value": value}, [f"Det_{args.k} = {value}"], 0
 
 
-def _cmd_analyze(args):
-    from .topology import _end_group, fundamental_group
-    diagram = parse(_load(args.input))
+def _cmd_analyze(args, diagram):
+    from .topology import end_pi1, fundamental_group
     corners = []
     for i, j in diagram.corners():
         d = roddiagram.det2(diagram.rods[i].structure, diagram.rods[j].structure)
@@ -170,39 +163,32 @@ def _cmd_analyze(args):
         lines.append(f"horizon {h['rod']}: cross-section {h['cross_section']['display']}")
     if diagram.shape == roddiagram.HALF_PLANE:
         end = roddiagram.asymptotic_end(diagram)
-        end_group = _end_group(end)
+        end_group = end_pi1(diagram)
         payload["end"] = end.to_json_dict()
         payload["end_pi1"] = end_group.to_json_dict()
         lines.append(f"asymptotic end: R+ x {end.display()}")
         lines.append(f"end pi_1 = {end_group.display()}")
     lines.append(f"pi_1 = {pi1.display()}")
-    _emit(args, payload, lines)
-    return 0
+    return payload, lines, 0
 
 
-def _cmd_decompose(args):
+def _cmd_decompose(args, diagram):
     from .plumbing import doc_decomposition
-    diagram = parse(_load(args.input))
     doc = doc_decomposition(diagram)
-    payload = doc.to_json_dict()
     lines = [f"J = {doc.J}, N1 = {doc.N1}, N2 = {doc.N2}"]
     for p in doc.pieces:
         lines.append(f"  {p.display()}  (rods {list(p.source_rod_indices)})")
-    _emit(args, payload, lines)
-    return 0
+    return doc.to_json_dict(), lines, 0
 
 
-def _cmd_pi1(args):
+def _cmd_pi1(args, diagram):
     from .topology import fundamental_group
-    diagram = parse(_load(args.input))
     g = fundamental_group(diagram)
-    _emit(args, g.to_json_dict(), [f"pi_1 = {g.display()}"])
-    return 0
+    return g.to_json_dict(), [f"pi_1 = {g.display()}"], 0
 
 
-def _cmd_fillin(args):
+def _cmd_fillin(args, diagram):
     from .topology import compactify
-    diagram = parse(_load(args.input))
     plan = compactify(diagram)
     payload = plan.to_json_dict()
     del payload["diagram"]
@@ -210,35 +196,29 @@ def _cmd_fillin(args):
     for f in plan.horizon_fills:
         lines.append(f"horizon {f.rod_index}: {f.kind} {[list(u) for u in f.inserted]}")
     lines.append(f"end cap: {plan.end_cap.kind} {[list(u) for u in plan.end_cap.inserted]}")
-    _emit(args, payload, lines)
-    return 0
+    return payload, lines, 0
 
 
-def _cmd_compactify(args):
+def _cmd_compactify(args, diagram):
     from .topology import compactify, is_simply_connected
-    diagram = parse(_load(args.input))
     plan = compactify(diagram)
     payload = plan.to_json_dict()
     payload["simply_connected"] = is_simply_connected(plan.diagram)
     lines = _diagram_text(plan.diagram)
     lines.append(f"simply connected: {payload['simply_connected']}")
-    _emit(args, payload, lines)
-    return 0
+    return payload, lines, 0
 
 
-def _cmd_classify(args):
+def _cmd_classify(args, diagram):
     from .topology import classify
-    diagram = parse(_load(args.input))
     c = classify(diagram, spin=args.spin)
     payload = c.to_json_dict()
     payload["spin"] = args.spin
-    _emit(args, payload, [f"homeomorphism type: {c.display}  (k = {c.k})"])
-    return 0
+    return payload, [f"homeomorphism type: {c.display}  (k = {c.k})"], 0
 
 
-def _cmd_model_verify(args):
+def _cmd_model_verify(args, diagram):
     from . import modelbuild
-    diagram = parse(_load(args.input))
     for path in (args.out, args.dump_csv):
         if path:
             _require_directory(path)
@@ -262,8 +242,7 @@ def _cmd_model_verify(args):
         f"{'PASS' if rep.decay_pass else 'FAIL'}",
         f"overall: {'PASS' if rep.passed else 'FAIL'}",
     ]
-    _emit(args, payload, lines)
-    return 0 if rep.passed else 3
+    return payload, lines, 0 if rep.passed else 3
 
 
 # ----------------------------------------------------------------------
@@ -303,15 +282,15 @@ def _build_parser():
 
 
 def main(argv=None):
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
     try:
-        return args.fn(args)
+        diagram = parse(_load(args.input))
+        payload, text_lines, code = args.fn(args, diagram)
+        _emit(args, payload, text_lines)
+        return code
     except UsageError as e:
         return _fail(str(e), 2)
-    except RodTopoError as e:
-        return _fail(str(e), 1)
-    except ValueError as e:
+    except (RodTopoError, ValueError) as e:
         return _fail(str(e), 1)
 
 

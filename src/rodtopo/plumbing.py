@@ -40,7 +40,7 @@ class Bundle(NamedTuple):
     zero-section self-intersection and may be any integer.
     """
 
-    base: str  # "S3" | "Lens" | "S1xS2"
+    base: str  # a CrossSectionTopology family: "S3" | "Lens" | "S1xS2"
     p: int
     q: int
     euler: int
@@ -63,11 +63,7 @@ class Bundle(NamedTuple):
         return (self.q, self.euler, self.p)
 
     def base_display(self):
-        if self.base == "S3":
-            return "S^3"
-        if self.base == "S1xS2":
-            return "S^1 x S^2"
-        return f"L({self.p},{self.q})"
+        return CrossSectionTopology(self.base, self.p, self.q, 0).display()
 
     def to_json_dict(self):
         return {

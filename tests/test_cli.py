@@ -286,14 +286,56 @@ PAPER_DIAGRAM = str(Path(__file__).resolve().parent.parent / "diagrams" / "two-h
 
 
 def test_model_verify_failed_verification_exit_code(capsys, monkeypatch):
-    # a map that is built but fails verification exits 3, not 1 ("cannot build")
+    # a map that is built but fails verification exits 3, not 1 ("cannot
+    # build"); at h = 0.05 the paper diagram's own map passes, so only the
+    # corrupted transition, reached through the patched builder, fails it
     real = modelbuild.build_model_map
     monkeypatch.setattr(
         modelbuild, "build_model_map", lambda d, **kw: real(d, corrupt_transition=True, **kw)
     )
-    code, out = run_json(capsys, "model-verify", PAPER_DIAGRAM, "--grid-h", "0.1")
+    code, out = run_json(capsys, "model-verify", PAPER_DIAGRAM, "--grid-h", "0.05")
     assert code == 3
     assert out["passed"] is False
+    assert [a["ratio"] for a in out["annuli"]] == pytest.approx([1.062, 4.23, 3.961], abs=1e-3)
+    assert [a["pass"] for a in out["annuli"]] == [True, False, False]
+
+
+def test_model_verify_exits_3_when_only_the_decay_fails(capsys, monkeypatch):
+    # the paper map's sups hold at h = 0.05 and its decay slope is -3.48;
+    # a slope limit of -5.0 fails the decay alone, and that fails the report
+    monkeypatch.setattr(modelmap, "SLOPE_LIMIT", -5.0)
+    code, out = run_json(capsys, "model-verify", PAPER_DIAGRAM, "--grid-h", "0.05")
+    assert (out["sup_bounded_pass"], out["decay_pass"], out["passed"]) == (True, False, False)
+    assert code == 3
+
+
+EXACT_VARIANTS = [
+    ["validate"], ["hnf"], ["snf"], ["detk", "--k", "2"], ["detk", "--k", "3"],
+    ["detk", "--k", "9"], ["analyze"], ["decompose"], ["pi1"], ["fillin"], ["compactify"],
+    ["classify"], ["classify", "--spin"],
+]
+
+
+def test_out_file_holds_what_stdout_prints(capsys, tmp_path):
+    # main writes every report: with --out, the file holds what stdout
+    # printed without it, stdout stays empty, and stderr and the exit code
+    # are the same; a run that fails writes no file
+    report = tmp_path / "report"
+    paths = sorted(str(path) for path in DIAGRAMS.glob("*.json"))
+    runs = [[*variant, path] for path in paths for variant in EXACT_VARIANTS]
+    runs += [["model-verify", path, "--grid-h", "0.3"] for path in paths]
+    codes = set()
+    for argv in runs:
+        for fmt in ("text", "json"):
+            code = main([*argv, "--format", fmt])
+            printed = capsys.readouterr()
+            assert main([*argv, "--format", fmt, "--out", str(report)]) == code, argv
+            written = capsys.readouterr()
+            assert (written.out, written.err) == ("", printed.err), argv
+            assert (report.read_text(encoding="utf-8") if report.exists() else "") == printed.out, argv
+            report.unlink(missing_ok=True)
+            codes.add(code)
+    assert codes == {0, 1, 3}
 
 
 @pytest.mark.parametrize(

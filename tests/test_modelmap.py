@@ -1497,6 +1497,17 @@ def test_verify_tension_report_fig2():
     }
 
 
+def test_paper_map_builder_parameters():
+    # the builder's free choices on the paper diagram (finite rods in
+    # [0, 8], so width 8 and z0 = 4): the end ramps 0.6 to 1.6 widths past
+    # the outer corners, the horizon ramps 0.2 of each horizon in from its
+    # ends, and the radial blend from R1 = 4 + 2.5 * 8 to R2 = 4 + 4.5 * 8
+    m = build_model_map(parse(PAPER_DIAGRAM.read_text()))
+    assert m.blend_radii == (24.0, 40.0)
+    ramps = [(seg.z_lo, seg.z_hi, seg.held_col) for seg in m.segments if seg.M0 != seg.M1]
+    assert ramps == pytest.approx([(-12.8, -4.8, 1), (2.0, 3.5, None), (6.0, 7.5, None)])
+
+
 def test_multi_corner_component_block_assembly():
     # two corners in one component: the frame curve transitions along the
     # middle rod holding that rod's structure column, and the tension near
@@ -1518,6 +1529,8 @@ def test_multi_corner_component_block_assembly():
     col = list(d.rods[1].structure.v)
     assert not ramp.constant
     assert [row[ramp.held_col] for row in ramp.M0] == col == [row[ramp.held_col] for row in ramp.M1]
+    # its window keeps 0.3 of the rod's span clear at each end
+    assert (ramp.z_lo, ramp.z_hi) == pytest.approx((0.6, 1.4))
     for idx, zm in [(0, -1.0), (1, 1.0), (2, 3.0), (4, 8.0)]:
         F = fields_at(m, np.array([[1e-6, zm]]))[0][0]
         w, vecs = np.linalg.eigh(F)
@@ -1606,6 +1619,42 @@ def test_s2_end_variant():
     f = det_f(m, pts)
     slope = np.polyfit(np.log(rs), np.log(f), 1)[0]
     assert abs(slope - 2.0) < 0.1
+
+
+def test_paper_map_sup_ratios_fail_at_h_0_1():
+    # the paper map's two inner annulus sups grow by 1.249 and 1.266 from
+    # h = 0.1 to h/2, at or above the limit of 1.1, so the sups fail there
+    # (at h = 0.05 they grow by 1.062 and 1.072 and pass)
+    rep = verify_tension(build_model_map(parse(PAPER_DIAGRAM.read_text())), h=0.1)
+    ratios = [a["ratio"] for a in rep.annuli]
+    assert ratios[:2] == pytest.approx([1.249, 1.266], abs=1e-3)
+    assert all(r >= modelmap.SUP_RATIO_LIMIT for r in ratios[:2])
+    assert [a["pass"] for a in rep.annuli] == [False, False, True]
+    assert (rep.sup_bounded_pass, rep.decay_pass, rep.passed) == (False, True, False)
+
+
+def power_law_rays(s, scale=1.0):
+    """Radii, angles and taus of 7 decay rays over one decade from r = 60,
+    24 points each, on which tau = scale * r**s."""
+    radii = 60.0 * np.power(10.0, np.linspace(0.0, 1.0, 24))
+    angles = np.linspace(0.45, math.pi - 0.45, 7)
+    return radii, angles, np.tile(scale * radii**s, 7)
+
+
+@pytest.mark.parametrize("s, passed", [(-2.25, False), (-2.35, True)])
+def test_decay_fit_verdict_on_either_side_of_the_slope_limit(s, passed):
+    # the decay limit is a slope of -2.3
+    fit = modelmap._decay_fit(*power_law_rays(s))
+    assert fit["mean_slope"] == pytest.approx(s, abs=1e-9)
+    assert fit["below_noise_floor"] is False
+    assert fit["pass"] is passed
+
+
+def test_decay_fit_passes_tension_below_the_noise_floor():
+    # a far field below 1e-11 is noise: no slope is fitted, and it passes
+    fit = modelmap._decay_fit(*power_law_rays(-1.0, scale=1e-13))
+    assert fit["max_tau"] < 1e-11
+    assert (fit["mean_slope"], fit["below_noise_floor"], fit["pass"]) == (None, True, True)
 
 
 def test_csv_dump(tmp_path):
