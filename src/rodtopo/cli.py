@@ -110,11 +110,10 @@ def _cmd_hnf(args, diagram):
         "Q": res.Q.to_lists(),
         "pivots": [list(p) for p in res.pivots],
     }
-    lines = []
-    for key, title in (("H", "columns are the transformed structures"),
-                       ("Q", "transformation matrix")):
-        lines.append(f"{key} ({title}):")
-        lines += ["  " + " ".join(f"{x:4d}" for x in row) for row in payload[key]]
+    lines = ["H (columns are the transformed structures):"]
+    lines += ["  " + " ".join(f"{x:4d}" for x in row) for row in res.H.to_lists()]
+    lines.append("Q (transformation matrix):")
+    lines += ["  " + " ".join(f"{x:4d}" for x in row) for row in res.Q.to_lists()]
     return payload, lines, 0
 
 
@@ -282,7 +281,8 @@ def _build_parser():
 
 
 def main(argv=None):
-    args = _build_parser().parse_args(argv)
+    parser = _build_parser()
+    args = parser.parse_args(argv)
     try:
         diagram = parse(_load(args.input))
         payload, text_lines, code = args.fn(args, diagram)

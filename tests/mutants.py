@@ -6,8 +6,7 @@ temporary directory, applies the mutant there, runs the verifier's tests
 and reports whether a test failed (killed) or all passed (survived), with
 the first failing test.  The checkout itself is never changed.
 
-    python tests/mutants.py            # every mutant, up to about 10 s each
-    python tests/mutants.py slope ok   # the mutants whose names contain a word
+    python tests/mutants.py    # every mutant, up to about 10 s each
 
 The file name has no ``test_`` prefix, so pytest does not collect it; it
 is not part of the tier-1 suite.  Standard library only.  It exits 1 if a
@@ -110,9 +109,8 @@ def _run_tests(tree):
     return found.group(1) if found else f"pytest exit {run.returncode}"
 
 
-def main(words):
-    chosen = [m for m in MUTANTS if not words or any(w in m[0] for w in words)]
-    for name, path, old, _, _ in chosen:
+def main():
+    for name, path, old, _, _ in MUTANTS:
         count = (ROOT / path).read_text(encoding="utf-8").count(old)
         if count != 1:
             print(f"{name}: the old text occurs {count} times in {path}, not once")
@@ -125,7 +123,7 @@ def main(words):
             print(f"the unmutated tree fails: {baseline}")
             return 1
         print(f"{'mutant':<18} {'result':<9} first killing test")
-        for name, path, old, new, reason in chosen:
+        for name, path, old, new, reason in MUTANTS:
             source = tree / path
             original = source.read_text(encoding="utf-8")
             source.write_text(original.replace(old, new), encoding="utf-8")
@@ -139,4 +137,4 @@ def main(words):
 
 
 if __name__ == "__main__":
-    sys.exit(main(sys.argv[1:]))
+    sys.exit(main())
