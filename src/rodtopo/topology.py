@@ -24,7 +24,6 @@ from .intlin import (
 from .roddiagram import (
     DISK,
     HALF_PLANE,
-    CrossSectionTopology,
     Rod,
     RodDiagram,
     asymptotic_end,
@@ -116,11 +115,7 @@ def is_simply_connected(diagram: RodDiagram) -> bool:
 
 def end_pi1(diagram: RodDiagram) -> AbelianGroup:
     """pi_1 of the asymptotic end cross-section times its torus factor."""
-    return _end_group(asymptotic_end(diagram))
-
-
-def _end_group(cs: CrossSectionTopology) -> AbelianGroup:
-    """pi_1 of an end cross-section times its torus factor."""
+    cs = asymptotic_end(diagram)
     if cs.family == "S3":
         return AbelianGroup(cs.torus_factor, ())
     if cs.family == "S1xS2":
@@ -245,13 +240,18 @@ def compactify(diagram: RodDiagram) -> FillinPlan:
     """Fill in every horizon and cap the asymptotic end of a half-plane
     diagram, producing a closed (disk) diagram that is simply connected.
 
-    Each gap flanked by structures (v, w) is closed by a new corner when
-    Det_2 = 1, by merging the two rods when v = w, and by inserting a
-    fill-in chain otherwise.  If the resulting walk is not simply
-    connected, the end cap is rerouted through the missing basis vectors;
-    failure of that augmentation is reported, never ignored.  The disk is
-    built once, from the final walk, and no corner of it is re-checked:
-    each is certified where it is made (see the comment at the end).
+    The walk runs over the axis components, south to north.  The horizon
+    between components ``left`` and ``right`` is a gap flanked by the
+    structures v = left[-1] and w = right[0]: it is closed by a new corner
+    when Det_2 = 1, by dropping right[0] (the two rods merge) when v = w,
+    and by inserting a fill-in chain otherwise.  The end gap, from the
+    last structure of the walk back to the first, is closed the same way
+    but stays out of the walk: if the walk and its end cap are not simply
+    connected, the cap is rerouted through the basis vectors missing from
+    the walk's span; failure of that augmentation is reported, never
+    ignored.  The disk is built once, from the walk and its final cap, and
+    no corner of it is re-checked: each is certified where it is made (see
+    the comment at the end).
     """
     if diagram.shape != HALF_PLANE:
         raise ValueError("compactification applies to half-plane diagrams")
@@ -262,49 +262,30 @@ def compactify(diagram: RodDiagram) -> FillinPlan:
             "only manifold diagrams can be compactified" % bad
         )
 
+    rods = diagram.rods
+    comps = [[rods[i].structure.v for i in comp] for comp in diagram.axis_components()]
     horizon_fills = []
-    structures = []  # current boundary walk
-    merged_prev = False
-    for idx, rod in enumerate(diagram.rods):
-        if rod.is_axis:
-            if merged_prev:
-                merged_prev = False
-            else:
-                structures.append(rod.structure.v)
-            continue
-        v = diagram.rods[idx - 1].structure.v
-        w = diagram.rods[idx + 1].structure.v
-        kind, inserted = _gap_fill(v, w)
+    walk = list(comps[0])
+    for idx, left, right in zip(diagram.horizon_indices(), comps, comps[1:]):
+        kind, inserted = _gap_fill(left[-1], right[0])
         horizon_fills.append(Fill("horizon", idx, kind, inserted))
-        if kind == "merge":
-            merged_prev = True  # the next axis rod fuses into the previous one
-        else:
-            structures.extend(inserted)
+        walk.extend(inserted)
+        walk.extend(right[1:] if kind == "merge" else right)
 
-    if len(structures) == 1:
-        end_kind, end_inserted = "merge", ()
-    else:
-        end_kind, end_inserted = _gap_fill(structures[-1], structures[0])
-        if end_kind == "merge":
-            structures.pop()  # the last rod fuses into the first
-    structures.extend(end_inserted)
-    end_cap = Fill("end", None, end_kind, end_inserted)
-
+    # a one-structure walk closes on itself: its end gap is a merge
+    end_kind, end_inserted = _gap_fill(walk[-1], walk[0])
+    if end_kind == "merge" and len(walk) > 1:
+        walk.pop()  # the last rod fuses into the first
     waypoints = ()
-    pi1 = _quotient(diagram.n, structures)
+    pi1 = _quotient(diagram.n, walk + list(end_inserted))
     if not pi1.trivial:
-        # reroute the end cap through every basis direction missing from
-        # the span of the walk that survives the reroute
-        base = structures[: len(structures) - len(end_inserted)]
-        waypoints = _missing_basis_vectors(diagram.n, base)
+        waypoints = _missing_basis_vectors(diagram.n, walk)
         if not waypoints:
             raise CompactifyError(
                 "diagram is not simply connected yet no basis vector is missing"
             )
-        end_inserted = _chain_through(base[-1], waypoints, base[0])
-        end_cap = Fill("end", None, "chain", end_inserted)
-        structures = base + list(end_inserted)
-        pi1 = _quotient(diagram.n, structures)
+        end_kind, end_inserted = "chain", _chain_through(walk[-1], waypoints, walk[0])
+        pi1 = _quotient(diagram.n, walk + list(end_inserted))
         if not pi1.trivial:
             raise CompactifyError(f"augmentation through {waypoints} failed to kill pi_1")
 
@@ -317,8 +298,9 @@ def compactify(diagram: RodDiagram) -> FillinPlan:
     # kinds, and the input structures survive in cyclic order.  The disk's
     # structures are the walk's up to sign, so they span the same lattice
     # and its pi_1 is the one just certified.
-    disk = _build_disk(diagram.n, structures)
+    disk = _build_disk(diagram.n, walk + list(end_inserted))
     disk._pi1 = pi1
+    end_cap = Fill("end", None, end_kind, end_inserted)
     return FillinPlan(tuple(horizon_fills), end_cap, waypoints, disk)
 
 

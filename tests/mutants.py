@@ -8,10 +8,12 @@ the first failing test.  The checkout itself is never changed.
 
     python tests/mutants.py    # every mutant, up to about 10 s each
 
-The file name has no ``test_`` prefix, so pytest does not collect it; it
-is not part of the tier-1 suite.  Standard library only.  It exits 1 if a
-mutant's old text is no longer in its file exactly once, or if the
-unmutated copy fails its tests.
+A mutant listed in EQUIVALENT changes no result, so it is expected to
+survive and is reported as equivalent.  The file name has no ``test_``
+prefix, so pytest does not collect it; it is not part of the tier-1
+suite.  Standard library only.  It exits 1 if a mutant's old text is no
+longer in its file exactly once, if the unmutated copy fails its tests,
+or if a mutant that is not marked equivalent survives.
 """
 
 import os
@@ -80,7 +82,43 @@ MUTANTS = [
      "windows.append((z_lo + 0.3 * span, z_hi - 0.3 * span))",
      "windows.append((z_lo + 0.1 * span, z_hi - 0.1 * span))",
      "share of an inner rod's span kept clear of its frame ramp"),
+    ("epsilon", MODELMAP,
+     "EPSILON = 0.2", "EPSILON = 0.3",
+     "polar cap over which the far omega stays constant"),
+    ("ray-margin", MODELMAP,
+     "RAY_MARGIN = 0.25", "RAY_MARGIN = 0.35",
+     "angle kept between the decay rays and the far omega caps"),
+    ("rays", MODELMAP,
+     "RAYS = 7", "RAYS = 5",
+     "number of far-field decay rays"),
+    ("decade-points", MODELMAP,
+     "DECADE_POINTS = 24", "DECADE_POINTS = 16",
+     "samples per decay ray"),
+    ("noise-floor", MODELMAP,
+     "NOISE_FLOOR = 1e-11", "NOISE_FLOOR = 1e-6",
+     "tension below which the decay fit and the sup ratios are noise"),
+    ("spacing-rtol", MODELMAP,
+     "SPACING_RTOL = 1e-6", "SPACING_RTOL = 1e-3",
+     "relative error allowed in a stencil or grid spacing"),
+    ("strip-rows", MODELMAP,
+     "STRIP_ROWS = 16", "STRIP_ROWS = 7",
+     "rho rows of the tension field computed per strip"),
+    ("north-ramp", MODELBUILD,
+     "a_last + 0.6 * width", "a_last + 0.4 * width",
+     "distance from the last corner to the north end ramp"),
+    ("omega-window", MODELBUILD,
+     "gap_lo + 0.25 * span", "gap_lo + 0.2 * span",
+     "share of a horizon kept clear of its omega ramp"),
+    ("certificate-depth", MODELBUILD,
+     "CERTIFICATE_DEPTH = 6", "CERTIFICATE_DEPTH = 3",
+     "halvings before an undecided frame patch is rejected"),
 ]
+
+# mutants that change no result, with the reason
+EQUIVALENT = {
+    "strip-rows": "each strip computes its rows of the field on their own, "
+                  "so the strip height moves no bit of the report",
+}
 
 FAILED = re.compile(r"^(?:FAILED|ERROR) (\S+)", re.MULTILINE)
 
@@ -122,7 +160,8 @@ def main():
         if baseline is not None:
             print(f"the unmutated tree fails: {baseline}")
             return 1
-        print(f"{'mutant':<18} {'result':<9} first killing test")
+        print(f"{'mutant':<18} {'result':<10} first killing test")
+        survivors = []
         for name, path, old, new, reason in MUTANTS:
             source = tree / path
             original = source.read_text(encoding="utf-8")
@@ -131,8 +170,17 @@ def main():
                 killer = _run_tests(tree)
             finally:
                 source.write_text(original, encoding="utf-8")
-            result = "survived" if killer is None else "killed"
-            print(f"{name:<18} {result:<9} {killer or '-'}  ({reason})", flush=True)
+            if killer is not None:
+                result = "killed"
+            elif name in EQUIVALENT:
+                result, reason = "equivalent", EQUIVALENT[name]
+            else:
+                result = "survived"
+                survivors.append(name)
+            print(f"{name:<18} {result:<10} {killer or '-'}  ({reason})", flush=True)
+    if survivors:
+        print("surviving mutants: " + ", ".join(survivors))
+        return 1
     return 0
 
 

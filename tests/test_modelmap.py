@@ -643,6 +643,16 @@ def test_certificate_subdivides_a_path_that_comes_near_zero(monkeypatch):
     assert not modelbuild._det_keeps_sign(ramp(np.eye(3, dtype=int), M1), 1)
 
 
+def test_certificate_certifies_a_path_after_five_halvings(monkeypatch):
+    # det(I + s (M1 - I)) = 17s^3 + 4s^2 - 6s + 1 > 0 comes within 0.007
+    # of 0 near s = 0.27; the Bernstein coefficients of the pieces there
+    # are all positive only once they are 1/32 wide
+    M1 = np.array([[-1, -2, -1], [-2, 0, 2], [-1, 1, -2]])
+    assert modelbuild._det_keeps_sign(ramp(np.eye(3, dtype=int), M1), 1)
+    monkeypatch.setattr(modelbuild, "CERTIFICATE_DEPTH", 4)
+    assert not modelbuild._det_keeps_sign(ramp(np.eye(3, dtype=int), M1), 1)
+
+
 def test_certificate_covers_a_plateau_patch():
     # corners (A, A, far, far), given by columns: only chi varies.  A and
     # far are SINGULAR_BLEND_RUN's plateau and far frames, det -1 each
@@ -1506,6 +1516,13 @@ def test_paper_map_builder_parameters():
     assert m.blend_radii == (24.0, 40.0)
     ramps = [(seg.z_lo, seg.z_hi, seg.held_col) for seg in m.segments if seg.M0 != seg.M1]
     assert ramps == pytest.approx([(-12.8, -4.8, 1), (2.0, 3.5, None), (6.0, 7.5, None)])
+    # the north end ramp joins two equal frames, so it is a constant piece
+    north = m.segments[-2]
+    assert (north.z_lo, north.z_hi) == pytest.approx((12.8, 20.8))
+    assert north.held_col == 0 and north.M0 == north.M1
+    # omega ramps over the middle half of each horizon
+    omega_ramps = [(seg.z_lo, seg.z_hi) for seg in m.omega_profile if seg.M0 != seg.M1]
+    assert omega_ramps == [(2.125, 3.375), (6.125, 7.375)]
 
 
 def test_multi_corner_component_block_assembly():
@@ -1655,6 +1672,36 @@ def test_decay_fit_passes_tension_below_the_noise_floor():
     fit = modelmap._decay_fit(*power_law_rays(-1.0, scale=1e-13))
     assert fit["max_tau"] < 1e-11
     assert (fit["mean_slope"], fit["below_noise_floor"], fit["pass"]) == (None, True, True)
+    # one of about 1e-9 lies above the floor and gets its slope fitted
+    fit = modelmap._decay_fit(*power_law_rays(-2.35, scale=1.5e-5))
+    assert 5e-10 < fit["max_tau"] < 2e-9
+    assert fit["below_noise_floor"] is False
+    assert fit["mean_slope"] == pytest.approx(-2.35, abs=1e-9)
+
+
+def test_paper_map_decay_rays():
+    # 7 rays from 0.2 + 0.25 radians off the north axis to as far off the
+    # south one, each with 24 radii over the decade from 1.5 R2 = 60
+    radii, angles, points = modelmap._decay_rays(build_model_map(parse(PAPER_DIAGRAM.read_text())))
+    assert angles == pytest.approx(np.linspace(0.45, math.pi - 0.45, 7), abs=1e-12)
+    assert radii == pytest.approx(np.geomspace(60.0, 600.0, 24), rel=1e-12)
+    assert len(points) == 7 * 24
+
+
+def test_paper_map_far_omega_is_the_north_value_near_the_north_axis():
+    # at r = 100 from z0 the radial blend is complete (R2 = 40), so omega is
+    # its far value: exactly the north end's at polar angle 0.15, inside the
+    # 0.2 radian cap, and on its way to the south end's at 0.25
+    m = build_model_map(parse(PAPER_DIAGRAM.read_text()))
+    points = [[100.0 * math.sin(t), m.z0 + 100.0 * math.cos(t)] for t in (0.15, 0.25)]
+    omega = fields_at(m, points)[3]
+    assert omega[0].tolist() == [1.0, 0.5, 0.0]
+    assert omega[1].tolist() != [1.0, 0.5, 0.0]
+
+
+def test_spaced_by_rejects_a_relative_step_error_of_2e_4():
+    assert modelmap._spaced_by(np.array([1.0, 1.1, 1.2]), 0.1, 0)
+    assert not modelmap._spaced_by(np.array([1.0, 1.1, 1.20002]), 0.1, 0)
 
 
 def test_csv_dump(tmp_path):

@@ -331,6 +331,24 @@ def test_compactify_augments_to_simple_connectivity():
     plan = compactify(d)
     assert plan.waypoints == ((0, 1),)
     assert is_simply_connected(plan.diagram)
+    # a one-rod component merged across both of its horizons: the walk
+    # collapses to one structure, whose end cap is then rerouted
+    d = RodDiagram(
+        2,
+        "half_plane",
+        [Rod.axis((1, 0)), Rod.horizon(), Rod.axis((1, 0)), Rod.horizon(), Rod.axis((1, 0))],
+    )
+    merge = {"location": "horizon", "kind": "merge", "inserted": []}
+    assert compactify(d).to_json_dict() == {
+        "horizon_fills": [{**merge, "rod_index": 1}, {**merge, "rod_index": 3}],
+        "end_cap": {"location": "end", "rod_index": None, "kind": "chain", "inserted": [[0, 1]]},
+        "augmentation_waypoints": [[0, 1]],
+        "diagram": {
+            "n": 2,
+            "shape": "disk",
+            "rods": [{"kind": "axis", "v": [1, 0]}, {"kind": "axis", "v": [0, 1]}],
+        },
+    }
 
 
 def test_compactify_augmentation_keeps_end_chain_directions():
