@@ -161,18 +161,21 @@ def _bareiss_det(a):
 
 
 def _egcd(a, b):
-    """Return (g, x, y) with g = gcd(a, b) >= 0 and g = a*x + b*y."""
+    """Return (g, x, y) with g = gcd(a, b) >= 0 and g = a*x + b*y.
+
+    The walk carries only x: old_r = a*old_s + b*old_t holds at every
+    step, so the y of the classical three-sequence walk is
+    (old_r - a*old_s) / b, an exact division, and 0 when b = 0."""
     old_r, r = a, b
     old_s, s = 1, 0
-    old_t, t = 0, 1
     while r:
         q = old_r // r
         old_r, r = r, old_r - q * r
         old_s, s = s, old_s - q * s
-        old_t, t = t, old_t - q * t
+    t = (old_r - a * old_s) // b if b else 0
     if old_r < 0:
-        return -old_r, -old_s, -old_t
-    return old_r, old_s, old_t
+        return -old_r, -old_s, -t
+    return old_r, old_s, t
 
 
 def _bezout(values):
@@ -181,15 +184,20 @@ def _bezout(values):
     sum c_i x_i = g.  Reading stops as soon as the gcd reaches 1."""
     g, c = 0, []
     for x in values:
-        if x:
+        if not x:
+            c.append(0)
+            continue
+        if g:
             g, a, b = _egcd(g, x)
             if a != 1:
                 c = [a * ci for ci in c]
             c.append(b)
-            if g == 1:
-                break
         else:
-            c.append(0)
+            # _egcd(0, x) is (|x|, 0, sign x), and c holds only zeros
+            g = abs(x)
+            c.append(1 if x > 0 else -1)
+        if g == 1:
+            break
     return g, c
 
 

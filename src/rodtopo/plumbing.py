@@ -11,6 +11,12 @@ most once, and not at all for a run already of that shape.  Each pair's
 gives the pair's Det_2, the readings of the triples it starts and ends,
 and the Det_3 certificate of the plumbing vector it starts; no triple
 takes a normal form or builds a matrix.
+
+A round trip (decompose, plumbing_to_rods, decompose) reads every triple
+three times, so a reading is kept to one minor table, one
+_admissible_triple_bundle, one _plumbing_vector_det3 with its _det3 and
+a Bundle built straight from its fields, and integer tuples checked on
+entry are not converted again.
 """
 
 from __future__ import annotations
@@ -32,6 +38,9 @@ from .roddiagram import (
 )
 
 
+_new_tuple = tuple.__new__  # a NamedTuple's fields, without its __new__ frame
+
+
 class Bundle(NamedTuple):
     """D^2-bundle (times a torus) over S^3, a lens space, or S^1 x S^2.
 
@@ -48,13 +57,20 @@ class Bundle(NamedTuple):
 
     @classmethod
     def from_qrp(cls, q, r, p, torus_factor):
+        """The checked constructor.  Its numbers are integers (gcd takes
+        only integers, and r and the torus factor are checked), so the rods
+        that plumbing_to_rods generates from bundles are integer tuples."""
+        if not isinstance(torus_factor, int) or torus_factor < 0:
+            raise ValueError(f"torus factor must be an int >= 0, got {torus_factor!r}")
+        if not isinstance(r, int):
+            raise TypeError(f"euler number must be an int, got {r!r}")
         if p == 0:
             if q != 1:
                 raise ValueError(f"S^1 x S^2 bundle needs q = 1, got q = {q}")
-            return cls("S1xS2", 0, 1, r, torus_factor)
+            return _new_tuple(cls, ("S1xS2", 0, 1, r, torus_factor))
         if not (0 <= q < p and 0 <= r < p and gcd(q, p) == 1):
             raise ValueError(f"invalid bundle datum (q, r, p) = ({q}, {r}, {p})")
-        return cls("S3" if p == 1 else "Lens", p, q, r, torus_factor)
+        return _new_tuple(cls, ("S3" if p == 1 else "Lens", p, q, r, torus_factor))
 
     @property
     def qrp(self):
@@ -162,8 +178,10 @@ def _read_triple(v1, v2, v3, first, second):
     """triple_to_bundle's corner checks and its uncertified reading, as
     (bundle, flipped) (see _admissible_triple_bundle), off the minor
     tables first = _pair_dual(v1, v2) and second = _pair_dual(v2, v3)."""
-    _require_admissible(first[0], "first")
-    _require_admissible(second[0], "second")
+    if first[0] != 1:
+        raise _inadmissible("first", first[0])
+    if second[0] != 1:
+        raise _inadmissible("second", second[0])
     return _admissible_triple_bundle(v1, v2, v3, first[1], second[2])
 
 
@@ -216,7 +234,7 @@ def _admissible_triple_bundle(v1, v2, v3, c, m23):
         if x:
             q -= x * y
             r += x * (v1[i] * v3[j] - v1[j] * v3[i])
-    p = gcd(*(z - q * x - r * y for x, y, z in zip(v1, v2, v3)))
+    p = gcd(*[z - q * x - r * y for x, y, z in zip(v1, v2, v3)])
     if p:
         q, r = q % p, r % p
     flipped = p == 0 and q == -1
@@ -226,13 +244,9 @@ def _admissible_triple_bundle(v1, v2, v3, c, m23):
     return Bundle.from_qrp(q, r, p, len(v1) - 3), flipped
 
 
-def _require_admissible(d, which):
-    """d, the Det_2 of the named corner, unless it is not 1."""
-    if d != 1:
-        raise InadmissibleCornerError(
-            f"{which} corner is inadmissible (Det_2 = {d})", d
-        )
-    return d
+def _inadmissible(which, d):
+    """The error for the named corner, whose Det_2 = d is not 1."""
+    return InadmissibleCornerError(f"{which} corner is inadmissible (Det_2 = {d})", d)
 
 
 def plumbing_vector(w_i, w_i1, w_i2, q: int, r: int, p: int):
@@ -252,20 +266,22 @@ def _plumbing_vector_det3(w_i, w_i1, w_i2, q, r, p, m12):
     """plumbing_vector on integer tuples; also returns Det_3(w_i, w_i1,
     vec), or None for the zero vector of p = 0.  m12 is the minor list of
     _pair_dual(w_i, w_i1)."""
-    rest = tuple(z - q * x - r * y for x, y, z in zip(w_i, w_i1, w_i2))
+    rest = [z - q * x - r * y for x, y, z in zip(w_i, w_i1, w_i2)]
     if p == 0:
         if any(rest):
             raise PlumbingRelationError(
-                f"w_i2 - q w_i - r w_i1 = {rest} does not vanish for p = 0; "
+                f"w_i2 - q w_i - r w_i1 = {tuple(rest)} does not vanish for p = 0; "
                 "bundle datum is inconsistent with the triple"
             )
-        return rest, None
-    if any(x % p != 0 for x in rest):
-        raise PlumbingRelationError(
-            f"residual {rest} is not divisible by p = {p}; "
-            "bundle datum is inconsistent with the triple"
-        )
-    vec = tuple(x // p for x in rest)
+        return tuple(rest), None
+    if p != 1:  # 1 divides every residual, which is then the vector
+        if any([x % p for x in rest]):
+            raise PlumbingRelationError(
+                f"residual {tuple(rest)} is not divisible by p = {p}; "
+                "bundle datum is inconsistent with the triple"
+            )
+        rest = [x // p for x in rest]
+    vec = tuple(rest)
     return vec, _certify(vec, _det3(m12, vec))
 
 
@@ -320,28 +336,36 @@ def decompose_component(structures) -> ToricPlumbing:
     vs = [_as_vector(v) for v in structures]
     if len(vs) < 3:
         raise ValueError("a toric plumbing needs at least three rod structures")
-    if len(vs[0]) < 3:
+    n = len(vs[0])
+    if n < 3:
         raise ValueError("toric plumbing needs n >= 3")
-    mat = IntMatrix.from_columns(vs)
+    if any([len(v) != n for v in vs]):
+        raise ValueError("ragged columns")
+    mat = IntMatrix._trusted(tuple(zip(*vs)))
     W = vs if hermite_pivots(mat) is not None else hermite_normal_form(mat).H.columns()
-    cur = _pair_dual(W[0], W[1])
-    _require_admissible(cur[0], "a")
+    u, v = W[0], W[1]
+    cur = _pair_dual(u, v)
+    if cur[0] != 1:
+        raise _inadmissible("a", cur[0])
     bundles = []
     vectors = []
-    for i in range(len(W) - 2):
-        # taken before the triple is read, so a flip of W[i + 2] has one table to negate
-        nxt = _pair_dual(W[i + 1], W[i + 2])
-        _require_admissible(nxt[0], "a")
-        bundle, flipped = _admissible_triple_bundle(W[i], W[i + 1], W[i + 2], cur[1], nxt[2])
+    for i in range(2, len(W)):
+        w = W[i]
+        # taken before the triple is read, so a flip of w has one table to negate
+        nxt = _pair_dual(v, w)
+        if nxt[0] != 1:
+            raise _inadmissible("a", nxt[0])
+        bundle, flipped = _admissible_triple_bundle(u, v, w, cur[1], nxt[2])
         if flipped:
-            W[i + 2] = tuple(-x for x in W[i + 2])
+            w = W[i] = tuple([-x for x in w])
             nxt = (nxt[0], [-x for x in nxt[1]], [-x for x in nxt[2]])
-        vec = _plumbing_vector_det3(W[i], W[i + 1], W[i + 2], *bundle.qrp, cur[2])[0]
+        _, p, q, r, _ = bundle
+        vec = _plumbing_vector_det3(u, v, w, q, r, p, cur[2])[0]
         bundles.append(bundle)
         # the first vector is e3 or 0, since W starts e1, e2, (q, r, p, 0, ...)
-        if i > 0:
+        if i > 2:
             vectors.append(vec)
-        cur = nxt
+        u, v, cur = v, w, nxt
     return ToricPlumbing(tuple(bundles), tuple(vectors), tuple(W))
 
 
@@ -369,7 +393,14 @@ def _run_recursion(bundles, plumbing_vectors):
         raise ValueError(
             f"need {l - 1} plumbing vectors for {l} bundles, got {len(plumbing_vectors)}"
         )
-    n = bundles[0].torus_factor + 3
+    torus = bundles[0].torus_factor
+    for i, b in enumerate(bundles, start=1):
+        if b.torus_factor != torus:
+            raise ValueError(
+                f"bundle {i} has torus factor {b.torus_factor!r} but bundle 1 has "
+                f"{torus!r}; all bundles must share one"
+            )
+    n = torus + 3
     # p_1 is e3, or 0 when the first bundle has p = 0
     vecs = [tuple(int(i == 2 and bundles[0].p != 0) for i in range(n))]
     vecs += [_as_vector(p) for p in plumbing_vectors]
@@ -380,9 +411,10 @@ def _run_recursion(bundles, plumbing_vectors):
         tuple(1 if i == 0 else 0 for i in range(n)),
         tuple(1 if i == 1 else 0 for i in range(n)),
     ]
-    for i, b in enumerate(bundles):
-        q, r, p = b.qrp
-        w.append(tuple(q * x + r * y + p * z for x, y, z in zip(w[i], w[i + 1], vecs[i])))
+    a, b = w
+    for (_, p, q, r, _), c in zip(bundles, vecs):
+        a, b = b, tuple([q * x + r * y + p * z for x, y, z in zip(a, b, c)])
+        w.append(b)
     return tuple(w), tuple(vecs)
 
 
@@ -431,7 +463,9 @@ def verify_plumbing_relations(bundles, plumbing_vectors) -> PlumbingDiagnostics:
             m = last + 2  # 1-based position one past the last used entry
             vanishing.append(("zeros_rule", k, not any(vk[m:]),
                               "earlier vectors vanish from entry {}; p_{} = {}", (m, k, vk)))
-        mk = max((j for j, x in enumerate(vk) if x), default=-1)
+        mk = len(vk) - 1  # the last nonzero entry of vk, -1 if it vanishes
+        while mk >= 0 and not vk[mk]:
+            mk -= 1
         if mk == max(1, last) + 1:
             wk2 = rods[k + 1]
             pivot = wk2[mk]
@@ -440,7 +474,9 @@ def verify_plumbing_relations(bundles, plumbing_vectors) -> PlumbingDiagnostics:
         last = max(last, mk)
     records += vanishing
     records += pivots
-    records.append(("hermite_form", -1, hermite_pivots(IntMatrix.from_columns(rods)) is not None,
+    # the rods are integer tuples of one length (see Bundle.from_qrp)
+    shape = hermite_pivots(IntMatrix._trusted(tuple(zip(*rods))))
+    records.append(("hermite_form", -1, shape is not None,
                     "generated rod structures must already be in Hermite normal form", ()))
 
     # coherence: reading the bundles back off the generated rods must
@@ -449,9 +485,11 @@ def verify_plumbing_relations(bundles, plumbing_vectors) -> PlumbingDiagnostics:
     roundtrip_ok = True
     detail = ""
     try:
-        for i in range(len(vecs)):
-            back = _read_back(rods, i, bundles[i], vecs[i], tables[i], tables[i + 1], det3s[i])
-            if back != bundles[i]:
+        if len(rods[0]) < 3:
+            raise ValueError("bundle extraction needs structures in Z^n with n >= 3")
+        for i, bundle in enumerate(bundles):
+            back = _read_back(rods, i, bundle, vecs[i], tables[i], tables[i + 1], det3s[i])
+            if back != bundle:
                 roundtrip_ok = False
                 detail = f"triple {i + 1} reads back as {back.to_json_dict()}"
                 break
@@ -464,19 +502,18 @@ def verify_plumbing_relations(bundles, plumbing_vectors) -> PlumbingDiagnostics:
 
 def _read_back(rods, i, bundle, vec, first, second, d3):
     """triple_to_bundle on the recursion's rods w_{i+1}, w_{i+2}, w_{i+3},
-    given the minor tables (_pair_dual) of its two corners and the Det_3
-    of the recursion's vector p_{i+1} (None if it vanishes).  A reading
+    whose length n >= 3 the caller has checked, given the minor tables
+    (_pair_dual) of its two corners and the Det_3 of the recursion's
+    vector p_{i+1} (None if it vanishes).  A reading
     equal to the bundle the recursion used has that vector as its
     plumbing vector, since
     w_{i+3} = q w_{i+1} + r w_{i+2} + p p_{i+1} holds by construction, so
     d3 certifies it; any other reading is certified from scratch."""
     v1, v2, v3 = rods[i : i + 3]
-    if len(v1) < 3:
-        raise ValueError("bundle extraction needs structures in Z^n with n >= 3")
     back, flipped = _read_triple(v1, v2, v3, first, second)
     if back != bundle:
         _plumbing_vector_det3(v1, v2, tuple(-x for x in v3) if flipped else v3, *back.qrp, first[2])
-    elif back.qrp[2] != 0:
+    elif back.p != 0:
         _certify(vec, d3)
     return back
 

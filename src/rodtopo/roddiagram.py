@@ -170,7 +170,12 @@ class RodDiagram:
         return [r.structure for r in self.rods if r.is_axis]
 
     def structure_matrix(self) -> IntMatrix:
-        return IntMatrix.from_columns([s.v for s in self.structures()])
+        """The structures as the columns of an IntMatrix; validate() has
+        checked that they are primitive integer vectors of length n."""
+        vs = [s.v for s in self.structures()]
+        if not vs:
+            raise ValueError("need at least one column")
+        return IntMatrix._trusted(tuple(zip(*vs)))
 
     def has_geometry(self):
         return all(r.z is not None for r in self.rods)

@@ -26,9 +26,11 @@ from .roddiagram import (
     HALF_PLANE,
     Rod,
     RodDiagram,
+    RodStructure,
     asymptotic_end,
     _as_vector,
     _det2,
+    _normalize_sign,
     _plane_reading,
     _require_primitive,
 )
@@ -305,8 +307,12 @@ def compactify(diagram: RodDiagram) -> FillinPlan:
 
 
 def _build_disk(n, structures):
+    """The disk diagram of the walk's integer tuples, each primitive where
+    it was made or checked, as sign-normalized structures; the disk still
+    validates itself."""
     try:
-        return RodDiagram(n, DISK, [Rod.axis(v) for v in structures])
+        return RodDiagram(n, DISK, [Rod("axis", RodStructure(_normalize_sign(v)))
+                                    for v in structures])
     except Exception as e:
         raise CompactifyError(f"fill-in produced an invalid diagram: {e}") from e
 

@@ -1,10 +1,12 @@
-"""Hand-run mutation sweep of the model-map verifier and builder.
+"""Hand-run mutation sweep of the model-map verifier and builder, and of
+the plumbing certificates.
 
 Each mutant changes one piece of text in one source file.  For each, the
 script copies the tree (src, tests, diagrams and pyproject.toml) to a
-temporary directory, applies the mutant there, runs the verifier's tests
-and reports whether a test failed (killed) or all passed (survived), with
-the first failing test.  The checkout itself is never changed.
+temporary directory, applies the mutant there, runs the tests that TESTS
+names for that file and reports whether a test failed (killed) or all
+passed (survived), with the first failing test.  The checkout itself is
+never changed.
 
     python tests/mutants.py    # every mutant, up to about 10 s each
 
@@ -25,14 +27,21 @@ import tempfile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
-TESTS = [
+MODELMAP = "src/rodtopo/modelmap.py"
+MODELBUILD = "src/rodtopo/modelbuild.py"
+PLUMBING = "src/rodtopo/plumbing.py"
+VERIFIER_TESTS = [
     "tests/test_modelmap.py",
     "tests/test_cli.py",
     "tests/test_acceptance.py",
     "tests/test_records.py",
 ]
-MODELMAP = "src/rodtopo/modelmap.py"
-MODELBUILD = "src/rodtopo/modelbuild.py"
+# the test files run against a mutant of each source file
+TESTS = {
+    MODELMAP: VERIFIER_TESTS,
+    MODELBUILD: VERIFIER_TESTS,
+    PLUMBING: ["tests/test_plumbing.py"],
+}
 
 # (name, file, old text, new text, reason)
 MUTANTS = [
@@ -112,6 +121,18 @@ MUTANTS = [
     ("certificate-depth", MODELBUILD,
      "CERTIFICATE_DEPTH = 6", "CERTIFICATE_DEPTH = 3",
      "halvings before an undecided frame patch is rejected"),
+    ("det3-certificate", PLUMBING,
+     "    if d3 != 1:\n", "    if False:\n",
+     "the Det_3 certificate of a plumbing vector never raises"),
+    ("divisibility", PLUMBING,
+     "        if any([x % p for x in rest]):\n", "        if False:\n",
+     "the plumbing vector's residual is not checked to be divisible by p"),
+    ("q-flip", PLUMBING,
+     "    flipped = p == 0 and q == -1\n", "    flipped = False\n",
+     "a dependent triple read with q = -1 keeps its sign"),
+    ("det2-gate", PLUMBING,
+     '        if nxt[0] != 1:\n            raise _inadmissible("a", nxt[0])\n', "",
+     "decompose_component reads a triple whose second pair has Det_2 != 1"),
 ]
 
 # mutants that change no result, with the reason
@@ -130,10 +151,10 @@ def _copy_tree(dest):
     shutil.copy2(ROOT / "pyproject.toml", dest / "pyproject.toml")
 
 
-def _run_tests(tree):
+def _run_tests(tree, tests):
     """The first failing test's id, or None if every test passed."""
     run = subprocess.run(
-        [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider", *TESTS],
+        [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider", *tests],
         cwd=tree,
         # no bytecode: a mutant of the same length, written within the same
         # second, would otherwise pass the stale-cache check
@@ -156,7 +177,7 @@ def main():
     with tempfile.TemporaryDirectory(prefix="rodtopo-mutants-") as tmp:
         tree = Path(tmp) / "tree"
         _copy_tree(tree)
-        baseline = _run_tests(tree)
+        baseline = _run_tests(tree, sorted({t for tests in TESTS.values() for t in tests}))
         if baseline is not None:
             print(f"the unmutated tree fails: {baseline}")
             return 1
@@ -167,7 +188,7 @@ def main():
             original = source.read_text(encoding="utf-8")
             source.write_text(original.replace(old, new), encoding="utf-8")
             try:
-                killer = _run_tests(tree)
+                killer = _run_tests(tree, TESTS[path])
             finally:
                 source.write_text(original, encoding="utf-8")
             if killer is not None:

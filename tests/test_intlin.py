@@ -2,11 +2,15 @@ import random
 
 import pytest
 
+from math import gcd
+
 from rodtopo.intlin import (
     IntMatrix,
     determinant_divisor,
     HermiteResult,
     _assert_hermite,
+    _bezout,
+    _egcd,
     hermite_normal_form,
     hermite_pivots,
     is_primitive_set,
@@ -365,3 +369,61 @@ def test_internal_results_equal_validated_matrices():
             assert hash(M) == hash(validated)
             assert (M.rows, M.cols) == (validated.rows, validated.cols)
             assert all(type(x) is int for row in M.to_lists() for x in row)
+
+
+def _three_sequence_egcd(a, b):
+    """The classical extended Euclid walk, carrying both coefficient
+    sequences: the reference for _egcd's one-sequence walk."""
+    old_r, r = a, b
+    old_s, s = 1, 0
+    old_t, t = 0, 1
+    while r:
+        q = old_r // r
+        old_r, r = r, old_r - q * r
+        old_s, s = s, old_s - q * s
+        old_t, t = t, old_t - q * t
+    if old_r < 0:
+        return -old_r, -old_s, -old_t
+    return old_r, old_s, old_t
+
+
+def test_egcd_matches_the_three_sequence_walk():
+    # the Q, U and V of every normal form hang on these coefficients, so
+    # they must be the classical walk's, bit for bit
+    rng = random.Random(113)
+    pairs = [(a, b) for a in range(-6, 7) for b in range(-6, 7)]
+    for bound in (10, 1000, 10**12):
+        pairs += [(rng.randint(-bound, bound), rng.randint(-bound, bound)) for _ in range(4000)]
+    pairs += [(rng.randint(-50, 50), 0) for _ in range(200)]
+    pairs += [(0, rng.randint(-50, 50)) for _ in range(200)]
+    assert len(pairs) >= 10**4
+    for a, b in pairs:
+        assert _egcd(a, b) == _three_sequence_egcd(a, b), (a, b)
+    signs = {(a > 0) - (a < 0) for a, _ in pairs} | {(b > 0) - (b < 0) for _, b in pairs}
+    assert signs == {-1, 0, 1}
+
+
+def test_bezout_coefficients_give_the_gcd():
+    rng = random.Random(114)
+    lists = [[], [0], [0, 0, 0], [5], [-5], [0, -1, 7], [6, 10, 15], [-4, 0, -6, 9]]
+    for _ in range(3000):
+        values = [rng.choice((0, 0, rng.randint(-30, 30))) for _ in range(rng.randint(1, 10))]
+        if rng.random() < 0.3:
+            values[rng.randrange(len(values))] = rng.choice((1, -1))
+        lists.append(values)
+    units_at = set()
+    for values in lists:
+        g, c = _bezout(values)
+        assert g == gcd(*values)
+        # one coefficient per value read, and reading stops at gcd 1
+        assert len(c) <= len(values)
+        assert sum(x * y for x, y in zip(c, values)) == g
+        if g == 1:
+            assert gcd(*values[: len(c)]) == 1 and gcd(*values[: len(c) - 1]) != 1
+            if abs(values[len(c) - 1]) == 1:
+                units_at.add(len(c) - 1)
+        else:
+            assert len(c) == len(values)
+    assert _bezout([0, 0, 0]) == (0, [0, 0, 0])
+    # a unit ends the reading wherever it stands
+    assert units_at >= set(range(8))

@@ -119,6 +119,34 @@ def test_minor_reading_matches_hermite_reference():
     assert min(kinds.values()) >= 500
 
 
+def test_reading_does_not_depend_on_the_bezout_functional():
+    # c + (m_b e_a - m_a e_b) is another valid functional of the first
+    # pair, since sum c_k m_k stays 1; the triple's Hermite form is unique,
+    # so the reading must not move
+    rng = random.Random(57)
+    triples = []
+    for n in (3, 4, 5):
+        for _ in range(40):
+            for chain in (rand_admissible_chain(rng, n, 8), _chain_with_dependent_triples(rng, n, 8)):
+                triples += zip(chain, chain[1:], chain[2:])
+    moved = {"independent": 0, "dependent": 0, "flipped": 0}
+    for v1, v2, v3 in triples:
+        _, c, m = plumbing._pair_dual(v1, v2)
+        m23 = plumbing._pair_dual(v2, v3)[2]
+        expected = plumbing._admissible_triple_bundle(v1, v2, v3, c, m23)
+        a, b = rng.sample(range(len(m)), 2)
+        other = c + [0] * (len(m) - len(c))
+        other[a] += m[b]
+        other[b] -= m[a]
+        assert sum(x * y for x, y in zip(other, m)) == 1
+        assert plumbing._admissible_triple_bundle(v1, v2, v3, other, m23) == expected
+        if other[: len(c)] != c or any(other[len(c) :]):
+            bundle, flipped = expected
+            moved["flipped" if flipped else "dependent" if bundle.p == 0 else "independent"] += 1
+    # a different functional, on triples of every kind
+    assert min(moved.values()) >= 50
+
+
 def _forge(bundle):
     """A datum of the same kind that does not belong to the triple: another
     unit q mod p, or another euler number for p = 0."""
@@ -207,6 +235,18 @@ def test_decompose_rejects_float_entries():
     # int() used to truncate 1.9 to 1 and decompose (1, 0, 0) in silence
     with pytest.raises(TypeError, match="entries must be integers"):
         decompose_component([(1.9, 0, 0), (0, 1, 0), (2, 1, 5)])
+
+
+def test_decompose_refuses_an_inadmissible_pair():
+    # the gate of each pair, the first one and a later one, raises before
+    # its triple is read
+    for chain, d in [([(1, 0, 0), (1, 2, 0), (0, 0, 1)], 2),
+                     ([(1, 0, 0), (0, 1, 0), (0, 2, 4)], 4),
+                     ([(1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (3, 0, 0, 3)], 3)]:
+        with pytest.raises(InadmissibleCornerError) as info:
+            decompose_component(chain)
+        assert str(info.value) == f"a corner is inadmissible (Det_2 = {d})"
+        assert info.value.det2 == d
 
 
 def test_decompose_trivial_s3_chain_e4():
@@ -659,6 +699,27 @@ def test_det3_identity_for_nonzero_vectors():
                 IntMatrix.from_columns([rods[i - 1], rods[i], vec]), 3
             )
             assert d3 == 1
+
+
+def test_bundle_torus_factor_and_euler_number_are_ints():
+    # a negative factor used to give a plumbing of structures in Z^2
+    for torus in (-1, 1.0, "1", None):
+        with pytest.raises(ValueError, match=f"torus factor must be an int >= 0, got {torus!r}"):
+            Bundle.from_qrp(0, 0, 1, torus)
+    assert Bundle.from_qrp(0, 0, 1, 0).torus_factor == 0
+    # the euler number too is an integer, so the generated rods are
+    with pytest.raises(TypeError, match="euler number must be an int, got 0.5"):
+        Bundle.from_qrp(1, 0.5, 0, 0)
+
+
+def test_bundles_share_one_torus_factor():
+    # mismatched factors used to read as Det_2(w_3, w_4) = 0
+    bundles = [Bundle.from_qrp(0, 0, 1, 0), Bundle.from_qrp(0, 0, 1, 1), Bundle.from_qrp(1, 2, 0, 0)]
+    message = "bundle 2 has torus factor 1 but bundle 1 has 0; all bundles must share one"
+    with pytest.raises(ValueError, match=message):
+        verify_plumbing_relations(bundles, [(0, 0, 1), (0, 0, 0)])
+    with pytest.raises(ValueError, match=message):
+        plumbing_to_rods(bundles, [(0, 0, 1), (0, 0, 0)])
 
 
 def test_bundle_bounds():
