@@ -114,7 +114,13 @@ class _ZStage(NamedTuple):
     over the rows a_k of A^-1 and the columns m_k of A:
     row_outer[k, i, j] = a_k[i] a_k[j] and col_outer[k, i, j] =
     m_k[i] m_k[j], stored (k, i, j, z) so that every entry is a
-    contiguous z row."""
+    contiguous z row.
+
+    The rod endpoints' potentials depend on z through |z - a| and the
+    sign of z - a only: abs_dz holds the distinct |z - a| over every rod
+    endpoint a and z value, sorted, and u_at[a] and v_at[a] index, per z,
+    the table [L | 2 log rho - L] of _endpoint_table over abs_dz that
+    holds u_a and v_a there (see _u_from, _v_from)."""
 
     z: np.ndarray
     omega: np.ndarray
@@ -122,33 +128,73 @@ class _ZStage(NamedTuple):
     det_inv: np.ndarray
     row_outer: np.ndarray
     col_outer: np.ndarray
+    abs_dz: np.ndarray
+    u_at: dict
+    v_at: dict
 
 
-def _slot_potentials(m, rho, z):
+def _rod_ends(m):
+    """The distinct rod endpoints of the map's potential terms."""
+    return {a for terms in m.terms for term in terms for a in term[1:]}
+
+
+def _endpoint_table(rho, abs_dz, log_rho2):
+    """The table [L | 2 log rho - L] at a column of rho and a row of
+    distinct |z - a| values, L = log(r_a + |z - a|) as _endpoint_log takes
+    it: u_a and v_a at any grid point are entries of it (see _ZStage)."""
+    k = abs_dz.size
+    table = np.empty((rho.shape[0], 2 * k))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        np.log(np.hypot(rho, abs_dz) + abs_dz, out=table[:, :k])
+        np.subtract(log_rho2, table[:, :k], out=table[:, k:])
+    return table
+
+
+def _slot_potentials(m, rho, z, level=None):
     """U_k at the points given by broadcasting rho and z, for each slot
     k, None for a slot without terms, with one logarithm per distinct
     rod endpoint (_endpoint_log) shared by every term that uses it.
     2 log rho is taken once per entry of rho and z - a once per entry
-    of z, so a grid passes a column of rho and a row of z."""
+    of z, so a grid passes a column of rho and a row of z.  A grid level
+    passes its z stage too, and then the logarithm is taken once per
+    row and distinct |z - a| (_endpoint_table), and every term reads its
+    values with one gather from that table; the sums, in the same order,
+    come out the same bit for bit."""
     shape = np.broadcast_shapes(rho.shape, z.shape)
     log_rho2 = _log_rho2(rho)
-    ends = {a for terms in m.terms for term in terms for a in term[1:]}
-    logs = {a: _endpoint_log(a, rho, z) for a in ends}
+    if level is None:
+        logs = {a: _endpoint_log(a, rho, z) for a in _rod_ends(m)}
+
+        def u(a):
+            return _u_from(*logs[a], log_rho2)
+
+        def v(a):
+            return _v_from(*logs[a], log_rho2)
+    else:
+        table = _endpoint_table(rho, level.abs_dz, log_rho2)
+
+        def u(a):
+            return table[:, level.u_at[a]]
+
+        def v(a):
+            return table[:, level.v_at[a]]
+
+    on_axis = rho == 0.0
     planes = []
     for terms in m.terms:
         acc = np.zeros(shape) if terms else None
         for term in terms:
             if term[0] == "u":
-                acc += _u_from(*logs[term[1]], log_rho2)
+                acc += u(term[1])
             elif term[0] == "v":
-                acc += _v_from(*logs[term[1]], log_rho2)
+                acc += v(term[1])
             else:
                 # on the axis north of the rod both terms are -inf; the
                 # difference there is its limit log((z - b) / (z - a))
                 _, a, b = term
-                ua, ub = _u_from(*logs[a], log_rho2), _u_from(*logs[b], log_rho2)
-                north = (rho == 0.0) & (z > b)
-                if north.any():
+                ua, ub = u(a), u(b)
+                if on_axis.any():
+                    north = on_axis & (z > b)
                     zn = np.broadcast_to(z, shape)[north]
                     ua[north] = np.log((zn - b) / (zn - a))
                     ub[north] = 0.0
@@ -179,10 +225,17 @@ def _z_stage(m, z_axis):
     A = _profile_at(m.segments, z_axis)
     rows = np.moveaxis(np.linalg.inv(A), 0, -1)  # rows[k, i] = a_k[i], z last
     cols = np.moveaxis(A, 0, -1).swapaxes(0, 1)  # cols[k, i] = m_k[i]
+    ends = sorted(_rod_ends(m))
+    dz = z_axis - np.array(ends, dtype=float)[:, None]  # z - a, bit for bit
+    abs_dz, at = np.unique(np.abs(dz).ravel(), return_inverse=True)
+    at, k = at.reshape(dz.shape), abs_dz.size
     return _ZStage(
         z_axis, _profile_at(m.omega_profile, z_axis),
         A, 1.0 / np.linalg.det(A),
         rows[:, :, None] * rows[:, None], cols[:, :, None] * cols[:, None],
+        abs_dz,
+        {a: at[e] + k * (dz[e] >= 0) for e, a in enumerate(ends)},
+        {a: at[e] + k * (dz[e] <= 0) for e, a in enumerate(ends)},
     )
 
 
@@ -286,12 +339,14 @@ def _point_fields(m, rho, z, level=None, out=None):
     order; otherwise the distinct z of the points are found here.
 
     What depends on one coordinate is taken once per entry of its array:
-    2 log rho per rho, z - a and |z - a| per rod endpoint a and z, the
-    z-gap to the axis rods per z (_axis_distance), the z stage's omega
-    and 1/det A gathered per z, and the bound by which a batch inside R1
-    skips the blend weight (_blend_weight).  Only the hypots, the
-    logarithms, U, d, F and F^-1 are formed per point, and omega and
-    det F filled in from them.
+    2 log rho per rho, the z-gap to the axis rods per z (_axis_distance),
+    the z stage's omega and 1/det A gathered per z, and the bound by
+    which a batch inside R1 skips the blend weight (_blend_weight).  The
+    rod endpoints' logarithm is taken once per rho and distinct |z - a|
+    of a grid level's z stage, and read per point with one gather per
+    term (_slot_potentials); without a level, once per point and
+    endpoint.  Only those gathers, U, d, F and F^-1 are formed per point,
+    and omega and det F filled in from them.
 
     Where chi = 0 the frame is A(z), so F and F^-1 are sums over the z
     stage's rank-one factors (_ZStage, _rank_one_sum), gathered to the
@@ -305,6 +360,7 @@ def _point_fields(m, rho, z, level=None, out=None):
     exponential, weight or factor of the product is formed for it."""
     shape = np.broadcast_shapes(rho.shape, z.shape)
     F, Finv, f, omega = out or _empty_fields(shape, m.diagram.n)
+    d = [None if U is None else np.exp(U) for U in _slot_potentials(m, rho, z, level)]
     if level is None:
         z_axis, at = np.unique(z, return_inverse=True)
         level, at = _z_stage(m, z_axis), at.reshape(z.shape)
@@ -312,7 +368,6 @@ def _point_fields(m, rho, z, level=None, out=None):
         at = np.arange(level.z.size)  # a grid level's z is the points' last axis
     chi = _blend_weight(m, rho, z)
     _omega(m, rho, z, level, at, chi, omega)
-    d = [None if U is None else np.exp(U) for U in _slot_potentials(m, rho, z)]
     _rank_one_sum(level.row_outer, d, F, at)
     d_inv = [None if w is None else 1.0 / w for w in d]
     _rank_one_sum(level.col_outer, d_inv, Finv, at)
@@ -748,25 +803,23 @@ def _annulus_sups(m, h, grid, bounds, excision, clearance):
     beyond the clearance, and at h/2 beyond the clearance; and whether the
     h grid has any point beyond the excision radius.  Both grids come
     from one strip pass (_tension_strips), and each strip is reduced as
-    it comes."""
+    it comes, in place."""
     sets = ((h, excision), (h, clearance), (h / 2.0, clearance))  # (grid spacing, clearance)
-    tops = [[[] for _ in bounds] for _ in sets]
+    tops = np.full((len(sets), len(bounds)), -np.inf)
     kept = False
     strips = _tension_strips(m, h, grid, excision, clearance)
     for spacing, _, rho, z, dist, keep, (tau, _, _) in strips:
         kept = kept or (spacing == h and bool(keep.any()))
         radius = np.hypot(rho, z - m.z0)
-        level_sets = [(top, c) for top, (s, c) in zip(tops, sets) if s == spacing]
+        level_sets = [(top, dist > c) for top, (s, c) in zip(tops, sets) if s == spacing]
         for j, (r_lo, r_hi) in enumerate(bounds):
             ring = (radius >= r_lo) & (radius < r_hi)
-            for top, c in level_sets:
-                values = tau[ring & (dist > c)]
-                if values.size:
-                    # every point farther than c is kept, so a NaN here
-                    # is an overflow and must reach _require_finite
-                    top[j].append(values.max())
+            for top, far in level_sets:
+                # every point farther than c is kept, so a NaN here is an
+                # overflow, and maximum passes it on to _require_finite
+                top[j] = np.maximum(top[j], np.max(tau, where=ring & far, initial=-np.inf))
     # max is exact and order-free, so the sup of the strip sups is the sup
-    return [[float(np.max(t)) if t else 0.0 for t in row] for row in tops], kept
+    return [[0.0 if t == -np.inf else float(t) for t in row] for row in tops], kept
 
 
 def _require_finite(name, values):

@@ -39,6 +39,8 @@ from .roddiagram import (
 
 
 _new_tuple = tuple.__new__  # a NamedTuple's fields, without its __new__ frame
+_TORUS_FACTOR = "torus factor must be an int >= 0, got {!r}"
+_NOT_INT = "{} must be an int, got {!r}"
 
 
 class Bundle(NamedTuple):
@@ -61,9 +63,9 @@ class Bundle(NamedTuple):
         only integers, and r and the torus factor are checked), so the rods
         that plumbing_to_rods generates from bundles are integer tuples."""
         if not isinstance(torus_factor, int) or torus_factor < 0:
-            raise ValueError(f"torus factor must be an int >= 0, got {torus_factor!r}")
+            raise ValueError(_TORUS_FACTOR.format(torus_factor))
         if not isinstance(r, int):
-            raise TypeError(f"euler number must be an int, got {r!r}")
+            raise TypeError(_NOT_INT.format("euler number", r))
         if p == 0:
             if q != 1:
                 raise ValueError(f"S^1 x S^2 bundle needs q = 1, got q = {q}")
@@ -394,10 +396,17 @@ def _run_recursion(bundles, plumbing_vectors):
             f"need {l - 1} plumbing vectors for {l} bundles, got {len(plumbing_vectors)}"
         )
     torus = bundles[0].torus_factor
-    for i, b in enumerate(bundles, start=1):
-        if b.torus_factor != torus:
+    # a bundle made without from_qrp is checked here, with its messages
+    for i, (_, p, q, euler, torus_factor) in enumerate(bundles, start=1):
+        if not isinstance(torus_factor, int) or torus_factor < 0:
+            raise ValueError(_TORUS_FACTOR.format(torus_factor))
+        if not (isinstance(p, int) and isinstance(q, int) and isinstance(euler, int)):
+            for name, value in (("p", p), ("q", q), ("euler number", euler)):
+                if not isinstance(value, int):
+                    raise TypeError(_NOT_INT.format(name, value))
+        if torus_factor != torus:
             raise ValueError(
-                f"bundle {i} has torus factor {b.torus_factor!r} but bundle 1 has "
+                f"bundle {i} has torus factor {torus_factor!r} but bundle 1 has "
                 f"{torus!r}; all bundles must share one"
             )
     n = torus + 3

@@ -1,5 +1,5 @@
-"""Hand-run mutation sweep of the model-map verifier and builder, and of
-the plumbing certificates.
+"""Hand-run mutation sweep of the model-map verifier and builder, of the
+plumbing certificates and of the normal forms' self-checks.
 
 Each mutant changes one piece of text in one source file.  For each, the
 script copies the tree (src, tests, diagrams and pyproject.toml) to a
@@ -30,6 +30,7 @@ ROOT = Path(__file__).resolve().parent.parent
 MODELMAP = "src/rodtopo/modelmap.py"
 MODELBUILD = "src/rodtopo/modelbuild.py"
 PLUMBING = "src/rodtopo/plumbing.py"
+INTLIN = "src/rodtopo/intlin.py"
 VERIFIER_TESTS = [
     "tests/test_modelmap.py",
     "tests/test_cli.py",
@@ -41,6 +42,7 @@ TESTS = {
     MODELMAP: VERIFIER_TESTS,
     MODELBUILD: VERIFIER_TESTS,
     PLUMBING: ["tests/test_plumbing.py"],
+    INTLIN: ["tests/test_intlin.py"],
 }
 
 # (name, file, old text, new text, reason)
@@ -133,6 +135,42 @@ MUTANTS = [
     ("det2-gate", PLUMBING,
      '        if nxt[0] != 1:\n            raise _inadmissible("a", nxt[0])\n', "",
      "decompose_component reads a triple whose second pair has Det_2 != 1"),
+    ("v-reads-u-half", MODELMAP,
+     "k * (dz[e] <= 0)", "k * (dz[e] >= 0)",
+     "a v term reads the u half of the endpoint table"),
+    ("u-at-endpoint", MODELMAP,
+     "k * (dz[e] >= 0)", "k * (dz[e] > 0)",
+     "a u term on its endpoint's column reads L instead of 2 log rho - L"),
+    ("annulus-clearance", MODELMAP,
+     "np.max(tau, where=ring & far,", "np.max(tau, where=ring,",
+     "the clearance dropped from the annulus mask"),
+    ("empty-annulus", MODELMAP,
+     "0.0 if t == -np.inf else float(t)", "float(t)",
+     "an annulus without a point beyond its clearance reports -inf, not 0.0"),
+    ("hermite-product", INTLIN,
+     "    if Q @ A != H:\n", "    if False:\n",
+     "the Hermite self-check accepts H != Q A"),
+    ("hermite-unimodular", INTLIN,
+     "    if not Q.is_unimodular():\n", "    if False:\n",
+     "the Hermite self-check accepts a Q that is not unimodular"),
+    ("smith-product", INTLIN,
+     "    if U @ A @ V != S:\n", "    if False:\n",
+     "the Smith self-check accepts S != U A V"),
+    ("smith-unimodular", INTLIN,
+     "    if not U.is_unimodular() or not V.is_unimodular():\n", "    if False:\n",
+     "the Smith self-check accepts a U or V that is not unimodular"),
+    ("smith-diagonal", INTLIN,
+     "            if i != j and S[i, j] != 0:\n", "            if False:\n",
+     "the Smith self-check accepts an S that is not diagonal"),
+    ("smith-negative", INTLIN,
+     "        if s < 0:\n", "        if False:\n",
+     "the Smith self-check accepts a negative divisor"),
+    ("smith-zero-order", INTLIN,
+     "        elif seen_zero:\n", "        elif False:\n",
+     "the Smith self-check accepts a nonzero divisor after a zero one"),
+    ("smith-chain", INTLIN,
+     "            if divisors[i + 1] % s != 0:\n", "            if False:\n",
+     "the Smith self-check accepts a broken divisibility chain"),
 ]
 
 # mutants that change no result, with the reason

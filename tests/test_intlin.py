@@ -1,4 +1,5 @@
 import random
+import re
 
 import pytest
 
@@ -8,7 +9,9 @@ from rodtopo.intlin import (
     IntMatrix,
     determinant_divisor,
     HermiteResult,
+    SmithResult,
     _assert_hermite,
+    _assert_smith,
     _bezout,
     _egcd,
     hermite_normal_form,
@@ -142,6 +145,48 @@ def test_assert_hermite_checks_the_shape():
         _assert_hermite(negated, A)
     with pytest.raises(AssertionError, match="recorded pivots"):
         _assert_hermite(HermiteResult(res.H, res.Q, res.pivots[:-1]), A)
+
+
+def test_assert_hermite_refuses_a_broken_product_and_a_non_unimodular_q():
+    A = IntMatrix.from_columns(FIG1_COLUMNS)
+    res = hermite_normal_form(A)
+    with pytest.raises(AssertionError, match="broke Q @ A == H"):
+        _assert_hermite(HermiteResult(res.H, FIG1_Q, res.pivots), IntMatrix.identity(3))
+    # Q @ A == H and H has Hermite shape, but det Q = 2
+    with pytest.raises(AssertionError, match="not unimodular"):
+        _assert_hermite(HermiteResult(IntMatrix([[2]]), IntMatrix([[2]]), ((0, 0),)), IntMatrix([[1]]))
+
+
+def smith_forgery(S, U=None, V=None, A=None):
+    """A SmithResult claiming S (its diagonal as divisors) for A, with
+    U = V = I and A = S unless they are given."""
+    S = IntMatrix(S)
+    I_rows, I_cols = IntMatrix.identity(S.rows), IntMatrix.identity(S.cols)
+    res = SmithResult(S, U or I_rows, V or I_cols, tuple(S[i, i] for i in range(min(S.rows, S.cols))))
+    return res, A or S
+
+
+@pytest.mark.parametrize(
+    "forgery, message",
+    [
+        (smith_forgery([[2, 0], [0, 3]]), "divisibility chain broken"),
+        (smith_forgery([[0, 0], [0, 1]]), "nonzero divisor after a zero one"),
+        (smith_forgery([[-1]]), "negative elementary divisor"),
+        (smith_forgery([[1, 1], [0, 1]]), "not diagonal"),
+        (smith_forgery([[2]], V=IntMatrix([[2]]), A=IntMatrix([[1]])), "not unimodular"),
+        (smith_forgery([[1, 0], [0, 3]], A=IntMatrix([[1, 0], [0, 2]])), "broke U @ A @ V == S"),
+    ],
+    ids=["chain", "zero-order", "negative", "diagonal", "unimodular", "product"],
+)
+def test_assert_smith_refuses_forgeries(forgery, message):
+    # each forgery passes every check before the one it trips
+    with pytest.raises(AssertionError, match=re.escape(message)):
+        _assert_smith(*forgery)
+
+
+def test_assert_smith_accepts_a_genuine_result():
+    A = IntMatrix([[2, 0], [0, 3]])
+    _assert_smith(smith_normal_form(A), A)
 
 
 def test_smith_diag_2_3():

@@ -477,6 +477,54 @@ def test_shared_log_rho_is_bit_identical():
         assert np.array_equal(got_k, ref, equal_nan=True)
 
 
+def assert_table_potentials_match_per_point(m, rho, z):
+    """U_k on the grid of the axes rho and z from a grid level's endpoint
+    table are, byte for byte, U_k from the per-point logarithms on the
+    full mesh of its points."""
+    got = modelmap._slot_potentials(m, rho[:, None], z[None, :], modelmap._z_stage(m, z))
+    R, Z = np.meshgrid(rho, z, indexing="ij")
+    want = modelmap._slot_potentials(m, R, Z)
+    assert [U is None for U in got] == [U is None for U in want]
+    for got_k, want_k in zip(got, want):
+        if want_k is not None:
+            assert got_k.shape == want_k.shape and got_k.tobytes() == want_k.tobytes()
+
+
+@pytest.mark.parametrize("h", [0.1, 0.05, 0.025])
+def test_endpoint_table_potentials_on_paper_verifier_grids(h):
+    # the two levels of verify_tension at h = 0.1 (0.1 and 0.05) and at
+    # h = 0.05 (0.05 and 0.025)
+    m = build_model_map(parse(PAPER_DIAGRAM.read_text()))
+    assert_table_potentials_match_per_point(m, *modelmap._grid_axes(h, *verifier_grid(m)[1]))
+
+
+def test_endpoint_table_potentials_on_built_frame_corpus_maps():
+    built = []
+    for d in frame_corpus(300):
+        try:
+            built.append(build_model_map(d))
+        except ModelMapError:
+            continue
+    sample = np.random.default_rng(40).choice(len(built), 10, replace=False)
+    for k in sample:
+        m = built[k]
+        for h in (0.2, 0.1):
+            assert_table_potentials_match_per_point(m, *modelmap._grid_axes(h, *verifier_grid(m)[1]))
+
+
+def test_endpoint_table_potentials_on_endpoint_columns():
+    # columns on the endpoints: z - a = -0.0 at a = 0 (z = -0.0) and +0.0
+    # at the others, where u and v both read the 2 log rho - L half; a row
+    # on the axis takes the north limit of the ud terms, and log 0 on the
+    # endpoint columns
+    m = build_model_map(figure2_diagram())
+    ends = sorted({a for t in m.terms for term in t for a in term[1:]})
+    z = np.array(sorted(ends + [-3.0, -1e-300, 1e-300, 0.75, 30.0]))
+    z[z == 0.0] = -0.0
+    assert 0.0 in ends and np.signbit(z - 0.0).sum() == 3
+    assert_table_potentials_match_per_point(m, np.array([0.0, 1e-300, 1e-3, 0.5, 2.0, 40.0]), z)
+
+
 @pytest.mark.parametrize(
     "n, empty_slot", [(3, None), (4, None), (3, 0)], ids=["n3", "n4", "n3-empty-slot-0"]
 )
@@ -1012,13 +1060,14 @@ def test_tension_field_matches_reference_point_stage(monkeypatch, diagram):
 )
 def test_point_stage_on_grid_axes_matches_full_mesh(diagram, h, grid):
     # a column of rho and a row of z give the fields of the full mesh of
-    # their points bit for bit, with the grid level's z stage and without
+    # their points bit for bit, with the grid level's z stage (and its
+    # endpoint table) and without
     m = build_model_map(diagram)
     rho, z = modelmap._grid_axes(h, *(grid or verifier_grid(m)[1]))
     R, Z = np.meshgrid(rho, z, indexing="ij")
+    want = modelmap._point_fields(m, R, Z)
     for level in (modelmap._z_stage(m, z), None):
-        got = modelmap._point_fields(m, rho[:, None], z[None, :], level)
-        assert_same_bits(got, modelmap._point_fields(m, R, Z, level))
+        assert_same_bits(modelmap._point_fields(m, rho[:, None], z[None, :], level), want)
     # the figure-2 grid crosses the radial blend, the paper's lies inside it
     chi = modelmap._blend_weight(m, R, Z)
     assert np.any(chi == 0.0) and np.any(chi > 0.0) == (grid is not None)
@@ -1026,14 +1075,16 @@ def test_point_stage_on_grid_axes_matches_full_mesh(diagram, h, grid):
 
 def test_verifier_grid_takes_rho_per_row_and_z_per_column(monkeypatch):
     # every strip hands the point stage and the distance a column of rho
-    # and a row of z, so 2 log rho runs once per grid row, and z - a and
-    # the z-gap to the axis rods once per grid column
+    # and a row of z, so 2 log rho runs once per grid row, the z-gap to
+    # the axis rods once per grid column, and the rod endpoints' logarithm
+    # once per grid row and distinct |z - a|, in one table per strip; no
+    # endpoint logarithm is taken per point
     m = build_model_map(parse(PAPER_DIAGRAM.read_text()))
     h, grid = 0.1, verifier_grid(m)[1]
     rho, z = modelmap._grid_axes(h, *grid)
-    logs, ends, gaps = [], [], []
+    logs, ends, tables, gaps = [], [], [], []
     log_rho2, endpoint_log = modelmap._log_rho2, modelmap._endpoint_log
-    axis_distance = modelmap._axis_distance
+    endpoint_table, axis_distance = modelmap._endpoint_table, modelmap._axis_distance
 
     def logging(r):
         logs.append(r.shape)
@@ -1043,19 +1094,26 @@ def test_verifier_grid_takes_rho_per_row_and_z_per_column(monkeypatch):
         ends.append((r.shape, zz.shape))
         return endpoint_log(a, r, zz)
 
+    def tabling(r, abs_dz, lr2):
+        tables.append((r.shape, abs_dz))
+        return endpoint_table(r, abs_dz, lr2)
+
     def gapping(mm, r, zz):
         gaps.append((r.shape, zz.shape))
         return axis_distance(mm, r, zz)
 
     monkeypatch.setattr(modelmap, "_log_rho2", logging)
     monkeypatch.setattr(modelmap, "_endpoint_log", ending)
+    monkeypatch.setattr(modelmap, "_endpoint_table", tabling)
     monkeypatch.setattr(modelmap, "_axis_distance", gapping)
     tau = tension_field(m, h, *grid)[2]
     strips = -(-tau.shape[0] // modelmap.STRIP_ROWS)
-    assert strips > 1 and len(logs) == len(gaps) == strips
+    assert strips > 1 and len(logs) == len(tables) == len(gaps) == strips and not ends
     assert all(cols == 1 for _, cols in logs) and sum(rows for rows, _ in logs) == rho.size
-    assert all(r == (r[0], 1) and zz == (1, z.size) for r, zz in ends)
-    assert len(ends) == strips * len({a for t in m.terms for term in t for a in term[1:]})
+    a = np.array(sorted({a for t in m.terms for term in t for a in term[1:]}))
+    abs_dz = np.unique(np.abs(z - a[:, None]))
+    assert 0 < abs_dz.size < z.size * a.size
+    assert all(r == (r[0], 1) and np.array_equal(d, abs_dz) for r, d in tables)
     assert all(r == (r[0], 1) and zz == (1, z.size - 4) for r, zz in gaps)
     assert sum(r[0] for r, _ in gaps) == tau.shape[0]
 

@@ -1,5 +1,6 @@
 import json
 import random
+import re
 from math import gcd
 
 import pytest
@@ -710,6 +711,26 @@ def test_bundle_torus_factor_and_euler_number_are_ints():
     # the euler number too is an integer, so the generated rods are
     with pytest.raises(TypeError, match="euler number must be an int, got 0.5"):
         Bundle.from_qrp(1, 0.5, 0, 0)
+
+
+def test_bundles_made_without_from_qrp_are_checked():
+    # the plain constructor checks nothing; the recursion refuses such a
+    # bundle with from_qrp's messages instead of building rods in Z^2 or
+    # failing inside gcd or range
+    refused = [
+        (Bundle("S3", 1, 0, 0, -1), ValueError, "torus factor must be an int >= 0, got -1"),
+        (Bundle("S3", 1, 0, 0, 1.0), ValueError, "torus factor must be an int >= 0, got 1.0"),
+        (Bundle("S3", 1, 0, 0.5, 0), TypeError, "euler number must be an int, got 0.5"),
+        (Bundle("S3", 1.0, 0, 0, 0), TypeError, "p must be an int, got 1.0"),
+        (Bundle("S1xS2", 0, "1", 0, 0), TypeError, "q must be an int, got '1'"),
+    ]
+    good = Bundle.from_qrp(0, 0, 1, 0)
+    for bad, error, message in refused:
+        for bundles, vectors in (([bad], []), ([good, bad], [(0, 0, 1)])):
+            for call in (plumbing_to_rods, verify_plumbing_relations):
+                with pytest.raises(error, match=re.escape(message)):
+                    call(bundles, vectors)
+    assert plumbing_to_rods([Bundle("S3", 1, 0, 0, 0)], []) == plumbing_to_rods([good], [])
 
 
 def test_bundles_share_one_torus_factor():
